@@ -10,6 +10,7 @@ agreement of the paths.
 """
 
 from .errors import (
+    CapacityError,
     DegenerateWeightError,
     MatrixParseError,
     PoleError,
@@ -42,6 +43,7 @@ from .verify import (
 )
 
 __all__ = [
+    "CapacityError",
     "DegenerateWeightError",
     "EvalConsistencyReport",
     "MatrixParseError",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 verification or cross-path failure; 2 input or
-parse error; 3 singularity / degenerate-weight error.  Diagnostics go to
-stderr, one line per failure; results go to stdout or --out.
+parse error; 3 singularity / degenerate-weight / capacity error.
+Diagnostics go to stderr, one line per failure; results go to stdout or
+--out.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import sys
 
 from .errors import (
+    CapacityError,
     DegenerateWeightError,
     MatrixParseError,
     PoleError,
@@ -186,7 +188,7 @@ def run_command(argv):
     except PoleError as exc:
         _diag(f"evaluation error: {exc}")
         return 2
-    except (SingularMatrixError, DegenerateWeightError) as exc:
+    except (SingularMatrixError, DegenerateWeightError, CapacityError) as exc:
         stage = getattr(exc, "stage", None)
         where = f" (stage {stage})" if stage else ""
         _diag(f"algebra error{where}: {exc}")

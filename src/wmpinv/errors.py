@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: parse problems exit with 2,
-singular/degenerate algebra with 3, verification failures with 1.
+singular/degenerate algebra and capacity failures with 3, verification
+failures with 1.
 """
 
 
@@ -36,6 +37,18 @@ class DegenerateWeightError(ArithmeticError):
     def __init__(self, message, stage=None):
         super().__init__(message)
         self.stage = stage
+
+
+class CapacityError(ArithmeticError):
+    """A coefficient sequence of the coefficient path outgrew the a priori
+    degree capacity of its formula, or a denominator vanished identically.
+
+    ``label`` names the stage quantity that failed the check.
+    """
+
+    def __init__(self, message, label):
+        super().__init__(message)
+        self.label = label
 
 
 class MatrixParseError(ValueError):

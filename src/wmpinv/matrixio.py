@@ -7,6 +7,8 @@ Entry grammar (whitespace insignificant):
     factor := atom ('^' unsigned-integer)?
     atom   := 's' | unsigned-integer | '(' expr ')' | '-' factor
 
+'(' and unary '-' nest at most MAX_NESTING deep.
+
 File format: optional full-line comments starting with '#', a header line
 ``matrix <rows> <cols>``, then one line per row with entries separated by
 ';' (the separator is ';' and not whitespace so expressions may contain
@@ -21,10 +23,17 @@ from .matrices import RfMatrix
 from .scalars import RatFun, S, format_ratfun
 
 
+# Bound on the nesting of '(' and unary '-'.  Each level costs a few
+# interpreter frames, so deeper input would otherwise exhaust the recursion
+# limit.
+MAX_NESTING = 100
+
+
 class _EntryParser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message, pos=None):
         pos = self.pos if pos is None else pos
@@ -83,6 +92,14 @@ class _EntryParser:
             value = value ** self.integer()
         return value
 
+    def nested(self, parse):
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting of '(' and '-' deeper than {MAX_NESTING}")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def atom(self):
         ch = self.peek()
         if ch == "s":
@@ -92,14 +109,14 @@ class _EntryParser:
             return RatFun.const(self.integer())
         if ch == "(":
             self.pos += 1
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
             return value
         if ch == "-":
             self.pos += 1
-            return -self.factor()
+            return -self.nested(self.factor)
         self.error("expected 's', an integer, '(' or '-'")
 
 

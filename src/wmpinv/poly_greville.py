@@ -8,11 +8,11 @@ polynomial denominator.  Every formula of the rational path then turns
 into Cauchy products (convolutions) of coefficient sequences.
 
 The degree of every computed sequence is bounded a priori by the degrees
-of its inputs; those capacities are asserted before trailing zeros are
-trimmed, so an index slip in any convolution fails loudly.  After each
-stage the numerator/denominator pair is reduced (common polynomial factor
-and integer content divided out), which is what keeps the capacities from
-growing multiplicatively.
+of its inputs; those capacities are checked before trailing zeros are
+trimmed, so an index slip in any convolution raises CapacityError, also
+under ``python -O``.  After each stage the numerator/denominator pair is
+reduced (common polynomial factor and integer content divided out), which
+is what keeps the capacities from growing multiplicatively.
 
 Zero-length sequences represent zero throughout; when two sequences of
 different lengths are combined the shorter is implicitly padded with
@@ -24,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateWeightError, PoleError, SingularMatrixError
+from .errors import (
+    CapacityError,
+    DegenerateWeightError,
+    PoleError,
+    SingularMatrixError,
+)
 from .matrices import RfMatrix
 from .scalars import ONE_POLY, Poly, RatFun, joint_reduce
 
@@ -168,10 +173,12 @@ def _unwrap(seq):
 
 def _check_cap(seq, cap, label):
     # pre-trim length must fit the formula's degree bound
-    assert len(seq) <= cap + 1 or not seq, (
-        f"{label}: coefficient sequence of length {len(seq)} exceeds "
-        f"its degree capacity {cap}"
-    )
+    if seq and len(seq) > cap + 1:
+        raise CapacityError(
+            f"{label}: coefficient sequence of length {len(seq)} exceeds "
+            f"its degree capacity {cap}",
+            label,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +651,10 @@ def step_extend(state):
     den = _sconv(state.coupling_den, state.row_den)
     _check_cap(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
     den = _strim(den)
-    assert den, "extended denominator is identically zero"
+    if not den:
+        raise CapacityError(
+            "extended denominator: identically zero", "extended denominator"
+        )
 
     n_coeff = max(len(upper), len(lower))
     zero_u, zero_l = _mzero(i - 1, m), _mzero(1, m)

@@ -263,22 +263,92 @@ def _primitive_ints(ints):
     return [c // g for c in ints]
 
 
-def _root_bound(ints):
-    # Cauchy bound: every complex root has |r| <= 1 + max|c_i|/|lc|
-    lc = abs(ints[-1])
-    top = max(abs(c) for c in ints)
-    return 1 + (top + lc - 1) // lc
+def _divides(d, a):
+    """Whether the primitive integer polynomial d divides a in Z[x].
+
+    By Gauss's lemma an exact quotient by a primitive d has integer
+    coefficients, so integer long division decides it."""
+    dd, ld = len(d) - 1, d[-1]
+    r = list(a)
+    for k in range(len(a) - 1 - dd, -1, -1):
+        q, rest = divmod(r[k + dd], ld)
+        if rest:
+            return False
+        if q:
+            for j, dj in enumerate(d):
+                r[k + j] -= q * dj
+    return not any(r)
+
+
+def _heu_gcd(a, b):
+    """One GCDHEU step (see poly_gcd) on primitive integer coefficient lists
+    of degree >= 1: the gcd with a positive leading coefficient, or None
+    when the reconstructed candidate fails the divisibility check."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    va = vb = 0
+    for c in reversed(a):
+        va = va * xi + c
+    for c in reversed(b):
+        vb = vb * xi + c
+    h = _int_gcd(va, vb)
+    # balanced digits lie in (-xi/2, xi/2]; h > 0 makes the top one positive
+    half = xi // 2
+    digits = []
+    while h:
+        h, d = divmod(h, xi)
+        if d > half:
+            d -= xi
+            h += 1
+        digits.append(d)
+    g = _primitive_ints(digits)
+    if len(g) == 1 or _divides(g, a) and _divides(g, b):
+        return g
+    return None
+
+
+def _prs_gcd(a, b):
+    """Primitive pseudo-remainder sequence gcd of nonzero primitive integer
+    coefficient lists, with a positive leading coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_rem(a, b)
+        a, b = b, _primitive_ints(r)
+    if a[-1] < 0:
+        a = [-c for c in a]
+    return a
 
 
 def poly_gcd(p, q):
     """Greatest common divisor, normalized to coprime integer coefficients
     with a positive leading coefficient.  gcd(p, 0) is the normalization of
-    p; both arguments zero is an error."""
+    p; both arguments zero is an error.
+
+    Two nonconstant operands take one step of the heuristic gcd GCDHEU
+    (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989; Liao and Fateman,
+    ISSAC 1995) on their primitive integer parts a and b:
+
+    * evaluation: h = gcd(a(xi), b(xi)) over the integers, at
+      xi = 2*min(|a|_inf, |b|_inf) + 2;
+    * reconstruction: G is the primitive part, with positive leading
+      coefficient, of the polynomial whose coefficients are the balanced
+      base-xi digits of h, each in (-xi/2, xi/2];
+    * proof: if trial division shows that G divides a and b in Z[x], G is
+      the gcd.  The true gcd is g = G*k, and g(xi) divides h, so k(xi)
+      divides the content of the digits, which is at most xi/2.  A
+      nonconstant k divides a and b, so its roots lie strictly inside the
+      Cauchy bound 1 + min(|a|_inf, |b|_inf), and then
+      |k(xi)| > xi - 1 - min(|a|_inf, |b|_inf) >= xi/2.  So k is constant.
+
+    Coprime operands are certified by that one evaluation, since h = 1
+    reconstructs to G = 1.  When the divisibility check fails, the
+    primitive pseudo-remainder sequence computes the gcd instead.
+    """
     p, q = Poly._want(p), Poly._want(q)
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    a = _primitive_ints([int(c) for c in p.primitive()[1].coeffs])
-    b = _primitive_ints([int(c) for c in q.primitive()[1].coeffs])
+    a = list(p.primitive()[1].coeffs)
+    b = list(q.primitive()[1].coeffs)
     if not a:
         a, b = b, a
     if not b:
@@ -287,27 +357,7 @@ def poly_gcd(p, q):
         return Poly._raw(tuple(a))
     if len(a) == 1 or len(b) == 1:
         return ONE_POLY  # a nonzero constant is coprime to everything
-    # One-sided certificate: evaluate past both Cauchy root bounds.  Any
-    # common factor g of degree >= 1 has |g(x0)| >= 2 there, so integer
-    # gcd 1 at x0 proves the polynomial gcd is constant.
-    x0 = max(_root_bound(a), _root_bound(b)) + 2
-    va = 0
-    for c in reversed(a):
-        va = va * x0 + c
-    vb = 0
-    for c in reversed(b):
-        vb = vb * x0 + c
-    if _int_gcd(va, vb) == 1:
-        return ONE_POLY
-    # primitive pseudo-remainder sequence
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive_ints(r)
-    if a[-1] < 0:
-        a = [-c for c in a]
-    return Poly._raw(tuple(a))
+    return Poly._raw(tuple(_heu_gcd(a, b) or _prs_gcd(a, b)))
 
 
 def joint_reduce(nums, den):
@@ -455,7 +505,7 @@ class RatFun:
             if f.den.degree == 0:
                 return RatFun._reduced(num, f.den)
             return RatFun(num, f.den)
-        # Knuth 4.5.1: with both operands reduced, cancелlation can only
+        # Knuth 4.5.1: with both operands reduced, cancellation can only
         # come from d1 = gcd of the denominators
         d1 = poly_gcd(f.den, g.den)
         if d1.degree == 0:

@@ -251,3 +251,52 @@ class TestArgumentErrors:
 
     def test_missing_required_argument(self, capsys):
         assert run_command(["compute"]) == 2
+
+
+class TestHostileInput:
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        for body in ("(" * 3000 + "s" + ")" * 3000, "-" * 3000 + "s"):
+            a = tmp_path / "a.mat"
+            a.write_text(f"matrix 1 1\n{body}\n")
+            code = run_command(["compute", "--a", str(a)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.count("\n") == 1
+            assert err.startswith("parse error: row 1, column 1")
+            assert "nesting" in err
+
+    def test_nesting_at_the_bound_parses(self, tmp_path, capsys):
+        from wmpinv.matrixio import MAX_NESTING
+
+        half = MAX_NESTING // 2
+        a = tmp_path / "a.mat"
+        a.write_text("matrix 1 1\n" + "-(" * half + "s" + ")" * half + "\n")
+        assert run_command(["compute", "--a", str(a)]) == 0
+        assert capsys.readouterr().out == "matrix 1 1\n1/s\n"
+
+    def test_capacity_error_exits_three_under_optimize(self):
+        # an extra coefficient from every scalar convolution must trip the
+        # capacity check even with asserts stripped by -O
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from wmpinv import poly_greville\n"
+            "from wmpinv.cli import run_command\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(9)\n"
+            "real = poly_greville._sconv\n"
+            "poly_greville._sconv = lambda a, b: real(a, b) + [0]\n"
+            "sys.exit(run_command(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script,
+             "compute", "--a", fixture("wmp_poly3_a.mat"), "--path", "poly"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 3
+        assert result.stderr == (
+            "algebra error: coupling denominator: coefficient sequence of "
+            "length 4 exceeds its degree capacity 2\n"
+        )

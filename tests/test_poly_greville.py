@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import load, rand_problem_matrix, rand_weight
-from wmpinv.errors import SingularMatrixError
+from wmpinv.errors import CapacityError, SingularMatrixError
 from wmpinv.greville import WeightedProblem
 from wmpinv.greville import partition_stages as rational_stages
 from wmpinv.matrices import RfMatrix
@@ -231,8 +231,10 @@ class TestFractionSimplify:
 
 class TestCapacityChecks:
     def test_violation_raises(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(CapacityError) as info:
             _check_cap([1, 2, 3], 1, "probe")
+        assert info.value.label == "probe"
+        assert str(info.value).startswith("probe: ")
 
     def test_empty_always_fits(self):
         _check_cap([], -2, "probe")

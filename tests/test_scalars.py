@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from wmpinv.errors import PoleError
-from wmpinv.scalars import Poly, RatFun, joint_reduce, poly_gcd
+from wmpinv.scalars import Poly, RatFun, _heu_gcd, _prs_gcd, joint_reduce, poly_gcd
 
 
 def schoolbook_mul(a, b):
@@ -121,6 +121,90 @@ class TestPolyGcd:
             # the planted common factor must divide the gcd
             if not common.degree == 0:
                 assert divmod(g, poly_gcd(common, common))[1].is_zero
+
+
+def prs_reference(p, q):
+    # the pseudo-remainder sequence alone, on the primitive integer parts
+    return tuple(
+        _prs_gcd(list(p.primitive()[1].coeffs), list(q.primitive()[1].coeffs))
+    )
+
+
+def rand_nonconstant(rng, deg, bits):
+    top = rng.choice([-1, 1]) * rng.randint(1, 2**bits)
+    return Poly([rng.randint(-(2**bits), 2**bits) for _ in range(deg)] + [top])
+
+
+class TestHeuristicGcd:
+    """poly_gcd (one GCDHEU step, PRS fallback) against the PRS alone."""
+
+    def test_spurious_integer_factor(self):
+        # s^2+s and s^2+s+2 are even at every integer point, yet coprime
+        p, q = Poly([0, 1, 1]), Poly([2, 1, 1])
+        assert all(p(x) % 2 == 0 and q(x) % 2 == 0 for x in range(-20, 21))
+        assert _heu_gcd([0, 1, 1], [2, 1, 1]) == [1]
+        assert poly_gcd(p, q).coeffs == prs_reference(p, q) == (1,)
+
+    def test_planted_common_factors(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            bits = rng.choice([1, 2, 4, 16])
+            common = rand_nonconstant(rng, rng.randint(1, 5), bits)
+            p = common * rand_nonconstant(rng, rng.randint(0, 6), bits)
+            q = common * rand_nonconstant(rng, rng.randint(0, 6), bits)
+            g = poly_gcd(p, q)
+            assert g.coeffs == prs_reference(p, q)
+            assert divmod(g, common)[1].is_zero
+
+    def test_negative_leading_and_fraction_inputs(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            common = Poly(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2)]
+                + [Fraction(-rng.randint(1, 9), rng.randint(1, 7))]
+            )
+            p = common * Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)), -1])
+            q = common * Poly([rng.randint(-9, 9), rng.randint(-9, 9), -3])
+            g = poly_gcd(p, q)
+            assert g.coeffs == prs_reference(p, q)
+            assert g.coeffs[-1] > 0 and g.degree >= 2
+
+    def test_large_coefficients_and_degrees(self):
+        rng = random.Random(29)
+        coprime = (rand_nonconstant(rng, 60, 200), rand_nonconstant(rng, 50, 200))
+        common = rand_nonconstant(rng, 10, 200)
+        planted = (
+            common * rand_nonconstant(rng, 30, 200),
+            common * rand_nonconstant(rng, 25, 200),
+        )
+        for p, q in (coprime, planted):
+            assert poly_gcd(p, q).coeffs == prs_reference(p, q)
+        assert poly_gcd(*coprime).coeffs == (1,)
+        assert poly_gcd(*planted).degree == 10
+
+    def test_failed_divisibility_check_falls_back_to_prs(self):
+        # xi = 6: gcd(a(6), b(6)) = 77 reconstructs to 2s-1, which divides b
+        # but not a; the gcd s+1 comes from the PRS
+        a, b = [-3, -3, 1, 1], [-1, 1, 2]
+        assert _heu_gcd(a, b) is None
+        assert _prs_gcd(a, b) == [1, 1]
+        assert poly_gcd(Poly(a), Poly(b)).coeffs == (1, 1)
+
+    def test_matches_prs_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coeffs = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(coeffs, coeffs, coeffs)
+        def check(c, u, v):
+            common, p, q = Poly(c + [1]), Poly(u + [1]), Poly(v + [-1])
+            p, q = common * p, common * q
+            g = poly_gcd(p, q)
+            assert g.coeffs == prs_reference(p, q)
+            assert divmod(g, common)[1].is_zero
+
+        check()
 
 
 class TestRatFunCanonical:
