@@ -17,22 +17,14 @@ from .errors import (
     SingularMatrixError,
 )
 from .greville import (
-    PartitionState,
     WeightedProblem,
     bordering_inverse,
-    bordering_step,
-    column_pinv_init,
     partition_stages,
     weighted_pinv,
 )
-from .matrices import PrincipalPartition, RfMatrix, constant_matrix
+from .matrices import RfMatrix, constant_matrix
 from .matrixio import format_entry, format_matrix, parse_entry, parse_matrix_file
-from .poly_greville import (
-    MatrixPolyFraction,
-    PolyMatrix,
-    PolyPartitionState,
-    fraction_simplify,
-)
+from .poly_greville import MatrixPolyFraction, PolyMatrix
 from .scalars import Poly, RatFun, poly_gcd
 from .verify import (
     EvalConsistencyReport,
@@ -48,26 +40,20 @@ __all__ = [
     "EvalConsistencyReport",
     "MatrixParseError",
     "MatrixPolyFraction",
-    "PartitionState",
     "PenroseReport",
     "Poly",
     "PolyMatrix",
-    "PolyPartitionState",
     "PoleError",
-    "PrincipalPartition",
     "RatFun",
     "RfMatrix",
     "SingularMatrixError",
     "WeightedProblem",
     "bordering_inverse",
-    "bordering_step",
-    "column_pinv_init",
     "constant_matrix",
     "cross_path_check",
     "eval_consistency_check",
     "format_entry",
     "format_matrix",
-    "fraction_simplify",
     "parse_entry",
     "parse_matrix_file",
     "partition_stages",

@@ -19,7 +19,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .greville import WeightedProblem, bordering_inverse, weighted_pinv
-from .matrices import RfMatrix, constant_matrix
+from .matrices import constant_matrix
 from .matrixio import format_matrix, parse_matrix_file
 from .poly_greville import PolyMatrix
 from .poly_greville import bordering_inverse as poly_bordering_inverse
@@ -46,9 +46,10 @@ def _diag(message):
 
 def _cmd_compute(args):
     a = _load(args.a)
-    m = _load(args.m) if args.m else RfMatrix.identity(a.rows)
-    n = _load(args.n) if args.n else RfMatrix.identity(a.cols)
+    m = _load(args.m) if args.m else None
+    n = _load(args.n) if args.n else None
     problem = WeightedProblem(a, m, n)
+    m, n = problem.m_weight, problem.n_weight
 
     if args.path == "rational":
         x = weighted_pinv(problem)

@@ -7,6 +7,13 @@ Schur-type factor replaces the quadratic form).  The inverse of the
 leading principal block of the column weight is carried along by the
 classical bordering recursion, never recomputed from scratch.
 
+Each stage is a pure function of the previous stage, of column i and of
+the order-i block of the column weight: the stage formulas take what they
+read as arguments and return what they compute, and every stage yields a
+new frozen ``PartitionState`` that later stages never touch.  The
+column-weight inverse is grown by one bordering loop shared with
+``bordering_inverse``.
+
 All quantities are exact rational functions; "zero" always means
 identically zero.
 """
@@ -14,36 +21,44 @@ identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateWeightError, SingularMatrixError
 from .matrices import RfMatrix
 from .scalars import RatFun
 
+if TYPE_CHECKING:
+    from .poly_greville import PolyMatrix
+
 
 @dataclass(frozen=True)
 class WeightedProblem:
-    """A matrix with its two symmetric weights; identity weights by default."""
+    """A matrix with its two symmetric weights; identity weights of the
+    matrix's own type by default.  ``a`` is an RfMatrix (rational path) or
+    a PolyMatrix (coefficient path), and the weights are of the same type."""
 
-    a: RfMatrix
-    m_weight: RfMatrix = None
-    n_weight: RfMatrix = None
+    a: RfMatrix | PolyMatrix
+    m_weight: RfMatrix | PolyMatrix = None
+    n_weight: RfMatrix | PolyMatrix = None
 
     def __post_init__(self):
+        identity = type(self.a).identity
         if self.m_weight is None:
-            object.__setattr__(self, "m_weight", RfMatrix.identity(self.a.rows))
+            object.__setattr__(self, "m_weight", identity(self.a.rows))
         if self.n_weight is None:
-            object.__setattr__(self, "n_weight", RfMatrix.identity(self.a.cols))
-        if self.m_weight.rows != self.a.rows or not self.m_weight.is_square:
+            object.__setattr__(self, "n_weight", identity(self.a.cols))
+        m_w, n_w = self.m_weight, self.n_weight
+        if m_w.rows != self.a.rows or m_w.rows != m_w.cols:
             raise ValueError("row weight must be square of order = row count")
-        if self.n_weight.rows != self.a.cols or not self.n_weight.is_square:
+        if n_w.rows != self.a.cols or n_w.rows != n_w.cols:
             raise ValueError("column weight must be square of order = column count")
-        if not self.m_weight.is_symmetric:
+        if not m_w.is_symmetric:
             raise ValueError("row weight must be symmetric")
-        if not self.n_weight.is_symmetric:
+        if not n_w.is_symmetric:
             raise ValueError("column weight must be symmetric")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionState:
     """State after stage i: the pseudoinverse of the first i columns, the
     inverse of the order-i leading block of the column weight (None at the
@@ -59,53 +74,51 @@ class PartitionState:
     schur: RatFun = None       # weighted Schur factor (dependent branch only)
 
 
+def _weighted_form_row(v, m_weight, what, stage):
+    """v^T M / (v^T M v) for a nonzero column v, whose weighted squared
+    length must be a nonzero rational function."""
+    form = v.transpose() * m_weight
+    sq = (form * v)[0, 0]
+    if sq.is_zero:
+        raise DegenerateWeightError(
+            f"weighted squared length of a nonzero {what} is identically zero",
+            stage=stage,
+        )
+    return form.scale(sq.reciprocal())
+
+
 def column_pinv_init(col, m_weight):
     """Weighted pseudoinverse of a single column (1 x rows).
 
     The zero column has pseudoinverse zero; otherwise the weighted squared
     length col^T M col must be a nonzero rational function.
     """
-    colT = col.transpose()
     if col.is_zero:
-        return colT
-    form = colT * m_weight
-    sq = (form * col)[0, 0]
-    if sq.is_zero:
-        raise DegenerateWeightError(
-            "weighted squared length of a nonzero column is identically zero",
-            stage=1,
-        )
-    return form.scale(sq.reciprocal())
+        return col.transpose()
+    return _weighted_form_row(col, m_weight, "column", 1)
 
 
-def project_column(state, problem, i):
-    """Coordinates of column i in the preceding columns and the residual."""
-    col = problem.a.column(i)
-    prefix = problem.a.leading_columns(i - 1)
-    proj = state.x * col
-    resid = col - prefix * proj
-    return proj, resid
+def project_column(x, col, prefix):
+    """Coordinates of a new column in the preceding columns ``prefix``
+    (under their pseudoinverse ``x``) and the residual."""
+    proj = x * col
+    return proj, col - prefix * proj
 
 
-def weighted_schur_factor(state, problem, i):
+def weighted_schur_factor(proj, part, coupling, i):
     """Schur-type scalar inverted on the dependent-column branch.
 
-    Combines the corner of the order-i weight block with the projection
-    coordinates and the coupling column; must be a nonzero rational
-    function for the recursion to continue.
+    Combines the corner of the order-i weight block ``part`` with the
+    projection coordinates and the weight-coupling column; must be a
+    nonzero rational function for the recursion to continue.
     """
-    part = problem.n_weight.principal_partition(i)
-    proj, projT = state.proj, state.proj.transpose()
-    lt = part.l.transpose()
-    prefix = problem.a.leading_columns(i - 1)
-    eye = RfMatrix.identity(i - 1)
+    projT = proj.transpose()
     mixed = (projT * part.l)[0, 0]
-    coupling = (lt * (eye - state.x * prefix) * state.ninv * part.l)[0, 0]
     value = (
         part.n_ii
         + (projT * part.n_prev * proj)[0, 0]
         - (mixed + mixed)
-        - coupling
+        - (part.l.transpose() * coupling)[0, 0]
     )
     if value.is_zero:
         raise DegenerateWeightError(
@@ -114,31 +127,18 @@ def weighted_schur_factor(state, problem, i):
     return value
 
 
-def bottom_row(state, problem, i):
+def bottom_row(x, proj, resid, schur, m_weight, part, i):
     """New bottom row of the pseudoinverse for stage i (1 x rows)."""
-    if not state.resid.is_zero:
-        residT = state.resid.transpose()
-        form = residT * problem.m_weight
-        sq = (form * state.resid)[0, 0]
-        if sq.is_zero:
-            raise DegenerateWeightError(
-                "weighted squared length of a nonzero residual is identically zero",
-                stage=i,
-            )
-        return form.scale(sq.reciprocal())
-    part = problem.n_weight.principal_partition(i)
-    lhs = state.proj.transpose() * part.n_prev - part.l.transpose()
-    return (lhs * state.x).scale(state.schur.reciprocal())
+    if not resid.is_zero:
+        return _weighted_form_row(resid, m_weight, "residual", i)
+    lhs = proj.transpose() * part.n_prev - part.l.transpose()
+    return (lhs * x).scale(schur.reciprocal())
 
 
-def extend_pinv(state, problem, i):
+def extend_pinv(x, proj, coupling, row):
     """Stack the corrected previous pseudoinverse on the new bottom row."""
-    part = problem.n_weight.principal_partition(i)
-    prefix = problem.a.leading_columns(i - 1)
-    eye = RfMatrix.identity(i - 1)
-    coupling = (eye - state.x * prefix) * state.ninv * part.l
-    upper = state.x - (state.proj + coupling) * state.row
-    return RfMatrix.block([[upper], [state.row]])
+    upper = x - (proj + coupling) * row
+    return RfMatrix.block([[upper], [row]])
 
 
 def bordering_step(prev_inv, part):
@@ -160,29 +160,35 @@ def bordering_step(prev_inv, part):
     return core, border, corner
 
 
-def _assemble_bordered(core, border, corner):
-    corner_m = RfMatrix(1, 1, [corner])
-    return RfMatrix.block([[core, border], [border.transpose(), corner_m]])
-
-
-def bordering_inverse(mat):
-    """Inverse of a square matrix whose leading principal blocks are all
-    symbolically nonsingular, computed by the bordering recursion."""
-    if not mat.is_square:
-        raise ValueError("bordering inverse of a non-square matrix")
-    corner = mat[0, 0]
-    if corner.is_zero:
-        raise SingularMatrixError(
-            "leading 1x1 block is symbolically singular", stage=1
-        )
-    inv = RfMatrix(1, 1, [corner.reciprocal()])
-    for i in range(2, mat.rows + 1):
-        part = mat.principal_partition(i)
+def _leading_inverses(mat, parts, first_block="leading 1x1 block"):
+    """Yield the inverse of the order-1 leading block of ``mat``, then of
+    each larger one, one bordering step per principal partition in
+    ``parts`` (orders 2, 3, ...).  Singular blocks raise with their order
+    as the stage."""
+    if mat[0, 0].is_zero:
+        raise SingularMatrixError(f"{first_block} is symbolically singular", stage=1)
+    inv = RfMatrix(1, 1, [mat[0, 0].reciprocal()])
+    yield inv
+    for i, part in enumerate(parts, 2):
         try:
             core, border, corner = bordering_step(inv, part)
         except SingularMatrixError as exc:
             raise SingularMatrixError(str(exc), stage=i) from None
-        inv = _assemble_bordered(core, border, corner)
+        corner_m = RfMatrix(1, 1, [corner])
+        inv = RfMatrix.block([[core, border], [border.transpose(), corner_m]])
+        yield inv
+
+
+def bordering_inverse(mat):
+    """Inverse of a symmetric matrix whose leading principal blocks are all
+    symbolically nonsingular, computed by the bordering recursion."""
+    if not mat.is_square:
+        raise ValueError("bordering inverse of a non-square matrix")
+    if not mat.is_symmetric:
+        raise ValueError("bordering inverse expects a symmetric matrix")
+    parts = (mat.principal_partition(i) for i in range(2, mat.rows + 1))
+    for inv in _leading_inverses(mat, parts):
+        pass
     return inv
 
 
@@ -194,42 +200,24 @@ def partition_stages(problem):
     stage index.
     """
     a, n_w = problem.a, problem.n_weight
+    # the inverse of the order-i weight block is drawn at stage i < n only
+    parts = [n_w.principal_partition(i) for i in range(2, a.cols + 1)]
+    inverses = _leading_inverses(n_w, parts, "leading 1x1 block of the column weight")
     x = column_pinv_init(a.column(1), problem.m_weight)
-    ninv = None
-    if a.cols > 1:
-        corner = n_w[0, 0]
-        if corner.is_zero:
-            raise SingularMatrixError(
-                "leading 1x1 block of the column weight is symbolically singular",
-                stage=1,
-            )
-        ninv = RfMatrix(1, 1, [corner.reciprocal()])
-    state = PartitionState(1, x, ninv)
+    state = PartitionState(1, x, next(inverses) if a.cols > 1 else None)
     yield state
-    for i in range(2, a.cols + 1):
-        # the step functions read the stage vectors off the previous state;
-        # restore its own vectors afterwards so yielded states stay intact
-        saved = (state.proj, state.resid, state.row, state.schur)
-        state.proj, state.resid = project_column(state, problem, i)
-        state.schur = None
-        if state.resid.is_zero:
-            state.schur = weighted_schur_factor(state, problem, i)
-        state.row = bottom_row(state, problem, i)
-        x = extend_pinv(state, problem, i)
-        ninv = None
-        if i < a.cols:
-            part = n_w.principal_partition(i)
-            try:
-                core, border, corner = bordering_step(state.ninv, part)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(str(exc), stage=i) from None
-            ninv = _assemble_bordered(core, border, corner)
-        new = PartitionState(
-            i, x, ninv, proj=state.proj, resid=state.resid,
-            row=state.row, schur=state.schur,
-        )
-        state.proj, state.resid, state.row, state.schur = saved
-        state = new
+    for i, part in enumerate(parts, 2):
+        prefix = a.leading_columns(i - 1)
+        proj, resid = project_column(state.x, a.column(i), prefix)
+        eye = RfMatrix.identity(i - 1)
+        coupling = (eye - state.x * prefix) * state.ninv * part.l
+        schur = None
+        if resid.is_zero:
+            schur = weighted_schur_factor(proj, part, coupling, i)
+        row = bottom_row(state.x, proj, resid, schur, problem.m_weight, part, i)
+        x = extend_pinv(state.x, proj, coupling, row)
+        ninv = next(inverses) if i < a.cols else None
+        state = PartitionState(i, x, ninv, proj, resid, row, schur)
         yield state
 
 

@@ -14,6 +14,12 @@ under ``python -O``.  After each stage the numerator/denominator pair is
 reduced (common polynomial factor and integer content divided out), which
 is what keeps the capacities from growing multiplicatively.
 
+Each stage is a pure function of the previous stage: the step formulas
+take the previous frozen ``PolyPartitionState`` and the sequences built
+earlier in the same stage as arguments and return new sequences, and the
+driver builds one new frozen state per stage.  The column-weight inverse
+is grown by one bordering loop shared with ``bordering_inverse``.
+
 Zero-length sequences represent zero throughout; when two sequences of
 different lengths are combined the shorter is implicitly padded with
 zeros.
@@ -30,8 +36,9 @@ from .errors import (
     PoleError,
     SingularMatrixError,
 )
+from .greville import WeightedProblem
 from .matrices import RfMatrix
-from .scalars import ONE_POLY, Poly, RatFun, joint_reduce
+from .scalars import ONE_POLY, Poly, RatFun, _coerce_coeff, joint_reduce
 
 # ---------------------------------------------------------------------------
 # constant matrices as tuples of tuples of exact numbers
@@ -144,25 +151,15 @@ def _smconv(s, m):
     return out
 
 
-def _mseq_sub(a, b, rows, cols):
+def _mseq_op(op, a, b, rows, cols):
+    """Termwise ``op`` (_madd or _msub) of two rows x cols matrix sequences."""
     n = max(len(a), len(b))
     zero = _mzero(rows, cols)
     out = []
     for j in range(n):
         x = a[j] if j < len(a) else zero
         y = b[j] if j < len(b) else zero
-        out.append(_msub(x, y))
-    return out
-
-
-def _mseq_add(a, b, rows, cols):
-    n = max(len(a), len(b))
-    zero = _mzero(rows, cols)
-    out = []
-    for j in range(n):
-        x = a[j] if j < len(a) else zero
-        y = b[j] if j < len(b) else zero
-        out.append(_madd(x, y))
+        out.append(op(x, y))
     return out
 
 
@@ -185,16 +182,8 @@ def _check_cap(seq, cap, label):
 # matrix polynomials and matrix/scalar polynomial fractions
 
 
-def _coerce_num(x):
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"exact coefficient expected, got {type(x).__name__}")
-
-
 def _coerce_const(m, rows, cols):
-    grid = tuple(tuple(_coerce_num(x) for x in row) for row in m)
+    grid = tuple(tuple(_coerce_coeff(x) for x in row) for row in m)
     if len(grid) != rows or any(len(row) != cols for row in grid):
         raise ValueError(f"coefficient matrix is not {rows}x{cols}")
     return grid
@@ -216,13 +205,22 @@ class PolyMatrix:
         self.coeffs = tuple(_mtrim([_coerce_const(m, rows, cols) for m in coeffs]))
 
     @classmethod
+    def _from_polys(cls, rows, cols, polys):
+        """From a rows x cols grid (a list of rows) of polynomials."""
+        deg = max((p.degree for row in polys for p in row), default=-1)
+        coeffs = [
+            [[polys[r][c][j] for c in range(cols)] for r in range(rows)]
+            for j in range(deg + 1)
+        ]
+        return cls(rows, cols, coeffs)
+
+    @classmethod
     def from_rf_matrix(cls, a):
         """Coefficient form of a matrix with polynomial entries.
 
         Entries with a nontrivial denominator are rejected, naming the
         1-based entry.
         """
-        deg = -1
         for r in range(a.rows):
             for c in range(a.cols):
                 f = a[r, c]
@@ -230,12 +228,8 @@ class PolyMatrix:
                     raise ValueError(
                         f"entry ({r + 1}, {c + 1}) is not a polynomial: {f}"
                     )
-                deg = max(deg, f.num.degree)
-        coeffs = [
-            [[a[r, c].num[j] for c in range(a.cols)] for r in range(a.rows)]
-            for j in range(deg + 1)
-        ]
-        return cls(a.rows, a.cols, coeffs)
+        polys = [[a[r, c].num for c in range(a.cols)] for r in range(a.rows)]
+        return cls._from_polys(a.rows, a.cols, polys)
 
     @classmethod
     def from_entries(cls, grid):
@@ -249,14 +243,8 @@ class PolyMatrix:
                     raise TypeError(f"polynomial entry expected, got {type(x).__name__}")
                 wanted.append(p)
             polys.append(wanted)
-        rows = len(polys)
-        cols = len(polys[0]) if rows else 0
-        deg = max((p.degree for row in polys for p in row), default=-1)
-        coeffs = [
-            [[polys[r][c][j] for c in range(cols)] for r in range(rows)]
-            for j in range(deg + 1)
-        ]
-        return cls(rows, cols, coeffs)
+        cols = len(polys[0]) if polys else 0
+        return cls._from_polys(len(polys), cols, polys)
 
     @classmethod
     def identity(cls, n):
@@ -269,9 +257,6 @@ class PolyMatrix:
     @property
     def is_zero(self):
         return not self.coeffs
-
-    def coeff(self, j):
-        return self.coeffs[j] if j < len(self.coeffs) else _mzero(self.rows, self.cols)
 
     def entry_poly(self, r, c):
         return Poly([m[r][c] for m in self.coeffs])
@@ -315,12 +300,13 @@ class PolyMatrix:
     def is_symmetric(self):
         return self.rows == self.cols and all(m == _mT(m) for m in self.coeffs)
 
-    def to_rf_matrix(self):
+    def to_rf_matrix(self, den=1):
+        """Entrywise rational functions, each entry over ``den``."""
         return RfMatrix(
             self.rows,
             self.cols,
             [
-                RatFun(self.entry_poly(r, c))
+                RatFun(self.entry_poly(r, c), den)
                 for r in range(self.rows)
                 for c in range(self.cols)
             ],
@@ -359,15 +345,8 @@ def fraction_simplify(num, den):
         num.entry_poly(r, c) for r in range(num.rows) for c in range(num.cols)
     ]
     reduced, new_den = joint_reduce(entries, den_poly)
-    deg = max(p.degree for p in reduced)
-    coeffs = [
-        [
-            [reduced[r * num.cols + c][j] for c in range(num.cols)]
-            for r in range(num.rows)
-        ]
-        for j in range(deg + 1)
-    ]
-    return PolyMatrix(num.rows, num.cols, coeffs), tuple(new_den.coeffs)
+    polys = [reduced[r * num.cols:(r + 1) * num.cols] for r in range(num.rows)]
+    return PolyMatrix._from_polys(num.rows, num.cols, polys), tuple(new_den.coeffs)
 
 
 class MatrixPolyFraction:
@@ -379,21 +358,19 @@ class MatrixPolyFraction:
     def __init__(self, num, den):
         self.num, self.den = fraction_simplify(num, den)
 
+    @classmethod
+    def _reduced(cls, num, den):
+        # trusted: (num, den) is already fraction_simplify's output
+        f = object.__new__(cls)
+        f.num, f.den = num, den
+        return f
+
     @property
     def den_poly(self):
         return Poly(self.den)
 
     def to_rf_matrix(self):
-        den = self.den_poly
-        return RfMatrix(
-            self.num.rows,
-            self.num.cols,
-            [
-                RatFun(self.num.entry_poly(r, c), den)
-                for r in range(self.num.rows)
-                for c in range(self.num.cols)
-            ],
-        )
+        return self.num.to_rf_matrix(self.den_poly)
 
     def eval_at(self, x):
         x = Fraction(x)
@@ -420,16 +397,16 @@ class MatrixPolyFraction:
 # stage state
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolyPartitionState:
-    """Coefficient-path state after a stage, plus the stage-local sequences
-    recorded while the next stage is being built.
+    """Coefficient-path state after a stage, with the stage-local sequences
+    that produced it.
 
     ``num``/``den`` hold the pseudoinverse of the leading columns processed
     so far; ``ninv`` the inverse of the matching leading block of the
-    column weight.  ``q``, ``m_deg``, ``n_deg`` are the input degrees fixed
-    for the whole run; the remaining capacities derive from the current
-    (reduced) representations.
+    column weight (None at the last stage).  ``q``, ``m_deg``, ``n_deg``
+    are the input degrees fixed for the whole run; the remaining
+    capacities derive from the current (reduced) representations.
     """
 
     i: int
@@ -448,7 +425,8 @@ class PolyPartitionState:
     schur_num: list = None     # dependent-branch factor numerator
     schur_den: list = None     # ... denominator
     # the stage sequences above describe how THIS stage was produced from
-    # the previous one (all None at stage 1)
+    # the previous one (all None at stage 1; schur_* only on the dependent
+    # branch)
 
     @property
     def q_prev(self):
@@ -500,12 +478,12 @@ def step_projection(state, col):
     return _mtrim(out)
 
 
-def step_residual(state, col, prefix):
+def step_residual(state, col, prefix, proj):
     """Numerator coefficients of the residual column (over the previous
     denominator); an empty result selects the dependent-column branch."""
     t1 = _smconv(state.den, col.coeffs)
-    t2 = _mmconv(prefix.coeffs, state.proj)
-    out = _mseq_sub(t1, t2, col.rows, 1)
+    t2 = _mmconv(prefix.coeffs, proj)
+    out = _mseq_op(_msub, t1, t2, col.rows, 1)
     _check_cap(out, state.q_hat + state.q, "residual")
     return _mtrim(out)
 
@@ -518,7 +496,7 @@ def step_coupling(state, prefix, border):
     eye = PolyMatrix.identity(k)
     y_eye = _smconv(state.den, eye.coeffs)
     za = _mmconv(state.num.coeffs, prefix.coeffs)
-    u = _mseq_sub(y_eye, za, k, k)
+    u = _mseq_op(_msub, y_eye, za, k, k)
     _check_cap(u, state.q_hat, "span complement numerator")
     t = _mmconv(state.ninv.num.coeffs, border.coeffs)
     _check_cap(t, state.nbar_deg + state.n_deg, "weighted coupling column")
@@ -531,16 +509,18 @@ def step_coupling(state, prefix, border):
     return _mtrim(phi), _strim(psi)
 
 
-def step_bottom_row(state, m_weight, nprev, border, corner):
-    """Numerator/denominator coefficients of the stage's new bottom row.
+def step_bottom_row(state, proj, resid, coupling_num, m_weight, nprev, border, corner):
+    """Numerator/denominator coefficients of the stage's new bottom row,
+    then those of the weighted Schur factor (None, None on the independent
+    branch).
 
     Independent branch: the weighted residual form.  Dependent branch: the
-    weighted Schur factor's fraction is built first (recorded on the
-    state) and applied to the previous pseudoinverse.
+    weighted Schur factor's fraction is built first and applied to the
+    previous pseudoinverse.
     """
     i = state.i + 1
-    if state.resid:
-        residT = [_mT(m) for m in state.resid]
+    if resid:
+        residT = [_mT(m) for m in resid]
         cm = _mmconv(residT, m_weight.coeffs)
         v = _smconv(state.den, cm)
         _check_cap(
@@ -548,7 +528,7 @@ def step_bottom_row(state, m_weight, nprev, border, corner):
             state.q_hat + state.q + state.p_prev + state.m_deg,
             "bottom row numerator (independent)",
         )
-        w = _unwrap(_mmconv(cm, state.resid))
+        w = _unwrap(_mmconv(cm, resid))
         _check_cap(
             w,
             2 * (state.q_hat + state.q) + state.m_deg,
@@ -560,11 +540,11 @@ def step_bottom_row(state, m_weight, nprev, border, corner):
                 "weighted squared length of a nonzero residual is identically zero",
                 stage=i,
             )
-        return _mtrim(v), w
+        return _mtrim(v), w, None, None
 
     # dependent branch: residual is identically zero
     y, ndd = state.den, list(state.ninv.den)
-    projT = [_mT(m) for m in state.proj]
+    projT = [_mT(m) for m in proj]
     yy = _sconv(y, y)
     schur_den = _sconv(yy, ndd)
     _check_cap(
@@ -572,13 +552,13 @@ def step_bottom_row(state, m_weight, nprev, border, corner):
     )
 
     core = _sconv(corner, yy)
-    core = _sadd(core, _unwrap(_mmconv(_mmconv(projT, nprev.coeffs), state.proj)))
+    core = _sadd(core, _unwrap(_mmconv(_mmconv(projT, nprev.coeffs), proj)))
     mixed = _sadd(
         _unwrap(_mmconv(projT, border.coeffs)),
-        _unwrap(_mmconv([_mT(m) for m in border.coeffs], state.proj)),
+        _unwrap(_mmconv([_mT(m) for m in border.coeffs], proj)),
     )
     core = _ssub(core, _sconv(mixed, y))
-    lphi = _unwrap(_mmconv([_mT(m) for m in border.coeffs], state.coupling_num))
+    lphi = _unwrap(_mmconv([_mT(m) for m in border.coeffs], coupling_num))
     schur_num = _ssub(_sconv(core, ndd), _sconv(lphi, y))
     _check_cap(
         schur_num,
@@ -592,15 +572,16 @@ def step_bottom_row(state, m_weight, nprev, border, corner):
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
-    state.schur_num, state.schur_den = schur_num, _strim(schur_den)
+    schur_den = _strim(schur_den)
 
-    lhs = _mseq_sub(
+    lhs = _mseq_op(
+        _msub,
         _mmconv(projT, nprev.coeffs),
         _smconv(y, [_mT(m) for m in border.coeffs]),
         1,
         i - 1,
     )
-    v = _smconv(state.schur_den, _mmconv(lhs, state.num.coeffs))
+    v = _smconv(schur_den, _mmconv(lhs, state.num.coeffs))
     _check_cap(
         v,
         2 * state.p_prev
@@ -619,24 +600,24 @@ def step_bottom_row(state, m_weight, nprev, border, corner):
         + 2 * state.p_prev,
         "bottom row denominator (dependent)",
     )
-    return _mtrim(v), _strim(w)
+    return _mtrim(v), _strim(w), schur_num, schur_den
 
 
-def step_extend(state):
+def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     """Assemble and reduce the next stage's numerator/denominator pair:
     corrected previous block stacked on the new bottom row, all over the
     coupling denominator times the row denominator."""
     i = state.i + 1
     m = state.num.cols
     ndd = list(state.ninv.den)
-    b_num = len(state.row_num) - 1
-    b_den = len(state.row_den) - 1
+    b_num = len(row_num) - 1
+    b_den = len(row_den) - 1
 
-    t1 = _smconv(_sconv(ndd, state.row_den), state.num.coeffs)
-    t2 = _mmconv(_smconv(ndd, state.proj), state.row_num)
-    upper = _mseq_sub(t1, t2, i - 1, m)
-    t3 = _mmconv(state.coupling_num, state.row_num)
-    upper = _mseq_sub(upper, t3, i - 1, m)
+    t1 = _smconv(_sconv(ndd, row_den), state.num.coeffs)
+    t2 = _mmconv(_smconv(ndd, proj), row_num)
+    upper = _mseq_op(_msub, t1, t2, i - 1, m)
+    t3 = _mmconv(coupling_num, row_num)
+    upper = _mseq_op(_msub, upper, t3, i - 1, m)
     cap_upper = (
         state.q_hat
         + state.q
@@ -645,10 +626,10 @@ def step_extend(state):
     )
     _check_cap(upper, cap_upper, "extended numerator (upper block)")
 
-    lower = _smconv(state.coupling_den, state.row_num)
+    lower = _smconv(coupling_den, row_num)
     _check_cap(lower, cap_upper, "extended numerator (bottom row)")
 
-    den = _sconv(state.coupling_den, state.row_den)
+    den = _sconv(coupling_den, row_den)
     _check_cap(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
     den = _strim(den)
     if not den:
@@ -663,54 +644,20 @@ def step_extend(state):
         u = upper[j] if j < len(upper) else zero_u
         l = lower[j] if j < len(lower) else zero_l
         stacked.append(u + l)
-    num, den = fraction_simplify(PolyMatrix(i, m, stacked), den)
-    return num, den
+    return fraction_simplify(PolyMatrix(i, m, stacked), den)
 
 
 # ---------------------------------------------------------------------------
 # bordering recursion for the column-weight inverse (coefficient form)
 
 
-@dataclass
-class PolyBorderingState:
-    """Leading-block inverse as a numerator matrix over a scalar
-    denominator, plus the stage-local sequences of the last growth step
-    (``p_seq``/``q_seq`` are the two halves of the corner denominator)."""
-
-    i: int
-    num: PolyMatrix
-    den: tuple
-    g_num: list = None
-    g_den: list = None
-    f_num: list = None
-    f_den: list = None
-    e_num: list = None
-    e_den: list = None
-    p_seq: list = None
-    q_seq: list = None
-
-    def as_fraction(self):
-        f = object.__new__(MatrixPolyFraction)
-        f.num, f.den = self.num, self.den
-        return f
-
-
-def poly_bordering_init(mat):
-    corner = _strim([m[0][0] for m in mat.coeffs])
-    if not corner:
-        raise SingularMatrixError(
-            "leading 1x1 block is symbolically singular", stage=1
-        )
-    num, den = fraction_simplify(PolyMatrix(1, 1, [((1,),)]), corner)
-    return PolyBorderingState(1, num, den)
-
-
-def poly_bordering_step(state, nprev, border, corner, n_deg):
-    """Grow the coefficient-form inverse by one row and column."""
-    i = state.i + 1
-    nbar = list(state.num.coeffs)
-    ndd = list(state.den)
-    nbar_deg = state.num.degree
+def poly_bordering_step(inv, border, corner, n_deg):
+    """Grow the coefficient-form inverse ``inv`` (a MatrixPolyFraction) by
+    one row and column."""
+    i = inv.num.rows + 1
+    nbar = list(inv.num.coeffs)
+    ndd = list(inv.den)
+    nbar_deg = inv.num.degree
     ndd_deg = len(ndd) - 1
     borderT = [_mT(m) for m in border.coeffs]
 
@@ -740,7 +687,8 @@ def poly_bordering_step(state, nprev, border, corner, n_deg):
     f_deg = len(f_num) - 1
     fd_deg = len(f_den) - 1
 
-    e_num = _mseq_add(
+    e_num = _mseq_op(
+        _madd,
         _smconv(_sconv(g_num, f_den), nbar),
         _smconv(ndd, _mmconv(f_num, [_mT(m) for m in f_num])),
         i - 1,
@@ -777,14 +725,23 @@ def poly_bordering_step(state, nprev, border, corner, n_deg):
         top = tuple(core_j[r] + (bord_j[r][0],) for r in range(i - 1))
         bottom = (tuple(bord_j[r][0] for r in range(i - 1)) + (corner_j,),)
         stacked.append(top + bottom)
-    num, den = fraction_simplify(PolyMatrix(i, i, stacked), _strim(den))
+    return MatrixPolyFraction(PolyMatrix(i, i, stacked), _strim(den))
 
-    new = PolyBorderingState(i, num, den)
-    new.g_num, new.g_den = g_num, g_den
-    new.f_num, new.f_den = f_num, f_den
-    new.e_num, new.e_den = e_num, e_den
-    new.p_seq, new.q_seq = _strim(p_seq), _strim(q_seq)
-    return new
+
+def _leading_inverses(mat, parts):
+    """Yield the inverse of the order-1 leading block of ``mat``, then of
+    each larger one, one bordering step per ``partition_coeffs`` triple in
+    ``parts`` (orders 2, 3, ...), each as a MatrixPolyFraction."""
+    corner = _strim([m[0][0] for m in mat.coeffs])
+    if not corner:
+        raise SingularMatrixError(
+            "leading 1x1 block is symbolically singular", stage=1
+        )
+    inv = MatrixPolyFraction(PolyMatrix(1, 1, [((1,),)]), corner)
+    yield inv
+    for _, border, corner in parts:
+        inv = poly_bordering_step(inv, border, corner, mat.degree)
+        yield inv
 
 
 def bordering_inverse(mat):
@@ -794,86 +751,54 @@ def bordering_inverse(mat):
         raise ValueError("bordering inverse of a non-square matrix")
     if not mat.is_symmetric:
         raise ValueError("bordering inverse expects a symmetric matrix")
-    state = poly_bordering_init(mat)
-    n_deg = mat.degree
-    for i in range(2, mat.rows + 1):
-        nprev, border, corner = mat.partition_coeffs(i)
-        state = poly_bordering_step(state, nprev, border, corner, n_deg)
-    return state.as_fraction()
+    parts = (mat.partition_coeffs(i) for i in range(2, mat.rows + 1))
+    for inv in _leading_inverses(mat, parts):
+        pass
+    return inv
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _validate_weights(a, m_weight, n_weight):
-    if m_weight.rows != a.rows or m_weight.rows != m_weight.cols:
-        raise ValueError("row weight must be square of order = row count")
-    if n_weight.rows != a.cols or n_weight.rows != n_weight.cols:
-        raise ValueError("column weight must be square of order = column count")
-    if not m_weight.is_symmetric:
-        raise ValueError("row weight must be symmetric")
-    if not n_weight.is_symmetric:
-        raise ValueError("column weight must be symmetric")
-
-
 def partition_stages(a, m_weight=None, n_weight=None):
     """Yield the coefficient-path state after every stage i = 1..n."""
-    if m_weight is None:
-        m_weight = PolyMatrix.identity(a.rows)
-    if n_weight is None:
-        n_weight = PolyMatrix.identity(a.cols)
-    _validate_weights(a, m_weight, n_weight)
+    problem = WeightedProblem(a, m_weight, n_weight)
+    m_weight, n_weight = problem.m_weight, problem.n_weight
     q, m_deg, n_deg = a.degree, m_weight.degree, n_weight.degree
+    # the inverse of the order-i weight block is drawn at stage i < n only
+    parts = [n_weight.partition_coeffs(i) for i in range(2, a.cols + 1)]
+    inverses = _leading_inverses(n_weight, parts)
 
-    col1 = a.column(1)
-    z, y = init_fraction(col1, m_weight)
+    z, y = init_fraction(a.column(1), m_weight)
     if not y:
         raise DegenerateWeightError(
             "weighted squared length of a nonzero column is identically zero",
             stage=1,
         )
     num, den = fraction_simplify(z, y)
-    bord = poly_bordering_init(n_weight) if a.cols > 1 else None
-    state = PolyPartitionState(
-        1, num, den, bord.as_fraction() if bord else None, q, m_deg, n_deg
-    )
+    ninv = next(inverses) if a.cols > 1 else None
+    state = PolyPartitionState(1, num, den, ninv, q, m_deg, n_deg)
     yield state
 
-    for i in range(2, a.cols + 1):
+    for i, (nprev, border, corner) in enumerate(parts, 2):
         col = a.column(i)
         prefix = a.leading_columns(i - 1)
-        nprev, border, corner = n_weight.partition_coeffs(i)
-        # the step functions read the stage sequences off the previous
-        # state; restore its own afterwards so yielded states stay intact
-        saved = (
-            state.proj, state.resid, state.coupling_num, state.coupling_den,
-            state.row_num, state.row_den, state.schur_num, state.schur_den,
+        proj = step_projection(state, col)
+        resid = step_residual(state, col, prefix, proj)
+        coupling_num, coupling_den = step_coupling(state, prefix, border)
+        row_num, row_den, schur_num, schur_den = step_bottom_row(
+            state, proj, resid, coupling_num, m_weight, nprev, border, corner
         )
-        state.schur_num = state.schur_den = None
-        state.proj = step_projection(state, col)
-        state.resid = step_residual(state, col, prefix)
-        state.coupling_num, state.coupling_den = step_coupling(
-            state, prefix, border
+        num, den = step_extend(
+            state, proj, coupling_num, coupling_den, row_num, row_den
         )
-        state.row_num, state.row_den = step_bottom_row(
-            state, m_weight, nprev, border, corner
+        ninv = next(inverses) if i < a.cols else None
+        state = PolyPartitionState(
+            i, num, den, ninv, q, m_deg, n_deg,
+            proj, resid, coupling_num, coupling_den,
+            row_num, row_den, schur_num, schur_den,
         )
-        num, den = step_extend(state)
-        ninv = None
-        if i < a.cols:
-            bord = poly_bordering_step(bord, nprev, border, corner, n_deg)
-            ninv = bord.as_fraction()
-        new = PolyPartitionState(i, num, den, ninv, q, m_deg, n_deg)
-        new.proj, new.resid = state.proj, state.resid
-        new.coupling_num, new.coupling_den = state.coupling_num, state.coupling_den
-        new.row_num, new.row_den = state.row_num, state.row_den
-        new.schur_num, new.schur_den = state.schur_num, state.schur_den
-        (
-            state.proj, state.resid, state.coupling_num, state.coupling_den,
-            state.row_num, state.row_den, state.schur_num, state.schur_den,
-        ) = saved
-        state = new
         yield state
 
 
@@ -886,6 +811,4 @@ def weighted_pinv(a, m_weight=None, n_weight=None):
     """
     for state in partition_stages(a, m_weight, n_weight):
         pass
-    f = object.__new__(MatrixPolyFraction)
-    f.num, f.den = state.num, state.den
-    return f
+    return MatrixPolyFraction._reduced(state.num, state.den)

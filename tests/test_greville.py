@@ -2,6 +2,7 @@
 full weighted pseudoinverse."""
 
 import random
+from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 
@@ -17,6 +18,8 @@ from wmpinv.greville import (
 )
 from wmpinv.matrices import RfMatrix, constant_matrix
 from wmpinv.matrixio import parse_entry
+from wmpinv.poly_greville import PolyMatrix
+from wmpinv.poly_greville import weighted_pinv as poly_weighted_pinv
 from wmpinv.scalars import RatFun
 from wmpinv.verify import penrose_check
 
@@ -146,10 +149,27 @@ class TestWeightedPinv:
         assert weighted_pinv(WeightedProblem(a)) == RfMatrix.zeros(2, 3)
 
     def test_asymmetric_weight_rejected(self):
+        # one validation serves both paths: same ValueError, same message
         a = RfMatrix.identity(2)
         bad = RfMatrix.from_rows([[e("1"), e("s")], [e("0"), e("1")]])
-        with pytest.raises(ValueError):
-            WeightedProblem(a, m_weight=bad)
+        wide = constant_matrix([[1, 0, 0], [0, 1, 0]])
+        cases = (
+            (bad, None, "row weight must be symmetric"),
+            (None, bad, "column weight must be symmetric"),
+            (wide, None, "row weight must be square of order = row count"),
+            (None, RfMatrix.identity(3),
+             "column weight must be square of order = column count"),
+        )
+
+        def to_poly(w):
+            return None if w is None else PolyMatrix.from_rf_matrix(w)
+
+        for m_weight, n_weight, message in cases:
+            with pytest.raises(ValueError) as rational:
+                WeightedProblem(a, m_weight=m_weight, n_weight=n_weight)
+            with pytest.raises(ValueError) as coefficient:
+                poly_weighted_pinv(to_poly(a), to_poly(m_weight), to_poly(n_weight))
+            assert str(rational.value) == str(coefficient.value) == message
 
     def test_singular_column_weight_reports_stage(self):
         a = ones_1x2()
@@ -174,6 +194,23 @@ class TestWeightedPinv:
         with pytest.raises(DegenerateWeightError) as err:
             weighted_pinv(WeightedProblem(ones_1x2(), n_weight=n))
         assert err.value.stage == 2
+
+
+class TestFrozenStages:
+    def test_yielded_states_stay_intact_and_frozen(self):
+        # stage 2 takes the independent branch, stage 3 the dependent one
+        problem = WeightedProblem(
+            load("wmp_rank2_a.mat"), load("wmp_rank2_m.mat"), load("wmp_rank2_n.mat")
+        )
+        states, snapshots = [], []
+        for st in partition_stages(problem):
+            states.append(st)
+            snapshots.append(asdict(st))
+        assert [st.schur is None for st in states] == [True, True, False]
+        for st, snapshot in zip(states, snapshots):
+            assert asdict(st) == snapshot, f"stage {st.i}"
+            with pytest.raises(FrozenInstanceError):
+                st.proj = None
 
 
 class TestConcurrency:

@@ -3,6 +3,7 @@ reduction, bordering inverse, and bit-exact agreement with the rational
 path (which is the reference semantics)."""
 
 import random
+from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,24 @@ class TestStageSequences:
                     assert (st_pol.resid == []) == st_rat.resid.is_zero
                 if st_pol.ninv is not None:
                     assert st_pol.ninv.to_rf_matrix() == st_rat.ninv
+
+
+class TestFrozenStages:
+    def test_yielded_states_stay_intact_and_frozen(self):
+        # stage 2 takes the independent branch, stage 3 the dependent one
+        a, m, n = (
+            PolyMatrix.from_rf_matrix(load(f"wmp_rank2_{name}.mat"))
+            for name in "amn"
+        )
+        states, snapshots = [], []
+        for st in partition_stages(a, m, n):
+            states.append(st)
+            snapshots.append(asdict(st))
+        assert [st.schur_num is None for st in states] == [True, True, False]
+        for st, snapshot in zip(states, snapshots):
+            assert asdict(st) == snapshot, f"stage {st.i}"
+            with pytest.raises(FrozenInstanceError):
+                st.row_num = None
 
 
 class TestExtend:
