@@ -160,13 +160,13 @@ def bordering_step(prev_inv, part):
     return core, border, corner
 
 
-def _leading_inverses(mat, parts, first_block="leading 1x1 block"):
+def _leading_inverses(mat, parts):
     """Yield the inverse of the order-1 leading block of ``mat``, then of
     each larger one, one bordering step per principal partition in
     ``parts`` (orders 2, 3, ...).  Singular blocks raise with their order
     as the stage."""
     if mat[0, 0].is_zero:
-        raise SingularMatrixError(f"{first_block} is symbolically singular", stage=1)
+        raise SingularMatrixError("leading 1x1 block is symbolically singular", stage=1)
     inv = RfMatrix(1, 1, [mat[0, 0].reciprocal()])
     yield inv
     for i, part in enumerate(parts, 2):
@@ -202,7 +202,7 @@ def partition_stages(problem):
     a, n_w = problem.a, problem.n_weight
     # the inverse of the order-i weight block is drawn at stage i < n only
     parts = [n_w.principal_partition(i) for i in range(2, a.cols + 1)]
-    inverses = _leading_inverses(n_w, parts, "leading 1x1 block of the column weight")
+    inverses = _leading_inverses(n_w, parts)
     x = column_pinv_init(a.column(1), problem.m_weight)
     state = PartitionState(1, x, next(inverses) if a.cols > 1 else None)
     yield state

@@ -87,14 +87,14 @@ def _strim(seq):
     n = len(seq)
     while n and not seq[n - 1]:
         n -= 1
-    return list(seq[:n])
+    return tuple(seq[:n])
 
 
 def _mtrim(seq):
     n = len(seq)
     while n and _mis0(seq[n - 1]):
         n -= 1
-    return list(seq[:n])
+    return tuple(seq[:n])
 
 
 def _sconv(a, b):
@@ -163,6 +163,22 @@ def _mseq_op(op, a, b, rows, cols):
     return out
 
 
+def _mblock(grid, heights, widths):
+    """Coefficient sequence of the block matrix whose (r, c) block is the
+    heights[r] x widths[c] matrix sequence grid[r][c]; shorter sequences
+    are padded with zero matrices."""
+    out = []
+    for j in range(max(len(seq) for row in grid for seq in row)):
+        stacked = []
+        for row, h in zip(grid, heights):
+            parts = [
+                seq[j] if j < len(seq) else _mzero(h, w) for seq, w in zip(row, widths)
+            ]
+            stacked.extend(sum(pieces, ()) for pieces in zip(*parts))
+        out.append(tuple(stacked))
+    return out
+
+
 def _unwrap(seq):
     """Scalar sequence from a sequence of 1x1 matrices."""
     return [m[0][0] for m in seq]
@@ -202,7 +218,7 @@ class PolyMatrix:
     def __init__(self, rows, cols, coeffs=()):
         self.rows = rows
         self.cols = cols
-        self.coeffs = tuple(_mtrim([_coerce_const(m, rows, cols) for m in coeffs]))
+        self.coeffs = _mtrim([_coerce_const(m, rows, cols) for m in coeffs])
 
     @classmethod
     def _from_polys(cls, rows, cols, polys):
@@ -416,14 +432,14 @@ class PolyPartitionState:
     q: int
     m_deg: int
     n_deg: int
-    proj: list = None          # coordinates of the new column (numerator)
-    resid: list = None         # residual column (numerator)
-    coupling_num: list = None  # weight-coupling column numerator
-    coupling_den: list = None  # ... and its scalar denominator
-    row_num: list = None       # new bottom row numerator
-    row_den: list = None       # ... and its scalar denominator
-    schur_num: list = None     # dependent-branch factor numerator
-    schur_den: list = None     # ... denominator
+    proj: tuple = None          # coordinates of the new column (numerator)
+    resid: tuple = None         # residual column (numerator)
+    coupling_num: tuple = None  # weight-coupling column numerator
+    coupling_den: tuple = None  # ... and its scalar denominator
+    row_num: tuple = None       # new bottom row numerator
+    row_den: tuple = None       # ... and its scalar denominator
+    schur_num: tuple = None     # dependent-branch factor numerator
+    schur_den: tuple = None     # ... denominator
     # the stage sequences above describe how THIS stage was produced from
     # the previous one (all None at stage 1; schur_* only on the dependent
     # branch)
@@ -467,7 +483,7 @@ def init_fraction(col, m_weight):
     _check_cap(z, q + m_deg, "single-column numerator")
     y = _unwrap(_mmconv(z, col.coeffs))
     _check_cap(y, 2 * q + m_deg, "single-column denominator")
-    return PolyMatrix(1, col.rows, _mtrim(z)), tuple(_strim(y))
+    return PolyMatrix(1, col.rows, z), _strim(y)
 
 
 def step_projection(state, col):
@@ -514,9 +530,14 @@ def step_bottom_row(state, proj, resid, coupling_num, m_weight, nprev, border, c
     then those of the weighted Schur factor (None, None on the independent
     branch).
 
-    Independent branch: the weighted residual form.  Dependent branch: the
-    weighted Schur factor's fraction is built first and applied to the
-    previous pseudoinverse.
+    Independent branch: the weighted residual form.  Dependent branch:
+    ``proj`` and the previous numerator ``num`` are over the previous
+    denominator y, the coupling column phi over y*ndd, and Nprev, l, c are
+    the pieces of the order-i weight block.  The Schur factor is
+    (ndd*(c*y^2 + proj^T Nprev proj - 2*y*proj^T l) - y*l^T phi) over
+    y^2*ndd, and in the row ((proj^T Nprev - y*l^T)/y) (num/y) / Schur
+    factor the y^2 cancels: it is ndd*(proj^T Nprev - y*l^T)*num over the
+    Schur numerator.
     """
     i = state.i + 1
     if resid:
@@ -543,22 +564,20 @@ def step_bottom_row(state, proj, resid, coupling_num, m_weight, nprev, border, c
         return _mtrim(v), w, None, None
 
     # dependent branch: residual is identically zero
-    y, ndd = state.den, list(state.ninv.den)
+    y, ndd = state.den, state.ninv.den
     projT = [_mT(m) for m in proj]
+    borderT = [_mT(m) for m in border.coeffs]
     yy = _sconv(y, y)
     schur_den = _sconv(yy, ndd)
     _check_cap(
         schur_den, 2 * state.p_prev + state.ndd_deg, "Schur factor denominator"
     )
 
-    core = _sconv(corner, yy)
-    core = _sadd(core, _unwrap(_mmconv(_mmconv(projT, nprev.coeffs), proj)))
-    mixed = _sadd(
-        _unwrap(_mmconv(projT, border.coeffs)),
-        _unwrap(_mmconv([_mT(m) for m in border.coeffs], proj)),
-    )
-    core = _ssub(core, _sconv(mixed, y))
-    lphi = _unwrap(_mmconv([_mT(m) for m in border.coeffs], coupling_num))
+    dn = _mmconv(projT, nprev.coeffs)
+    mixed = _unwrap(_mmconv(projT, border.coeffs))
+    core = _sadd(_sconv(corner, yy), _unwrap(_mmconv(dn, proj)))
+    core = _ssub(core, _sconv(_sadd(mixed, mixed), y))
+    lphi = _unwrap(_mmconv(borderT, coupling_num))
     schur_num = _ssub(_sconv(core, ndd), _sconv(lphi, y))
     _check_cap(
         schur_num,
@@ -572,52 +591,32 @@ def step_bottom_row(state, proj, resid, coupling_num, m_weight, nprev, border, c
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
-    schur_den = _strim(schur_den)
 
-    lhs = _mseq_op(
-        _msub,
-        _mmconv(projT, nprev.coeffs),
-        _smconv(y, [_mT(m) for m in border.coeffs]),
-        1,
-        i - 1,
-    )
-    v = _smconv(schur_den, _mmconv(lhs, state.num.coeffs))
+    lhs = _mseq_op(_msub, dn, _smconv(y, borderT), 1, i - 1)
+    v = _smconv(ndd, _mmconv(lhs, state.num.coeffs))
     _check_cap(
         v,
-        2 * state.p_prev
-        + state.ndd_deg
-        + state.q_prev
-        + state.q_hat
-        + state.n_deg,
+        state.ndd_deg + state.q_prev + state.q_hat + state.n_deg,
         "bottom row numerator (dependent)",
     )
-    w = _sconv(_sconv(schur_num, y), y)
-    _check_cap(
-        w,
-        2 * state.q_hat
-        + state.n_deg
-        + max(state.n_deg + state.nbar_deg, state.ndd_deg)
-        + 2 * state.p_prev,
-        "bottom row denominator (dependent)",
-    )
-    return _mtrim(v), _strim(w), schur_num, schur_den
+    return _mtrim(v), schur_num, schur_num, _strim(schur_den)
 
 
 def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
-    """Assemble and reduce the next stage's numerator/denominator pair:
-    corrected previous block stacked on the new bottom row, all over the
-    coupling denominator times the row denominator."""
+    """Assemble and reduce the next stage's numerator/denominator pair: the
+    corrected previous block
+    ndd*row_den*num - (ndd*proj + coupling_num)*row_num stacked on the new
+    bottom row, all over the coupling denominator y*ndd times the row
+    denominator."""
     i = state.i + 1
     m = state.num.cols
-    ndd = list(state.ninv.den)
+    ndd = state.ninv.den
     b_num = len(row_num) - 1
     b_den = len(row_den) - 1
 
     t1 = _smconv(_sconv(ndd, row_den), state.num.coeffs)
-    t2 = _mmconv(_smconv(ndd, proj), row_num)
-    upper = _mseq_op(_msub, t1, t2, i - 1, m)
-    t3 = _mmconv(coupling_num, row_num)
-    upper = _mseq_op(_msub, upper, t3, i - 1, m)
+    proj_coupling = _mseq_op(_madd, _smconv(ndd, proj), coupling_num, i - 1, 1)
+    upper = _mseq_op(_msub, t1, _mmconv(proj_coupling, row_num), i - 1, m)
     cap_upper = (
         state.q_hat
         + state.q
@@ -637,13 +636,7 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
             "extended denominator: identically zero", "extended denominator"
         )
 
-    n_coeff = max(len(upper), len(lower))
-    zero_u, zero_l = _mzero(i - 1, m), _mzero(1, m)
-    stacked = []
-    for j in range(n_coeff):
-        u = upper[j] if j < len(upper) else zero_u
-        l = lower[j] if j < len(lower) else zero_l
-        stacked.append(u + l)
+    stacked = _mblock([[upper], [lower]], (i - 1, 1), (m,))
     return fraction_simplify(PolyMatrix(i, m, stacked), den)
 
 
@@ -653,78 +646,46 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
 
 def poly_bordering_step(inv, border, corner, n_deg):
     """Grow the coefficient-form inverse ``inv`` (a MatrixPolyFraction) by
-    one row and column."""
-    i = inv.num.rows + 1
-    nbar = list(inv.num.coeffs)
-    ndd = list(inv.den)
-    nbar_deg = inv.num.degree
-    ndd_deg = len(ndd) - 1
-    borderT = [_mT(m) for m in border.coeffs]
+    one row and column.
 
-    g_num = list(ndd)
-    _check_cap(g_num, ndd_deg, "corner numerator")
+    With inv = nbar/ndd, the border column l, f = nbar*l and the Schur
+    numerator g = corner*ndd - l^T*f, the enlarged inverse is
+    [[g*nbar + f*f^T, -ndd*f], [-ndd*f^T, ndd^2]] over ndd*g.
+    """
+    i = inv.num.rows + 1
+    nbar, ndd = inv.num.coeffs, inv.den
+    nbar_deg, ndd_deg = inv.num.degree, len(ndd) - 1
+
+    f = _mmconv(nbar, border.coeffs)
+    _check_cap(f, nbar_deg + n_deg, "border numerator")
+    f = _mtrim(f)
     p_seq = _sconv(corner, ndd)
     _check_cap(p_seq, n_deg + ndd_deg, "corner scalar product")
-    q_seq = _unwrap(_mmconv(_mmconv(borderT, nbar), border.coeffs))
+    q_seq = _unwrap(_mmconv([_mT(m) for m in border.coeffs], f))
     _check_cap(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
-    g_den = _ssub(p_seq, q_seq)
-    _check_cap(
-        g_den, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator"
-    )
-    g_den = _strim(g_den)
-    if not g_den:
+    g = _ssub(p_seq, q_seq)
+    _check_cap(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
+    g = _strim(g)
+    if not g:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=i
         )
+    g_deg, f_deg = len(g) - 1, len(f) - 1
 
-    f_num = [_mneg(m) for m in _mmconv(nbar, border.coeffs)]
-    _check_cap(f_num, nbar_deg + n_deg, "border numerator")
-    f_num = _mtrim(f_num)
-    f_den = list(g_den)
-
-    g_deg = len(g_num) - 1
-    gd_deg = len(g_den) - 1
-    f_deg = len(f_num) - 1
-    fd_deg = len(f_den) - 1
-
-    e_num = _mseq_op(
-        _madd,
-        _smconv(_sconv(g_num, f_den), nbar),
-        _smconv(ndd, _mmconv(f_num, [_mT(m) for m in f_num])),
-        i - 1,
-        i - 1,
+    fT = [_mT(m) for m in f]
+    core = _mseq_op(_madd, _smconv(g, nbar), _mmconv(f, fT), i - 1, i - 1)
+    _check_cap(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
+    side = [_mneg(m) for m in _smconv(ndd, f)]
+    _check_cap(side, ndd_deg + f_deg, "block numerator (border)")
+    ndd2 = _sconv(ndd, ndd)
+    _check_cap(ndd2, 2 * ndd_deg, "block numerator (corner)")
+    den = _sconv(ndd, g)
+    _check_cap(den, ndd_deg + g_deg, "block denominator")
+    stacked = _mblock(
+        [[core, side], [[_mT(m) for m in side], [((c,),) for c in ndd2]]],
+        (i - 1, 1),
+        (i - 1, 1),
     )
-    _check_cap(
-        e_num,
-        max(nbar_deg + g_deg + fd_deg, ndd_deg + 2 * max(f_deg, 0)),
-        "core numerator",
-    )
-    e_den = _sconv(_sconv(ndd, g_num), f_den)
-    _check_cap(e_den, ndd_deg + g_deg + fd_deg, "core denominator")
-    e_num, e_den = _mtrim(e_num), _strim(e_den)
-    e_deg = len(e_num) - 1
-    ed_deg = len(e_den) - 1
-
-    # assemble the enlarged inverse over the common scalar denominator
-    den = _sconv(_sconv(e_den, f_den), g_den)
-    _check_cap(den, ed_deg + fd_deg + gd_deg, "block denominator")
-    tl = _smconv(_sconv(f_den, g_den), e_num)
-    _check_cap(tl, e_deg + fd_deg + gd_deg, "block numerator (core)")
-    tr = _smconv(_sconv(e_den, g_den), f_num)
-    _check_cap(tr, ed_deg + f_deg + gd_deg, "block numerator (border)")
-    br = _sconv(_sconv(e_den, f_den), g_num)
-    _check_cap(br, ed_deg + fd_deg + g_deg, "block numerator (corner)")
-
-    n_coeff = max(len(tl), len(tr), len(br))
-    zero_core, zero_border = _mzero(i - 1, i - 1), _mzero(i - 1, 1)
-    stacked = []
-    for j in range(n_coeff):
-        core_j = tl[j] if j < len(tl) else zero_core
-        bord_j = tr[j] if j < len(tr) else zero_border
-        corner_j = br[j] if j < len(br) else 0
-        top = tuple(core_j[r] + (bord_j[r][0],) for r in range(i - 1))
-        bottom = (tuple(bord_j[r][0] for r in range(i - 1)) + (corner_j,),)
-        stacked.append(top + bottom)
     return MatrixPolyFraction(PolyMatrix(i, i, stacked), _strim(den))
 
 

@@ -360,6 +360,31 @@ def poly_gcd(p, q):
     return Poly._raw(tuple(_heu_gcd(a, b) or _prs_gcd(a, b)))
 
 
+def _normalize(nums, den):
+    """Clear a family of numerators over one polynomial-coprime denominator
+    to integer coefficients with joint content 1 and a positive leading
+    denominator coefficient (no gcd computation)."""
+    scale = 1
+    for p in (*nums, den):
+        for c in p.coeffs:
+            if isinstance(c, Fraction):
+                scale = _int_lcm(scale, c.denominator)
+    num_ints = [[int(c * scale) for c in p.coeffs] for p in nums]
+    den_ints = [int(c * scale) for c in den.coeffs]
+    content = _int_content(den_ints)
+    for row in num_ints:
+        content = _int_gcd(content, _int_content(row))
+    if den_ints[-1] < 0:
+        content = -content
+    if content != 1:
+        num_ints = [[c // content for c in row] for row in num_ints]
+        den_ints = [c // content for c in den_ints]
+    return (
+        [Poly._raw(tuple(row)) for row in num_ints],
+        Poly._raw(tuple(den_ints)),
+    )
+
+
 def joint_reduce(nums, den):
     """Reduce a family of numerator polynomials over one denominator.
 
@@ -381,29 +406,7 @@ def joint_reduce(nums, den):
     if g.degree > 0:
         den = den.exact_div(g)
         nums = [p.exact_div(g) if p else p for p in nums]
-    # joint integer normalization
-    scale = 1
-    for p in nums:
-        for c in p.coeffs:
-            if isinstance(c, Fraction):
-                scale = _int_lcm(scale, c.denominator)
-    for c in den.coeffs:
-        if isinstance(c, Fraction):
-            scale = _int_lcm(scale, c.denominator)
-    num_ints = [[int(c * scale) for c in p.coeffs] for p in nums]
-    den_ints = [int(c * scale) for c in den.coeffs]
-    content = _int_content(den_ints)
-    for row in num_ints:
-        content = _int_gcd(content, _int_content(row))
-    if den_ints[-1] < 0:
-        content = -content
-    if content != 1:
-        num_ints = [[c // content for c in row] for row in num_ints]
-        den_ints = [c // content for c in den_ints]
-    return (
-        [Poly._raw(tuple(row)) for row in num_ints],
-        Poly._raw(tuple(den_ints)),
-    )
+    return _normalize(nums, den)
 
 
 class RatFun:
@@ -434,7 +437,7 @@ class RatFun:
         # normalization is needed
         if num.is_zero:
             return ZERO
-        (num,), den = _normalize_pair(num, den)
+        (num,), den = _normalize([num], den)
         f = object.__new__(cls)
         f.num, f.den = num, den
         return f
@@ -592,14 +595,8 @@ class RatFun:
             raise ValueError("exponent must be an integer")
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # powers of a coprime pair stay coprime
+        return RatFun._reduced(self.num ** n, self.den ** n)
 
     def eval(self, x):
         """Exact value at x; PoleError when the denominator vanishes."""
@@ -608,26 +605,6 @@ class RatFun:
         if not d:
             raise PoleError(f"pole at s = {x}")
         return self.num(x) / d
-
-
-def _normalize_pair(num, den):
-    """Integer-normalize a polynomial-coprime pair (no gcd computation)."""
-    scale = 1
-    for c in num.coeffs:
-        if isinstance(c, Fraction):
-            scale = _int_lcm(scale, c.denominator)
-    for c in den.coeffs:
-        if isinstance(c, Fraction):
-            scale = _int_lcm(scale, c.denominator)
-    n_ints = [int(c * scale) for c in num.coeffs]
-    d_ints = [int(c * scale) for c in den.coeffs]
-    content = _int_gcd(_int_content(n_ints), _int_content(d_ints))
-    if d_ints[-1] < 0:
-        content = -content
-    if content != 1:
-        n_ints = [c // content for c in n_ints]
-        d_ints = [c // content for c in d_ints]
-    return [Poly._raw(tuple(n_ints))], Poly._raw(tuple(d_ints))
 
 
 ZERO = object.__new__(RatFun)

@@ -146,6 +146,22 @@ class TestCompute:
         assert code == 3
         assert "singular" in capsys.readouterr().err
 
+    def test_singular_order_one_column_weight_same_line_on_every_path(
+        self, tmp_path, capsys
+    ):
+        bad = tmp_path / "n.mat"
+        bad.write_text("matrix 2 2\n0; 0\n0; 1\n")
+        a = tmp_path / "a.mat"
+        a.write_text("matrix 1 2\n1; 1\n")
+        for path in ("rational", "poly", "both"):
+            code = run_command(["compute", "--a", str(a), "--n", str(bad), "--path", path])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err == (
+                "algebra error (stage 1): leading 1x1 block is symbolically singular\n"
+            )
+
 
 class TestVerify:
     def test_good_inverse(self, capsys):

@@ -19,6 +19,7 @@ from wmpinv.greville import (
 from wmpinv.matrices import RfMatrix, constant_matrix
 from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import PolyMatrix
+from wmpinv.poly_greville import bordering_inverse as poly_bordering_inverse
 from wmpinv.poly_greville import weighted_pinv as poly_weighted_pinv
 from wmpinv.scalars import RatFun
 from wmpinv.verify import penrose_check
@@ -274,8 +275,22 @@ class TestBordering:
             assert inv == n.ff_inverse()
             assert n * inv == RfMatrix.identity(n.rows)
 
+    def test_coefficient_path_matches_both_oracles(self):
+        rng = random.Random(61)
+        for k in range(1, 7):
+            n = rand_weight(rng, k)
+            inv = poly_bordering_inverse(PolyMatrix.from_rf_matrix(n)).to_rf_matrix()
+            assert inv == bordering_inverse(n) == n.ff_inverse(), f"order {k}"
+
     def test_singular_leading_block_stage_index(self):
         n = constant_matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-        with pytest.raises(SingularMatrixError) as err:
-            bordering_inverse(n)
-        assert err.value.stage == 2
+        messages = []
+        for invert in (
+            bordering_inverse,
+            lambda m: poly_bordering_inverse(PolyMatrix.from_rf_matrix(m)),
+        ):
+            with pytest.raises(SingularMatrixError) as err:
+                invert(n)
+            assert err.value.stage == 2
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]

@@ -76,7 +76,7 @@ class TestPolyMatrix:
         assert prev.to_rf_matrix() == load("wmp_rank2_n.mat").leading_block(2)
         assert border.entry_poly(0, 0) == Poly([1, 1])
         assert border.entry_poly(1, 0) == Poly([0, 1])
-        assert corner == [3, 1]
+        assert corner == (3, 1)
 
 
 class TestInitFraction:
@@ -115,24 +115,24 @@ class TestStageSequences:
     def test_orthogonal_columns(self):
         states = list(partition_stages(PolyMatrix.identity(2)))
         st = states[1]
-        assert st.proj == []  # zero projection trims to nothing
+        assert st.proj == ()  # zero projection trims to nothing
         assert seq_value(st.resid, st.den and [1], 2, 1) == RfMatrix.from_rows(
             [[e("0")], [e("1")]]
         )
-        assert st.row_num == [((0, 1),)]
-        assert st.row_den == [1]
+        assert st.row_num == (((0, 1),),)
+        assert st.row_den == (1,)
         assert st.num.coeffs == (((1, 0), (0, 1)),)
         assert st.den == (1,)
         # identity weight: the coupling column vanishes and its scalar
         # denominator collapses to the previous one
-        assert st.coupling_num == []
-        assert st.coupling_den == [1]
+        assert st.coupling_num == ()
+        assert st.coupling_den == (1,)
 
     def test_dependent_column_value(self):
         a = PolyMatrix.from_entries([[1, 1]])
         states = list(partition_stages(a))
         st = states[1]
-        assert st.resid == []
+        assert st.resid == ()
         # Schur factor 2, bottom row value 1/2
         assert RatFun(Poly(st.schur_num), Poly(st.schur_den)) == RatFun(2)
         assert RatFun(
@@ -159,9 +159,15 @@ class TestStageSequences:
                 got = MatrixPolyFraction(st_pol.num, st_pol.den).to_rf_matrix()
                 assert got == st_rat.x, f"stage {st_rat.i}"
                 if st_rat.i > 1:
-                    assert (st_pol.resid == []) == st_rat.resid.is_zero
+                    assert (st_pol.resid == ()) == st_rat.resid.is_zero
                 if st_pol.ninv is not None:
                     assert st_pol.ninv.to_rf_matrix() == st_rat.ninv
+
+
+SEQUENCE_FIELDS = (
+    "den", "proj", "resid", "coupling_num", "coupling_den",
+    "row_num", "row_den", "schur_num", "schur_den",
+)
 
 
 class TestFrozenStages:
@@ -180,6 +186,10 @@ class TestFrozenStages:
             assert asdict(st) == snapshot, f"stage {st.i}"
             with pytest.raises(FrozenInstanceError):
                 st.row_num = None
+            # the sequences themselves cannot be changed in place either
+            for name in SEQUENCE_FIELDS:
+                value = getattr(st, name)
+                assert value is None or isinstance(value, tuple), f"stage {st.i}: {name}"
 
 
 class TestExtend:

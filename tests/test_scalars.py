@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import rand_ratfun
 from wmpinv.errors import PoleError
 from wmpinv.scalars import Poly, RatFun, _heu_gcd, _prs_gcd, joint_reduce, poly_gcd
 
@@ -274,6 +275,23 @@ class TestRatFunArithmetic:
     def test_reciprocal_of_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFun(0).reciprocal()
+
+    def test_pow_matches_repeated_product(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            f, n = rand_ratfun(rng), rng.randint(-4, 6)
+            if f.is_zero and n < 0:
+                continue
+            product = RatFun(1)
+            for _ in range(abs(n)):
+                product = product * f
+            assert f ** n == (product if n >= 0 else product.reciprocal())
+
+    def test_pow_of_zero(self):
+        assert RatFun(0) ** 0 == RatFun(1)
+        assert RatFun(0) ** 3 == RatFun(0)
+        with pytest.raises(ZeroDivisionError):
+            RatFun(0) ** -1
 
     def test_reduced_arithmetic_matches_definitional_construction(self):
         # the add/mul fast paths must agree with building the raw
