@@ -146,16 +146,17 @@ def bordering_step(prev_inv, part):
 
     Given the inverse of the previous block and the partition pieces,
     returns (core, border, corner): the updated top-left block, the new
-    border column and the new corner scalar of the enlarged inverse.
+    border column and the new corner scalar of the enlarged inverse.  One
+    column t = prev_inv*l serves the Schur scalar and the border.
     """
-    lt = part.l.transpose()
-    schur = part.n_ii - (lt * prev_inv * part.l)[0, 0]
+    t = prev_inv * part.l
+    schur = part.n_ii - (part.l.transpose() * t)[0, 0]
     if schur.is_zero:
         raise SingularMatrixError(
             "leading principal block is symbolically singular"
         )
     corner = schur.reciprocal()
-    border = (prev_inv * part.l).scale(-corner)
+    border = t.scale(-corner)
     core = prev_inv + (border * border.transpose()).scale(corner.reciprocal())
     return core, border, corner
 
@@ -196,8 +197,8 @@ def partition_stages(problem):
     """Yield the PartitionState after every stage i = 1..n.
 
     The final state's ``x`` is the weighted pseudoinverse of the full
-    matrix.  Degenerate-weight and singularity errors carry the failing
-    stage index.
+    matrix.  The coupling column (I - X*prefix)*N^-1*l is t - X*(prefix*t)
+    with t = N^-1*l.  Errors carry the failing stage index.
     """
     a, n_w = problem.a, problem.n_weight
     # the inverse of the order-i weight block is drawn at stage i < n only
@@ -209,8 +210,8 @@ def partition_stages(problem):
     for i, part in enumerate(parts, 2):
         prefix = a.leading_columns(i - 1)
         proj, resid = project_column(state.x, a.column(i), prefix)
-        eye = RfMatrix.identity(i - 1)
-        coupling = (eye - state.x * prefix) * state.ninv * part.l
+        t = state.ninv * part.l
+        coupling = t - state.x * (prefix * t)
         schur = None
         if resid.is_zero:
             schur = weighted_schur_factor(proj, part, coupling, i)

@@ -7,7 +7,7 @@ Entry grammar (whitespace insignificant):
     factor := atom ('^' unsigned-integer)?
     atom   := 's' | unsigned-integer | '(' expr ')' | '-' factor
 
-'(' and unary '-' nest at most MAX_NESTING deep.
+'(' and unary '-' nest at most MAX_NESTING deep; powers obey MAX_POWER_SIZE.
 
 File format: optional full-line comments starting with '#', a header line
 ``matrix <rows> <cols>``, then one line per row with entries separated by
@@ -27,6 +27,11 @@ from .scalars import RatFun, S, format_ratfun
 # interpreter frames, so deeper input would otherwise exhaust the recursion
 # limit.
 MAX_NESTING = 100
+
+# Bound on exponent * (degree + coefficient bits) of the base of '^'.  The
+# degree and coefficient size of a power grow with the exponent, so a few
+# bytes such as 's^3000000' would otherwise compute for minutes.
+MAX_POWER_SIZE = 2000
 
 
 class _EntryParser:
@@ -89,7 +94,12 @@ class _EntryParser:
             self.take()
             if not self.peek().isdigit():
                 self.error("exponent must be an unsigned integer")
-            value = value ** self.integer()
+            exponent = self.integer()
+            num, den = value.num, value.den
+            bits = max(map(int.bit_length, num.coeffs + den.coeffs))
+            if exponent * (max(num.degree, den.degree) + bits) > MAX_POWER_SIZE:
+                self.error(f"power exceeds the size bound {MAX_POWER_SIZE}")
+            value = value ** exponent
         return value
 
     def nested(self, parse):

@@ -505,18 +505,14 @@ def step_residual(state, col, prefix, proj):
 
 
 def step_coupling(state, prefix, border):
-    """The weight-coupling column (old-span complement applied to the
-    weight-inverse image of the coupling column) as a numerator sequence
-    over its own scalar denominator."""
-    k = state.i  # previous stage size
-    eye = PolyMatrix.identity(k)
-    y_eye = _smconv(state.den, eye.coeffs)
-    za = _mmconv(state.num.coeffs, prefix.coeffs)
-    u = _mseq_op(_msub, y_eye, za, k, k)
-    _check_cap(u, state.q_hat, "span complement numerator")
+    """The weight-coupling column (I - X*prefix)*N^-1*l, X = num/y and
+    N^-1 = nbar/ndd, in rank-one form: y*t - num*(prefix*t) with t = nbar*l,
+    over its scalar denominator y*ndd."""
     t = _mmconv(state.ninv.num.coeffs, border.coeffs)
     _check_cap(t, state.nbar_deg + state.n_deg, "weighted coupling column")
-    phi = _mmconv(u, t)
+    yt = _smconv(state.den, t)
+    xat = _mmconv(state.num.coeffs, _mmconv(prefix.coeffs, t))
+    phi = _mseq_op(_msub, yt, xat, state.i, 1)
     _check_cap(
         phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator"
     )
@@ -525,34 +521,35 @@ def step_coupling(state, prefix, border):
     return _mtrim(phi), _strim(psi)
 
 
-def step_bottom_row(state, proj, resid, coupling_num, m_weight, nprev, border, corner):
+def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     """Numerator/denominator coefficients of the stage's new bottom row,
     then those of the weighted Schur factor (None, None on the independent
     branch).
 
-    Independent branch: the weighted residual form.  Dependent branch:
-    ``proj`` and the previous numerator ``num`` are over the previous
-    denominator y, the coupling column phi over y*ndd, and Nprev, l, c are
-    the pieces of the order-i weight block.  The Schur factor is
-    (ndd*(c*y^2 + proj^T Nprev proj - 2*y*proj^T l) - y*l^T phi) over
-    y^2*ndd, and in the row ((proj^T Nprev - y*l^T)/y) (num/y) / Schur
-    factor the y^2 cancels: it is ndd*(proj^T Nprev - y*l^T)*num over the
-    Schur numerator.
+    Independent branch: r = resid/y is M-orthogonal to the old columns, so
+    r^T M r = a_i^T M r for the new column a_i = ``col`` (Greville 1960) and
+    the row r^T M / (r^T M r) is resid^T M over (resid^T M)*a_i, free of y.
+    Dependent branch: ``proj`` and the previous numerator ``num`` are over
+    the previous denominator y, the coupling column phi over y*ndd, and
+    ``part`` = (Nprev, l, c) holds the pieces of the order-i weight block.
+    The Schur factor is (ndd*(c*y^2 + proj^T Nprev proj - 2*y*proj^T l) -
+    y*l^T phi) over y^2*ndd, and in the row ((proj^T Nprev - y*l^T)/y)
+    (num/y) / Schur factor the y^2 cancels: it is
+    ndd*(proj^T Nprev - y*l^T)*num over the Schur numerator.
     """
     i = state.i + 1
     if resid:
         residT = [_mT(m) for m in resid]
-        cm = _mmconv(residT, m_weight.coeffs)
-        v = _smconv(state.den, cm)
+        v = _mmconv(residT, m_weight.coeffs)
         _check_cap(
             v,
-            state.q_hat + state.q + state.p_prev + state.m_deg,
+            state.q_hat + state.q + state.m_deg,
             "bottom row numerator (independent)",
         )
-        w = _unwrap(_mmconv(cm, resid))
+        w = _unwrap(_mmconv(v, col.coeffs))
         _check_cap(
             w,
-            2 * (state.q_hat + state.q) + state.m_deg,
+            state.q_hat + 2 * state.q + state.m_deg,
             "bottom row denominator (independent)",
         )
         w = _strim(w)
@@ -565,6 +562,7 @@ def step_bottom_row(state, proj, resid, coupling_num, m_weight, nprev, border, c
 
     # dependent branch: residual is identically zero
     y, ndd = state.den, state.ninv.den
+    nprev, border, corner = part
     projT = [_mT(m) for m in proj]
     borderT = [_mT(m) for m in border.coeffs]
     yy = _sconv(y, y)
@@ -742,14 +740,14 @@ def partition_stages(a, m_weight=None, n_weight=None):
     state = PolyPartitionState(1, num, den, ninv, q, m_deg, n_deg)
     yield state
 
-    for i, (nprev, border, corner) in enumerate(parts, 2):
+    for i, part in enumerate(parts, 2):
         col = a.column(i)
         prefix = a.leading_columns(i - 1)
         proj = step_projection(state, col)
         resid = step_residual(state, col, prefix, proj)
-        coupling_num, coupling_den = step_coupling(state, prefix, border)
+        coupling_num, coupling_den = step_coupling(state, prefix, part[1])
         row_num, row_den, schur_num, schur_den = step_bottom_row(
-            state, proj, resid, coupling_num, m_weight, nprev, border, corner
+            state, col, proj, resid, coupling_num, m_weight, part
         )
         num, den = step_extend(
             state, proj, coupling_num, coupling_den, row_num, row_den

@@ -63,10 +63,6 @@ class Poly:
         c = _coerce_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
         return cls._raw((c,)) if c else ZERO_POLY
 
-    @classmethod
-    def variable(cls):
-        return S_POLY
-
     @property
     def degree(self):
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -452,17 +448,9 @@ class RatFun:
         f.den = Poly.const(c.denominator) if c else ONE_POLY
         return f
 
-    @classmethod
-    def variable(cls):
-        return S
-
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    @property
-    def is_one(self):
-        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
 
     def __bool__(self):
         return not self.num.is_zero

@@ -29,6 +29,16 @@ def rand_weight(rng, k, max_deg=1):
     return b.transpose() * b + RfMatrix.identity(k)
 
 
+def rand_singular_weight(rng, k, max_deg=1):
+    """Symmetric weight B^T B with a zero row in B; singular, positive
+    semidefinite at every real point."""
+    b = rand_matrix(rng, k, k, max_deg, -2, 2)
+    zero = rng.randrange(k)
+    rows = [[RatFun(0) if r == zero else b[r, c] for c in range(k)] for r in range(k)]
+    b = RfMatrix.from_rows(rows)
+    return b.transpose() * b
+
+
 def rand_problem_matrix(rng, max_dim=4, max_deg=2):
     """Random input matrix; about a quarter get a zeroed column and a
     quarter a duplicated column, so both recursion branches are hit."""

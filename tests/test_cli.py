@@ -303,6 +303,41 @@ class TestHostileInput:
         assert run_command(["compute", "--a", str(a)]) == 0
         assert capsys.readouterr().out == "matrix 1 1\n1/s\n"
 
+    def test_hostile_powers_exit_two_quickly(self, tmp_path):
+        # a subprocess, so that an unbounded power hits the timeout instead
+        # of stalling the suite
+        import subprocess
+        import sys
+
+        for body in ("7^3000000", "s^3000000", "(1+s)^4000", "((1+s)^1000)^2"):
+            a = tmp_path / "a.mat"
+            a.write_text(f"matrix 1 1\n{body}\n")
+            result = subprocess.run(
+                [sys.executable, "-m", "wmpinv", "compute", "--a", str(a)],
+                capture_output=True, text=True, timeout=10,
+            )
+            assert result.returncode == 2, body
+            assert result.stdout == ""
+            assert result.stderr.count("\n") == 1
+            assert result.stderr.startswith("parse error: row 1, column 1")
+            assert "exceeds the size bound" in result.stderr
+
+    def test_power_at_the_bound_parses(self, tmp_path, capsys):
+        from wmpinv.matrixio import MAX_POWER_SIZE, parse_entry
+
+        # s and 1+s have size 2 (degree 1, one coefficient bit), 7 size 3
+        half = MAX_POWER_SIZE // 2
+        assert parse_entry(f"(1+s)^{half}").num.coeffs[1] == half
+        third = MAX_POWER_SIZE // 3
+        assert parse_entry(f"7^{third}").num.coeffs == (7**third,)
+        a = tmp_path / "a.mat"
+        a.write_text(f"matrix 1 1\ns^{half}\n")
+        assert run_command(["compute", "--a", str(a)]) == 0
+        assert capsys.readouterr().out == f"matrix 1 1\n1/s^{half}\n"
+        a.write_text(f"matrix 1 1\ns^{half + 1}\n")
+        assert run_command(["compute", "--a", str(a)]) == 2
+        assert "exceeds the size bound" in capsys.readouterr().err
+
     def test_capacity_error_exits_three_under_optimize(self):
         # an extra coefficient from every scalar convolution must trip the
         # capacity check even with asserts stripped by -O

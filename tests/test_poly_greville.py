@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import load, rand_problem_matrix, rand_weight
+from helpers import load, rand_problem_matrix, rand_singular_weight, rand_weight
 from wmpinv.errors import CapacityError, SingularMatrixError
 from wmpinv.greville import WeightedProblem
 from wmpinv.greville import partition_stages as rational_stages
@@ -141,27 +141,64 @@ class TestStageSequences:
         assert st.num.entry_poly(0, 0) == Poly([1])
         assert st.den == (2,)
 
+    def test_independent_row_is_over_the_weighted_form_with_the_new_column(self):
+        # stage 2 is independent and the stage-1 denominator y is not
+        # constant: the row must be resid^T M over (resid^T M) a_2, with no
+        # factor y on either side
+        a, w = load("wmp_poly3_a.mat"), load("wmp_poly3_w.mat")
+        ap, wp = PolyMatrix.from_rf_matrix(a), PolyMatrix.from_rf_matrix(w)
+        st1, st = list(partition_stages(ap, wp, wp))[:2]
+        assert len(st1.den) > 1 and st.resid
+        rows = ap.rows
+        resid = [Poly([m[r][0] for m in st.resid]) for r in range(rows)]
+        form = [
+            sum((resid[r] * wp.entry_poly(r, c) for r in range(rows)), Poly([]))
+            for c in range(rows)
+        ]
+        assert [Poly([m[0][c] for m in st.row_num]) for c in range(rows)] == form
+        den = sum((form[c] * ap.entry_poly(c, 1) for c in range(rows)), Poly([]))
+        assert st.row_den == den.coeffs
+        rat = list(rational_stages(WeightedProblem(a, w, w)))[1]
+        assert seq_value(st.row_num, st.row_den, 1, rows) == rat.row
+
     def test_branch_and_value_agreement_with_rational_path(self):
-        # the rational path is the reference semantics: branch choice and
-        # every stage value must match exactly
-        rng = random.Random(47)
-        for _ in range(12):
-            a = rand_problem_matrix(rng, max_dim=4)
-            m, n = rand_weight(rng, a.rows), rand_weight(rng, a.cols)
-            problem = WeightedProblem(a, m, n)
-            ap = PolyMatrix.from_rf_matrix(a)
-            mp = PolyMatrix.from_rf_matrix(m)
-            np_ = PolyMatrix.from_rf_matrix(n)
-            for st_rat, st_pol in zip(
-                rational_stages(problem), partition_stages(ap, mp, np_)
-            ):
-                assert st_rat.i == st_pol.i
-                got = MatrixPolyFraction(st_pol.num, st_pol.den).to_rf_matrix()
-                assert got == st_rat.x, f"stage {st_rat.i}"
-                if st_rat.i > 1:
-                    assert (st_pol.resid == ()) == st_rat.resid.is_zero
-                if st_pol.ninv is not None:
-                    assert st_pol.ninv.to_rf_matrix() == st_rat.ninv
+        # the rational path is the reference semantics: branch choice, every
+        # stage value and bottom row, and (under singular weights, where the
+        # M-orthogonality of the residual matters most) the failing stage
+        # must match exactly
+        for draw_weight in (rand_weight, rand_singular_weight):
+            rng = random.Random(47)
+            for _ in range(24):
+                a = rand_problem_matrix(rng, max_dim=4)
+                m, n = draw_weight(rng, a.rows), draw_weight(rng, a.cols)
+                ap, mp, np_ = (PolyMatrix.from_rf_matrix(x) for x in (a, m, n))
+                problem = WeightedProblem(a, m, n)
+                rat, rat_err = run_stages(rational_stages(problem))
+                pol, pol_err = run_stages(partition_stages(ap, mp, np_))
+                assert pol_err == rat_err
+                assert len(pol) == len(rat)
+                for st_rat, st_pol in zip(rat, pol):
+                    assert st_rat.i == st_pol.i
+                    got = MatrixPolyFraction(st_pol.num, st_pol.den).to_rf_matrix()
+                    assert got == st_rat.x, f"stage {st_rat.i}"
+                    if st_rat.i > 1:
+                        assert (st_pol.resid == ()) == st_rat.resid.is_zero
+                        row = seq_value(st_pol.row_num, st_pol.row_den, 1, a.rows)
+                        assert row == st_rat.row, f"stage {st_rat.i}"
+                    if st_pol.ninv is not None:
+                        assert st_pol.ninv.to_rf_matrix() == st_rat.ninv
+
+
+def run_stages(stages):
+    """The states a stage generator yields, then the (class, stage, message)
+    of the error that stopped it, or None."""
+    states = []
+    try:
+        for st in stages:
+            states.append(st)
+    except ArithmeticError as exc:
+        return states, (type(exc), exc.stage, str(exc))
+    return states, None
 
 
 SEQUENCE_FIELDS = (
