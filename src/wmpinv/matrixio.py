@@ -7,7 +7,8 @@ Entry grammar (whitespace insignificant):
     factor := atom ('^' unsigned-integer)?
     atom   := 's' | unsigned-integer | '(' expr ')' | '-' factor
 
-'(' and unary '-' nest at most MAX_NESTING deep; powers obey MAX_POWER_SIZE.
+'(' and unary '-' nest at most MAX_NESTING deep; powers obey MAX_POWER_SIZE;
+integer literals obey the interpreter's integer-string digit limit.
 
 File format: optional full-line comments starting with '#', a header line
 ``matrix <rows> <cols>``, then one line per row with entries separated by
@@ -17,6 +18,8 @@ parsing its output reproduces the matrix exactly.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import MatrixParseError
 from .matrices import RfMatrix
@@ -64,6 +67,9 @@ class _EntryParser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an unsigned integer")
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < self.pos - start:
+            self.error(f"integer literal longer than {limit} digits", start)
         return int(self.text[start : self.pos])
 
     def expr(self):

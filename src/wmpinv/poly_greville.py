@@ -2,10 +2,12 @@
 
 Instead of rational-function entries, every quantity is carried as a
 polynomial coefficient sequence: a matrix polynomial is a list of constant
-matrices (index j holds the coefficient of s**j), and each stage's
+integer matrices (index j holds the coefficient of s**j), and each stage's
 pseudoinverse is one matrix-polynomial numerator over one scalar
 polynomial denominator.  Every formula of the rational path then turns
-into Cauchy products (convolutions) of coefficient sequences.
+into a sum of Cauchy products of coefficient sequences, which one
+Kronecker-substitution kernel (``_conv``) evaluates in integer arithmetic.
+``PolyMatrix`` rejects non-integral coefficients.
 
 The degree of every computed sequence is bounded a priori by the degrees
 of its inputs; those capacities are checked before trailing zeros are
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     CapacityError,
@@ -41,46 +44,11 @@ from .matrices import RfMatrix
 from .scalars import ONE_POLY, Poly, RatFun, _coerce_coeff, joint_reduce
 
 # ---------------------------------------------------------------------------
-# constant matrices as tuples of tuples of exact numbers
-
-
-def _mzero(rows, cols):
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def _mis0(a):
-    return all(not x for row in a for x in row)
-
-
-def _madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _msub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mneg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def _mscale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def _mmul(a, b):
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(ra[t] * b[t][c] for t in range(len(b))) for c in cols) for ra in a
-    )
+# coefficient sequences (scalar: ints; matrix: tuples of tuples of ints)
 
 
 def _mT(a):
     return tuple(zip(*a)) if a else ()
-
-
-# ---------------------------------------------------------------------------
-# coefficient sequences (scalar: numbers; matrix: constant matrices)
 
 
 def _strim(seq):
@@ -92,75 +60,83 @@ def _strim(seq):
 
 def _mtrim(seq):
     n = len(seq)
-    while n and _mis0(seq[n - 1]):
+    while n and not any(map(any, seq[n - 1])):
         n -= 1
     return tuple(seq[:n])
 
 
-def _sconv(a, b):
-    if not a or not b:
+def _norm(seq):
+    # largest coefficient magnitude of a nonempty sequence
+    if isinstance(seq[0], int):
+        return max(map(abs, seq))
+    return max(max(map(abs, row)) for m in seq for row in m)
+
+
+def _by_degree(grid):
+    """Matrix coefficient sequence from a grid (a list of rows) of
+    per-entry coefficient sequences of one common length."""
+    return list(zip(*(zip(*row) for row in grid)))
+
+
+def _poly_coeffs(polys):
+    """Coefficient sequence of a grid (a list of rows) of polynomials."""
+    deg = max((p.degree for row in polys for p in row), default=-1)
+    padded = [[p.coeffs + (0,) * (deg - p.degree) for p in row] for row in polys]
+    return _by_degree(padded)
+
+
+def _pack(seq, k):
+    """Each entry's sequence as its value at s = 2**k."""
+    if isinstance(seq[0], int):
+        return sum(x << (k * j) for j, x in enumerate(seq))
+    return tuple(tuple(_pack(e, k) for e in zip(*rows)) for rows in zip(*seq))
+
+
+def _pmul(x, y):
+    # product of packed values: ints, an int scaling a matrix, or matrices
+    if isinstance(x, int):
+        return x * y if isinstance(y, int) else _pmul(y, x)
+    if isinstance(y, int):
+        return tuple(tuple(v * y for v in row) for row in x)
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*y)) for row in x)
+
+
+def _unpack(v, k, n):
+    """The n balanced base-2**k digits of v, lowest first: adding half the
+    radix to every digit makes them the plain base-2**k digits."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    v += half * (((1 << (k * n)) - 1) // mask)
+    return [((v >> (k * j)) & mask) - half for j in range(n)]
+
+
+def _conv(*terms):
+    """Sum of c*a*b over the terms (c, a, b): c an int, a and b scalar or
+    matrix coefficient sequences, each product a Cauchy product with a
+    matrix product per term.
+
+    Kronecker substitution: every entry's sequence is packed into its value
+    at s = 2**k, the whole sum is evaluated in integer arithmetic, and the
+    balanced base-2**k digits are unpacked once.  2**(k-2) exceeds the sum
+    over the terms of |c| * max|a| * max|b| * min(len a, len b) * inner,
+    which bounds every output coefficient, so the digits are the
+    coefficients.  The result is untrimmed, of the length of the longest
+    product, len a + len b - 1 (a term with an empty operand adds nothing).
+    """
+    terms = [t for t in terms if t[1] and t[2]]
+    if not terms:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _sadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for j, c in enumerate(b):
-        out[j] += c
-    return out
-
-
-def _ssub(a, b):
-    out = list(a) + [0] * max(len(b) - len(a), 0)
-    for j, c in enumerate(b):
-        out[j] -= c
-    return out
-
-
-def _mmconv(a, b):
-    """Cauchy product of two matrix coefficient sequences (matrix product
-    per term)."""
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            p = _mmul(ai, bj)
-            out[i + j] = p if out[i + j] is None else _madd(out[i + j], p)
-    return out
-
-
-def _smconv(s, m):
-    """Cauchy product of a scalar sequence with a matrix sequence."""
-    if not s or not m:
-        return []
-    out = [None] * (len(s) + len(m) - 1)
-    for i, si in enumerate(s):
-        for j, mj in enumerate(m):
-            p = _mscale(mj, si)
-            out[i + j] = p if out[i + j] is None else _madd(out[i + j], p)
-    return out
-
-
-def _mseq_op(op, a, b, rows, cols):
-    """Termwise ``op`` (_madd or _msub) of two rows x cols matrix sequences."""
-    n = max(len(a), len(b))
-    zero = _mzero(rows, cols)
-    out = []
-    for j in range(n):
-        x = a[j] if j < len(a) else zero
-        y = b[j] if j < len(b) else zero
-        out.append(op(x, y))
-    return out
+    bound = 0
+    for c, a, b in terms:
+        inner = len(b[0]) if isinstance(a[0], tuple) and isinstance(b[0], tuple) else 1
+        bound += abs(c) * _norm(a) * _norm(b) * min(len(a), len(b)) * inner
+    k = bound.bit_length() + 2
+    n = max(len(a) + len(b) - 1 for _, a, b in terms)
+    prods = [_pmul(_pack(a, k), _pmul(c, _pack(b, k))) for c, a, b in terms]
+    if isinstance(prods[0], int):
+        return _unpack(sum(prods), k, n)
+    return _by_degree(
+        [[_unpack(sum(v), k, n) for v in zip(*rows)] for rows in zip(*prods)]
+    )
 
 
 def _mblock(grid, heights, widths):
@@ -172,7 +148,8 @@ def _mblock(grid, heights, widths):
         stacked = []
         for row, h in zip(grid, heights):
             parts = [
-                seq[j] if j < len(seq) else _mzero(h, w) for seq, w in zip(row, widths)
+                seq[j] if j < len(seq) else ((0,) * w,) * h
+                for seq, w in zip(row, widths)
             ]
             stacked.extend(sum(pieces, ()) for pieces in zip(*parts))
         out.append(tuple(stacked))
@@ -198,19 +175,26 @@ def _check_cap(seq, cap, label):
 # matrix polynomials and matrix/scalar polynomial fractions
 
 
-def _coerce_const(m, rows, cols):
+def _int_const(m, rows, cols):
+    """m as a rows x cols tuple grid of ints; a non-integral coefficient is
+    rejected, naming its 1-based entry."""
     grid = tuple(tuple(_coerce_coeff(x) for x in row) for row in m)
     if len(grid) != rows or any(len(row) != cols for row in grid):
         raise ValueError(f"coefficient matrix is not {rows}x{cols}")
+    for r, row in enumerate(grid):
+        for c, x in enumerate(row):
+            if not isinstance(x, int):
+                raise ValueError(f"entry ({r + 1}, {c + 1}) is not integral: {x}")
     return grid
 
 
 class PolyMatrix:
-    """Matrix polynomial as a sequence of constant coefficient matrices.
+    """Matrix polynomial as a sequence of constant integer coefficient matrices.
 
     ``coeffs[j]`` is the coefficient matrix of s**j; trailing all-zero
     coefficient matrices are trimmed, so the zero matrix has no
-    coefficients at all.
+    coefficients at all.  Coefficients are ints; the constructors reject a
+    non-integral one (an integral Fraction is taken as its int).
     """
 
     __slots__ = ("rows", "cols", "coeffs")
@@ -218,17 +202,14 @@ class PolyMatrix:
     def __init__(self, rows, cols, coeffs=()):
         self.rows = rows
         self.cols = cols
-        self.coeffs = _mtrim([_coerce_const(m, rows, cols) for m in coeffs])
+        self.coeffs = _mtrim([_int_const(m, rows, cols) for m in coeffs])
 
     @classmethod
-    def _from_polys(cls, rows, cols, polys):
-        """From a rows x cols grid (a list of rows) of polynomials."""
-        deg = max((p.degree for row in polys for p in row), default=-1)
-        coeffs = [
-            [[polys[r][c][j] for c in range(cols)] for r in range(rows)]
-            for j in range(deg + 1)
-        ]
-        return cls(rows, cols, coeffs)
+    def _ints(cls, rows, cols, coeffs):
+        # trusted: every coefficient matrix is a rows x cols tuple grid of ints
+        p = object.__new__(cls)
+        p.rows, p.cols, p.coeffs = rows, cols, _mtrim(coeffs)
+        return p
 
     @classmethod
     def from_rf_matrix(cls, a):
@@ -245,7 +226,7 @@ class PolyMatrix:
                         f"entry ({r + 1}, {c + 1}) is not a polynomial: {f}"
                     )
         polys = [[a[r, c].num for c in range(a.cols)] for r in range(a.rows)]
-        return cls._from_polys(a.rows, a.cols, polys)
+        return cls(a.rows, a.cols, _poly_coeffs(polys))
 
     @classmethod
     def from_entries(cls, grid):
@@ -260,7 +241,7 @@ class PolyMatrix:
                 wanted.append(p)
             polys.append(wanted)
         cols = len(polys[0]) if polys else 0
-        return cls._from_polys(len(polys), cols, polys)
+        return cls(len(polys), cols, _poly_coeffs(polys))
 
     @classmethod
     def identity(cls, n):
@@ -275,20 +256,20 @@ class PolyMatrix:
         return not self.coeffs
 
     def entry_poly(self, r, c):
-        return Poly([m[r][c] for m in self.coeffs])
+        return Poly._raw(_strim([m[r][c] for m in self.coeffs]))
 
     def column(self, i):
         if not 1 <= i <= self.cols:
             raise IndexError(f"column index {i} out of range 1..{self.cols}")
         c = i - 1
-        return PolyMatrix(
+        return PolyMatrix._ints(
             self.rows, 1, [tuple((row[c],) for row in m) for m in self.coeffs]
         )
 
     def leading_columns(self, i):
         if not 1 <= i <= self.cols:
             raise IndexError(f"column count {i} out of range 1..{self.cols}")
-        return PolyMatrix(
+        return PolyMatrix._ints(
             self.rows, i, [tuple(row[:i] for row in m) for m in self.coeffs]
         )
 
@@ -303,14 +284,14 @@ class PolyMatrix:
         if not 2 <= i <= self.rows:
             raise IndexError(f"partition index {i} out of range 2..{self.rows}")
         prev = self.leading_block(i - 1)
-        border = PolyMatrix(
+        border = PolyMatrix._ints(
             i - 1, 1, [tuple((m[r][i - 1],) for r in range(i - 1)) for m in self.coeffs]
         )
         corner = _strim([m[i - 1][i - 1] for m in self.coeffs])
         return prev, border, corner
 
     def transpose(self):
-        return PolyMatrix(self.cols, self.rows, [_mT(m) for m in self.coeffs])
+        return PolyMatrix._ints(self.cols, self.rows, [_mT(m) for m in self.coeffs])
 
     @property
     def is_symmetric(self):
@@ -362,7 +343,7 @@ def fraction_simplify(num, den):
     ]
     reduced, new_den = joint_reduce(entries, den_poly)
     polys = [reduced[r * num.cols:(r + 1) * num.cols] for r in range(num.rows)]
-    return PolyMatrix._from_polys(num.rows, num.cols, polys), tuple(new_den.coeffs)
+    return PolyMatrix._ints(num.rows, num.cols, _poly_coeffs(polys)), new_den.coeffs
 
 
 class MatrixPolyFraction:
@@ -478,18 +459,17 @@ def init_fraction(col, m_weight):
     if col.is_zero:
         return PolyMatrix(1, col.rows), (1,)
     q, m_deg = col.degree, m_weight.degree
-    colT = [_mT(m) for m in col.coeffs]
-    z = _mmconv(colT, m_weight.coeffs)
+    z = _conv((1, [_mT(m) for m in col.coeffs], m_weight.coeffs))
     _check_cap(z, q + m_deg, "single-column numerator")
-    y = _unwrap(_mmconv(z, col.coeffs))
+    y = _unwrap(_conv((1, z, col.coeffs)))
     _check_cap(y, 2 * q + m_deg, "single-column denominator")
-    return PolyMatrix(1, col.rows, z), _strim(y)
+    return PolyMatrix._ints(1, col.rows, z), _strim(y)
 
 
 def step_projection(state, col):
     """Numerator coefficients of the new column's coordinates in the old
     columns (shares the previous stage's denominator)."""
-    out = _mmconv(state.num.coeffs, col.coeffs)
+    out = _conv((1, state.num.coeffs, col.coeffs))
     _check_cap(out, state.q_prev + state.q, "projection")
     return _mtrim(out)
 
@@ -497,9 +477,7 @@ def step_projection(state, col):
 def step_residual(state, col, prefix, proj):
     """Numerator coefficients of the residual column (over the previous
     denominator); an empty result selects the dependent-column branch."""
-    t1 = _smconv(state.den, col.coeffs)
-    t2 = _mmconv(prefix.coeffs, proj)
-    out = _mseq_op(_msub, t1, t2, col.rows, 1)
+    out = _conv((1, state.den, col.coeffs), (-1, prefix.coeffs, proj))
     _check_cap(out, state.q_hat + state.q, "residual")
     return _mtrim(out)
 
@@ -508,15 +486,14 @@ def step_coupling(state, prefix, border):
     """The weight-coupling column (I - X*prefix)*N^-1*l, X = num/y and
     N^-1 = nbar/ndd, in rank-one form: y*t - num*(prefix*t) with t = nbar*l,
     over its scalar denominator y*ndd."""
-    t = _mmconv(state.ninv.num.coeffs, border.coeffs)
+    t = _conv((1, state.ninv.num.coeffs, border.coeffs))
     _check_cap(t, state.nbar_deg + state.n_deg, "weighted coupling column")
-    yt = _smconv(state.den, t)
-    xat = _mmconv(state.num.coeffs, _mmconv(prefix.coeffs, t))
-    phi = _mseq_op(_msub, yt, xat, state.i, 1)
+    at = _conv((1, prefix.coeffs, t))
+    phi = _conv((1, state.den, t), (-1, state.num.coeffs, at))
     _check_cap(
         phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator"
     )
-    psi = _sconv(state.den, state.ninv.den)
+    psi = _conv((1, state.den, state.ninv.den))
     _check_cap(psi, state.p_prev + state.ndd_deg, "coupling denominator")
     return _mtrim(phi), _strim(psi)
 
@@ -539,14 +516,13 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     """
     i = state.i + 1
     if resid:
-        residT = [_mT(m) for m in resid]
-        v = _mmconv(residT, m_weight.coeffs)
+        v = _conv((1, [_mT(m) for m in resid], m_weight.coeffs))
         _check_cap(
             v,
             state.q_hat + state.q + state.m_deg,
             "bottom row numerator (independent)",
         )
-        w = _unwrap(_mmconv(v, col.coeffs))
+        w = _unwrap(_conv((1, v, col.coeffs)))
         _check_cap(
             w,
             state.q_hat + 2 * state.q + state.m_deg,
@@ -565,18 +541,21 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     nprev, border, corner = part
     projT = [_mT(m) for m in proj]
     borderT = [_mT(m) for m in border.coeffs]
-    yy = _sconv(y, y)
-    schur_den = _sconv(yy, ndd)
+    yy = _conv((1, y, y))
+    schur_den = _conv((1, yy, ndd))
     _check_cap(
         schur_den, 2 * state.p_prev + state.ndd_deg, "Schur factor denominator"
     )
 
-    dn = _mmconv(projT, nprev.coeffs)
-    mixed = _unwrap(_mmconv(projT, border.coeffs))
-    core = _sadd(_sconv(corner, yy), _unwrap(_mmconv(dn, proj)))
-    core = _ssub(core, _sconv(_sadd(mixed, mixed), y))
-    lphi = _unwrap(_mmconv(borderT, coupling_num))
-    schur_num = _ssub(_sconv(core, ndd), _sconv(lphi, y))
+    # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l, l^T phi
+    dn = _conv((1, projT, nprev.coeffs))
+    core = _conv(
+        (1, [((c,),) for c in corner], yy),
+        (1, dn, proj),
+        (-2, _conv((1, projT, border.coeffs)), y),
+    )
+    lphi = _conv((1, borderT, coupling_num))
+    schur_num = _unwrap(_conv((1, core, ndd), (-1, lphi, y)))
     _check_cap(
         schur_num,
         2 * state.q_hat
@@ -590,8 +569,8 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
             "weighted Schur factor is identically zero", stage=i
         )
 
-    lhs = _mseq_op(_msub, dn, _smconv(y, borderT), 1, i - 1)
-    v = _smconv(ndd, _mmconv(lhs, state.num.coeffs))
+    lhs = _conv((1, dn, (1,)), (-1, y, borderT))
+    v = _conv((1, ndd, _conv((1, lhs, state.num.coeffs))))
     _check_cap(
         v,
         state.ndd_deg + state.q_prev + state.q_hat + state.n_deg,
@@ -609,24 +588,25 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     i = state.i + 1
     m = state.num.cols
     ndd = state.ninv.den
-    b_num = len(row_num) - 1
     b_den = len(row_den) - 1
 
-    t1 = _smconv(_sconv(ndd, row_den), state.num.coeffs)
-    proj_coupling = _mseq_op(_madd, _smconv(ndd, proj), coupling_num, i - 1, 1)
-    upper = _mseq_op(_msub, t1, _mmconv(proj_coupling, row_num), i - 1, m)
+    proj_coupling = _conv((1, ndd, proj), (1, coupling_num, (1,)))
+    upper = _conv(
+        (1, _conv((1, ndd, row_den)), state.num.coeffs),
+        (-1, proj_coupling, row_num),
+    )
     cap_upper = (
         state.q_hat
         + state.q
         + max(state.nbar_deg + state.n_deg, state.ndd_deg)
-        + max(b_num, b_den)
+        + max(len(row_num) - 1, b_den)
     )
     _check_cap(upper, cap_upper, "extended numerator (upper block)")
 
-    lower = _smconv(coupling_den, row_num)
+    lower = _conv((1, coupling_den, row_num))
     _check_cap(lower, cap_upper, "extended numerator (bottom row)")
 
-    den = _sconv(coupling_den, row_den)
+    den = _conv((1, coupling_den, row_den))
     _check_cap(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
     den = _strim(den)
     if not den:
@@ -635,7 +615,7 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
         )
 
     stacked = _mblock([[upper], [lower]], (i - 1, 1), (m,))
-    return fraction_simplify(PolyMatrix(i, m, stacked), den)
+    return fraction_simplify(PolyMatrix._ints(i, m, stacked), den)
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +634,14 @@ def poly_bordering_step(inv, border, corner, n_deg):
     nbar, ndd = inv.num.coeffs, inv.den
     nbar_deg, ndd_deg = inv.num.degree, len(ndd) - 1
 
-    f = _mmconv(nbar, border.coeffs)
+    f = _conv((1, nbar, border.coeffs))
     _check_cap(f, nbar_deg + n_deg, "border numerator")
     f = _mtrim(f)
-    p_seq = _sconv(corner, ndd)
+    p_seq = _conv((1, corner, ndd))
     _check_cap(p_seq, n_deg + ndd_deg, "corner scalar product")
-    q_seq = _unwrap(_mmconv([_mT(m) for m in border.coeffs], f))
+    q_seq = _unwrap(_conv((1, [_mT(m) for m in border.coeffs], f)))
     _check_cap(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
-    g = _ssub(p_seq, q_seq)
+    g = _conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
     _check_cap(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
     g = _strim(g)
     if not g:
@@ -670,21 +650,20 @@ def poly_bordering_step(inv, border, corner, n_deg):
         )
     g_deg, f_deg = len(g) - 1, len(f) - 1
 
-    fT = [_mT(m) for m in f]
-    core = _mseq_op(_madd, _smconv(g, nbar), _mmconv(f, fT), i - 1, i - 1)
+    core = _conv((1, g, nbar), (1, f, [_mT(m) for m in f]))
     _check_cap(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
-    side = [_mneg(m) for m in _smconv(ndd, f)]
+    side = _conv((-1, ndd, f))
     _check_cap(side, ndd_deg + f_deg, "block numerator (border)")
-    ndd2 = _sconv(ndd, ndd)
+    ndd2 = _conv((1, ndd, ndd))
     _check_cap(ndd2, 2 * ndd_deg, "block numerator (corner)")
-    den = _sconv(ndd, g)
+    den = _conv((1, ndd, g))
     _check_cap(den, ndd_deg + g_deg, "block denominator")
     stacked = _mblock(
         [[core, side], [[_mT(m) for m in side], [((c,),) for c in ndd2]]],
         (i - 1, 1),
         (i - 1, 1),
     )
-    return MatrixPolyFraction(PolyMatrix(i, i, stacked), _strim(den))
+    return MatrixPolyFraction(PolyMatrix._ints(i, i, stacked), _strim(den))
 
 
 def _leading_inverses(mat, parts):

@@ -294,6 +294,21 @@ class TestHostileInput:
             assert err.startswith("parse error: row 1, column 1")
             assert "nesting" in err
 
+    def test_overlong_integer_literal_is_a_parse_error(self, tmp_path, capsys):
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        for body, offset in (("9" * 5000, 0), ("s^" + "9" * 5000, 2)):
+            a = tmp_path / "a.mat"
+            a.write_text(f"matrix 1 1\n{body}\n")
+            code = run_command(["compute", "--a", str(a)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == (
+                "parse error: row 1, column 1 (line 2): integer literal longer "
+                f"than {limit} digits at offset {offset}\n"
+            )
+
     def test_nesting_at_the_bound_parses(self, tmp_path, capsys):
         from wmpinv.matrixio import MAX_NESTING
 
@@ -339,8 +354,8 @@ class TestHostileInput:
         assert "exceeds the size bound" in capsys.readouterr().err
 
     def test_capacity_error_exits_three_under_optimize(self):
-        # an extra coefficient from every scalar convolution must trip the
-        # capacity check even with asserts stripped by -O
+        # an extra coefficient on every scalar result of the convolution
+        # kernel must trip the capacity check even with asserts stripped by -O
         import subprocess
         import sys
 
@@ -350,8 +365,11 @@ class TestHostileInput:
             "from wmpinv.cli import run_command\n"
             "if not sys.flags.optimize:\n"
             "    sys.exit(9)\n"
-            "real = poly_greville._sconv\n"
-            "poly_greville._sconv = lambda a, b: real(a, b) + [0]\n"
+            "real = poly_greville._conv\n"
+            "def padded(*terms):\n"
+            "    out = real(*terms)\n"
+            "    return out + [0] if out and isinstance(out[0], int) else out\n"
+            "poly_greville._conv = padded\n"
             "sys.exit(run_command(sys.argv[1:]))\n"
         )
         result = subprocess.run(

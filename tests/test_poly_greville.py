@@ -63,6 +63,21 @@ class TestPolyMatrix:
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
             PolyMatrix.from_rf_matrix(a)
 
+    def test_non_integral_coefficient_rejected_with_position(self):
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) is not integral: 1/2"):
+            PolyMatrix(2, 2, [((1, 0), (0, 1)), ((0, 0), (Fraction(1, 2), 0))])
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is not integral: -1/3"):
+            PolyMatrix.from_entries([[Poly([1]), Poly([0, Fraction(-1, 3)])]])
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            PolyMatrix.from_rf_matrix(parse_matrix_file("matrix 1 2\n1; s/2"))
+
+    def test_integral_fraction_taken_as_int(self):
+        p = PolyMatrix(1, 2, [((Fraction(3, 1), Fraction(-4, 2)),)])
+        assert p.coeffs == (((3, -2),),)
+        assert all(type(x) is int for x in p.coeffs[0][0])
+        q = PolyMatrix.from_entries([[Poly([Fraction(6, 3)]), Fraction(5, 1)]])
+        assert q.coeffs == (((2, 5),),)
+
     def test_roundtrip_through_rf_matrix(self):
         rng = random.Random(41)
         for _ in range(20):
