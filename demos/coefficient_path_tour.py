@@ -50,5 +50,5 @@ print("as a matrix of canonical rational functions:")
 print(format_matrix(frac.to_rf_matrix()))
 
 # the uniqueness cross-check: both paths, one answer
-print("paths agree:", cross_path_check(a, w, w))
+print("paths agree:", cross_path_check(a_rf, w_rf, w_rf))
 assert frac.to_rf_matrix() == weighted_pinv(WeightedProblem(a_rf, w_rf, w_rf))

@@ -21,9 +21,7 @@ from .errors import (
 from .greville import WeightedProblem, bordering_inverse, weighted_pinv
 from .matrices import constant_matrix
 from .matrixio import format_matrix, parse_matrix_file
-from .poly_greville import PolyMatrix
-from .poly_greville import bordering_inverse as poly_bordering_inverse
-from .poly_greville import weighted_pinv as poly_weighted_pinv
+from .poly_greville import invert, solve
 from .verify import penrose_check
 
 
@@ -49,29 +47,21 @@ def _cmd_compute(args):
     m = _load(args.m) if args.m else None
     n = _load(args.n) if args.n else None
     problem = WeightedProblem(a, m, n)
-    m, n = problem.m_weight, problem.n_weight
 
     if args.path == "rational":
         x = weighted_pinv(problem)
     else:
-        a_p = PolyMatrix.from_rf_matrix(a)
-        m_p = PolyMatrix.from_rf_matrix(m)
-        n_p = PolyMatrix.from_rf_matrix(n)
-        x = poly_weighted_pinv(a_p, m_p, n_p).to_rf_matrix()
+        x = solve(problem).to_rf_matrix()
         if args.path == "both":
             x_rat = weighted_pinv(problem)
-            if x_rat != x:
-                for r in range(x.rows):
-                    for c in range(x.cols):
-                        if x[r, c] != x_rat[r, c]:
-                            _diag(
-                                f"computation paths disagree at entry ({r + 1}, {c + 1})"
-                            )
-                            return 1
-            x = x_rat
+            for r in range(x.rows):
+                for c in range(x.cols):
+                    if x[r, c] != x_rat[r, c]:
+                        _diag(f"computation paths disagree at entry ({r + 1}, {c + 1})")
+                        return 1
 
     if args.verify:
-        report = penrose_check(a, m, n, x)
+        report = penrose_check(a, problem.m_weight, problem.n_weight, x)
         if not report.all_hold:
             tag, r, c, residual = report.first_failure
             _diag(f"verification failed: equation {tag} at ({r}, {c}), residual {residual}")
@@ -85,7 +75,7 @@ def _cmd_invert(args):
     if args.path == "rational":
         inv = bordering_inverse(n)
     else:
-        inv = poly_bordering_inverse(PolyMatrix.from_rf_matrix(n)).to_rf_matrix()
+        inv = invert(n).to_rf_matrix()
     _emit(format_matrix(inv), args.out)
     return 0
 
@@ -136,8 +126,8 @@ def build_parser():
         "--path",
         choices=("rational", "poly", "both"),
         default="rational",
-        help="computation path; 'both' requires polynomial inputs and "
-        "fails unless the two paths agree",
+        help="computation path: the rational-function recursion, the "
+        "coefficient recursion, or both, failing unless they agree",
     )
     p.add_argument("--out", help="output file (stdout when omitted)")
     p.add_argument(

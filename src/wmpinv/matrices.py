@@ -250,29 +250,21 @@ class RfMatrix:
         return tuple(out)
 
     def clear_denominators(self):
-        """Common scalar denominator representation.
+        """Common scalar denominator representation, in integers.
 
-        Returns (P, L): L is the least common multiple of all entry
-        denominators and P the polynomial matrix with P[r][c] = self[r][c]*L,
-        so self = P / L entrywise.
+        Returns (P, L): L is the lcm of all entry denominators up to an
+        integer factor and P the grid of polynomials P[r][c] = self[r][c]*L,
+        so self = P / L entrywise.  P and L have int coefficients: every gcd
+        divided out of L is primitive, so by Gauss's lemma every quotient of
+        L by an entry denominator is too.
         """
         L = ONE_POLY
         for f in self._e:
             if f.den.degree > 0 or f.den.coeffs != (1,):
                 g = poly_gcd(L, f.den)
                 L = L.exact_div(g) * f.den if g.degree > 0 else L * f.den
-        # L is integer-primitive up to content; normalize content away
-        _, L = L.primitive()
-        if L.coeffs[-1] < 0:
-            L = -L
-        grid = []
-        for r in range(self.rows):
-            line = []
-            for c in range(self.cols):
-                f = self._e[r * self.cols + c]
-                line.append(f.num * L.exact_div(f.den))
-            grid.append(line)
-        return grid, L
+        rows = (self.row(r) for r in range(self.rows))
+        return [[f.num * L.exact_div(f.den) for f in row] for row in rows], L
 
     def rank(self):
         """Rank over the rational-function field, by elimination."""

@@ -7,8 +7,9 @@ Entry grammar (whitespace insignificant):
     factor := atom ('^' unsigned-integer)?
     atom   := 's' | unsigned-integer | '(' expr ')' | '-' factor
 
-'(' and unary '-' nest at most MAX_NESTING deep; powers obey MAX_POWER_SIZE;
-integer literals obey the interpreter's integer-string digit limit.
+'(' and unary '-' nest at most MAX_NESTING deep; powers, products and
+quotients obey MAX_SIZE; integer literals are ASCII digits and obey the
+interpreter's integer-string digit limit.
 
 File format: optional full-line comments starting with '#', a header line
 ``matrix <rows> <cols>``, then one line per row with entries separated by
@@ -31,10 +32,16 @@ from .scalars import RatFun, S, format_ratfun
 # limit.
 MAX_NESTING = 100
 
-# Bound on exponent * (degree + coefficient bits) of the base of '^'.  The
-# degree and coefficient size of a power grow with the exponent, so a few
-# bytes such as 's^3000000' would otherwise compute for minutes.
-MAX_POWER_SIZE = 2000
+# Bound on exponent * size of the base of '^' and on the summed sizes of
+# the operands of '*' and '/' (size: degree plus coefficient bits), so that
+# a few bytes such as 's^3000000' cannot compute for minutes.
+MAX_SIZE = 2000
+
+
+def _size(f):
+    num, den = f.num.coeffs, f.den.coeffs
+    degree = len(num if len(num) > len(den) else den) - 1
+    return degree + max(map(abs, num + den)).bit_length()
 
 
 class _EntryParser:
@@ -63,7 +70,7 @@ class _EntryParser:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an unsigned integer")
@@ -86,6 +93,9 @@ class _EntryParser:
             op_pos = self.pos
             op = self.take()
             rhs = self.factor()
+            if _size(value) + _size(rhs) > MAX_SIZE:
+                kind = "product" if op == "*" else "quotient"
+                self.error(f"{kind} exceeds the size bound {MAX_SIZE}", op_pos)
             if op == "/":
                 if rhs.is_zero:
                     self.error("division by zero", op_pos)
@@ -98,13 +108,11 @@ class _EntryParser:
         value = self.atom()
         if self.peek() == "^":
             self.take()
-            if not self.peek().isdigit():
+            if not "0" <= self.peek() <= "9":
                 self.error("exponent must be an unsigned integer")
             exponent = self.integer()
-            num, den = value.num, value.den
-            bits = max(map(int.bit_length, num.coeffs + den.coeffs))
-            if exponent * (max(num.degree, den.degree) + bits) > MAX_POWER_SIZE:
-                self.error(f"power exceeds the size bound {MAX_POWER_SIZE}")
+            if exponent * _size(value) > MAX_SIZE:
+                self.error(f"power exceeds the size bound {MAX_SIZE}")
             value = value ** exponent
         return value
 
@@ -121,7 +129,7 @@ class _EntryParser:
         if ch == "s":
             self.pos += 1
             return S
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return RatFun.const(self.integer())
         if ch == "(":
             self.pos += 1

@@ -7,7 +7,9 @@ pseudoinverse is one matrix-polynomial numerator over one scalar
 polynomial denominator.  Every formula of the rational path then turns
 into a sum of Cauchy products of coefficient sequences, which one
 Kronecker-substitution kernel (``_conv``) evaluates in integer arithmetic.
-``PolyMatrix`` rejects non-integral coefficients.
+``PolyMatrix`` rejects non-integral coefficients; a rational matrix enters
+through ``solve`` or ``invert`` as P/L, the integer matrix polynomial P
+over the scalar polynomial L of ``RfMatrix.clear_denominators``.
 
 The degree of every computed sequence is bounded a priori by the degrees
 of its inputs; those capacities are checked before trailing zeros are
@@ -30,15 +32,9 @@ zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .errors import (
-    CapacityError,
-    DegenerateWeightError,
-    PoleError,
-    SingularMatrixError,
-)
+from .errors import CapacityError, DegenerateWeightError, SingularMatrixError
 from .greville import WeightedProblem
 from .matrices import RfMatrix
 from .scalars import ONE_POLY, Poly, RatFun, _coerce_coeff, joint_reduce
@@ -362,24 +358,8 @@ class MatrixPolyFraction:
         f.num, f.den = num, den
         return f
 
-    @property
-    def den_poly(self):
-        return Poly(self.den)
-
     def to_rf_matrix(self):
-        return self.num.to_rf_matrix(self.den_poly)
-
-    def eval_at(self, x):
-        x = Fraction(x)
-        d = self.den_poly(x)
-        if not d:
-            raise PoleError(f"pole at s = {x} in the common denominator")
-        return tuple(
-            tuple(
-                self.num.entry_poly(r, c)(x) / d for c in range(self.num.cols)
-            )
-            for r in range(self.num.rows)
-        )
+        return self.num.to_rf_matrix(Poly(self.den))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPolyFraction):
@@ -750,3 +730,37 @@ def weighted_pinv(a, m_weight=None, n_weight=None):
     for state in partition_stages(a, m_weight, n_weight):
         pass
     return MatrixPolyFraction._reduced(state.num, state.den)
+
+
+# ---------------------------------------------------------------------------
+# rational front doors: a rational matrix enters as P/L
+
+
+def _cleared(mat):
+    """(P, L) with mat = P/L, by ``RfMatrix.clear_denominators``."""
+    grid, den = mat.clear_denominators()
+    return PolyMatrix._ints(mat.rows, mat.cols, _poly_coeffs(grid)), den.coeffs
+
+
+def _times(den, frac):
+    """den * frac, for a scalar coefficient sequence den."""
+    num = frac.num
+    scaled = _conv((1, den, num.coeffs))
+    return MatrixPolyFraction(PolyMatrix._ints(num.rows, num.cols, scaled), frac.den)
+
+
+def solve(problem):
+    """Weighted pseudoinverse of a rational ``WeightedProblem``: with
+    A = P/L it is L*P^+, and a weight enters as its cleared numerator (a
+    nonzero scalar factor on a weight leaves the result unchanged)."""
+    a, den = _cleared(problem.a)
+    m_weight, _ = _cleared(problem.m_weight)
+    n_weight, _ = _cleared(problem.n_weight)
+    return _times(den, weighted_pinv(a, m_weight, n_weight))
+
+
+def invert(mat):
+    """Inverse of a symmetric RfMatrix N = P/L as L*P^-1, with P^-1 from
+    ``bordering_inverse``."""
+    p, den = _cleared(mat)
+    return _times(den, bordering_inverse(p))

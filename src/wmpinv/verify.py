@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import DegenerateWeightError, PoleError, SingularMatrixError
 from .greville import WeightedProblem, weighted_pinv
 from .matrices import constant_matrix
-from .poly_greville import weighted_pinv as poly_weighted_pinv
+from .poly_greville import solve
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,8 @@ def penrose_check(a, m_weight, n_weight, x):
 def cross_path_check(a, m_weight, n_weight):
     """True iff the rational path and the coefficient path produce the same
     canonical matrix (the weighted pseudoinverse is unique, so they must)."""
-    rational = weighted_pinv(
-        WeightedProblem(
-            a.to_rf_matrix(), m_weight.to_rf_matrix(), n_weight.to_rf_matrix()
-        )
-    )
-    coefficient = poly_weighted_pinv(a, m_weight, n_weight).to_rf_matrix()
-    return rational == coefficient
+    problem = WeightedProblem(a, m_weight, n_weight)
+    return weighted_pinv(problem) == solve(problem).to_rf_matrix()
 
 
 @dataclass(frozen=True)

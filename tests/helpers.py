@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from wmpinv import RatFun, RfMatrix
+from wmpinv import RatFun, RfMatrix, WeightedProblem
 from wmpinv.matrixio import parse_matrix_file
 from wmpinv.scalars import Poly
 
@@ -54,6 +54,42 @@ def rand_problem_matrix(rng, max_dim=4, max_deg=2):
         for r in range(m):
             rows[r][c2] = rows[r][c1]
     return RfMatrix.from_rows(rows)
+
+
+def rand_den(rng):
+    """Nonzero denominator of degree at most 1 times an integer content of
+    1 to 3, so that some are not primitive (such as 2s+2)."""
+    den = Poly([])
+    while den.is_zero:
+        den = rand_poly(rng, 1, -2, 2)
+    return den * rng.randint(1, 3)
+
+
+def rand_rational_weight(rng, k):
+    """Identity, SPD or singular symmetric weight, over a random scalar
+    denominator half of the time."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        w = RfMatrix.identity(k)
+    else:
+        w = (rand_weight if kind == 1 else rand_singular_weight)(rng, k)
+    return w.scale(RatFun(1, rand_den(rng))) if rng.random() < 0.5 else w
+
+
+def rand_rational_problem(rng, max_dim=3):
+    """Random problem over rational functions: a ``rand_problem_matrix``
+    (zero and duplicated columns included) with row r divided by d_r and
+    column c by e_c, which keeps its rank, and ``rand_rational_weight``
+    weights."""
+    a = rand_problem_matrix(rng, max_dim, 1)
+    d = [rand_den(rng) for _ in range(a.rows)]
+    e = [rand_den(rng) for _ in range(a.cols)]
+    a = RfMatrix.from_rows(
+        [[a[r, c] / RatFun(d[r] * e[c]) for c in range(a.cols)] for r in range(a.rows)]
+    )
+    return WeightedProblem(
+        a, rand_rational_weight(rng, a.rows), rand_rational_weight(rng, a.cols)
+    )
 
 
 def rand_ratfun(rng, max_deg=3, lo=-5, hi=5):

@@ -196,11 +196,7 @@ def test_criterion_6_cross_path_equivalence():
     t0 = time.perf_counter()
     for trial in range(100):
         a, m, n = _random_problem(rng)
-        assert cross_path_check(
-            PolyMatrix.from_rf_matrix(a),
-            PolyMatrix.from_rf_matrix(m),
-            PolyMatrix.from_rf_matrix(n),
-        ), trial
+        assert cross_path_check(a, m, n), trial
     elapsed = time.perf_counter() - t0
     _verdict(6, "100 random problems, path agreement", True, elapsed)
 

@@ -102,7 +102,7 @@ class TestCompute:
         import wmpinv.cli as cli
         from wmpinv.scalars import RatFun
 
-        real = cli.poly_weighted_pinv
+        real = cli.solve
 
         class Corrupted:
             def __init__(self, frac):
@@ -114,21 +114,24 @@ class TestCompute:
                 rows[0][0] = rows[0][0] + RatFun(1)
                 return RfMatrix.from_rows(rows)
 
-        monkeypatch.setattr(
-            cli, "poly_weighted_pinv", lambda *a: Corrupted(real(*a))
-        )
+        monkeypatch.setattr(cli, "solve", lambda problem: Corrupted(real(problem)))
         code = run_command(
             ["compute", "--a", fixture("wmp_poly3_a.mat"), "--path", "both"]
         )
         assert code == 1
         assert "disagree at entry (1, 1)" in capsys.readouterr().err
 
-    def test_poly_path_rejects_rational_input(self, tmp_path, capsys):
-        code = run_command(
-            ["compute", "--a", fixture("wmp_rational_a.mat"), "--path", "poly"]
-        )
-        assert code == 2
-        assert "not a polynomial" in capsys.readouterr().err
+    def test_rational_input_on_every_path(self, capsys):
+        # the coefficient path takes the rational matrix as P/L
+        weights = ["--m", fixture("wmp_rank2_m.mat"), "--n", fixture("wmp_rank2_n.mat")]
+        for extra in (["--path", "poly"], ["--path", "both", "--verify"]):
+            code = run_command(
+                ["compute", "--a", fixture("wmp_rational_a.mat"), *weights, *extra]
+            )
+            captured = capsys.readouterr()
+            assert code == 0
+            assert captured.err == ""
+            assert parse_matrix_file(captured.out) == load("wmp_rational_x.mat")
 
     def test_missing_file(self, capsys):
         code = run_command(["compute", "--a", "no_such_file.mat"])
@@ -324,7 +327,14 @@ class TestHostileInput:
         import subprocess
         import sys
 
-        for body in ("7^3000000", "s^3000000", "(1+s)^4000", "((1+s)^1000)^2"):
+        for body in (
+            "7^3000000",
+            "s^3000000",
+            "(1+s)^4000",
+            "((1+s)^1000)^2",
+            "(1+s)^1000*(1+s)^1000*(1+s)^1000*(1+s)^1000",
+            "1/(1+s)^1000/(1+s)^1000",
+        ):
             a = tmp_path / "a.mat"
             a.write_text(f"matrix 1 1\n{body}\n")
             result = subprocess.run(
@@ -338,12 +348,12 @@ class TestHostileInput:
             assert "exceeds the size bound" in result.stderr
 
     def test_power_at_the_bound_parses(self, tmp_path, capsys):
-        from wmpinv.matrixio import MAX_POWER_SIZE, parse_entry
+        from wmpinv.matrixio import MAX_SIZE, parse_entry
 
         # s and 1+s have size 2 (degree 1, one coefficient bit), 7 size 3
-        half = MAX_POWER_SIZE // 2
+        half = MAX_SIZE // 2
         assert parse_entry(f"(1+s)^{half}").num.coeffs[1] == half
-        third = MAX_POWER_SIZE // 3
+        third = MAX_SIZE // 3
         assert parse_entry(f"7^{third}").num.coeffs == (7**third,)
         a = tmp_path / "a.mat"
         a.write_text(f"matrix 1 1\ns^{half}\n")
@@ -352,6 +362,34 @@ class TestHostileInput:
         a.write_text(f"matrix 1 1\ns^{half + 1}\n")
         assert run_command(["compute", "--a", str(a)]) == 2
         assert "exceeds the size bound" in capsys.readouterr().err
+
+    def test_product_at_the_bound_parses(self, tmp_path, capsys):
+        from wmpinv.matrixio import MAX_SIZE, parse_entry
+
+        # s^k has size k + 1, so the operands of each '*' and '/' sum to
+        # the bound exactly; one more degree is over it
+        k = MAX_SIZE // 2 - 1
+        assert parse_entry(f"s^{k}*s^{k}").num.coeffs == (0,) * (2 * k) + (1,)
+        assert parse_entry(f"s^{k}/s^{k}*s") == parse_entry("s")
+        a = tmp_path / "a.mat"
+        a.write_text(f"matrix 1 1\ns^{k}*s^{k + 1}\n")
+        assert run_command(["compute", "--a", str(a)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: row 1, column 1 (line 2): product exceeds the size "
+            f"bound {MAX_SIZE} at offset {len(str(k)) + 2}\n"
+        )
+
+    def test_non_ascii_digits_are_a_located_parse_error(self, tmp_path, capsys):
+        for body, message in (
+            ("\u00b2", "expected 's', an integer, '(' or '-' at offset 0"),
+            ("s^\u00b2", "exponent must be an unsigned integer at offset 2"),
+        ):
+            a = tmp_path / "a.mat"
+            a.write_text(f"matrix 1 1\n{body}\n", encoding="utf-8")
+            assert run_command(["compute", "--a", str(a)]) == 2
+            assert capsys.readouterr().err == (
+                f"parse error: row 1, column 1 (line 2): {message}\n"
+            )
 
     def test_capacity_error_exits_three_under_optimize(self):
         # an extra coefficient on every scalar result of the convolution

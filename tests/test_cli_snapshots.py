@@ -3,14 +3,16 @@ code of ``run_command`` for ``compute`` and ``invert`` on every fixture,
 pinned in ``tests/data/cli_snapshots.json``.
 
 After an intended output change, rewrite the snapshots with
-``PYTHONPATH=src python tests/test_cli_snapshots.py`` and name every
-changed entry in the change log.
+``PYTHONPATH=src python tests/test_cli_snapshots.py``, which prints the
+name of every entry it changes, added or dropped; name each one in the
+change log.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -84,14 +86,27 @@ def test_every_case_is_pinned(pinned):
     assert sorted(pinned) == sorted(CASES)
 
 
+def test_path_never_changes_the_output(pinned):
+    # both paths take the same inputs, so --path poly and --path both must
+    # print what --path rational prints, errors included
+    def twin(name):
+        return re.sub("--path (poly|both)", "--path rational", name)
+
+    assert [name for name in sorted(pinned) if pinned[name] != pinned[twin(name)]] == []
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_snapshot(name, extra_dir, pinned):
     assert snapshot(CASES[name], extra_dir) == pinned[name]
 
 
 if __name__ == "__main__":
+    old = json.loads(SNAPSHOTS.read_text()) if SNAPSHOTS.exists() else {}
     with tempfile.TemporaryDirectory() as d:
         for name, text in EXTRA.items():
             (Path(d) / name).write_text(text)
         table = {name: snapshot(argv, Path(d)) for name, argv in sorted(CASES.items())}
+    for name in sorted(table.keys() | old.keys()):
+        if table.get(name) != old.get(name):
+            print(f"changed: {name}")
     SNAPSHOTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

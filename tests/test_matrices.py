@@ -170,6 +170,17 @@ class TestFfInverse:
         assert a * inv == RfMatrix.identity(2)
 
 
+class TestClearDenominators:
+    def test_non_primitive_denominator_gives_integer_coefficients(self):
+        a = RfMatrix.from_rows([[e("1/(2*s+2)"), e("s/3")], [e("(1-s)/(4*s)"), e("7")]])
+        grid, den = a.clear_denominators()
+        coeffs = [c for row in grid for p in row for c in p.coeffs] + list(den.coeffs)
+        assert all(type(c) is int for c in coeffs)
+        for r in range(2):
+            for c in range(2):
+                assert RatFun(grid[r][c], den) == a[r, c]
+
+
 class TestEval:
     def test_substitution(self):
         a = RfMatrix.from_rows([[e("s"), e("1/(s-1)")]])

@@ -8,10 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import load, rand_problem_matrix, rand_singular_weight, rand_weight
-from wmpinv.errors import CapacityError, SingularMatrixError
+from helpers import (
+    load,
+    rand_den,
+    rand_problem_matrix,
+    rand_rational_problem,
+    rand_singular_weight,
+    rand_weight,
+)
+from wmpinv.errors import CapacityError, DegenerateWeightError, SingularMatrixError
 from wmpinv.greville import WeightedProblem
+from wmpinv.greville import bordering_inverse as rational_bordering_inverse
 from wmpinv.greville import partition_stages as rational_stages
+from wmpinv.greville import weighted_pinv as rational_pinv
 from wmpinv.matrices import RfMatrix
 from wmpinv.matrixio import parse_entry, parse_matrix_file
 from wmpinv.poly_greville import (
@@ -21,7 +30,9 @@ from wmpinv.poly_greville import (
     bordering_inverse,
     fraction_simplify,
     init_fraction,
+    invert,
     partition_stages,
+    solve,
     weighted_pinv,
 )
 from wmpinv.scalars import Poly, RatFun
@@ -303,7 +314,7 @@ class TestFractionSimplify:
                 )
                 for r in range(num.rows)
             )
-            assert simplified.eval_at(x) == expected
+            assert simplified.to_rf_matrix().eval_at(x) == expected
 
     def test_zero_numerator(self):
         out_num, out_den = fraction_simplify(PolyMatrix(1, 2), (3, 3))
@@ -361,6 +372,46 @@ class TestPolyBordering:
         with pytest.raises(SingularMatrixError) as err:
             bordering_inverse(n)
         assert err.value.stage == 1
+
+
+def _outcome(compute, problem):
+    try:
+        return compute(problem)
+    except (DegenerateWeightError, SingularMatrixError) as exc:
+        return type(exc), exc.stage, str(exc)
+
+
+class TestRationalInput:
+    def test_solve_agrees_with_the_rational_path(self):
+        # A = P/L enters as L*P^+ and each weight as its cleared numerator:
+        # same result, or the same error class, stage and message
+        rng = random.Random(8080)
+        results = errors = 0
+        for trial in range(400):
+            p = rand_rational_problem(rng)
+            expected = _outcome(rational_pinv, p)
+            assert _outcome(lambda p: solve(p).to_rf_matrix(), p) == expected, trial
+            if isinstance(expected, RfMatrix):
+                results += 1
+            else:
+                errors += 1
+        assert results > 200 and errors > 20
+
+    def test_invert_agrees_with_both_inverse_oracles(self):
+        rng = random.Random(8081)
+        for trial in range(40):
+            k = rng.randint(1, 4)
+            w = rand_weight(rng, k)
+            if trial % 2:
+                # congruence by diag(1/d): entry (r, c) over d_r*d_c
+                d = [RatFun(rand_den(rng)) for _ in range(k)]
+                n = RfMatrix.from_rows(
+                    [[w[r, c] / (d[r] * d[c]) for c in range(k)] for r in range(k)]
+                )
+            else:
+                n = w.scale(RatFun(1, rand_den(rng)))
+            inv = invert(n).to_rf_matrix()
+            assert inv == rational_bordering_inverse(n) == n.ff_inverse(), trial
 
 
 class TestDegenerateWeights:

@@ -10,7 +10,6 @@ from helpers import load, rand_problem_matrix, rand_weight
 from wmpinv.greville import WeightedProblem, weighted_pinv
 from wmpinv.matrices import RfMatrix, constant_matrix
 from wmpinv.matrixio import parse_entry
-from wmpinv.poly_greville import PolyMatrix
 from wmpinv.scalars import RatFun
 from wmpinv.verify import cross_path_check, eval_consistency_check, penrose_check
 
@@ -85,18 +84,20 @@ class TestPenroseCheck:
 
 class TestCrossPathCheck:
     def test_identity_triple(self):
-        eye = PolyMatrix.identity(3)
+        eye = RfMatrix.identity(3)
         assert cross_path_check(eye, eye, eye)
 
     def test_polynomial_fixture(self):
-        a = PolyMatrix.from_rf_matrix(load("wmp_poly3_a.mat"))
-        w = PolyMatrix.from_rf_matrix(load("wmp_poly3_w.mat"))
-        assert cross_path_check(a, w, w)
+        w = load("wmp_poly3_w.mat")
+        assert cross_path_check(load("wmp_poly3_a.mat"), w, w)
 
     def test_hessenberg_fixture(self):
-        a = PolyMatrix.from_rf_matrix(load("wmp_hessenberg_a.mat"))
-        m = PolyMatrix.identity(5)
-        assert cross_path_check(a, m, m)
+        m = RfMatrix.identity(5)
+        assert cross_path_check(load("wmp_hessenberg_a.mat"), m, m)
+
+    def test_rational_fixture(self):
+        m, n = load("wmp_rank2_m.mat"), load("wmp_rank2_n.mat")
+        assert cross_path_check(load("wmp_rational_a.mat"), m, n)
 
 
 class TestEvalConsistency:
