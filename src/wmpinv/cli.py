@@ -81,11 +81,9 @@ def _cmd_invert(args):
 
 
 def _cmd_verify(args):
-    a = _load(args.a)
-    m = _load(args.m)
-    n = _load(args.n)
+    problem = WeightedProblem(_load(args.a), _load(args.m), _load(args.n))
     x = _load(args.x)
-    report = penrose_check(a, m, n, x)
+    report = penrose_check(problem.a, problem.m_weight, problem.n_weight, x)
     if report.all_hold:
         print("all four weighted Penrose equations hold")
         return 0

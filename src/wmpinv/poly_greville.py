@@ -174,13 +174,17 @@ def _check_cap(seq, cap, label):
 def _int_const(m, rows, cols):
     """m as a rows x cols tuple grid of ints; a non-integral coefficient is
     rejected, naming its 1-based entry."""
-    grid = tuple(tuple(_coerce_coeff(x) for x in row) for row in m)
+    def coerce(r, c, x):
+        try:
+            return _coerce_coeff(x)
+        except ValueError:
+            raise ValueError(f"entry ({r + 1}, {c + 1}) is not integral: {x}") from None
+
+    grid = tuple(
+        tuple(coerce(r, c, x) for c, x in enumerate(row)) for r, row in enumerate(m)
+    )
     if len(grid) != rows or any(len(row) != cols for row in grid):
         raise ValueError(f"coefficient matrix is not {rows}x{cols}")
-    for r, row in enumerate(grid):
-        for c, x in enumerate(row):
-            if not isinstance(x, int):
-                raise ValueError(f"entry ({r + 1}, {c + 1}) is not integral: {x}")
     return grid
 
 
@@ -325,8 +329,8 @@ def fraction_simplify(num, den):
     """Reduce a matrix-polynomial numerator over a scalar denominator.
 
     The gcd of the denominator and every numerator entry is divided out,
-    then coefficients are cleared to integers with joint content 1 and a
-    positive leading denominator coefficient.  The value is unchanged;
+    then the joint integer content, leaving a positive leading denominator
+    coefficient.  The value is unchanged;
     applying it twice changes nothing.  Returns (PolyMatrix, tuple).
     """
     den_poly = den if isinstance(den, Poly) else Poly(den)

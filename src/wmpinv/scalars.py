@@ -1,10 +1,10 @@
-"""Exact scalar arithmetic: univariate polynomials over the rationals and
-canonical rational functions.
+"""Exact scalar arithmetic: univariate integer polynomials and canonical
+rational functions.
 
-A polynomial is a tuple of exact coefficients; ``coeffs[j]`` holds the
+A polynomial is a tuple of int coefficients; ``coeffs[j]`` holds the
 coefficient of s**j.  The zero polynomial is the empty tuple, otherwise the
-last coefficient is nonzero.  Coefficients are Python ints or
-`fractions.Fraction` (never floats).
+last coefficient is nonzero.  Rational constants enter only through
+`RatFun.const`, and evaluation returns `fractions.Fraction` values.
 
 A rational function is a reduced pair of polynomials in a canonical form
 chosen so that equality is structural: the pair has integer coefficients,
@@ -16,7 +16,7 @@ is 0/1.  Canonical form makes golden-fixture comparisons bit-exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd
 
 from .errors import PoleError
 
@@ -29,19 +29,23 @@ def _trim(coeffs):
 
 
 def _coerce_coeff(c):
+    """c as an int: an int, or a Fraction with denominator 1.  Any other
+    Fraction is a ValueError, any other type a TypeError."""
     if isinstance(c, int):
         return c
     if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
+        if c.denominator == 1:
+            return c.numerator
+        raise ValueError(f"coefficient is not integral: {c}")
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
 class Poly:
-    """Dense univariate polynomial with exact coefficients.
+    """Dense univariate polynomial with int coefficients.
 
-    Construction normalizes: coefficients are coerced to int/Fraction and
-    trailing zeros are dropped, so an all-zero input yields the zero
-    polynomial (empty coefficient tuple).
+    Construction normalizes: coefficients are coerced to int (a non-integral
+    one is rejected) and trailing zeros are dropped, so an all-zero input
+    yields the zero polynomial (empty coefficient tuple).
     """
 
     __slots__ = ("coeffs",)
@@ -58,9 +62,7 @@ class Poly:
 
     @classmethod
     def const(cls, c):
-        if isinstance(c, float):
-            raise TypeError("exact coefficient expected, got float")
-        c = _coerce_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        c = _coerce_coeff(c)
         return cls._raw((c,)) if c else ZERO_POLY
 
     @property
@@ -85,11 +87,10 @@ class Poly:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
-        return NotImplemented
+        q = Poly._want(other)
+        if q is None:
+            return NotImplemented
+        return self.coeffs == q.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -104,9 +105,10 @@ class Poly:
     def _want(other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return Poly.const(other)
-        return None
+        except (TypeError, ValueError):
+            return None
 
     def __add__(self, other):
         q = Poly._want(other)
@@ -167,7 +169,10 @@ class Poly:
         return result
 
     def __divmod__(self, other):
-        """Polynomial long division over the rationals."""
+        """Long division in Z[s]: (quo, rem) with self == quo*other + rem and
+        deg rem < deg other.  Raises ArithmeticError exactly when the
+        quotient over the rationals is not integral; it is integral for a
+        divisor whose leading coefficient is 1 or -1."""
         q = Poly._want(other)
         if q is None:
             return NotImplemented
@@ -177,15 +182,14 @@ class Poly:
         dq, lq = q.degree, q.coeffs[-1]
         quo = [0] * max(len(rem) - dq, 0)
         for k in range(len(rem) - dq - 1, -1, -1):
-            c = rem[k + dq]
-            if not c:
-                continue
-            f = Fraction(c) / lq
-            f = f.numerator if f.denominator == 1 else f
-            quo[k] = f
-            for j, cj in enumerate(q.coeffs):
-                rem[k + j] -= f * cj
-        return Poly(quo), Poly(rem)
+            f, r = divmod(rem[k + dq], lq)
+            if r:
+                raise ArithmeticError("polynomial quotient is not integral")
+            if f:
+                quo[k] = f
+                for j, cj in enumerate(q.coeffs):
+                    rem[k + j] -= f * cj
+        return Poly._raw(tuple(_trim(quo))), Poly._raw(tuple(_trim(rem)))
 
     def exact_div(self, other):
         """Quotient of an exact division; raises when there is a remainder."""
@@ -204,22 +208,15 @@ class Poly:
     def primitive(self):
         """Split into (content, primitive part).
 
-        The content is a positive Fraction, the primitive part has coprime
-        integer coefficients and carries the sign, and
-        ``content * primitive == self``.  The zero polynomial splits into
-        (0, zero).
+        The content is a positive int, the primitive part has coprime
+        coefficients and carries the sign, and ``content * primitive ==
+        self``; a polynomial with content 1 is its own primitive part.  The
+        zero polynomial splits into (0, zero).
         """
-        if not self.coeffs:
-            return Fraction(0), ZERO_POLY
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = _int_lcm(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = _int_gcd(g, c)
-        return Fraction(g, den), Poly._raw(tuple(c // g for c in ints))
+        g = _int_content(self.coeffs)
+        if g in (0, 1):
+            return g, self
+        return g, Poly._raw(tuple(c // g for c in self.coeffs))
 
 
 ZERO_POLY = Poly._raw(())
@@ -264,16 +261,10 @@ def _divides(d, a):
 
     By Gauss's lemma an exact quotient by a primitive d has integer
     coefficients, so integer long division decides it."""
-    dd, ld = len(d) - 1, d[-1]
-    r = list(a)
-    for k in range(len(a) - 1 - dd, -1, -1):
-        q, rest = divmod(r[k + dd], ld)
-        if rest:
-            return False
-        if q:
-            for j, dj in enumerate(d):
-                r[k + j] -= q * dj
-    return not any(r)
+    try:
+        return not divmod(Poly._raw(tuple(a)), Poly._raw(tuple(d)))[1]
+    except ArithmeticError:
+        return False
 
 
 def _heu_gcd(a, b):
@@ -357,37 +348,31 @@ def poly_gcd(p, q):
 
 
 def _normalize(nums, den):
-    """Clear a family of numerators over one polynomial-coprime denominator
-    to integer coefficients with joint content 1 and a positive leading
-    denominator coefficient (no gcd computation)."""
-    scale = 1
-    for p in (*nums, den):
-        for c in p.coeffs:
-            if isinstance(c, Fraction):
-                scale = _int_lcm(scale, c.denominator)
-    num_ints = [[int(c * scale) for c in p.coeffs] for p in nums]
-    den_ints = [int(c * scale) for c in den.coeffs]
-    content = _int_content(den_ints)
-    for row in num_ints:
-        content = _int_gcd(content, _int_content(row))
-    if den_ints[-1] < 0:
+    """Divide a family of numerators over one polynomial-coprime denominator
+    by their joint integer content, signed so that the leading denominator
+    coefficient is positive (no polynomial gcd).  Returns the inputs
+    themselves when that divisor is 1."""
+    content = _int_content(den.coeffs)
+    for p in nums:
+        if content == 1:
+            break
+        content = _int_content((content, *p.coeffs))
+    if den.coeffs[-1] < 0:
         content = -content
-    if content != 1:
-        num_ints = [[c // content for c in row] for row in num_ints]
-        den_ints = [c // content for c in den_ints]
+    if content == 1:
+        return nums, den
     return (
-        [Poly._raw(tuple(row)) for row in num_ints],
-        Poly._raw(tuple(den_ints)),
+        [Poly._raw(tuple(c // content for c in p.coeffs)) for p in nums],
+        Poly._raw(tuple(c // content for c in den.coeffs)),
     )
 
 
 def joint_reduce(nums, den):
     """Reduce a family of numerator polynomials over one denominator.
 
-    Divides gcd(den, all numerators) out, clears all coefficients to
-    integers, divides the joint integer content, and makes the leading
-    denominator coefficient positive.  The family's values num[k]/den are
-    unchanged.  Returns (new_nums, new_den).
+    Divides gcd(den, all numerators) out, then the joint integer content,
+    and makes the leading denominator coefficient positive.  The family's
+    values num[k]/den are unchanged.  Returns (new_nums, new_den).
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
@@ -408,18 +393,17 @@ def joint_reduce(nums, den):
 class RatFun:
     """Rational function in canonical reduced form (see module docstring).
 
-    The constructor accepts polynomials or exact scalars and canonicalizes.
-    All field operations return canonical values, so `==` is exact value
-    equality.
+    The constructor takes integer polynomials or ints and canonicalizes; a
+    rational constant enters through `RatFun.const`.  All field operations
+    return canonical values, so `==` is exact value equality.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = Poly._want(num)
-        den = Poly._want(den)
-        if num is None or den is None:
-            raise TypeError("polynomial or exact scalar expected")
+        if not isinstance(num, (Poly, int)) or not isinstance(den, (Poly, int)):
+            raise TypeError("polynomial or integer expected")
+        num, den = Poly._want(num), Poly._want(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
@@ -603,10 +587,6 @@ S = object.__new__(RatFun)
 S.num, S.den = S_POLY, ONE_POLY
 
 
-def _coeff_str(c):
-    return str(c)
-
-
 def format_poly(p):
     """Ascending-power expression string, e.g. ``12+32*s+33*s^2+14*s^3``.
 
@@ -619,7 +599,7 @@ def format_poly(p):
         if not c:
             continue
         if j == 0:
-            term = _coeff_str(c)
+            term = str(c)
         else:
             base = "s" if j == 1 else f"s^{j}"
             if c == 1:
@@ -627,7 +607,7 @@ def format_poly(p):
             elif c == -1:
                 term = "-" + base
             else:
-                term = f"{_coeff_str(c)}*{base}"
+                term = f"{c}*{base}"
         parts.append(term)
     out = parts[0]
     for term in parts[1:]:
@@ -644,8 +624,7 @@ def _is_atom(p):
     if _term_count(p) != 1:
         return False
     if p.degree == 0:
-        c = p.coeffs[0]
-        return isinstance(c, int) and c > 0
+        return p.coeffs[0] > 0
     return p.coeffs[-1] == 1
 
 

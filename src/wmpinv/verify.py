@@ -50,11 +50,13 @@ def penrose_check(a, m_weight, n_weight, x):
         )
     ax = a * x
     xa = x * a
+    m_ax = m_weight * ax
+    n_xa = n_weight * xa
     residuals = (
         ("(1)", ax * a - a),
         ("(2)", xa * x - x),
-        ("(3M)", (m_weight * ax).transpose() - m_weight * ax),
-        ("(4N)", (n_weight * xa).transpose() - n_weight * xa),
+        ("(3M)", m_ax.transpose() - m_ax),
+        ("(4N)", n_xa.transpose() - n_xa),
     )
     flags = []
     first_failure = None

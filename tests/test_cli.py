@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from helpers import DATA, load
 from wmpinv.cli import run_command
 from wmpinv.matrixio import format_matrix, parse_matrix_file
@@ -220,6 +222,39 @@ class TestVerify:
             )
         assert code == 1
         assert "equation (1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (
+                "matrix 3 3\ns+1; s; s+1\n0; s+2; s\ns+1; s; s+3\n",
+                "input error: row weight must be symmetric",
+            ),
+            (
+                "matrix 2 2\n1; 0\n0; 1\n",
+                "input error: row weight must be square of order = row count",
+            ),
+        ],
+        ids=["non-symmetric", "wrong-order"],
+    )
+    def test_invalid_row_weight_rejected_as_in_compute(
+        self, tmp_path, capsys, weight, message
+    ):
+        # the weights pass the same validation as `compute` before any
+        # product is formed
+        m = tmp_path / "m.mat"
+        m.write_text(weight)
+        code = run_command(
+            [
+                "verify",
+                "--a", fixture("wmp_rank2_a.mat"),
+                "--m", str(m),
+                "--n", fixture("wmp_rank2_n.mat"),
+                "--x", fixture("wmp_rank2_x.mat"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == message
 
 
 class TestInvert:

@@ -6,6 +6,7 @@ tests (schoolbook convolution, divisibility by long division) and frozen.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -23,6 +24,37 @@ def schoolbook_mul(a, b):
     while out and not out[-1]:
         out.pop()
     return tuple(out)
+
+
+def rational_divmod(p, q):
+    # independent oracle for division: long division over Q in Fractions
+    rem = [Fraction(c) for c in p.coeffs]
+    dq = q.degree
+    quo = [Fraction(0)] * max(len(rem) - dq, 0)
+    for k in range(len(rem) - dq - 1, -1, -1):
+        quo[k] = rem[k + dq] / q.coeffs[-1]
+        for j, cj in enumerate(q.coeffs):
+            rem[k + j] -= quo[k] * cj
+    return quo, rem[:dq]
+
+
+def assert_canonical(f, num, den):
+    # f = RatFun(num, den): canonical form, same value
+    assert f.num * den == f.den * num
+    if f.is_zero:
+        assert f.den.coeffs == (1,)
+        return
+    # integer coefficients, joint content 1, positive leading den
+    coeffs = list(f.num.coeffs) + list(f.den.coeffs)
+    assert all(isinstance(c, int) for c in coeffs)
+    joint = 0
+    for c in coeffs:
+        joint = gcd(joint, c)
+    assert joint == 1
+    assert f.den.coeffs[-1] > 0
+    assert poly_gcd(f.num, f.den).degree == 0
+    # re-normalizing is a fixed point
+    assert RatFun(f.num, f.den) == f
 
 
 class TestPolyNormalization:
@@ -43,6 +75,61 @@ class TestPolyNormalization:
             Poly.const(0.5)
         with pytest.raises(TypeError):
             RatFun.const(0.5)
+
+
+class TestIntegerContract:
+    """A Poly holds ints only; rational constants enter through RatFun."""
+
+    def test_fraction_coefficients(self):
+        with pytest.raises(ValueError, match="not integral: 1/2"):
+            Poly([Fraction(1, 2)])
+        with pytest.raises(ValueError, match="not integral: -1/3"):
+            Poly.const(Fraction(-1, 3))
+        p = Poly([Fraction(4, 2)])
+        assert p.coeffs == (2,) and type(p.coeffs[0]) is int
+        with pytest.raises(TypeError):
+            Poly([1, 1]) + Fraction(1, 2)
+        assert Poly([1]) != Fraction(1, 2)
+        assert Poly([2]) == Fraction(4, 2)
+        with pytest.raises(TypeError, match="polynomial or integer expected"):
+            RatFun(Fraction(1, 2))
+        assert RatFun.const(Fraction(1, 2)) == RatFun(1, 2)
+
+    def test_non_integral_quotient_raises(self):
+        with pytest.raises(ArithmeticError):
+            divmod(Poly([0, 0, 1]), Poly([1, 2]))
+        with pytest.raises(ArithmeticError):
+            Poly([1, 2]).exact_div(Poly([2]))
+
+    def test_primitive_content_is_int(self):
+        content, part = Poly([4, 6]).primitive()
+        assert (content, part) == (2, Poly([2, 3]))
+        assert type(content) is int
+        p = Poly([-3, 5])
+        assert p.primitive() == (1, p) and p.primitive()[1] is p
+        assert Poly().primitive() == (0, Poly())
+
+    def test_canonical_and_divmod_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        coeffs = st.lists(st.integers(-(2**40), 2**40), max_size=6)
+        nonzero = st.integers(-(2**40), 2**40).filter(bool)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(coeffs, coeffs, nonzero, st.sampled_from([1, -1]))
+        def check(u, v, lead, unit):
+            p, q = Poly(u), Poly(v + [lead])
+            assert_canonical(RatFun(p, q), p, q)
+            ref_quo, _ = rational_divmod(p, q)
+            if any(c.denominator != 1 for c in ref_quo):
+                with pytest.raises(ArithmeticError):
+                    divmod(p, q)
+                q = Poly(v + [unit])  # the quotient by q is always integral
+            quo, rem = divmod(p, q)
+            assert quo * q + rem == p
+            assert rem.degree < q.degree
+
+        check()
 
 
 class TestPolyArithmetic:
@@ -74,13 +161,24 @@ class TestPolyArithmetic:
             assert (p * q).degree == p.degree + q.degree
 
     def test_divmod_roundtrip(self):
+        # divmod raises exactly when the quotient over Q is not integral
         rng = random.Random(6)
+        outcomes = set()
         for _ in range(30):
             p = Poly([rng.randint(-4, 4) for _ in range(rng.randint(0, 6))])
             q = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 3)])
+            ref_quo, ref_rem = rational_divmod(p, q)
+            integral = all(c.denominator == 1 for c in ref_quo)
+            outcomes.add(integral)
+            if not integral:
+                with pytest.raises(ArithmeticError):
+                    divmod(p, q)
+                continue
             quo, rem = divmod(p, q)
+            assert (quo, rem) == (Poly(ref_quo), Poly(ref_rem))
             assert quo * q + rem == p
             assert rem.degree < q.degree
+        assert outcomes == {True, False}
 
     def test_pow(self):
         assert (Poly([1, 1]) ** 3).coeffs == (1, 3, 3, 1)
@@ -155,16 +253,23 @@ class TestHeuristicGcd:
             q = common * rand_nonconstant(rng, rng.randint(0, 6), bits)
             g = poly_gcd(p, q)
             assert g.coeffs == prs_reference(p, q)
-            assert divmod(g, common)[1].is_zero
+            # g is primitive, so this is divisibility over Q
+            assert divmod(g, common.primitive()[1])[1].is_zero
 
-    def test_negative_leading_and_fraction_inputs(self):
+    def test_negative_leading_and_content_inputs(self):
+        # rational factors cleared to integers by the lcm of their
+        # denominators; a gcd ignores scalar factors
+        def cleared(coeffs):
+            scale = lcm(*(c.denominator for c in coeffs))
+            return Poly([c * scale for c in coeffs])
+
         rng = random.Random(23)
         for _ in range(100):
-            common = Poly(
+            common = cleared(
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2)]
                 + [Fraction(-rng.randint(1, 9), rng.randint(1, 7))]
             )
-            p = common * Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)), -1])
+            p = common * cleared([Fraction(rng.randint(-9, 9), rng.randint(1, 5)), -1])
             q = common * Poly([rng.randint(-9, 9), rng.randint(-9, 9), -3])
             g = poly_gcd(p, q)
             assert g.coeffs == prs_reference(p, q)
@@ -238,24 +343,7 @@ class TestRatFunCanonical:
             den = Poly([])
             while den.is_zero:
                 den = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))])
-            f = RatFun(num, den)
-            if f.is_zero:
-                assert f.den.coeffs == (1,)
-                continue
-            # integer coefficients, joint content 1, positive leading den
-            coeffs = list(f.num.coeffs) + list(f.den.coeffs)
-            assert all(isinstance(c, int) for c in coeffs)
-            from math import gcd
-
-            joint = 0
-            for c in coeffs:
-                joint = gcd(joint, c)
-            assert joint == 1
-            assert f.den.coeffs[-1] > 0
-            assert poly_gcd(f.num, f.den).degree == 0
-            # re-normalizing is a fixed point
-            again = RatFun(f.num, f.den)
-            assert again == f
+            assert_canonical(RatFun(num, den), num, den)
 
 
 class TestRatFunArithmetic:
