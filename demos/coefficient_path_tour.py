@@ -37,8 +37,8 @@ print("input degree:", a.degree, " weight degree:", w.degree)
 # watch the representation grow and then shrink under per-stage reduction
 for state in partition_stages(a, w, w):
     print(
-        f"stage {state.i}: numerator degree {state.num.degree:2d}, "
-        f"denominator degree {len(state.den) - 1:2d}"
+        f"stage {state.i}: numerator degree {state.x.num.degree:2d}, "
+        f"denominator degree {len(state.x.den) - 1:2d}"
     )
 
 frac = coeff_pinv(a, w, w)

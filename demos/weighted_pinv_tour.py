@@ -35,8 +35,8 @@ print("input rank over the function field:", a.rank())
 problem = WeightedProblem(a, m_weight, n_weight)
 for state in partition_stages(problem):
     branch = "-"
-    if state.i > 1:
-        branch = "dependent" if state.resid.is_zero else "independent"
+    if state.stage is not None:
+        branch = "dependent" if state.stage.resid.is_zero else "independent"
     sub = penrose_check(
         a.leading_columns(state.i),
         m_weight,

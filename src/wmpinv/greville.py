@@ -10,9 +10,9 @@ classical bordering recursion, never recomputed from scratch.
 Each stage is a pure function of the previous stage, of column i and of
 the order-i block of the column weight: the stage formulas take what they
 read as arguments and return what they compute, and every stage yields a
-new frozen ``PartitionState`` that later stages never touch.  The
-column-weight inverse is grown by one bordering loop shared with
-``bordering_inverse``.
+new frozen ``PartitionState`` (i, x, ninv, stage) that later stages never
+touch, ``stage`` being None at stage 1.  The column-weight inverse is
+grown by one bordering loop shared with ``bordering_inverse``.
 
 All quantities are exact rational functions; "zero" always means
 identically zero.
@@ -59,19 +59,26 @@ class WeightedProblem:
 
 
 @dataclass(frozen=True)
+class Stage:
+    """The quantities that turn stage i-1 into stage i; ``schur`` is set
+    exactly when the residual is zero (the dependent-column branch)."""
+
+    proj: RfMatrix         # coordinates of the new column in the old ones
+    resid: RfMatrix        # part of the new column outside the old span
+    row: RfMatrix          # new bottom row of the pseudoinverse
+    schur: RatFun = None   # weighted Schur factor
+
+
+@dataclass(frozen=True)
 class PartitionState:
     """State after stage i: the pseudoinverse of the first i columns, the
     inverse of the order-i leading block of the column weight (None at the
-    last stage), and the stage vectors that produced this stage (None at
-    stage 1; ``schur`` only on the dependent-column branch)."""
+    last stage), and the ``Stage`` that produced it (None at stage 1)."""
 
     i: int
     x: RfMatrix
     ninv: RfMatrix = None
-    proj: RfMatrix = None      # coordinates of the new column in the old ones
-    resid: RfMatrix = None     # part of the new column outside the old span
-    row: RfMatrix = None       # new bottom row of the pseudoinverse
-    schur: RatFun = None       # weighted Schur factor (dependent branch only)
+    stage: Stage = None
 
 
 def _weighted_form_row(v, m_weight, what, stage):
@@ -145,20 +152,21 @@ def bordering_step(prev_inv, part):
     """Grow a leading-block inverse by one row and column.
 
     Given the inverse of the previous block and the partition pieces,
-    returns (core, border, corner): the updated top-left block, the new
-    border column and the new corner scalar of the enlarged inverse.  One
-    column t = prev_inv*l serves the Schur scalar and the border.
+    returns the inverse of the enlarged block; a singular one raises with
+    its order as the stage.  One column t = prev_inv*l serves the Schur
+    scalar and the border.
     """
     t = prev_inv * part.l
     schur = part.n_ii - (part.l.transpose() * t)[0, 0]
     if schur.is_zero:
         raise SingularMatrixError(
-            "leading principal block is symbolically singular"
+            "leading principal block is symbolically singular", stage=prev_inv.rows + 1
         )
     corner = schur.reciprocal()
     border = t.scale(-corner)
-    core = prev_inv + (border * border.transpose()).scale(corner.reciprocal())
-    return core, border, corner
+    core = prev_inv + (border * border.transpose()).scale(schur)
+    corner_m = RfMatrix(1, 1, [corner])
+    return RfMatrix.block([[core, border], [border.transpose(), corner_m]])
 
 
 def _leading_inverses(mat, parts):
@@ -170,13 +178,8 @@ def _leading_inverses(mat, parts):
         raise SingularMatrixError("leading 1x1 block is symbolically singular", stage=1)
     inv = RfMatrix(1, 1, [mat[0, 0].reciprocal()])
     yield inv
-    for i, part in enumerate(parts, 2):
-        try:
-            core, border, corner = bordering_step(inv, part)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(str(exc), stage=i) from None
-        corner_m = RfMatrix(1, 1, [corner])
-        inv = RfMatrix.block([[core, border], [border.transpose(), corner_m]])
+    for part in parts:
+        inv = bordering_step(inv, part)
         yield inv
 
 
@@ -218,7 +221,7 @@ def partition_stages(problem):
         row = bottom_row(state.x, proj, resid, schur, problem.m_weight, part, i)
         x = extend_pinv(state.x, proj, coupling, row)
         ninv = next(inverses) if i < a.cols else None
-        state = PartitionState(i, x, ninv, proj, resid, row, schur)
+        state = PartitionState(i, x, ninv, Stage(proj, resid, row, schur))
         yield state
 
 

@@ -348,11 +348,6 @@ class PrincipalPartition:
     l: RfMatrix
     n_ii: RatFun
 
-    def reassemble(self):
-        lt = self.l.transpose()
-        corner = RfMatrix(1, 1, [self.n_ii])
-        return RfMatrix.block([[self.n_prev, self.l], [lt, corner]])
-
 
 def constant_matrix(values):
     """RfMatrix with constant entries from a grid of ints/Fractions."""

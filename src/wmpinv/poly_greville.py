@@ -21,8 +21,9 @@ is what keeps the capacities from growing multiplicatively.
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
 earlier in the same stage as arguments and return new sequences, and the
-driver builds one new frozen state per stage.  The column-weight inverse
-is grown by one bordering loop shared with ``bordering_inverse``.
+driver builds one new frozen state (i, x, ninv, stage) per stage, stage
+being None at stage 1.  The column-weight inverse is grown by one
+bordering loop shared with ``bordering_inverse``.
 
 Zero-length sequences represent zero throughout; when two sequences of
 different lengths are combined the shorter is implicitly padded with
@@ -355,13 +356,6 @@ class MatrixPolyFraction:
     def __init__(self, num, den):
         self.num, self.den = fraction_simplify(num, den)
 
-    @classmethod
-    def _reduced(cls, num, den):
-        # trusted: (num, den) is already fraction_simplify's output
-        f = object.__new__(cls)
-        f.num, f.den = num, den
-        return f
-
     def to_rf_matrix(self):
         return self.num.to_rf_matrix(Poly(self.den))
 
@@ -379,43 +373,47 @@ class MatrixPolyFraction:
 
 
 @dataclass(frozen=True)
-class PolyPartitionState:
-    """Coefficient-path state after a stage, with the stage-local sequences
-    that produced it.
+class PolyStage:
+    """Sequences that turn stage i-1 into stage i; ``schur_den`` is set
+    exactly when the residual is zero (the dependent-column branch), where
+    ``row_den`` is the weighted Schur factor's numerator."""
 
-    ``num``/``den`` hold the pseudoinverse of the leading columns processed
-    so far; ``ninv`` the inverse of the matching leading block of the
-    column weight (None at the last stage).  ``q``, ``m_deg``, ``n_deg``
-    are the input degrees fixed for the whole run; the remaining
-    capacities derive from the current (reduced) representations.
+    proj: tuple             # coordinates of the new column (numerator)
+    resid: tuple            # residual column (numerator)
+    coupling_num: tuple     # weight-coupling column numerator
+    coupling_den: tuple     # ... and its scalar denominator
+    row_num: tuple          # new bottom row numerator
+    row_den: tuple          # ... and its scalar denominator
+    schur_den: tuple = None  # Schur factor denominator
+
+
+@dataclass(frozen=True)
+class PolyPartitionState:
+    """Coefficient-path state after stage i.
+
+    ``x`` is the pseudoinverse of the first i columns; ``ninv`` the
+    inverse of the matching leading block of the column weight (None at
+    the last stage); ``stage`` the ``PolyStage`` that produced it (None at
+    stage 1).  ``q``, ``m_deg``, ``n_deg`` are the input degrees fixed for
+    the whole run; the remaining capacities derive from the current
+    (reduced) representations.
     """
 
     i: int
-    num: PolyMatrix
-    den: tuple
+    x: MatrixPolyFraction
     ninv: MatrixPolyFraction | None
     q: int
     m_deg: int
     n_deg: int
-    proj: tuple = None          # coordinates of the new column (numerator)
-    resid: tuple = None         # residual column (numerator)
-    coupling_num: tuple = None  # weight-coupling column numerator
-    coupling_den: tuple = None  # ... and its scalar denominator
-    row_num: tuple = None       # new bottom row numerator
-    row_den: tuple = None       # ... and its scalar denominator
-    schur_num: tuple = None     # dependent-branch factor numerator
-    schur_den: tuple = None     # ... denominator
-    # the stage sequences above describe how THIS stage was produced from
-    # the previous one (all None at stage 1; schur_* only on the dependent
-    # branch)
+    stage: PolyStage = None
 
     @property
     def q_prev(self):
-        return self.num.degree
+        return self.x.num.degree
 
     @property
     def p_prev(self):
-        return len(self.den) - 1
+        return len(self.x.den) - 1
 
     @property
     def q_hat(self):
@@ -438,7 +436,7 @@ def init_fraction(col, m_weight):
     """Numerator/denominator coefficients of the single-column pseudoinverse.
 
     The zero column yields (zero, 1).  The pair is returned unreduced; the
-    driver reduces it.
+    driver reduces it.  A zero weighted squared length raises at stage 1.
     """
     if col.is_zero:
         return PolyMatrix(1, col.rows), (1,)
@@ -447,13 +445,18 @@ def init_fraction(col, m_weight):
     _check_cap(z, q + m_deg, "single-column numerator")
     y = _unwrap(_conv((1, z, col.coeffs)))
     _check_cap(y, 2 * q + m_deg, "single-column denominator")
-    return PolyMatrix._ints(1, col.rows, z), _strim(y)
+    y = _strim(y)
+    if not y:
+        raise DegenerateWeightError(
+            "weighted squared length of a nonzero column is identically zero", stage=1
+        )
+    return PolyMatrix._ints(1, col.rows, z), y
 
 
 def step_projection(state, col):
     """Numerator coefficients of the new column's coordinates in the old
     columns (shares the previous stage's denominator)."""
-    out = _conv((1, state.num.coeffs, col.coeffs))
+    out = _conv((1, state.x.num.coeffs, col.coeffs))
     _check_cap(out, state.q_prev + state.q, "projection")
     return _mtrim(out)
 
@@ -461,7 +464,7 @@ def step_projection(state, col):
 def step_residual(state, col, prefix, proj):
     """Numerator coefficients of the residual column (over the previous
     denominator); an empty result selects the dependent-column branch."""
-    out = _conv((1, state.den, col.coeffs), (-1, prefix.coeffs, proj))
+    out = _conv((1, state.x.den, col.coeffs), (-1, prefix.coeffs, proj))
     _check_cap(out, state.q_hat + state.q, "residual")
     return _mtrim(out)
 
@@ -473,19 +476,20 @@ def step_coupling(state, prefix, border):
     t = _conv((1, state.ninv.num.coeffs, border.coeffs))
     _check_cap(t, state.nbar_deg + state.n_deg, "weighted coupling column")
     at = _conv((1, prefix.coeffs, t))
-    phi = _conv((1, state.den, t), (-1, state.num.coeffs, at))
+    phi = _conv((1, state.x.den, t), (-1, state.x.num.coeffs, at))
     _check_cap(
         phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator"
     )
-    psi = _conv((1, state.den, state.ninv.den))
+    psi = _conv((1, state.x.den, state.ninv.den))
     _check_cap(psi, state.p_prev + state.ndd_deg, "coupling denominator")
     return _mtrim(phi), _strim(psi)
 
 
 def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     """Numerator/denominator coefficients of the stage's new bottom row,
-    then those of the weighted Schur factor (None, None on the independent
-    branch).
+    then the weighted Schur factor's denominator (None on the independent
+    branch); on the dependent branch the row denominator is the Schur
+    factor's numerator.
 
     Independent branch: r = resid/y is M-orthogonal to the old columns, so
     r^T M r = a_i^T M r for the new column a_i = ``col`` (Greville 1960) and
@@ -518,10 +522,10 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
                 "weighted squared length of a nonzero residual is identically zero",
                 stage=i,
             )
-        return _mtrim(v), w, None, None
+        return _mtrim(v), w, None
 
     # dependent branch: residual is identically zero
-    y, ndd = state.den, state.ninv.den
+    y, ndd = state.x.den, state.ninv.den
     nprev, border, corner = part
     projT = [_mT(m) for m in proj]
     borderT = [_mT(m) for m in border.coeffs]
@@ -539,44 +543,44 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
         (-2, _conv((1, projT, border.coeffs)), y),
     )
     lphi = _conv((1, borderT, coupling_num))
-    schur_num = _unwrap(_conv((1, core, ndd), (-1, lphi, y)))
+    row_den = _unwrap(_conv((1, core, ndd), (-1, lphi, y)))
     _check_cap(
-        schur_num,
+        row_den,
         2 * state.q_hat
         + state.n_deg
         + max(state.n_deg + state.nbar_deg, state.ndd_deg),
         "Schur factor numerator",
     )
-    schur_num = _strim(schur_num)
-    if not schur_num:
+    row_den = _strim(row_den)
+    if not row_den:
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
 
     lhs = _conv((1, dn, (1,)), (-1, y, borderT))
-    v = _conv((1, ndd, _conv((1, lhs, state.num.coeffs))))
+    v = _conv((1, ndd, _conv((1, lhs, state.x.num.coeffs))))
     _check_cap(
         v,
         state.ndd_deg + state.q_prev + state.q_hat + state.n_deg,
         "bottom row numerator (dependent)",
     )
-    return _mtrim(v), schur_num, schur_num, _strim(schur_den)
+    return _mtrim(v), row_den, _strim(schur_den)
 
 
 def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
-    """Assemble and reduce the next stage's numerator/denominator pair: the
+    """The next stage's pseudoinverse as a reduced MatrixPolyFraction: the
     corrected previous block
     ndd*row_den*num - (ndd*proj + coupling_num)*row_num stacked on the new
     bottom row, all over the coupling denominator y*ndd times the row
     denominator."""
     i = state.i + 1
-    m = state.num.cols
+    m = state.x.num.cols
     ndd = state.ninv.den
     b_den = len(row_den) - 1
 
     proj_coupling = _conv((1, ndd, proj), (1, coupling_num, (1,)))
     upper = _conv(
-        (1, _conv((1, ndd, row_den)), state.num.coeffs),
+        (1, _conv((1, ndd, row_den)), state.x.num.coeffs),
         (-1, proj_coupling, row_num),
     )
     cap_upper = (
@@ -599,7 +603,7 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
         )
 
     stacked = _mblock([[upper], [lower]], (i - 1, 1), (m,))
-    return fraction_simplify(PolyMatrix._ints(i, m, stacked), den)
+    return MatrixPolyFraction(PolyMatrix._ints(i, m, stacked), den)
 
 
 # ---------------------------------------------------------------------------
@@ -692,15 +696,9 @@ def partition_stages(a, m_weight=None, n_weight=None):
     parts = [n_weight.partition_coeffs(i) for i in range(2, a.cols + 1)]
     inverses = _leading_inverses(n_weight, parts)
 
-    z, y = init_fraction(a.column(1), m_weight)
-    if not y:
-        raise DegenerateWeightError(
-            "weighted squared length of a nonzero column is identically zero",
-            stage=1,
-        )
-    num, den = fraction_simplify(z, y)
+    x = MatrixPolyFraction(*init_fraction(a.column(1), m_weight))
     ninv = next(inverses) if a.cols > 1 else None
-    state = PolyPartitionState(1, num, den, ninv, q, m_deg, n_deg)
+    state = PolyPartitionState(1, x, ninv, q, m_deg, n_deg)
     yield state
 
     for i, part in enumerate(parts, 2):
@@ -709,18 +707,15 @@ def partition_stages(a, m_weight=None, n_weight=None):
         proj = step_projection(state, col)
         resid = step_residual(state, col, prefix, proj)
         coupling_num, coupling_den = step_coupling(state, prefix, part[1])
-        row_num, row_den, schur_num, schur_den = step_bottom_row(
+        row_num, row_den, schur_den = step_bottom_row(
             state, col, proj, resid, coupling_num, m_weight, part
         )
-        num, den = step_extend(
-            state, proj, coupling_num, coupling_den, row_num, row_den
-        )
+        x = step_extend(state, proj, coupling_num, coupling_den, row_num, row_den)
         ninv = next(inverses) if i < a.cols else None
-        state = PolyPartitionState(
-            i, num, den, ninv, q, m_deg, n_deg,
-            proj, resid, coupling_num, coupling_den,
-            row_num, row_den, schur_num, schur_den,
+        stage = PolyStage(
+            proj, resid, coupling_num, coupling_den, row_num, row_den, schur_den
         )
+        state = PolyPartitionState(i, x, ninv, q, m_deg, n_deg, stage)
         yield state
 
 
@@ -733,7 +728,7 @@ def weighted_pinv(a, m_weight=None, n_weight=None):
     """
     for state in partition_stages(a, m_weight, n_weight):
         pass
-    return MatrixPolyFraction._reduced(state.num, state.den)
+    return state.x
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ class Poly:
         return self.coeffs == q.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # equal values hash equal: a constant hashes as the int it equals
+        return hash(self[0]) if self.degree < 1 else hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -446,7 +447,12 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        # equal values hash equal: as the Fraction or Poly it may equal
+        if self.den.degree:
+            return hash((self.num.coeffs, self.den.coeffs))
+        if self.num.degree < 1:
+            return hash(Fraction(self.num[0], self.den[0]))
+        return hash(self.num)
 
     def __repr__(self):
         return f"RatFun({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"

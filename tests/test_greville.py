@@ -66,9 +66,9 @@ class TestStageFormulas:
         problem = WeightedProblem(RfMatrix.identity(2))
         states = list(partition_stages(problem))
         st = states[1]
-        assert st.proj.is_zero
-        assert st.resid == RfMatrix.from_rows([[e("0")], [e("1")]])
-        assert st.row == RfMatrix.from_rows([[e("0"), e("1")]])
+        assert st.stage.proj.is_zero
+        assert st.stage.resid == RfMatrix.from_rows([[e("0")], [e("1")]])
+        assert st.stage.row == RfMatrix.from_rows([[e("0"), e("1")]])
         assert st.x == RfMatrix.identity(2)
 
     def test_dependent_column_by_hand(self):
@@ -77,10 +77,10 @@ class TestStageFormulas:
         problem = WeightedProblem(ones_1x2())
         states = list(partition_stages(problem))
         st = states[1]
-        assert st.proj == RfMatrix.from_rows([[e("1")]])
-        assert st.resid.is_zero
-        assert st.schur == RatFun(2)
-        assert st.row == RfMatrix.from_rows([[e("1/2")]])
+        assert st.stage.proj == RfMatrix.from_rows([[e("1")]])
+        assert st.stage.resid.is_zero
+        assert st.stage.schur == RatFun(2)
+        assert st.stage.row == RfMatrix.from_rows([[e("1/2")]])
         assert st.x == RfMatrix.from_rows([[e("1/2")], [e("1/2")]])
 
     def test_schur_factor_with_diagonal_weight(self):
@@ -88,14 +88,14 @@ class TestStageFormulas:
         n = constant_matrix([[1, 0], [0, 4]])
         problem = WeightedProblem(ones_1x2(), n_weight=n)
         states = list(partition_stages(problem))
-        assert states[1].schur == RatFun(5)
+        assert states[1].stage.schur == RatFun(5)
 
     def test_identity_weight_schur_is_one_when_all_couplings_vanish(self):
         # zero column appended: proj = 0, coupling = 0, factor = corner = 1
         a = RfMatrix.from_rows([[e("1"), e("0")], [e("0"), e("0")]])
         problem = WeightedProblem(a)
         states = list(partition_stages(problem))
-        assert states[1].schur == RatFun(1)
+        assert states[1].stage.schur == RatFun(1)
 
     def test_rank2_fixture_selects_branches(self):
         # full-rank step at stage 2, dependent step at stage 3
@@ -103,8 +103,8 @@ class TestStageFormulas:
             load("wmp_rank2_a.mat"), load("wmp_rank2_m.mat"), load("wmp_rank2_n.mat")
         )
         states = list(partition_stages(problem))
-        assert not states[1].resid.is_zero
-        assert states[2].resid.is_zero
+        assert not states[1].stage.resid.is_zero
+        assert states[2].stage.resid.is_zero
 
     def test_stage_consistency(self):
         # after every stage, the partial pseudoinverse solves the
@@ -207,11 +207,19 @@ class TestFrozenStages:
         for st in partition_stages(problem):
             states.append(st)
             snapshots.append(asdict(st))
-        assert [st.schur is None for st in states] == [True, True, False]
+        # the three shapes: no stage record at stage 1, and a Schur factor
+        # exactly when the residual is zero
+        assert [st.stage is None for st in states] == [True, False, False]
+        for st in states[1:]:
+            assert (st.stage.schur is None) == (not st.stage.resid.is_zero)
+        assert [st.stage.schur is None for st in states[1:]] == [True, False]
         for st, snapshot in zip(states, snapshots):
             assert asdict(st) == snapshot, f"stage {st.i}"
             with pytest.raises(FrozenInstanceError):
-                st.proj = None
+                st.x = None
+            if st.stage is not None:
+                with pytest.raises(FrozenInstanceError):
+                    st.stage.proj = None
 
 
 class TestConcurrency:
@@ -233,12 +241,22 @@ class TestConcurrency:
         assert serial == threaded
 
 
+def _blocks(inv):
+    """(core, border, corner) of an enlarged inverse: its leading block,
+    the last column above the corner, and the corner scalar."""
+    k = inv.rows - 1
+    assert [inv[k, c] for c in range(k)] == [inv[r, k] for r in range(k)]
+    core = RfMatrix.from_rows([[inv[r, c] for c in range(k)] for r in range(k)])
+    border = RfMatrix.from_rows([[inv[r, k]] for r in range(k)])
+    return core, border, inv[k, k]
+
+
 class TestBordering:
     def test_2x2_adjugate_values(self):
         n = constant_matrix([[2, 1], [1, 2]])
         part = n.principal_partition(2)
         prev_inv = RfMatrix.from_rows([[e("1/2")]])
-        core, border, corner = bordering_step(prev_inv, part)
+        core, border, corner = _blocks(bordering_step(prev_inv, part))
         assert corner == RatFun.const(2) / 3
         assert border == RfMatrix.from_rows([[e("-1/3")]])
         assert core == RfMatrix.from_rows([[e("2/3")]])
@@ -246,15 +264,25 @@ class TestBordering:
     def test_diagonal(self):
         n = RfMatrix.from_rows([[e("s"), e("0")], [e("0"), e("s+1")]])
         part = n.principal_partition(2)
-        core, border, corner = bordering_step(n.leading_block(1).ff_inverse(), part)
+        inv = bordering_step(n.leading_block(1).ff_inverse(), part)
+        core, border, corner = _blocks(inv)
         assert corner == e("1/(s+1)")
         assert border.is_zero
         assert core == RfMatrix.from_rows([[e("1/s")]])
 
     def test_identity(self):
         part = RfMatrix.identity(2).principal_partition(2)
-        core, border, corner = bordering_step(RfMatrix.identity(1), part)
+        core, border, corner = _blocks(bordering_step(RfMatrix.identity(1), part))
         assert (core, border.is_zero, corner) == (RfMatrix.identity(1), True, RatFun(1))
+
+    def test_singular_block_names_its_order(self):
+        # called directly, outside any recursion, the step still names the
+        # order of the singular block it would have built
+        part = constant_matrix([[1, 1], [1, 1]]).principal_partition(2)
+        with pytest.raises(SingularMatrixError) as err:
+            bordering_step(RfMatrix.identity(1), part)
+        assert err.value.stage == 2
+        assert str(err.value) == "leading principal block is symbolically singular"
 
     def test_scalar_inverse(self):
         n = RfMatrix.from_rows([[e("s+2")]])

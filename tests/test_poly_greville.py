@@ -140,32 +140,33 @@ class TestInitFraction:
 class TestStageSequences:
     def test_orthogonal_columns(self):
         states = list(partition_stages(PolyMatrix.identity(2)))
-        st = states[1]
-        assert st.proj == ()  # zero projection trims to nothing
-        assert seq_value(st.resid, st.den and [1], 2, 1) == RfMatrix.from_rows(
+        st, sg = states[1], states[1].stage
+        assert sg.proj == ()  # zero projection trims to nothing
+        assert seq_value(sg.resid, st.x.den and [1], 2, 1) == RfMatrix.from_rows(
             [[e("0")], [e("1")]]
         )
-        assert st.row_num == (((0, 1),),)
-        assert st.row_den == (1,)
-        assert st.num.coeffs == (((1, 0), (0, 1)),)
-        assert st.den == (1,)
+        assert sg.row_num == (((0, 1),),)
+        assert sg.row_den == (1,)
+        assert st.x.num.coeffs == (((1, 0), (0, 1)),)
+        assert st.x.den == (1,)
         # identity weight: the coupling column vanishes and its scalar
         # denominator collapses to the previous one
-        assert st.coupling_num == ()
-        assert st.coupling_den == (1,)
+        assert sg.coupling_num == ()
+        assert sg.coupling_den == (1,)
 
     def test_dependent_column_value(self):
         a = PolyMatrix.from_entries([[1, 1]])
         states = list(partition_stages(a))
-        st = states[1]
-        assert st.resid == ()
-        # Schur factor 2, bottom row value 1/2
-        assert RatFun(Poly(st.schur_num), Poly(st.schur_den)) == RatFun(2)
+        st, sg = states[1], states[1].stage
+        assert sg.resid == ()
+        # Schur factor 2 (its numerator is the row denominator), bottom row
+        # value 1/2
+        assert RatFun(Poly(sg.row_den), Poly(sg.schur_den)) == RatFun(2)
         assert RatFun(
-            Poly([m[0][0] for m in st.row_num]), Poly(st.row_den)
+            Poly([m[0][0] for m in sg.row_num]), Poly(sg.row_den)
         ) == RatFun.const(Fraction(1, 2))
-        assert st.num.entry_poly(0, 0) == Poly([1])
-        assert st.den == (2,)
+        assert st.x.num.entry_poly(0, 0) == Poly([1])
+        assert st.x.den == (2,)
 
     def test_independent_row_is_over_the_weighted_form_with_the_new_column(self):
         # stage 2 is independent and the stage-1 denominator y is not
@@ -173,8 +174,9 @@ class TestStageSequences:
         # factor y on either side
         a, w = load("wmp_poly3_a.mat"), load("wmp_poly3_w.mat")
         ap, wp = PolyMatrix.from_rf_matrix(a), PolyMatrix.from_rf_matrix(w)
-        st1, st = list(partition_stages(ap, wp, wp))[:2]
-        assert len(st1.den) > 1 and st.resid
+        st1, st2 = list(partition_stages(ap, wp, wp))[:2]
+        st = st2.stage
+        assert len(st1.x.den) > 1 and st.resid
         rows = ap.rows
         resid = [Poly([m[r][0] for m in st.resid]) for r in range(rows)]
         form = [
@@ -185,7 +187,7 @@ class TestStageSequences:
         den = sum((form[c] * ap.entry_poly(c, 1) for c in range(rows)), Poly([]))
         assert st.row_den == den.coeffs
         rat = list(rational_stages(WeightedProblem(a, w, w)))[1]
-        assert seq_value(st.row_num, st.row_den, 1, rows) == rat.row
+        assert seq_value(st.row_num, st.row_den, 1, rows) == rat.stage.row
 
     def test_branch_and_value_agreement_with_rational_path(self):
         # the rational path is the reference semantics: branch choice, every
@@ -205,12 +207,13 @@ class TestStageSequences:
                 assert len(pol) == len(rat)
                 for st_rat, st_pol in zip(rat, pol):
                     assert st_rat.i == st_pol.i
-                    got = MatrixPolyFraction(st_pol.num, st_pol.den).to_rf_matrix()
+                    got = st_pol.x.to_rf_matrix()
                     assert got == st_rat.x, f"stage {st_rat.i}"
                     if st_rat.i > 1:
-                        assert (st_pol.resid == ()) == st_rat.resid.is_zero
-                        row = seq_value(st_pol.row_num, st_pol.row_den, 1, a.rows)
-                        assert row == st_rat.row, f"stage {st_rat.i}"
+                        sg_pol, sg_rat = st_pol.stage, st_rat.stage
+                        assert (sg_pol.resid == ()) == sg_rat.resid.is_zero
+                        row = seq_value(sg_pol.row_num, sg_pol.row_den, 1, a.rows)
+                        assert row == sg_rat.row, f"stage {st_rat.i}"
                     if st_pol.ninv is not None:
                         assert st_pol.ninv.to_rf_matrix() == st_rat.ninv
 
@@ -228,8 +231,8 @@ def run_stages(stages):
 
 
 SEQUENCE_FIELDS = (
-    "den", "proj", "resid", "coupling_num", "coupling_den",
-    "row_num", "row_den", "schur_num", "schur_den",
+    "proj", "resid", "coupling_num", "coupling_den",
+    "row_num", "row_den", "schur_den",
 )
 
 
@@ -244,14 +247,24 @@ class TestFrozenStages:
         for st in partition_stages(a, m, n):
             states.append(st)
             snapshots.append(asdict(st))
-        assert [st.schur_num is None for st in states] == [True, True, False]
+        # the three shapes: no stage record at stage 1, and a Schur
+        # denominator exactly when the residual is zero
+        assert [st.stage is None for st in states] == [True, False, False]
+        for st in states[1:]:
+            assert (st.stage.schur_den is None) == (st.stage.resid != ())
+        assert [st.stage.schur_den is None for st in states[1:]] == [True, False]
         for st, snapshot in zip(states, snapshots):
             assert asdict(st) == snapshot, f"stage {st.i}"
             with pytest.raises(FrozenInstanceError):
-                st.row_num = None
+                st.x = None
             # the sequences themselves cannot be changed in place either
+            assert isinstance(st.x.den, tuple), f"stage {st.i}: den"
+            if st.stage is None:
+                continue
+            with pytest.raises(FrozenInstanceError):
+                st.stage.row_num = None
             for name in SEQUENCE_FIELDS:
-                value = getattr(st, name)
+                value = getattr(st.stage, name)
                 assert value is None or isinstance(value, tuple), f"stage {st.i}: {name}"
 
 

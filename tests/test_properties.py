@@ -1,0 +1,58 @@
+"""Property test over small random problems: the two paths take the same
+branch at every stage, and their common result is the weighted
+pseudoinverse, of the rank of the input."""
+
+import pytest
+
+from helpers import rand_weight
+from wmpinv import RatFun, RfMatrix, WeightedProblem
+from wmpinv.greville import partition_stages as rational_stages
+from wmpinv.poly_greville import PolyMatrix
+from wmpinv.poly_greville import partition_stages as poly_stages
+from wmpinv.scalars import Poly
+from wmpinv.verify import cross_path_check, penrose_check
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+@st.composite
+def problems(draw):
+    """A tall, wide or square matrix of order at most 3 with entries of
+    degree at most 2, at times with a zero and a duplicated column, under
+    identity or positive definite weights."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+    columns = [draw(st.lists(entry, min_size=rows, max_size=rows)) for _ in range(cols)]
+    if cols >= 2 and draw(st.booleans()):
+        columns[draw(st.integers(0, cols - 1))] = [Poly()] * rows
+    if cols >= 2 and draw(st.booleans()):
+        source, target = draw(st.permutations(range(cols)))[:2]
+        columns[target] = columns[source]
+    a = RfMatrix.from_rows(
+        [[RatFun(columns[c][r]) for c in range(cols)] for r in range(rows)]
+    )
+    rng = draw(st.randoms(use_true_random=False))
+
+    def weight(k):
+        return RfMatrix.identity(k) if draw(st.booleans()) else rand_weight(rng, k)
+
+    return WeightedProblem(a, weight(rows), weight(cols))
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.given(problems())
+def test_paths_agree_on_every_branch_and_result(problem):
+    a, m, n = problem.a, problem.m_weight, problem.n_weight
+    rat = list(rational_stages(problem))
+    pol = list(poly_stages(*(PolyMatrix.from_rf_matrix(w) for w in (a, m, n))))
+    assert [s.i for s in rat] == [s.i for s in pol] == list(range(1, a.cols + 1))
+    for s_rat, s_pol in zip(rat, pol):
+        assert (s_rat.stage is None) == (s_pol.stage is None) == (s_rat.i == 1)
+        if s_rat.i > 1:
+            assert s_rat.stage.resid.is_zero == (s_pol.stage.resid == ())
+            assert (s_rat.stage.schur is None) == (s_pol.stage.schur_den is None)
+    x = rat[-1].x
+    assert penrose_check(a, m, n, x).all_hold
+    assert cross_path_check(a, m, n)
+    assert x.rank() == a.rank()

@@ -314,6 +314,19 @@ class TestHeuristicGcd:
 
 
 class TestRatFunCanonical:
+    def test_equal_values_hash_equal(self):
+        pairs = (
+            (Poly([2]), 2),
+            (RatFun(2), 2),
+            (Poly([0, 1]), RatFun(Poly([0, 1]))),
+            (RatFun.const(Fraction(1, 2)), Fraction(1, 2)),
+            (Poly(), 0),
+        )
+        for x, y in pairs:
+            assert x == y, (x, y)
+            assert hash(x) == hash(y), (x, y)
+        assert len({2, Poly([2])}) == 1
+
     def test_factor_cancellation(self):
         f = RatFun(Poly([-1, 0, 1]), Poly([-1, 1]))
         assert (f.num.coeffs, f.den.coeffs) == ((1, 1), (1,))
