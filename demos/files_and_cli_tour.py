@@ -26,23 +26,21 @@ print(format_matrix(m))
 assert parse_matrix_file(format_matrix(m)) == m  # round trip
 
 # the same operations through the CLI, in-process
-work = Path(tempfile.mkdtemp())
-(work / "a.mat").write_text(
-    "matrix 3 3\ns+1; s+2; s\ns; s; s+1\ns+1; s+2; s\n"
-)
+with tempfile.TemporaryDirectory() as tmp:
+    work = Path(tmp)
+    (work / "a.mat").write_text("matrix 3 3\ns+1; s+2; s\ns; s; s+1\ns+1; s+2; s\n")
 
-print("compute with identity weights, self-verified:")
-status = run_command(
-    ["compute", "--a", str(work / "a.mat"), "--verify", "--out", str(work / "x.mat")]
-)
-print("exit status:", status)
-print((work / "x.mat").read_text())
+    print("compute with identity weights, self-verified:")
+    a, x = str(work / "a.mat"), str(work / "x.mat")
+    status = run_command(["compute", "--a", a, "--verify", "--out", x])
+    print("exit status:", status)
+    print((work / "x.mat").read_text())
 
-print("evaluate the result at s = 1/2:")
-status = run_command(["eval", "--in", str(work / "x.mat"), "--at", "1/2"])
-print("exit status:", status)
+    print("evaluate the result at s = 1/2:")
+    status = run_command(["eval", "--in", str(work / "x.mat"), "--at", "1/2"])
+    print("exit status:", status)
 
-print("parse errors carry positions and exit with status 2:")
-(work / "bad.mat").write_text("matrix 1 1\ns+\n")
-status = run_command(["compute", "--a", str(work / "bad.mat")])
-print("exit status:", status)
+    print("parse errors carry positions and exit with status 2:")
+    (work / "bad.mat").write_text("matrix 1 1\ns+\n")
+    status = run_command(["compute", "--a", str(work / "bad.mat")])
+    print("exit status:", status)

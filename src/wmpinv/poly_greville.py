@@ -12,11 +12,12 @@ through ``solve`` or ``invert`` as P/L, the integer matrix polynomial P
 over the scalar polynomial L of ``RfMatrix.clear_denominators``.
 
 The degree of every computed sequence is bounded a priori by the degrees
-of its inputs; those capacities are checked before trailing zeros are
-trimmed, so an index slip in any convolution raises CapacityError, also
-under ``python -O``.  After each stage the numerator/denominator pair is
-reduced (common polynomial factor and integer content divided out), which
-is what keeps the capacities from growing multiplicatively.
+of its inputs; ``_fit`` checks each capacity on the untrimmed sequence and
+only then trims trailing zeros, so an index slip in any convolution raises
+CapacityError, also under ``python -O``.  After each stage the
+numerator/denominator pair is reduced (common polynomial factor and integer
+content divided out), which is what keeps the capacities from growing
+multiplicatively.
 
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
@@ -38,7 +39,9 @@ from operator import mul
 from .errors import CapacityError, DegenerateWeightError, SingularMatrixError
 from .greville import WeightedProblem
 from .matrices import RfMatrix
-from .scalars import ONE_POLY, Poly, RatFun, _coerce_coeff, joint_reduce
+from .scalars import (
+    ONE_POLY, Poly, RatFun, _coerce_coeff, _digits, _pack, _trim, joint_reduce
+)
 
 # ---------------------------------------------------------------------------
 # coefficient sequences (scalar: ints; matrix: tuples of tuples of ints)
@@ -46,13 +49,6 @@ from .scalars import ONE_POLY, Poly, RatFun, _coerce_coeff, joint_reduce
 
 def _mT(a):
     return tuple(zip(*a)) if a else ()
-
-
-def _strim(seq):
-    n = len(seq)
-    while n and not seq[n - 1]:
-        n -= 1
-    return tuple(seq[:n])
 
 
 def _mtrim(seq):
@@ -82,10 +78,10 @@ def _poly_coeffs(polys):
     return _by_degree(padded)
 
 
-def _pack(seq, k):
-    """Each entry's sequence as its value at s = 2**k."""
+def _packed(seq, k):
+    """Each entry's sequence as its value at s = 2**k (``scalars._pack``)."""
     if isinstance(seq[0], int):
-        return sum(x << (k * j) for j, x in enumerate(seq))
+        return _pack(seq, k)
     return tuple(tuple(_pack(e, k) for e in zip(*rows)) for rows in zip(*seq))
 
 
@@ -96,14 +92,6 @@ def _pmul(x, y):
     if isinstance(y, int):
         return tuple(tuple(v * y for v in row) for row in x)
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*y)) for row in x)
-
-
-def _unpack(v, k, n):
-    """The n balanced base-2**k digits of v, lowest first: adding half the
-    radix to every digit makes them the plain base-2**k digits."""
-    mask, half = (1 << k) - 1, 1 << (k - 1)
-    v += half * (((1 << (k * n)) - 1) // mask)
-    return [((v >> (k * j)) & mask) - half for j in range(n)]
 
 
 def _conv(*terms):
@@ -128,12 +116,15 @@ def _conv(*terms):
         bound += abs(c) * _norm(a) * _norm(b) * min(len(a), len(b)) * inner
     k = bound.bit_length() + 2
     n = max(len(a) + len(b) - 1 for _, a, b in terms)
-    prods = [_pmul(_pack(a, k), _pmul(c, _pack(b, k))) for c, a, b in terms]
+
+    def unpack(v):
+        digits = _digits(v, k)
+        return digits + [0] * (n - len(digits))
+
+    prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in terms]
     if isinstance(prods[0], int):
-        return _unpack(sum(prods), k, n)
-    return _by_degree(
-        [[_unpack(sum(v), k, n) for v in zip(*rows)] for rows in zip(*prods)]
-    )
+        return unpack(sum(prods))
+    return _by_degree([[unpack(sum(v)) for v in zip(*rows)] for rows in zip(*prods)])
 
 
 def _mblock(grid, heights, widths):
@@ -158,14 +149,16 @@ def _unwrap(seq):
     return [m[0][0] for m in seq]
 
 
-def _check_cap(seq, cap, label):
-    # pre-trim length must fit the formula's degree bound
+def _fit(seq, cap, label):
+    """seq without trailing zeros, as a tuple, once its untrimmed length has
+    been checked against the formula's degree capacity ``cap``."""
     if seq and len(seq) > cap + 1:
         raise CapacityError(
             f"{label}: coefficient sequence of length {len(seq)} exceeds "
             f"its degree capacity {cap}",
             label,
         )
+    return _trim(seq) if seq and isinstance(seq[0], int) else _mtrim(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +250,7 @@ class PolyMatrix:
         return not self.coeffs
 
     def entry_poly(self, r, c):
-        return Poly._raw(_strim([m[r][c] for m in self.coeffs]))
+        return Poly._raw(_trim([m[r][c] for m in self.coeffs]))
 
     def column(self, i):
         if not 1 <= i <= self.cols:
@@ -275,7 +268,8 @@ class PolyMatrix:
         )
 
     def leading_block(self, i):
-        return PolyMatrix(i, i, [tuple(row[:i] for row in m[:i]) for m in self.coeffs])
+        block = [tuple(row[:i] for row in m[:i]) for m in self.coeffs]
+        return PolyMatrix._ints(i, i, block)
 
     def partition_coeffs(self, i):
         """Pieces of the leading i x i block: previous block, coupling
@@ -288,7 +282,7 @@ class PolyMatrix:
         border = PolyMatrix._ints(
             i - 1, 1, [tuple((m[r][i - 1],) for r in range(i - 1)) for m in self.coeffs]
         )
-        corner = _strim([m[i - 1][i - 1] for m in self.coeffs])
+        corner = _trim([m[i - 1][i - 1] for m in self.coeffs])
         return prev, border, corner
 
     def transpose(self):
@@ -442,10 +436,9 @@ def init_fraction(col, m_weight):
         return PolyMatrix(1, col.rows), (1,)
     q, m_deg = col.degree, m_weight.degree
     z = _conv((1, [_mT(m) for m in col.coeffs], m_weight.coeffs))
-    _check_cap(z, q + m_deg, "single-column numerator")
+    z = _fit(z, q + m_deg, "single-column numerator")
     y = _unwrap(_conv((1, z, col.coeffs)))
-    _check_cap(y, 2 * q + m_deg, "single-column denominator")
-    y = _strim(y)
+    y = _fit(y, 2 * q + m_deg, "single-column denominator")
     if not y:
         raise DegenerateWeightError(
             "weighted squared length of a nonzero column is identically zero", stage=1
@@ -457,16 +450,14 @@ def step_projection(state, col):
     """Numerator coefficients of the new column's coordinates in the old
     columns (shares the previous stage's denominator)."""
     out = _conv((1, state.x.num.coeffs, col.coeffs))
-    _check_cap(out, state.q_prev + state.q, "projection")
-    return _mtrim(out)
+    return _fit(out, state.q_prev + state.q, "projection")
 
 
 def step_residual(state, col, prefix, proj):
     """Numerator coefficients of the residual column (over the previous
     denominator); an empty result selects the dependent-column branch."""
     out = _conv((1, state.x.den, col.coeffs), (-1, prefix.coeffs, proj))
-    _check_cap(out, state.q_hat + state.q, "residual")
-    return _mtrim(out)
+    return _fit(out, state.q_hat + state.q, "residual")
 
 
 def step_coupling(state, prefix, border):
@@ -474,15 +465,12 @@ def step_coupling(state, prefix, border):
     N^-1 = nbar/ndd, in rank-one form: y*t - num*(prefix*t) with t = nbar*l,
     over its scalar denominator y*ndd."""
     t = _conv((1, state.ninv.num.coeffs, border.coeffs))
-    _check_cap(t, state.nbar_deg + state.n_deg, "weighted coupling column")
+    t = _fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")
     at = _conv((1, prefix.coeffs, t))
     phi = _conv((1, state.x.den, t), (-1, state.x.num.coeffs, at))
-    _check_cap(
-        phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator"
-    )
+    phi = _fit(phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator")
     psi = _conv((1, state.x.den, state.ninv.den))
-    _check_cap(psi, state.p_prev + state.ndd_deg, "coupling denominator")
-    return _mtrim(phi), _strim(psi)
+    return phi, _fit(psi, state.p_prev + state.ndd_deg, "coupling denominator")
 
 
 def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
@@ -504,25 +492,22 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     """
     i = state.i + 1
     if resid:
-        v = _conv((1, [_mT(m) for m in resid], m_weight.coeffs))
-        _check_cap(
-            v,
+        v = _fit(
+            _conv((1, [_mT(m) for m in resid], m_weight.coeffs)),
             state.q_hat + state.q + state.m_deg,
             "bottom row numerator (independent)",
         )
-        w = _unwrap(_conv((1, v, col.coeffs)))
-        _check_cap(
-            w,
+        w = _fit(
+            _unwrap(_conv((1, v, col.coeffs))),
             state.q_hat + 2 * state.q + state.m_deg,
             "bottom row denominator (independent)",
         )
-        w = _strim(w)
         if not w:
             raise DegenerateWeightError(
                 "weighted squared length of a nonzero residual is identically zero",
                 stage=i,
             )
-        return _mtrim(v), w, None
+        return v, w, None
 
     # dependent branch: residual is identically zero
     y, ndd = state.x.den, state.ninv.den
@@ -530,9 +515,10 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     projT = [_mT(m) for m in proj]
     borderT = [_mT(m) for m in border.coeffs]
     yy = _conv((1, y, y))
-    schur_den = _conv((1, yy, ndd))
-    _check_cap(
-        schur_den, 2 * state.p_prev + state.ndd_deg, "Schur factor denominator"
+    schur_den = _fit(
+        _conv((1, yy, ndd)),
+        2 * state.p_prev + state.ndd_deg,
+        "Schur factor denominator",
     )
 
     # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l, l^T phi
@@ -543,28 +529,25 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
         (-2, _conv((1, projT, border.coeffs)), y),
     )
     lphi = _conv((1, borderT, coupling_num))
-    row_den = _unwrap(_conv((1, core, ndd), (-1, lphi, y)))
-    _check_cap(
-        row_den,
+    row_den = _fit(
+        _unwrap(_conv((1, core, ndd), (-1, lphi, y))),
         2 * state.q_hat
         + state.n_deg
         + max(state.n_deg + state.nbar_deg, state.ndd_deg),
         "Schur factor numerator",
     )
-    row_den = _strim(row_den)
     if not row_den:
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
 
     lhs = _conv((1, dn, (1,)), (-1, y, borderT))
-    v = _conv((1, ndd, _conv((1, lhs, state.x.num.coeffs))))
-    _check_cap(
-        v,
+    v = _fit(
+        _conv((1, ndd, _conv((1, lhs, state.x.num.coeffs)))),
         state.ndd_deg + state.q_prev + state.q_hat + state.n_deg,
         "bottom row numerator (dependent)",
     )
-    return _mtrim(v), row_den, _strim(schur_den)
+    return v, row_den, schur_den
 
 
 def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
@@ -589,14 +572,13 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
         + max(state.nbar_deg + state.n_deg, state.ndd_deg)
         + max(len(row_num) - 1, b_den)
     )
-    _check_cap(upper, cap_upper, "extended numerator (upper block)")
+    upper = _fit(upper, cap_upper, "extended numerator (upper block)")
 
     lower = _conv((1, coupling_den, row_num))
-    _check_cap(lower, cap_upper, "extended numerator (bottom row)")
+    lower = _fit(lower, cap_upper, "extended numerator (bottom row)")
 
     den = _conv((1, coupling_den, row_den))
-    _check_cap(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
-    den = _strim(den)
+    den = _fit(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
     if not den:
         raise CapacityError(
             "extended denominator: identically zero", "extended denominator"
@@ -622,16 +604,12 @@ def poly_bordering_step(inv, border, corner, n_deg):
     nbar, ndd = inv.num.coeffs, inv.den
     nbar_deg, ndd_deg = inv.num.degree, len(ndd) - 1
 
-    f = _conv((1, nbar, border.coeffs))
-    _check_cap(f, nbar_deg + n_deg, "border numerator")
-    f = _mtrim(f)
-    p_seq = _conv((1, corner, ndd))
-    _check_cap(p_seq, n_deg + ndd_deg, "corner scalar product")
+    f = _fit(_conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
+    p_seq = _fit(_conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
     q_seq = _unwrap(_conv((1, [_mT(m) for m in border.coeffs], f)))
-    _check_cap(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
+    q_seq = _fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
     g = _conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
-    _check_cap(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
-    g = _strim(g)
+    g = _fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
     if not g:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=i
@@ -639,26 +617,23 @@ def poly_bordering_step(inv, border, corner, n_deg):
     g_deg, f_deg = len(g) - 1, len(f) - 1
 
     core = _conv((1, g, nbar), (1, f, [_mT(m) for m in f]))
-    _check_cap(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
-    side = _conv((-1, ndd, f))
-    _check_cap(side, ndd_deg + f_deg, "block numerator (border)")
-    ndd2 = _conv((1, ndd, ndd))
-    _check_cap(ndd2, 2 * ndd_deg, "block numerator (corner)")
-    den = _conv((1, ndd, g))
-    _check_cap(den, ndd_deg + g_deg, "block denominator")
+    core = _fit(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
+    side = _fit(_conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
+    ndd2 = _fit(_conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
+    den = _fit(_conv((1, ndd, g)), ndd_deg + g_deg, "block denominator")
     stacked = _mblock(
         [[core, side], [[_mT(m) for m in side], [((c,),) for c in ndd2]]],
         (i - 1, 1),
         (i - 1, 1),
     )
-    return MatrixPolyFraction(PolyMatrix._ints(i, i, stacked), _strim(den))
+    return MatrixPolyFraction(PolyMatrix._ints(i, i, stacked), den)
 
 
 def _leading_inverses(mat, parts):
     """Yield the inverse of the order-1 leading block of ``mat``, then of
     each larger one, one bordering step per ``partition_coeffs`` triple in
     ``parts`` (orders 2, 3, ...), each as a MatrixPolyFraction."""
-    corner = _strim([m[0][0] for m in mat.coeffs])
+    corner = _trim([m[0][0] for m in mat.coeffs])
     if not corner:
         raise SingularMatrixError(
             "leading 1x1 block is symbolically singular", stage=1

@@ -25,7 +25,7 @@ def _trim(coeffs):
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
-    return coeffs[:n]
+    return tuple(coeffs[:n])
 
 
 def _coerce_coeff(c):
@@ -51,7 +51,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = tuple(_trim([_coerce_coeff(c) for c in coeffs]))
+        self.coeffs = _trim([_coerce_coeff(c) for c in coeffs])
 
     @classmethod
     def _raw(cls, coeffs):
@@ -121,7 +121,7 @@ class Poly:
         out = list(a)
         for j, c in enumerate(b):
             out[j] += c
-        return Poly._raw(tuple(_trim(out)))
+        return Poly._raw(_trim(out))
 
     __radd__ = __add__
 
@@ -153,7 +153,7 @@ class Poly:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return Poly._raw(tuple(_trim(out)))
+        return Poly._raw(_trim(out))
 
     __rmul__ = __mul__
 
@@ -190,7 +190,7 @@ class Poly:
                 quo[k] = f
                 for j, cj in enumerate(q.coeffs):
                     rem[k + j] -= f * cj
-        return Poly._raw(tuple(_trim(quo))), Poly._raw(tuple(_trim(rem)))
+        return Poly._raw(_trim(quo)), Poly._raw(_trim(rem))
 
     def exact_div(self, other):
         """Quotient of an exact division; raises when there is a remainder."""
@@ -268,27 +268,36 @@ def _divides(d, a):
         return False
 
 
+def _pack(seq, k):
+    """The integer sequence's value at s = 2**k (shift-Horner)."""
+    v = 0
+    for c in reversed(seq):
+        v = (v << k) + c
+    return v
+
+
+def _digits(v, k):
+    """Balanced base-2**k digits of v (k >= 2), each in (-2**(k-1), 2**(k-1)],
+    lowest first up to the top nonzero one: the inverse of ``_pack`` on
+    sequences in that range, up to trailing zeros."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    digits = []
+    while v:
+        d = v & mask
+        v >>= k
+        if d > half:
+            d -= mask + 1
+            v += 1
+        digits.append(d)
+    return digits
+
+
 def _heu_gcd(a, b):
     """One GCDHEU step (see poly_gcd) on primitive integer coefficient lists
     of degree >= 1: the gcd with a positive leading coefficient, or None
     when the reconstructed candidate fails the divisibility check."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    va = vb = 0
-    for c in reversed(a):
-        va = va * xi + c
-    for c in reversed(b):
-        vb = vb * xi + c
-    h = _int_gcd(va, vb)
-    # balanced digits lie in (-xi/2, xi/2]; h > 0 makes the top one positive
-    half = xi // 2
-    digits = []
-    while h:
-        h, d = divmod(h, xi)
-        if d > half:
-            d -= xi
-            h += 1
-        digits.append(d)
-    g = _primitive_ints(digits)
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    g = _primitive_ints(_digits(_int_gcd(_pack(a, k), _pack(b, k)), k))
     if len(g) == 1 or _divides(g, a) and _divides(g, b):
         return g
     return None
@@ -316,8 +325,9 @@ def poly_gcd(p, q):
     (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989; Liao and Fateman,
     ISSAC 1995) on their primitive integer parts a and b:
 
-    * evaluation: h = gcd(a(xi), b(xi)) over the integers, at
-      xi = 2*min(|a|_inf, |b|_inf) + 2;
+    * evaluation: h = gcd(a(xi), b(xi)) over the integers, at the least
+      power of two xi >= 2*min(|a|_inf, |b|_inf) + 2, so that evaluation
+      and reconstruction are the shifts of ``_pack`` and ``_digits``;
     * reconstruction: G is the primitive part, with positive leading
       coefficient, of the polynomial whose coefficients are the balanced
       base-xi digits of h, each in (-xi/2, xi/2];
@@ -327,6 +337,7 @@ def poly_gcd(p, q):
       nonconstant k divides a and b, so its roots lie strictly inside the
       Cauchy bound 1 + min(|a|_inf, |b|_inf), and then
       |k(xi)| > xi - 1 - min(|a|_inf, |b|_inf) >= xi/2.  So k is constant.
+      The proof needs only xi >= 2*min(|a|_inf, |b|_inf) + 2.
 
     Coprime operands are certified by that one evaluation, since h = 1
     reconstructs to G = 1.  When the divisibility check fails, the

@@ -26,7 +26,7 @@ from wmpinv.matrixio import parse_entry, parse_matrix_file
 from wmpinv.poly_greville import (
     MatrixPolyFraction,
     PolyMatrix,
-    _check_cap,
+    _fit,
     bordering_inverse,
     fraction_simplify,
     init_fraction,
@@ -336,13 +336,26 @@ class TestFractionSimplify:
 
 class TestCapacityChecks:
     def test_violation_raises(self):
+        # the untrimmed length counts: trimmed, [1, 2, 0] would fit degree 1
         with pytest.raises(CapacityError) as info:
-            _check_cap([1, 2, 3], 1, "probe")
+            _fit([1, 2, 0], 1, "probe")
         assert info.value.label == "probe"
         assert str(info.value).startswith("probe: ")
 
     def test_empty_always_fits(self):
-        _check_cap([], -2, "probe")
+        assert _fit([], -2, "probe") == ()
+
+    def test_int_sequence_fits_then_trims(self):
+        # the untrimmed length is checked: 3 coefficients fit degree 2
+        assert _fit([4, -1, 0], 2, "probe") == (4, -1)
+
+    def test_matrix_sequence_fits_then_trims(self):
+        one, zero = ((1, 0), (0, 2)), ((0, 0), (0, 0))
+        assert _fit([zero, one, zero, zero], 3, "probe") == (zero, one)
+
+    def test_all_zero_sequence_fits_as_empty(self):
+        assert _fit([0, 0], 1, "probe") == ()
+        assert _fit([((0,),)], 0, "probe") == ()
 
     def test_random_runs_stay_within_bounds(self):
         # every step asserts its pre-trim length against the formula bound,

@@ -12,7 +12,16 @@ import pytest
 
 from helpers import rand_ratfun
 from wmpinv.errors import PoleError
-from wmpinv.scalars import Poly, RatFun, _heu_gcd, _prs_gcd, joint_reduce, poly_gcd
+from wmpinv.scalars import (
+    Poly,
+    RatFun,
+    _digits,
+    _heu_gcd,
+    _pack,
+    _prs_gcd,
+    joint_reduce,
+    poly_gcd,
+)
 
 
 def schoolbook_mul(a, b):
@@ -234,6 +243,41 @@ def rand_nonconstant(rng, deg, bits):
     return Poly([rng.randint(-(2**bits), 2**bits) for _ in range(deg)] + [top])
 
 
+class TestSequenceCodec:
+    """_pack and _digits, shared by GCDHEU and the coefficient-path kernel."""
+
+    def test_digits_invert_pack(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            k = rng.choice([2, 3, 5, 8, 64, 200])
+            half = 1 << (k - 1)
+            ends = [half, -(half - 1), 0]
+            seq = [
+                rng.choice(ends) if rng.random() < 0.3 else rng.randint(1 - half, half)
+                for _ in range(rng.randint(0, 12))
+            ]
+            if seq and rng.random() < 0.5:
+                seq[-1] = -rng.randint(1, half - 1)  # negative leading coefficient
+            trimmed = list(seq)
+            while trimmed and not trimmed[-1]:
+                trimmed.pop()
+            assert _digits(_pack(seq, k), k) == trimmed, (k, seq)
+
+    def test_digit_range_ends(self):
+        # digits lie in (-2**(k-1), 2**(k-1)]: 2**(k-1) stays a digit, and
+        # -(2**(k-1)) is carried into the next one
+        assert _digits(_pack([4, -3, 4], 3), 3) == [4, -3, 4]
+        assert _digits(_pack([-3, 1], 3), 3) == [-3, 1]
+        assert _digits(-4, 3) == [4, -1]
+        assert _digits(_pack([0, 0, -1], 3), 3) == [0, 0, -1]
+        assert _digits(0, 3) == [] and _pack([], 3) == 0
+
+    def test_gcd_of_high_powers(self):
+        # the evaluation point is 2**197 here, and a(xi) has about 59000 bits
+        base = Poly([1, 1])
+        assert poly_gcd(base**300, base**200) == base**200
+
+
 class TestHeuristicGcd:
     """poly_gcd (one GCDHEU step, PRS fallback) against the PRS alone."""
 
@@ -289,9 +333,10 @@ class TestHeuristicGcd:
         assert poly_gcd(*planted).degree == 10
 
     def test_failed_divisibility_check_falls_back_to_prs(self):
-        # xi = 6: gcd(a(6), b(6)) = 77 reconstructs to 2s-1, which divides b
-        # but not a; the gcd s+1 comes from the PRS
-        a, b = [-3, -3, 1, 1], [-1, 1, 2]
+        # xi = 8: gcd(a(8), b(8)) = 45 reconstructs to s^2-2s-3 = (s+1)(s-3),
+        # which divides neither a = s^3-2s-1 nor b = 2s^2+s-1; the gcd s+1
+        # comes from the PRS
+        a, b = [-1, -2, 0, 1], [-1, 1, 2]
         assert _heu_gcd(a, b) is None
         assert _prs_gcd(a, b) == [1, 1]
         assert poly_gcd(Poly(a), Poly(b)).coeffs == (1, 1)
