@@ -160,6 +160,10 @@ class Poly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        a = self.coeffs
+        if a and a.count(0) == len(a) - 1:
+            # a monomial c*s^k: its power is c^n*s^(k*n)
+            return Poly._raw((0,) * ((len(a) - 1) * n) + (a[-1] ** n,))
         result = ONE_POLY
         base = self
         while n:

@@ -1,20 +1,25 @@
 """Correctness oracles: the four weighted Penrose identities, agreement of
 the two computation paths, and pointwise evaluation consistency.
 
-Everything here is exact: a check passes only when a residual is the zero
-matrix of rational functions, and a failure always carries a nonzero
-residual entry.  There are no tolerances.
+Everything here is exact; there are no tolerances.  The Penrose checker
+clears A, X and the weights to integer matrix polynomials over scalar
+denominators, so each identity holds exactly when an integer
+matrix-polynomial sum, evaluated by the coefficient path's kernel
+``_conv`` with no gcd, is zero.  The rational path and the cross-path
+equality stay the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import DegenerateWeightError, PoleError, SingularMatrixError
 from .greville import WeightedProblem, weighted_pinv
 from .matrices import constant_matrix
-from .poly_greville import solve
+from .poly_greville import _cleared, _conv, _mT, _mtrim, solve
+from .scalars import Poly, RatFun
 
 
 @dataclass(frozen=True)
@@ -34,37 +39,56 @@ class PenroseReport:
         return self.eq1_holds and self.eq2_holds and self.eq3m_holds and self.eq4n_holds
 
 
-def _first_nonzero(mat):
-    for r in range(mat.rows):
-        for c in range(mat.cols):
-            if not mat[r, c].is_zero:
-                return r + 1, c + 1, mat[r, c]
+def _asymmetry(seq):
+    """Coefficient sequence of S^T - S for a square matrix sequence S."""
+    return [tuple(tuple(map(sub, t, row)) for t, row in zip(_mT(m), m)) for m in seq]
+
+
+def _first_nonzero(res):
+    """(row, col, coefficients) of the first nonzero entry of a matrix
+    sequence, in row-major order and 1-based; None for the zero sequence."""
+    for r, rows in enumerate(zip(*res)):
+        for c, seq in enumerate(zip(*rows)):
+            if any(seq):
+                return r + 1, c + 1, seq
     return None
 
 
 def penrose_check(a, m_weight, n_weight, x):
-    """Evaluate all four weighted Penrose residuals exactly."""
+    """Evaluate all four weighted Penrose residuals exactly.
+
+    With A = P/L, X = Xn/d, M = Mn/Lm and N = Nn/Ln the residuals are,
+    over the denominators L^2 d, d^2 L, Lm L d and Ln L d:
+    (1) P Xn P - L d P, (2) Xn P Xn - L d Xn, (3M) S^T - S with
+    S = Mn P Xn, and (4N) T^T - T with T = Nn Xn P.
+    """
     if x.rows != a.cols or x.cols != a.rows:
         raise ValueError(
             f"candidate inverse must be {a.cols}x{a.rows}, got {x.rows}x{x.cols}"
         )
-    ax = a * x
-    xa = x * a
-    m_ax = m_weight * ax
-    n_xa = n_weight * xa
+    for name, w, k in (("M", m_weight, a.rows), ("N", n_weight, a.cols)):
+        if w.rows != k or w.cols != k:
+            raise ValueError(f"weight {name} must be {k}x{k}, got {w.rows}x{w.cols}")
+    (p, l_den), (xn, d), (mn, lm), (nn, ln) = (
+        (mat.coeffs, den) for mat, den in map(_cleared, (a, x, m_weight, n_weight))
+    )
+    ld = _conv((1, l_den, d))
+    px = _mtrim(_conv((1, p, xn)))
+    xp = _mtrim(_conv((1, xn, p)))
     residuals = (
-        ("(1)", ax * a - a),
-        ("(2)", xa * x - x),
-        ("(3M)", m_ax.transpose() - m_ax),
-        ("(4N)", n_xa.transpose() - n_xa),
+        ("(1)", _conv((1, px, p), (-1, ld, p)), l_den),
+        ("(2)", _conv((1, xp, xn), (-1, ld, xn)), d),
+        ("(3M)", _asymmetry(_conv((1, mn, px))), lm),
+        ("(4N)", _asymmetry(_conv((1, nn, xp))), ln),
     )
     flags = []
     first_failure = None
-    for tag, res in residuals:
+    for tag, res, factor in residuals:
         hit = _first_nonzero(res)
         flags.append(hit is None)
         if hit is not None and first_failure is None:
-            first_failure = (tag, *hit)
+            r, c, seq = hit
+            first_failure = (tag, r, c, RatFun(Poly(seq), Poly(factor) * Poly(ld)))
     return PenroseReport(*flags, first_failure=first_failure)
 
 

@@ -1,5 +1,6 @@
 """Shared fixture loading and random problem generators for the tests."""
 
+import os
 from pathlib import Path
 
 from wmpinv import RatFun, RfMatrix, WeightedProblem
@@ -7,10 +8,19 @@ from wmpinv.matrixio import parse_matrix_file
 from wmpinv.scalars import Poly
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def load(name):
     return parse_matrix_file((DATA / name).read_text())
+
+
+def src_env():
+    """The environment with the repository's src directory first on
+    PYTHONPATH, so that a child interpreter imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def rand_poly(rng, max_deg, lo=-3, hi=3):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DATA, load
+from helpers import DATA, load, src_env
 from wmpinv.cli import run_command
 from wmpinv.matrixio import format_matrix, parse_matrix_file
 from wmpinv.matrices import RfMatrix
@@ -72,7 +72,7 @@ class TestCompute:
         result = subprocess.run(
             [sys.executable, "-m", "wmpinv", "eval",
              "--in", fixture("wmp_rank2_a.mat"), "--at", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 0
         assert result.stdout == "matrix 3 3\n2; 3; 1\n1; 1; 2\n2; 3; 1\n"
@@ -374,7 +374,7 @@ class TestHostileInput:
             a.write_text(f"matrix 1 1\n{body}\n")
             result = subprocess.run(
                 [sys.executable, "-m", "wmpinv", "compute", "--a", str(a)],
-                capture_output=True, text=True, timeout=10,
+                capture_output=True, text=True, timeout=10, env=src_env(),
             )
             assert result.returncode == 2, body
             assert result.stdout == ""
@@ -448,7 +448,7 @@ class TestHostileInput:
         result = subprocess.run(
             [sys.executable, "-O", "-c", script,
              "compute", "--a", fixture("wmp_poly3_a.mat"), "--path", "poly"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 3
         assert result.stderr == (

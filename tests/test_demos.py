@@ -2,12 +2,13 @@
 printed when its output was pinned."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -28,13 +29,9 @@ STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
-    )
     result = subprocess.run(
         [sys.executable, str(demo)],
-        cwd=ROOT, env=env, capture_output=True, timeout=300,
+        cwd=ROOT, env=src_env(), capture_output=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr.decode()
     digest = hashlib.sha256(result.stdout).hexdigest()

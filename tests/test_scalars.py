@@ -193,6 +193,18 @@ class TestPolyArithmetic:
         assert (Poly([1, 1]) ** 3).coeffs == (1, 3, 3, 1)
         assert (Poly([0, 1]) ** 0).coeffs == (1,)
 
+    def test_monomial_pow_matches_repeated_product(self):
+        for c in (1, -1, 3, -3):
+            for k in range(4):
+                mono = Poly([0] * k + [c])
+                for n in range(6):
+                    expected = (1,)
+                    for _ in range(n):
+                        expected = schoolbook_mul(expected, mono.coeffs)
+                    assert (mono ** n).coeffs == expected, (c, k, n)
+        assert Poly() ** 0 == 1
+        assert Poly() ** 3 == 0
+
 
 class TestPolyGcd:
     def test_euclid_case(self):

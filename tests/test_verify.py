@@ -11,11 +11,66 @@ from wmpinv.greville import WeightedProblem, weighted_pinv
 from wmpinv.matrices import RfMatrix, constant_matrix
 from wmpinv.matrixio import parse_entry
 from wmpinv.scalars import RatFun
-from wmpinv.verify import cross_path_check, eval_consistency_check, penrose_check
+from wmpinv.verify import (
+    PenroseReport, cross_path_check, eval_consistency_check, penrose_check
+)
 
 
 def e(text):
     return parse_entry(text)
+
+
+def _reference_first_nonzero(mat):
+    for r in range(mat.rows):
+        for c in range(mat.cols):
+            if not mat[r, c].is_zero:
+                return r + 1, c + 1, mat[r, c]
+    return None
+
+
+def reference_penrose_check(a, m_weight, n_weight, x):
+    """The four residuals as products of rational-function matrices, the
+    way the checker computed them before it cleared denominators; kept as
+    an independent reference for the cleared integer form."""
+    ax = a * x
+    xa = x * a
+    m_ax = m_weight * ax
+    n_xa = n_weight * xa
+    residuals = (
+        ("(1)", ax * a - a),
+        ("(2)", xa * x - x),
+        ("(3M)", m_ax.transpose() - m_ax),
+        ("(4N)", n_xa.transpose() - n_xa),
+    )
+    flags = []
+    first_failure = None
+    for tag, res in residuals:
+        hit = _reference_first_nonzero(res)
+        flags.append(hit is None)
+        if hit is not None and first_failure is None:
+            first_failure = (tag, *hit)
+    return PenroseReport(*flags, first_failure=first_failure)
+
+
+def _perturbed(x, r, c):
+    rows = [list(x.row(i)) for i in range(x.rows)]
+    rows[r][c] = rows[r][c] + RatFun(1)
+    return RfMatrix.from_rows(rows)
+
+
+def _fixture_triples():
+    rank2 = [load(f"wmp_rank2_{k}.mat") for k in ("a", "m", "n")]
+    poly3_a, poly3_w = load("wmp_poly3_a.mat"), load("wmp_poly3_w.mat")
+    hess_a, eye5 = load("wmp_hessenberg_a.mat"), RfMatrix.identity(5)
+    return [
+        (*rank2, load("wmp_rank2_x.mat")),
+        (*rank2, load("wmp_rank2_x_canonical.mat")),
+        (load("wmp_rational_a.mat"), *rank2[1:], load("wmp_rational_x.mat")),
+        (poly3_a, poly3_w, poly3_w, load("wmp_poly3_x.mat")),
+        (poly3_a, poly3_w, poly3_w, load("wmp_poly3_x_canonical.mat")),
+        (hess_a, eye5, eye5, load("wmp_hessenberg_x_true.mat")),
+        (hess_a, eye5, eye5, load("wmp_hessenberg_x_printed.mat")),
+    ]
 
 
 class TestPenroseCheck:
@@ -80,6 +135,65 @@ class TestPenroseCheck:
                 RfMatrix.identity(2),
                 RfMatrix.zeros(3, 2),
             )
+
+    def test_wrong_row_weight_shape(self):
+        eye2 = RfMatrix.identity(2)
+        with pytest.raises(ValueError, match="weight M must be 2x2, got 3x3"):
+            penrose_check(eye2, RfMatrix.identity(3), eye2, eye2)
+
+    def test_wrong_column_weight_shape(self):
+        a = RfMatrix.from_rows([[e("s"), e("1")]])
+        x = weighted_pinv(WeightedProblem(a))
+        with pytest.raises(ValueError, match="weight N must be 2x2, got 1x1"):
+            penrose_check(a, RfMatrix.identity(1), RfMatrix.identity(1), x)
+
+
+class TestPenroseReference:
+    """The cleared integer checker reports exactly what the rational-function
+    products report, residual entry included."""
+
+    def assert_same(self, a, m, n, x):
+        assert penrose_check(a, m, n, x) == reference_penrose_check(a, m, n, x)
+
+    def test_fixture_triples(self):
+        for a, m, n, x in _fixture_triples():
+            self.assert_same(a, m, n, x)
+
+    def test_random_problems_and_perturbed_candidates(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            a = rand_problem_matrix(rng)
+            m, n = rand_weight(rng, a.rows), rand_weight(rng, a.cols)
+            x = weighted_pinv(WeightedProblem(a, m, n))
+            self.assert_same(a, m, n, x)
+            self.assert_same(a, m, n, _perturbed(x, 0, 0))
+            self.assert_same(a, m, n, _perturbed(x, x.rows - 1, x.cols - 1))
+
+    def test_fixture_candidates_perturbed_at_first_and_last_entry(self):
+        for a, m, n, x in _fixture_triples():
+            for r, c in ((0, 0), (x.rows - 1, x.cols - 1)):
+                self.assert_same(a, m, n, _perturbed(x, r, c))
+
+    def test_zero_candidate_and_one_by_one(self):
+        for a, m, n, _ in _fixture_triples():
+            self.assert_same(a, m, n, RfMatrix.zeros(a.cols, a.rows))
+        a = RfMatrix.from_rows([[e("(1+s)/(2-s^2)")]])
+        w = RfMatrix.from_rows([[e("3+s^2")]])
+        x = weighted_pinv(WeightedProblem(a, w, w))
+        self.assert_same(a, w, w, x)
+        self.assert_same(a, w, w, _perturbed(x, 0, 0))
+
+    def test_inverse_under_another_weight_fails_three_or_four(self):
+        a, m, n = (load(f"wmp_rank2_{k}.mat") for k in ("a", "m", "n"))
+        eye = RfMatrix.identity(3)
+        for x, tag in (
+            (weighted_pinv(WeightedProblem(a, eye, n)), "(3M)"),
+            (weighted_pinv(WeightedProblem(a, m, eye)), "(4N)"),
+        ):
+            rep = penrose_check(a, m, n, x)
+            assert rep.eq1_holds and rep.eq2_holds
+            assert rep.first_failure[0] == tag
+            self.assert_same(a, m, n, x)
 
 
 class TestCrossPathCheck:
