@@ -1,7 +1,7 @@
 """Tour of the coefficient path.
 
-Polynomial matrices are carried as lists of constant coefficient
-matrices, and each stage's pseudoinverse is a matrix-polynomial numerator
+A polynomial matrix is carried as a grid of per-entry coefficient
+tuples, and each stage's pseudoinverse is a matrix-polynomial numerator
 over one scalar polynomial denominator.  The result must agree entry for
 entry with the rational-function path, because the weighted pseudoinverse
 is unique.

@@ -256,15 +256,18 @@ class RfMatrix:
         integer factor and P the grid of polynomials P[r][c] = self[r][c]*L,
         so self = P / L entrywise.  P and L have int coefficients: every gcd
         divided out of L is primitive, so by Gauss's lemma every quotient of
-        L by an entry denominator is too.
+        L by an entry denominator is too.  Each distinct denominator costs
+        one gcd and one exact division, however many entries share it.
         """
+        dens = {f.den.coeffs: f.den for f in self._e}
         L = ONE_POLY
-        for f in self._e:
-            if f.den.degree > 0 or f.den.coeffs != (1,):
-                g = poly_gcd(L, f.den)
-                L = L.exact_div(g) * f.den if g.degree > 0 else L * f.den
+        for den in dens.values():
+            if den.coeffs != (1,):
+                g = poly_gcd(L, den)
+                L = L.exact_div(g) * den if g.degree > 0 else L * den
+        quotients = {key: L.exact_div(den) for key, den in dens.items()}
         rows = (self.row(r) for r in range(self.rows))
-        return [[f.num * L.exact_div(f.den) for f in row] for row in rows], L
+        return [[f.num * quotients[f.den.coeffs] for f in row] for row in rows], L
 
     def rank(self):
         """Rank over the rational-function field, by elimination."""

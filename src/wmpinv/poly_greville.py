@@ -1,8 +1,9 @@
 """Column-partitioning pseudoinverse at the coefficient level.
 
-Instead of rational-function entries, every quantity is carried as a
-polynomial coefficient sequence: a matrix polynomial is a list of constant
-integer matrices (index j holds the coefficient of s**j), and each stage's
+Instead of rational-function entries, every quantity is carried as
+polynomial coefficient sequences: a matrix polynomial is a grid (a tuple
+of rows) of per-entry integer coefficient tuples, entry (r, c) holding the
+coefficients of s**0, s**1, ... as in ``Poly.coeffs``, and each stage's
 pseudoinverse is one matrix-polynomial numerator over one scalar
 polynomial denominator.  Every formula of the rational path then turns
 into a sum of Cauchy products of coefficient sequences, which one
@@ -26,7 +27,8 @@ driver builds one new frozen state (i, x, ninv, stage) per stage, stage
 being None at stage 1.  The column-weight inverse is grown by one
 bordering loop shared with ``bordering_inverse``.
 
-Zero-length sequences represent zero throughout; when two sequences of
+Zero-length sequences represent zero throughout, so a zero matrix is a
+grid of empty entries and keeps its shape; when two sequences of
 different lengths are combined the shorter is implicitly padded with
 zeros.
 """
@@ -34,7 +36,7 @@ zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .errors import CapacityError, DegenerateWeightError, SingularMatrixError
 from .greville import WeightedProblem
@@ -44,45 +46,38 @@ from .scalars import (
 )
 
 # ---------------------------------------------------------------------------
-# coefficient sequences (scalar: ints; matrix: tuples of tuples of ints)
+# coefficient sequences (scalar: a tuple of ints; matrix: a grid of them)
 
 
-def _mT(a):
-    return tuple(zip(*a)) if a else ()
+def _is_grid(seq):
+    return bool(seq) and not isinstance(seq[0], int)
 
 
-def _mtrim(seq):
-    n = len(seq)
-    while n and not any(map(any, seq[n - 1])):
-        n -= 1
-    return tuple(seq[:n])
+def _mT(grid):
+    return tuple(zip(*grid))
+
+
+def _mtrim(grid):
+    return tuple(tuple(map(_trim, row)) for row in grid)
+
+
+def _len(seq):
+    # untrimmed length: of the longest entry of a grid
+    return max(len(e) for row in seq for e in row) if _is_grid(seq) else len(seq)
 
 
 def _norm(seq):
-    # largest coefficient magnitude of a nonempty sequence
-    if isinstance(seq[0], int):
-        return max(map(abs, seq))
-    return max(max(map(abs, row)) for m in seq for row in m)
-
-
-def _by_degree(grid):
-    """Matrix coefficient sequence from a grid (a list of rows) of
-    per-entry coefficient sequences of one common length."""
-    return list(zip(*(zip(*row) for row in grid)))
-
-
-def _poly_coeffs(polys):
-    """Coefficient sequence of a grid (a list of rows) of polynomials."""
-    deg = max((p.degree for row in polys for p in row), default=-1)
-    padded = [[p.coeffs + (0,) * (deg - p.degree) for p in row] for row in polys]
-    return _by_degree(padded)
+    # largest coefficient magnitude of a nonzero-length sequence
+    if _is_grid(seq):
+        return max(max(map(abs, e), default=0) for row in seq for e in row)
+    return max(map(abs, seq))
 
 
 def _packed(seq, k):
     """Each entry's sequence as its value at s = 2**k (``scalars._pack``)."""
-    if isinstance(seq[0], int):
-        return _pack(seq, k)
-    return tuple(tuple(_pack(e, k) for e in zip(*rows)) for rows in zip(*seq))
+    if _is_grid(seq):
+        return tuple(tuple(_pack(e, k) for e in row) for row in seq)
+    return _pack(seq, k)
 
 
 def _pmul(x, y):
@@ -94,115 +89,116 @@ def _pmul(x, y):
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*y)) for row in x)
 
 
+def _product_shape(a, b):
+    """Shape of a*b (None for a scalar), or ValueError naming both shapes
+    when the matrix product does not conform."""
+    sa, sb = ((len(x), len(x[0])) if _is_grid(x) else None for x in (a, b))
+    if sa and sb and sa[1] != sb[0]:
+        raise ValueError(
+            f"nonconformable product: {sa[0]}x{sa[1]} times {sb[0]}x{sb[1]}"
+        )
+    return (sa[0], sb[1]) if sa and sb else sa or sb
+
+
 def _conv(*terms):
     """Sum of c*a*b over the terms (c, a, b): c an int, a and b scalar or
     matrix coefficient sequences, each product a Cauchy product with a
-    matrix product per term.
+    matrix product per term.  Products that do not conform, or that differ
+    in shape, raise ValueError.
 
     Kronecker substitution: every entry's sequence is packed into its value
     at s = 2**k, the whole sum is evaluated in integer arithmetic, and the
     balanced base-2**k digits are unpacked once.  2**(k-2) exceeds the sum
     over the terms of |c| * max|a| * max|b| * min(len a, len b) * inner,
     which bounds every output coefficient, so the digits are the
-    coefficients.  The result is untrimmed, of the length of the longest
-    product, len a + len b - 1 (a term with an empty operand adds nothing).
+    coefficients.  Every result entry is untrimmed, of the length of the
+    longest product, len a + len b - 1 (a term with a zero-length operand
+    adds nothing), len being the length of a matrix's longest entry.
     """
-    terms = [t for t in terms if t[1] and t[2]]
+    shapes = {_product_shape(a, b) for _, a, b in terms}
+    if len(shapes) > 1:
+        named = sorted("scalar" if s is None else f"{s[0]}x{s[1]}" for s in shapes)
+        raise ValueError(f"terms of different shapes: {' and '.join(named)}")
+    shape = shapes.pop() if shapes else None
+    terms = [(c, a, b) for c, a, b in terms if _len(a) and _len(b)]
     if not terms:
-        return []
+        return (((),) * shape[1],) * shape[0] if shape else ()
     bound = 0
     for c, a, b in terms:
-        inner = len(b[0]) if isinstance(a[0], tuple) and isinstance(b[0], tuple) else 1
-        bound += abs(c) * _norm(a) * _norm(b) * min(len(a), len(b)) * inner
+        inner = len(b) if _is_grid(a) and _is_grid(b) else 1
+        bound += abs(c) * _norm(a) * _norm(b) * min(_len(a), _len(b)) * inner
     k = bound.bit_length() + 2
-    n = max(len(a) + len(b) - 1 for _, a, b in terms)
+    n = max(_len(a) + _len(b) - 1 for _, a, b in terms)
 
     def unpack(v):
         digits = _digits(v, k)
-        return digits + [0] * (n - len(digits))
+        return tuple(digits) + (0,) * (n - len(digits))
 
     prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in terms]
-    if isinstance(prods[0], int):
+    if shape is None:
         return unpack(sum(prods))
-    return _by_degree([[unpack(sum(v)) for v in zip(*rows)] for rows in zip(*prods)])
-
-
-def _mblock(grid, heights, widths):
-    """Coefficient sequence of the block matrix whose (r, c) block is the
-    heights[r] x widths[c] matrix sequence grid[r][c]; shorter sequences
-    are padded with zero matrices."""
-    out = []
-    for j in range(max(len(seq) for row in grid for seq in row)):
-        stacked = []
-        for row, h in zip(grid, heights):
-            parts = [
-                seq[j] if j < len(seq) else ((0,) * w,) * h
-                for seq, w in zip(row, widths)
-            ]
-            stacked.extend(sum(pieces, ()) for pieces in zip(*parts))
-        out.append(tuple(stacked))
-    return out
-
-
-def _unwrap(seq):
-    """Scalar sequence from a sequence of 1x1 matrices."""
-    return [m[0][0] for m in seq]
+    return tuple(tuple(unpack(sum(v)) for v in zip(*rows)) for rows in zip(*prods))
 
 
 def _fit(seq, cap, label):
-    """seq without trailing zeros, as a tuple, once its untrimmed length has
-    been checked against the formula's degree capacity ``cap``."""
-    if seq and len(seq) > cap + 1:
+    """seq with every entry's trailing zeros trimmed, once its untrimmed
+    length has been checked against the formula's degree capacity ``cap``."""
+    n = _len(seq)
+    if n and n > cap + 1:
         raise CapacityError(
-            f"{label}: coefficient sequence of length {len(seq)} exceeds "
+            f"{label}: coefficient sequence of length {n} exceeds "
             f"its degree capacity {cap}",
             label,
         )
-    return _trim(seq) if seq and isinstance(seq[0], int) else _mtrim(seq)
+    return _mtrim(seq) if _is_grid(seq) else _trim(seq)
 
 
 # ---------------------------------------------------------------------------
 # matrix polynomials and matrix/scalar polynomial fractions
 
 
-def _int_const(m, rows, cols):
-    """m as a rows x cols tuple grid of ints; a non-integral coefficient is
-    rejected, naming its 1-based entry."""
+def _int_grid(grid, rows, cols):
+    """grid as a rows x cols grid of trimmed int tuples; a non-integral
+    coefficient is rejected, naming its 1-based entry."""
     def coerce(r, c, x):
         try:
             return _coerce_coeff(x)
         except ValueError:
             raise ValueError(f"entry ({r + 1}, {c + 1}) is not integral: {x}") from None
 
-    grid = tuple(
-        tuple(coerce(r, c, x) for c, x in enumerate(row)) for r, row in enumerate(m)
+    out = tuple(
+        tuple(_trim([coerce(r, c, x) for x in seq]) for c, seq in enumerate(row))
+        for r, row in enumerate(grid)
     )
-    if len(grid) != rows or any(len(row) != cols for row in grid):
-        raise ValueError(f"coefficient matrix is not {rows}x{cols}")
-    return grid
+    if len(out) != rows or any(len(row) != cols for row in out):
+        raise ValueError(f"coefficient grid is not {rows}x{cols}")
+    return out
 
 
 class PolyMatrix:
-    """Matrix polynomial as a sequence of constant integer coefficient matrices.
+    """Matrix polynomial as a grid of per-entry integer coefficient tuples.
 
-    ``coeffs[j]`` is the coefficient matrix of s**j; trailing all-zero
-    coefficient matrices are trimmed, so the zero matrix has no
-    coefficients at all.  Coefficients are ints; the constructors reject a
-    non-integral one (an integral Fraction is taken as its int).
+    ``coeffs[r][c]`` is the coefficient tuple of entry (r, c), lowest
+    degree first and without trailing zeros, as ``Poly.coeffs``; the zero
+    matrix is a grid of empty tuples, so it keeps its shape.  Coefficients
+    are ints; the constructors reject a non-integral one (an integral
+    Fraction is taken as its int).
     """
 
     __slots__ = ("rows", "cols", "coeffs")
 
-    def __init__(self, rows, cols, coeffs=()):
+    def __init__(self, rows, cols, coeffs=None):
         self.rows = rows
         self.cols = cols
-        self.coeffs = _mtrim([_int_const(m, rows, cols) for m in coeffs])
+        if coeffs is None:
+            coeffs = (((),) * cols,) * rows
+        self.coeffs = _int_grid(coeffs, rows, cols)
 
     @classmethod
     def _ints(cls, rows, cols, coeffs):
-        # trusted: every coefficient matrix is a rows x cols tuple grid of ints
+        # trusted: a rows x cols grid of trimmed int tuples
         p = object.__new__(cls)
-        p.rows, p.cols, p.coeffs = rows, cols, _mtrim(coeffs)
+        p.rows, p.cols, p.coeffs = rows, cols, coeffs
         return p
 
     @classmethod
@@ -212,64 +208,60 @@ class PolyMatrix:
         Entries with a nontrivial denominator are rejected, naming the
         1-based entry.
         """
-        for r in range(a.rows):
-            for c in range(a.cols):
-                f = a[r, c]
+        grid = [a.row(r) for r in range(a.rows)]
+        for r, row in enumerate(grid):
+            for c, f in enumerate(row):
                 if f.den != ONE_POLY:
-                    raise ValueError(
-                        f"entry ({r + 1}, {c + 1}) is not a polynomial: {f}"
-                    )
-        polys = [[a[r, c].num for c in range(a.cols)] for r in range(a.rows)]
-        return cls(a.rows, a.cols, _poly_coeffs(polys))
+                    raise ValueError(f"entry ({r + 1}, {c + 1}) is not a polynomial: {f}")
+        coeffs = tuple(tuple(f.num.coeffs for f in row) for row in grid)
+        return cls._ints(a.rows, a.cols, coeffs)
 
     @classmethod
     def from_entries(cls, grid):
         """From a grid of polynomials (or exact scalars)."""
-        polys = []
-        for row in grid:
-            wanted = []
-            for x in row:
-                p = Poly._want(x)
-                if p is None:
-                    raise TypeError(f"polynomial entry expected, got {type(x).__name__}")
-                wanted.append(p)
-            polys.append(wanted)
-        cols = len(polys[0]) if polys else 0
-        return cls(len(polys), cols, _poly_coeffs(polys))
+        def coeffs(x):
+            p = Poly._want(x)
+            if p is None:
+                raise TypeError(f"polynomial entry expected, got {type(x).__name__}")
+            return p.coeffs
+
+        grid = [[coeffs(x) for x in row] for row in grid]
+        return cls(len(grid), len(grid[0]) if grid else 0, grid)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))])
+        grid = tuple(tuple((1,) if i == j else () for j in range(n)) for i in range(n))
+        return cls._ints(n, n, grid)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return _len(self.coeffs) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not any(map(any, self.coeffs))
 
     def entry_poly(self, r, c):
-        return Poly._raw(_trim([m[r][c] for m in self.coeffs]))
+        return Poly._raw(self.coeffs[r][c])
 
     def column(self, i):
         if not 1 <= i <= self.cols:
             raise IndexError(f"column index {i} out of range 1..{self.cols}")
-        c = i - 1
-        return PolyMatrix._ints(
-            self.rows, 1, [tuple((row[c],) for row in m) for m in self.coeffs]
-        )
+        column = tuple((row[i - 1],) for row in self.coeffs)
+        return PolyMatrix._ints(self.rows, 1, column)
 
     def leading_columns(self, i):
         if not 1 <= i <= self.cols:
             raise IndexError(f"column count {i} out of range 1..{self.cols}")
-        return PolyMatrix._ints(
-            self.rows, i, [tuple(row[:i] for row in m) for m in self.coeffs]
-        )
+        return PolyMatrix._ints(self.rows, i, tuple(row[:i] for row in self.coeffs))
 
     def leading_block(self, i):
-        block = [tuple(row[:i] for row in m[:i]) for m in self.coeffs]
-        return PolyMatrix._ints(i, i, block)
+        """The leading principal i x i block (1-based)."""
+        if self.rows != self.cols:
+            raise ValueError("leading principal block of a non-square matrix")
+        if not 1 <= i <= self.rows:
+            raise IndexError(f"block size {i} out of range 1..{self.rows}")
+        return PolyMatrix._ints(i, i, tuple(row[:i] for row in self.coeffs[:i]))
 
     def partition_coeffs(self, i):
         """Pieces of the leading i x i block: previous block, coupling
@@ -278,39 +270,27 @@ class PolyMatrix:
             raise ValueError("principal partition of a non-square matrix")
         if not 2 <= i <= self.rows:
             raise IndexError(f"partition index {i} out of range 2..{self.rows}")
+        border = tuple((row[i - 1],) for row in self.coeffs[:i - 1])
         prev = self.leading_block(i - 1)
-        border = PolyMatrix._ints(
-            i - 1, 1, [tuple((m[r][i - 1],) for r in range(i - 1)) for m in self.coeffs]
-        )
-        corner = _trim([m[i - 1][i - 1] for m in self.coeffs])
-        return prev, border, corner
+        return prev, PolyMatrix._ints(i - 1, 1, border), self.coeffs[i - 1][i - 1]
 
     def transpose(self):
-        return PolyMatrix._ints(self.cols, self.rows, [_mT(m) for m in self.coeffs])
+        return PolyMatrix._ints(self.cols, self.rows, _mT(self.coeffs))
 
     @property
     def is_symmetric(self):
-        return self.rows == self.cols and all(m == _mT(m) for m in self.coeffs)
+        return self.rows == self.cols and self.coeffs == _mT(self.coeffs)
 
     def to_rf_matrix(self, den=1):
         """Entrywise rational functions, each entry over ``den``."""
-        return RfMatrix(
-            self.rows,
-            self.cols,
-            [
-                RatFun(self.entry_poly(r, c), den)
-                for r in range(self.rows)
-                for c in range(self.cols)
-            ],
-        )
+        entries = [RatFun(Poly._raw(e), den) for row in self.coeffs for e in row]
+        return RfMatrix(self.rows, self.cols, entries)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.coeffs == other.coeffs
+        return (self.rows, self.cols, self.coeffs) == (
+            other.rows, other.cols, other.coeffs
         )
 
     def __hash__(self):
@@ -333,12 +313,11 @@ def fraction_simplify(num, den):
         raise ZeroDivisionError("zero scalar denominator")
     if num.is_zero:
         return PolyMatrix(num.rows, num.cols), (1,)
-    entries = [
-        num.entry_poly(r, c) for r in range(num.rows) for c in range(num.cols)
-    ]
+    entries = [Poly._raw(e) for row in num.coeffs for e in row]
     reduced, new_den = joint_reduce(entries, den_poly)
-    polys = [reduced[r * num.cols:(r + 1) * num.cols] for r in range(num.rows)]
-    return PolyMatrix._ints(num.rows, num.cols, _poly_coeffs(polys)), new_den.coeffs
+    coeffs = [p.coeffs for p in reduced]
+    grid = tuple(tuple(coeffs[r:r + num.cols]) for r in range(0, len(coeffs), num.cols))
+    return PolyMatrix._ints(num.rows, num.cols, grid), new_den.coeffs
 
 
 class MatrixPolyFraction:
@@ -435,9 +414,9 @@ def init_fraction(col, m_weight):
     if col.is_zero:
         return PolyMatrix(1, col.rows), (1,)
     q, m_deg = col.degree, m_weight.degree
-    z = _conv((1, [_mT(m) for m in col.coeffs], m_weight.coeffs))
+    z = _conv((1, _mT(col.coeffs), m_weight.coeffs))
     z = _fit(z, q + m_deg, "single-column numerator")
-    y = _unwrap(_conv((1, z, col.coeffs)))
+    y = _conv((1, z, col.coeffs))[0][0]
     y = _fit(y, 2 * q + m_deg, "single-column denominator")
     if not y:
         raise DegenerateWeightError(
@@ -491,14 +470,14 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     ndd*(proj^T Nprev - y*l^T)*num over the Schur numerator.
     """
     i = state.i + 1
-    if resid:
+    if any(map(any, resid)):  # a nonzero entry: the independent branch
         v = _fit(
-            _conv((1, [_mT(m) for m in resid], m_weight.coeffs)),
+            _conv((1, _mT(resid), m_weight.coeffs)),
             state.q_hat + state.q + state.m_deg,
             "bottom row numerator (independent)",
         )
         w = _fit(
-            _unwrap(_conv((1, v, col.coeffs))),
+            _conv((1, v, col.coeffs))[0][0],
             state.q_hat + 2 * state.q + state.m_deg,
             "bottom row denominator (independent)",
         )
@@ -512,8 +491,7 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     # dependent branch: residual is identically zero
     y, ndd = state.x.den, state.ninv.den
     nprev, border, corner = part
-    projT = [_mT(m) for m in proj]
-    borderT = [_mT(m) for m in border.coeffs]
+    projT, borderT = _mT(proj), _mT(border.coeffs)
     yy = _conv((1, y, y))
     schur_den = _fit(
         _conv((1, yy, ndd)),
@@ -524,13 +502,13 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l, l^T phi
     dn = _conv((1, projT, nprev.coeffs))
     core = _conv(
-        (1, [((c,),) for c in corner], yy),
+        (1, ((corner,),), yy),
         (1, dn, proj),
         (-2, _conv((1, projT, border.coeffs)), y),
     )
     lphi = _conv((1, borderT, coupling_num))
     row_den = _fit(
-        _unwrap(_conv((1, core, ndd), (-1, lphi, y))),
+        _conv((1, core, ndd), (-1, lphi, y))[0][0],
         2 * state.q_hat
         + state.n_deg
         + max(state.n_deg + state.nbar_deg, state.ndd_deg),
@@ -556,8 +534,6 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     ndd*row_den*num - (ndd*proj + coupling_num)*row_num stacked on the new
     bottom row, all over the coupling denominator y*ndd times the row
     denominator."""
-    i = state.i + 1
-    m = state.x.num.cols
     ndd = state.ninv.den
     b_den = len(row_den) - 1
 
@@ -570,7 +546,7 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
         state.q_hat
         + state.q
         + max(state.nbar_deg + state.n_deg, state.ndd_deg)
-        + max(len(row_num) - 1, b_den)
+        + max(_len(row_num) - 1, b_den)
     )
     upper = _fit(upper, cap_upper, "extended numerator (upper block)")
 
@@ -584,8 +560,8 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
             "extended denominator: identically zero", "extended denominator"
         )
 
-    stacked = _mblock([[upper], [lower]], (i - 1, 1), (m,))
-    return MatrixPolyFraction(PolyMatrix._ints(i, m, stacked), den)
+    num = PolyMatrix._ints(state.i + 1, state.x.num.cols, upper + lower)
+    return MatrixPolyFraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +582,7 @@ def poly_bordering_step(inv, border, corner, n_deg):
 
     f = _fit(_conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
     p_seq = _fit(_conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
-    q_seq = _unwrap(_conv((1, [_mT(m) for m in border.coeffs], f)))
+    q_seq = _conv((1, _mT(border.coeffs), f))[0][0]
     q_seq = _fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
     g = _conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
     g = _fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
@@ -614,18 +590,14 @@ def poly_bordering_step(inv, border, corner, n_deg):
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=i
         )
-    g_deg, f_deg = len(g) - 1, len(f) - 1
+    g_deg, f_deg = len(g) - 1, _len(f) - 1
 
-    core = _conv((1, g, nbar), (1, f, [_mT(m) for m in f]))
+    core = _conv((1, g, nbar), (1, f, _mT(f)))
     core = _fit(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
     side = _fit(_conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
     ndd2 = _fit(_conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
     den = _fit(_conv((1, ndd, g)), ndd_deg + g_deg, "block denominator")
-    stacked = _mblock(
-        [[core, side], [[_mT(m) for m in side], [((c,),) for c in ndd2]]],
-        (i - 1, 1),
-        (i - 1, 1),
-    )
+    stacked = tuple(map(add, core, side)) + (_mT(side)[0] + (ndd2,),)
     return MatrixPolyFraction(PolyMatrix._ints(i, i, stacked), den)
 
 
@@ -633,12 +605,12 @@ def _leading_inverses(mat, parts):
     """Yield the inverse of the order-1 leading block of ``mat``, then of
     each larger one, one bordering step per ``partition_coeffs`` triple in
     ``parts`` (orders 2, 3, ...), each as a MatrixPolyFraction."""
-    corner = _trim([m[0][0] for m in mat.coeffs])
+    corner = mat.coeffs[0][0]
     if not corner:
         raise SingularMatrixError(
             "leading 1x1 block is symbolically singular", stage=1
         )
-    inv = MatrixPolyFraction(PolyMatrix(1, 1, [((1,),)]), corner)
+    inv = MatrixPolyFraction(PolyMatrix.identity(1), corner)
     yield inv
     for _, border, corner in parts:
         inv = poly_bordering_step(inv, border, corner, mat.degree)
@@ -713,13 +685,14 @@ def weighted_pinv(a, m_weight=None, n_weight=None):
 def _cleared(mat):
     """(P, L) with mat = P/L, by ``RfMatrix.clear_denominators``."""
     grid, den = mat.clear_denominators()
-    return PolyMatrix._ints(mat.rows, mat.cols, _poly_coeffs(grid)), den.coeffs
+    coeffs = tuple(tuple(p.coeffs for p in row) for row in grid)
+    return PolyMatrix._ints(mat.rows, mat.cols, coeffs), den.coeffs
 
 
 def _times(den, frac):
     """den * frac, for a scalar coefficient sequence den."""
     num = frac.num
-    scaled = _conv((1, den, num.coeffs))
+    scaled = _mtrim(_conv((1, den, num.coeffs)))
     return MatrixPolyFraction(PolyMatrix._ints(num.rows, num.cols, scaled), frac.den)
 
 

@@ -39,16 +39,20 @@ class PenroseReport:
         return self.eq1_holds and self.eq2_holds and self.eq3m_holds and self.eq4n_holds
 
 
-def _asymmetry(seq):
-    """Coefficient sequence of S^T - S for a square matrix sequence S."""
-    return [tuple(tuple(map(sub, t, row)) for t, row in zip(_mT(m), m)) for m in seq]
+def _asymmetry(grid):
+    """S^T - S for a square matrix polynomial S whose entries share one
+    length, as the kernel returns them."""
+    return [
+        [tuple(map(sub, t, s)) for t, s in zip(trow, row)]
+        for trow, row in zip(_mT(grid), grid)
+    ]
 
 
 def _first_nonzero(res):
     """(row, col, coefficients) of the first nonzero entry of a matrix
-    sequence, in row-major order and 1-based; None for the zero sequence."""
-    for r, rows in enumerate(zip(*res)):
-        for c, seq in enumerate(zip(*rows)):
+    polynomial, in row-major order and 1-based; None for the zero matrix."""
+    for r, row in enumerate(res):
+        for c, seq in enumerate(row):
             if any(seq):
                 return r + 1, c + 1, seq
     return None

@@ -441,7 +441,7 @@ class TestHostileInput:
             "real = poly_greville._conv\n"
             "def padded(*terms):\n"
             "    out = real(*terms)\n"
-            "    return out + [0] if out and isinstance(out[0], int) else out\n"
+            "    return out + (0,) if out and isinstance(out[0], int) else out\n"
             "poly_greville._conv = padded\n"
             "sys.exit(run_command(sys.argv[1:]))\n"
         )

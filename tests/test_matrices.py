@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import load, rand_matrix, rand_weight
+from wmpinv import matrices
 from wmpinv.errors import PoleError, SingularMatrixError
 from wmpinv.matrices import RfMatrix, constant_matrix
 from wmpinv.matrixio import parse_entry
@@ -182,6 +183,25 @@ class TestClearDenominators:
         for r in range(2):
             for c in range(2):
                 assert RatFun(grid[r][c], den) == a[r, c]
+
+    @pytest.mark.parametrize("den", ["1+s^2", "2*s+2"])
+    def test_one_gcd_per_distinct_denominator(self, monkeypatch, den):
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        real = matrices.poly_gcd
+        monkeypatch.setattr(matrices, "poly_gcd", counted)
+        a = RfMatrix.from_rows(
+            [[e(f"({2 * r + 1}+{2 * c}*s)/({den})") for c in range(3)] for r in range(3)]
+        )
+        grid, l_den = a.clear_denominators()
+        assert len(calls) == 1
+        assert RfMatrix.from_rows(
+            [[RatFun(p, l_den) for p in row] for row in grid]
+        ) == a
 
 
 class TestEval:

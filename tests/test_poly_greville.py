@@ -43,15 +43,17 @@ def e(text):
     return parse_entry(text)
 
 
-def seq_value(mat_seq, den_seq, rows, cols):
-    """Independent decoder: a (matrix seq, scalar seq) pair as an RfMatrix."""
+def seq_value(grid, den_seq, rows, cols):
+    """Independent decoder: a (matrix grid, scalar seq) pair as an RfMatrix."""
     den = Poly(den_seq)
     out = []
     for r in range(rows):
-        out.append(
-            [RatFun(Poly([m[r][c] for m in mat_seq]), den) for c in range(cols)]
-        )
+        out.append([RatFun(Poly(grid[r][c]), den) for c in range(cols)])
     return RfMatrix.from_rows(out)
+
+
+def is_zero_grid(grid):
+    return not any(entry for row in grid for entry in row)
 
 
 class TestPolyMatrix:
@@ -59,15 +61,14 @@ class TestPolyMatrix:
         a = parse_matrix_file("matrix 2 2\ns; 1\n0; s^2")
         p = PolyMatrix.from_rf_matrix(a)
         assert p.coeffs == (
-            ((0, 1), (0, 0)),
-            ((1, 0), (0, 0)),
-            ((0, 0), (0, 1)),
+            ((0, 1), (1,)),
+            ((), (0, 0, 1)),
         )
 
     def test_constant_matrix_single_coefficient(self):
         a = parse_matrix_file("matrix 2 2\n3; 1\n-2; 0")
         p = PolyMatrix.from_rf_matrix(a)
-        assert p.coeffs == (((3, 1), (-2, 0)),)
+        assert p.coeffs == (((3,), (1,)), ((-2,), ()))
 
     def test_rational_entry_rejected_with_position(self):
         a = parse_matrix_file("matrix 1 1\n1/s")
@@ -76,18 +77,18 @@ class TestPolyMatrix:
 
     def test_non_integral_coefficient_rejected_with_position(self):
         with pytest.raises(ValueError, match=r"entry \(2, 1\) is not integral: 1/2"):
-            PolyMatrix(2, 2, [((1, 0), (0, 1)), ((0, 0), (Fraction(1, 2), 0))])
+            PolyMatrix(2, 2, [[(1, 0), (0, 0)], [(0, Fraction(1, 2)), (1, 0)]])
         with pytest.raises(ValueError, match=r"not integral: -1/3"):
             Poly([0, Fraction(-1, 3)])
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             PolyMatrix.from_rf_matrix(parse_matrix_file("matrix 1 2\n1; s/2"))
 
     def test_integral_fraction_taken_as_int(self):
-        p = PolyMatrix(1, 2, [((Fraction(3, 1), Fraction(-4, 2)),)])
-        assert p.coeffs == (((3, -2),),)
-        assert all(type(x) is int for x in p.coeffs[0][0])
+        p = PolyMatrix(1, 2, [[(Fraction(3, 1),), (Fraction(-4, 2),)]])
+        assert p.coeffs == (((3,), (-2,)),)
+        assert all(type(x) is int for entry in p.coeffs[0] for x in entry)
         q = PolyMatrix.from_entries([[Poly([Fraction(6, 3)]), Fraction(5, 1)]])
-        assert q.coeffs == (((2, 5),),)
+        assert q.coeffs == (((2,), (5,)),)
 
     def test_roundtrip_through_rf_matrix(self):
         rng = random.Random(41)
@@ -95,6 +96,18 @@ class TestPolyMatrix:
             a = rand_problem_matrix(rng, max_dim=3)
             p = PolyMatrix.from_rf_matrix(a)
             assert p.to_rf_matrix() == a
+
+    def test_leading_block_checks_its_index(self):
+        a = PolyMatrix.from_rf_matrix(parse_matrix_file("matrix 2 2\ns; 1\n0; s^2"))
+        assert a.leading_block(1).coeffs == (((0, 1),),)
+        assert a.leading_block(2) == a
+        for i in (0, 3, 5):
+            with pytest.raises(IndexError, match=r"out of range 1\.\.2"):
+                a.leading_block(i)
+        with pytest.raises(IndexError):
+            PolyMatrix.identity(2).leading_block(5)
+        with pytest.raises(ValueError, match="non-square"):
+            PolyMatrix(2, 3).leading_block(1)
 
     def test_partition_coeffs(self):
         n = PolyMatrix.from_rf_matrix(load("wmp_rank2_n.mat"))
@@ -117,14 +130,14 @@ class TestInitFraction:
         z, y = init_fraction(
             PolyMatrix.from_entries([[Poly([0, 1])]]), PolyMatrix.identity(1)
         )
-        assert z.coeffs == (((0,),), ((1,),))
+        assert z.coeffs == (((0, 1),),)
         assert y == (0, 0, 1)
 
     def test_matches_rational_path_after_reduction(self):
         a = PolyMatrix.from_rf_matrix(load("wmp_poly3_a.mat"))
         w = PolyMatrix.from_rf_matrix(load("wmp_poly3_w.mat"))
         z, y = init_fraction(a.column(1), w)
-        got = seq_value(list(z.coeffs), list(y), 1, 3)
+        got = seq_value(z.coeffs, y, 1, 3)
         states = list(
             rational_stages(
                 WeightedProblem(
@@ -141,29 +154,29 @@ class TestStageSequences:
     def test_orthogonal_columns(self):
         states = list(partition_stages(PolyMatrix.identity(2)))
         st, sg = states[1], states[1].stage
-        assert sg.proj == ()  # zero projection trims to nothing
+        assert sg.proj == (((),),)  # zero projection: one empty entry
         assert seq_value(sg.resid, st.x.den and [1], 2, 1) == RfMatrix.from_rows(
             [[e("0")], [e("1")]]
         )
-        assert sg.row_num == (((0, 1),),)
+        assert sg.row_num == (((), (1,)),)
         assert sg.row_den == (1,)
-        assert st.x.num.coeffs == (((1, 0), (0, 1)),)
+        assert st.x.num.coeffs == (((1,), ()), ((), (1,)))
         assert st.x.den == (1,)
         # identity weight: the coupling column vanishes and its scalar
         # denominator collapses to the previous one
-        assert sg.coupling_num == ()
+        assert sg.coupling_num == (((),),)
         assert sg.coupling_den == (1,)
 
     def test_dependent_column_value(self):
         a = PolyMatrix.from_entries([[1, 1]])
         states = list(partition_stages(a))
         st, sg = states[1], states[1].stage
-        assert sg.resid == ()
+        assert sg.resid == (((),),)
         # Schur factor 2 (its numerator is the row denominator), bottom row
         # value 1/2
         assert RatFun(Poly(sg.row_den), Poly(sg.schur_den)) == RatFun(2)
         assert RatFun(
-            Poly([m[0][0] for m in sg.row_num]), Poly(sg.row_den)
+            Poly(sg.row_num[0][0]), Poly(sg.row_den)
         ) == RatFun.const(Fraction(1, 2))
         assert st.x.num.entry_poly(0, 0) == Poly([1])
         assert st.x.den == (2,)
@@ -176,14 +189,14 @@ class TestStageSequences:
         ap, wp = PolyMatrix.from_rf_matrix(a), PolyMatrix.from_rf_matrix(w)
         st1, st2 = list(partition_stages(ap, wp, wp))[:2]
         st = st2.stage
-        assert len(st1.x.den) > 1 and st.resid
+        assert len(st1.x.den) > 1 and not is_zero_grid(st.resid)
         rows = ap.rows
-        resid = [Poly([m[r][0] for m in st.resid]) for r in range(rows)]
+        resid = [Poly(st.resid[r][0]) for r in range(rows)]
         form = [
             sum((resid[r] * wp.entry_poly(r, c) for r in range(rows)), Poly([]))
             for c in range(rows)
         ]
-        assert [Poly([m[0][c] for m in st.row_num]) for c in range(rows)] == form
+        assert [Poly(st.row_num[0][c]) for c in range(rows)] == form
         den = sum((form[c] * ap.entry_poly(c, 1) for c in range(rows)), Poly([]))
         assert st.row_den == den.coeffs
         rat = list(rational_stages(WeightedProblem(a, w, w)))[1]
@@ -211,7 +224,7 @@ class TestStageSequences:
                     assert got == st_rat.x, f"stage {st_rat.i}"
                     if st_rat.i > 1:
                         sg_pol, sg_rat = st_pol.stage, st_rat.stage
-                        assert (sg_pol.resid == ()) == sg_rat.resid.is_zero
+                        assert is_zero_grid(sg_pol.resid) == sg_rat.resid.is_zero
                         row = seq_value(sg_pol.row_num, sg_pol.row_den, 1, a.rows)
                         assert row == sg_rat.row, f"stage {st_rat.i}"
                     if st_pol.ninv is not None:
@@ -251,7 +264,7 @@ class TestFrozenStages:
         # denominator exactly when the residual is zero
         assert [st.stage is None for st in states] == [True, False, False]
         for st in states[1:]:
-            assert (st.stage.schur_den is None) == (st.stage.resid != ())
+            assert (st.stage.schur_den is None) != is_zero_grid(st.stage.resid)
         assert [st.stage.schur_den is None for st in states[1:]] == [True, False]
         for st, snapshot in zip(states, snapshots):
             assert asdict(st) == snapshot, f"stage {st.i}"
@@ -271,7 +284,7 @@ class TestFrozenStages:
 class TestExtend:
     def test_identity(self):
         x = weighted_pinv(PolyMatrix.identity(2))
-        assert x.num.coeffs == (((1, 0), (0, 1)),)
+        assert x.num.coeffs == (((1,), ()), ((), (1,)))
         assert x.den == (1,)
 
     def test_pair_of_equal_columns_penrose_oracle(self):
@@ -301,9 +314,9 @@ class TestExtend:
 class TestFractionSimplify:
     def test_common_factor_divided_out(self):
         ee = ((1, 2), (3, 4))
-        num = PolyMatrix(2, 2, [((0, 0), (0, 0)), tuple(tuple(2 * x for x in r) for r in ee)])
+        num = PolyMatrix(2, 2, [[(0, 2 * x) for x in r] for r in ee])
         out_num, out_den = fraction_simplify(num, (0, 2))
-        assert out_num.coeffs == (ee,)
+        assert out_num.coeffs == tuple(tuple((x,) for x in r) for r in ee)
         assert out_den == (1,)
 
     def test_idempotent(self):
@@ -350,12 +363,13 @@ class TestCapacityChecks:
         assert _fit([4, -1, 0], 2, "probe") == (4, -1)
 
     def test_matrix_sequence_fits_then_trims(self):
-        one, zero = ((1, 0), (0, 2)), ((0, 0), (0, 0))
-        assert _fit([zero, one, zero, zero], 3, "probe") == (zero, one)
+        # s times ((1, 0), (0, 2)), every entry untrimmed to length 4
+        grid = (((0, 1, 0, 0), (0, 0, 0, 0)), ((0, 0, 0, 0), (0, 2, 0, 0)))
+        assert _fit(grid, 3, "probe") == (((0, 1), ()), ((), (0, 2)))
 
     def test_all_zero_sequence_fits_as_empty(self):
         assert _fit([0, 0], 1, "probe") == ()
-        assert _fit([((0,),)], 0, "probe") == ()
+        assert _fit((((0,),),), 0, "probe") == (((),),)
 
     def test_random_runs_stay_within_bounds(self):
         # every step asserts its pre-trim length against the formula bound,

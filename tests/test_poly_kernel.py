@@ -4,9 +4,12 @@ Cauchy products.
 The reference below is the termwise arithmetic the coefficient path used
 before the kernel: scalar, scalar-matrix and matrix-matrix convolutions
 that multiply constant matrices coefficient pair by coefficient pair, and
-a termwise sum that pads the shorter sequence with zeros.  The kernel must
-reproduce its values and its untrimmed lengths exactly, since every
-capacity check reads the length before trimming.
+a termwise sum that pads the shorter sequence with zeros.  The reference
+keeps that degree-major layout (a list of constant matrices), while the
+kernel takes and returns grids of per-entry coefficient tuples; the tests
+convert at the boundary.  The kernel must reproduce the reference's values
+and its untrimmed lengths exactly, since every capacity check reads the
+length before trimming.
 """
 
 import random
@@ -107,6 +110,32 @@ def reference(*terms):
     return out
 
 
+def to_grid(seq, rows, cols):
+    """Grid of per-entry sequences of a degree-major rows x cols sequence."""
+    return tuple(
+        tuple(tuple(m[r][c] for m in seq) for c in range(cols)) for r in range(rows)
+    )
+
+
+def to_degree_major(seq):
+    """Degree-major list of a grid whose entries share one length; a scalar
+    sequence as a list.  An entry shorter than the longest raises."""
+    if not seq or isinstance(seq[0], int):
+        return list(seq)
+    n = max(len(e) for row in seq for e in row)
+    return [tuple(tuple(e[j] for e in row) for row in seq) for j in range(n)]
+
+
+def kernel(*terms):
+    """``_conv`` on grid terms, its result in the degree-major layout."""
+    return to_degree_major(_conv(*terms))
+
+
+def ref(*terms):
+    """``reference`` on grid terms."""
+    return reference(*((c, to_degree_major(a), to_degree_major(b)) for c, a, b in terms))
+
+
 def scalar_seq(rng, bits, length=None):
     length = rng.randint(0, 4) if length is None else length
     seq = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
@@ -129,7 +158,7 @@ def matrix_seq(rng, rows, cols, bits):
         seq += [_mzero(rows, cols)] * rng.randint(1, 2)  # untrimmed
     if rng.random() < 0.1:
         seq = [_mzero(rows, cols)] * len(seq)
-    return seq
+    return to_grid(seq, rows, cols)
 
 
 def random_terms(rng, bits):
@@ -179,31 +208,33 @@ class TestKernelAgainstSchoolbook:
         rng = random.Random(71 + bits)
         for _ in range(400):
             terms = random_terms(rng, bits)
-            want = reference(*terms)
-            got = _conv(*terms)
+            want = ref(*terms)
+            got = kernel(*terms)
             assert len(got) == len(want), terms
-            assert list(got) == list(want), terms
+            assert got == want, terms
 
     def test_empty_operands_add_nothing(self):
-        m = [((1, 2), (3, 4))]
-        assert _conv((1, [], [1, 2])) == []
-        assert _conv((1, [1, 2], [])) == []
-        assert _conv((1, [], m)) == []
-        assert _conv((1, m, [])) == []
-        assert _conv() == []
-        assert _conv((1, [], [5]), (2, [1, 1], [3])) == [6, 6]
+        # a zero matrix is a grid of empty entries and keeps its shape
+        m = to_grid([((1, 2), (3, 4))], 2, 2)
+        zero = (((), ()), ((), ()))
+        assert _conv((1, [], [1, 2])) == ()
+        assert _conv((1, [1, 2], [])) == ()
+        assert _conv((1, [], m)) == zero
+        assert _conv((1, m, [])) == zero
+        assert _conv() == ()
+        assert _conv((1, [], [5]), (2, [1, 1], [3])) == (6, 6)
 
     def test_all_zero_operands_keep_their_length(self):
-        zero = [_mzero(2, 2)] * 3
-        assert _conv((1, [0, 0], [0, 0, 0])) == [0, 0, 0, 0]
-        assert _conv((1, zero, zero)) == [_mzero(2, 2)] * 5
-        assert _conv((2, [0], zero)) == [_mzero(2, 2)] * 3
+        zero = to_grid([_mzero(2, 2)] * 3, 2, 2)
+        assert _conv((1, [0, 0], [0, 0, 0])) == (0, 0, 0, 0)
+        assert kernel((1, zero, zero)) == [_mzero(2, 2)] * 5
+        assert kernel((2, [0], zero)) == [_mzero(2, 2)] * 3
 
     def test_untrimmed_operands_keep_their_length(self):
-        a = [((1,), (2,)), ((0,), (0,))]  # 2x1, trailing zero matrix
-        b = [((3, -1),), ((0, 0),), ((0, 0),)]  # 1x2, two trailing zeros
-        got = _conv((1, a, b))
-        assert got == reference((1, a, b))
+        a = to_grid([((1,), (2,)), ((0,), (0,))], 2, 1)  # trailing zero matrix
+        b = to_grid([((3, -1),), ((0, 0),), ((0, 0),)], 1, 2)  # two of them
+        got = kernel((1, a, b))
+        assert got == ref((1, a, b))
         assert len(got) == 4
 
     def test_sums_that_cancel_keep_their_length(self):
@@ -212,12 +243,13 @@ class TestKernelAgainstSchoolbook:
             s, t = scalar_seq(rng, bits, 3), scalar_seq(rng, bits, 2)
             a, b = matrix_seq(rng, 2, 3, bits), matrix_seq(rng, 3, 1, bits)
             n = len(s) + len(t) - 1
-            assert _conv((1, s, t), (-1, t, s)) == [0] * n
-            assert _conv((2, s, t), (-1, s, t), (-1, t, s)) == [0] * n
-            if a and b:
-                n = len(a) + len(b) - 1
-                assert _conv((1, a, b), (-1, a, b)) == [_mzero(2, 1)] * n
-                assert _conv((2, s, a), (-1, a, s), (-1, s, a)) == reference(
+            assert _conv((1, s, t), (-1, t, s)) == (0,) * n
+            assert _conv((2, s, t), (-1, s, t), (-1, t, s)) == (0,) * n
+            a_len, b_len = len(to_degree_major(a)), len(to_degree_major(b))
+            if a_len and b_len:
+                n = a_len + b_len - 1
+                assert kernel((1, a, b), (-1, a, b)) == [_mzero(2, 1)] * n
+                assert kernel((2, s, a), (-1, a, s), (-1, s, a)) == ref(
                     (2, s, a), (-1, a, s), (-1, s, a)
                 )
 
@@ -226,15 +258,16 @@ class TestKernelAgainstSchoolbook:
         # as large as the packing bound allows
         for top in (1, 3, 2**1000 - 1):
             for sign in (1, -1):
-                a = [((top,) * 6,) * 2] * 5
-                b = [((sign * top,),) * 6] * 5
+                a = to_grid([((top,) * 6,) * 2] * 5, 2, 6)
+                b = to_grid([((sign * top,),) * 6] * 5, 6, 1)
+                c = to_grid([((top,),) * 2] * 3, 2, 1)
                 s = [sign * top] * 5
                 for terms in (
-                    [(2, a, b), (-2, [((top,),) * 2] * 3, s)],
+                    [(2, a, b), (-2, c, s)],
                     [(-2, s, s), (-2, s, s)],
                     [(2, s, a)],
                 ):
-                    assert _conv(*terms) == reference(*terms)
+                    assert kernel(*terms) == ref(*terms)
 
     def test_outer_and_inner_products(self):
         rng = random.Random(79)
@@ -242,12 +275,42 @@ class TestKernelAgainstSchoolbook:
             col = matrix_seq(rng, k, 1, 1000)
             row = matrix_seq(rng, 1, k, 1000)
             for a, b in ((row, col), (col, row)):
-                assert _conv((-1, a, b)) == reference((-1, a, b))
+                assert kernel((-1, a, b)) == ref((-1, a, b))
 
     def test_scalar_matrix_and_coefficients(self):
-        m = [((1, -2), (0, 3)), ((4, 0), (0, -1))]
+        m = to_grid([((1, -2), (0, 3)), ((4, 0), (0, -1))], 2, 2)
         s = [2, -1]
         for c in (-2, -1, 1, 2):
-            assert _conv((c, s, m)) == reference((c, s, m))
-            assert _conv((c, m, s)) == reference((c, s, m))
-            assert _conv((c, s, s)) == [4 * c, -4 * c, c]
+            assert kernel((c, s, m)) == ref((c, s, m))
+            assert kernel((c, m, s)) == ref((c, s, m))
+            assert _conv((c, s, s)) == (4 * c, -4 * c, c)
+
+
+def identity_grid(n):
+    return tuple(tuple((1,) if r == c else () for c in range(n)) for r in range(n))
+
+
+class TestConformity:
+    """Grids carry their shape, zero ones included, so a product that does
+    not conform raises instead of being truncated."""
+
+    def test_inner_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="3x3 times 2x2"):
+            _conv((1, identity_grid(3), identity_grid(2)))
+        row, col = to_grid([((1, 2, 3),)], 1, 3), to_grid([((1,), (2,))], 2, 1)
+        with pytest.raises(ValueError, match="1x3 times 2x1"):
+            _conv((1, row, col))
+
+    def test_terms_must_share_one_shape(self):
+        i2, i3 = identity_grid(2), identity_grid(3)
+        with pytest.raises(ValueError, match="2x2 and 3x3"):
+            _conv((1, i2, i2), (-1, i3, i3))
+        with pytest.raises(ValueError, match="2x2 and scalar"):
+            _conv((1, [1], [1]), (1, i2, [1]))
+
+    def test_zero_operands_are_checked_too(self):
+        zero3 = to_grid([], 3, 3)
+        with pytest.raises(ValueError, match="3x3 times 2x2"):
+            _conv((1, zero3, identity_grid(2)))
+        with pytest.raises(ValueError, match="2x2 and 3x3"):
+            _conv((1, zero3, []), (1, identity_grid(2), [1]))
