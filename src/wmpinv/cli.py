@@ -9,7 +9,9 @@ Diagnostics go to stderr, one line per failure; results go to stdout or
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from fractions import Fraction
 
 from .errors import (
     CapacityError,
@@ -92,13 +94,18 @@ def _cmd_verify(args):
     return 1
 
 
+# the documented point forms only: Fraction alone also reads an exponent,
+# and builds 10**30000000 for 1e30000000
+_POINT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _cmd_eval(args):
     mat = _load(args.infile)
-    from fractions import Fraction
-
     try:
-        point = Fraction(args.at)
+        point = Fraction(args.at) if _POINT.fullmatch(args.at) else None
     except (ValueError, ZeroDivisionError):
+        point = None
+    if point is None:
         _diag(f"invalid evaluation point {args.at!r}: expected <p>/<q> or an integer")
         return 2
     values = mat.eval_at(point)

@@ -8,7 +8,8 @@ leading principal block of the column weight is carried along by the
 classical bordering recursion, never recomputed from scratch.
 
 Each stage is a pure function of the previous stage, of column i and of
-the order-i block of the column weight: the stage formulas take what they
+the order-i block of the column weight, split by ``principal_partition``
+into the triple (prev, border, corner): the stage formulas take what they
 read as arguments and return what they compute, and every stage yields a
 new frozen ``PartitionState`` (i, x, ninv, stage) that later stages never
 touch, ``stage`` being None at stage 1.  The column-weight inverse is
@@ -21,14 +22,10 @@ identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DegenerateWeightError, SingularMatrixError
-from .matrices import RfMatrix
+from .matrices import Grid, RfMatrix
 from .scalars import RatFun
-
-if TYPE_CHECKING:
-    from .poly_greville import PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -37,25 +34,31 @@ class WeightedProblem:
     matrix's own type by default.  ``a`` is an RfMatrix (rational path) or
     a PolyMatrix (coefficient path), and the weights are of the same type."""
 
-    a: RfMatrix | PolyMatrix
-    m_weight: RfMatrix | PolyMatrix = None
-    n_weight: RfMatrix | PolyMatrix = None
+    a: Grid
+    m_weight: Grid = None
+    n_weight: Grid = None
 
     def __post_init__(self):
-        identity = type(self.a).identity
-        if self.m_weight is None:
-            object.__setattr__(self, "m_weight", identity(self.a.rows))
-        if self.n_weight is None:
-            object.__setattr__(self, "n_weight", identity(self.a.cols))
-        m_w, n_w = self.m_weight, self.n_weight
-        if m_w.rows != self.a.rows or m_w.rows != m_w.cols:
-            raise ValueError("row weight must be square of order = row count")
-        if n_w.rows != self.a.cols or n_w.rows != n_w.cols:
-            raise ValueError("column weight must be square of order = column count")
-        if not m_w.is_symmetric:
-            raise ValueError("row weight must be symmetric")
-        if not n_w.is_symmetric:
-            raise ValueError("column weight must be symmetric")
+        kind = type(self.a)
+        weights = ("row", "m_weight", self.a.rows), ("column", "n_weight", self.a.cols)
+        for name, field, order in weights:
+            w = getattr(self, field)
+            if w is None:
+                object.__setattr__(self, field, kind.identity(order))
+            elif type(w) is not kind:
+                raise TypeError(
+                    f"{name} weight is a {type(w).__name__}, but the matrix is a "
+                    f"{kind.__name__}"
+                )
+        for name, field, order in weights:
+            w = getattr(self, field)
+            if w.rows != order or not w.is_square:
+                raise ValueError(
+                    f"{name} weight must be square of order = {name} count"
+                )
+        for name, field, _ in weights:
+            if not getattr(self, field).is_symmetric:
+                raise ValueError(f"{name} weight must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -119,13 +122,14 @@ def weighted_schur_factor(proj, part, coupling, i):
     projection coordinates and the weight-coupling column; must be a
     nonzero rational function for the recursion to continue.
     """
+    nprev, border, corner = part
     projT = proj.transpose()
-    mixed = (projT * part.l)[0, 0]
+    mixed = (projT * border)[0, 0]
     value = (
-        part.n_ii
-        + (projT * part.n_prev * proj)[0, 0]
+        corner
+        + (projT * nprev * proj)[0, 0]
         - (mixed + mixed)
-        - (part.l.transpose() * coupling)[0, 0]
+        - (border.transpose() * coupling)[0, 0]
     )
     if value.is_zero:
         raise DegenerateWeightError(
@@ -138,7 +142,8 @@ def bottom_row(x, proj, resid, schur, m_weight, part, i):
     """New bottom row of the pseudoinverse for stage i (1 x rows)."""
     if not resid.is_zero:
         return _weighted_form_row(resid, m_weight, "residual", i)
-    lhs = proj.transpose() * part.n_prev - part.l.transpose()
+    nprev, border, _ = part
+    lhs = proj.transpose() * nprev - border.transpose()
     return (lhs * x).scale(schur.reciprocal())
 
 
@@ -156,17 +161,18 @@ def bordering_step(prev_inv, part):
     its order as the stage.  One column t = prev_inv*l serves the Schur
     scalar and the border.
     """
-    t = prev_inv * part.l
-    schur = part.n_ii - (part.l.transpose() * t)[0, 0]
+    _, border, corner = part
+    t = prev_inv * border
+    schur = corner - (border.transpose() * t)[0, 0]
     if schur.is_zero:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=prev_inv.rows + 1
         )
-    corner = schur.reciprocal()
-    border = t.scale(-corner)
-    core = prev_inv + (border * border.transpose()).scale(schur)
-    corner_m = RfMatrix(1, 1, [corner])
-    return RfMatrix.block([[core, border], [border.transpose(), corner_m]])
+    inv_corner = schur.reciprocal()
+    inv_border = t.scale(-inv_corner)
+    core = prev_inv + (inv_border * inv_border.transpose()).scale(schur)
+    corner_m = RfMatrix(1, 1, [inv_corner])
+    return RfMatrix.block([[core, inv_border], [inv_border.transpose(), corner_m]])
 
 
 def _leading_inverses(mat, parts):
@@ -213,7 +219,7 @@ def partition_stages(problem):
     for i, part in enumerate(parts, 2):
         prefix = a.leading_columns(i - 1)
         proj, resid = project_column(state.x, a.column(i), prefix)
-        t = state.ninv * part.l
+        t = state.ninv * part[1]
         coupling = t - state.x * (prefix * t)
         schur = None
         if resid.is_zero:

@@ -1,9 +1,14 @@
-"""Dense matrices over rational functions.
+"""Dense matrices: one grid container, and matrices over rational functions.
 
-Entry access ``a[r, c]`` is 0-based (Python convention); the structural
-operations that mirror the column-partitioning recursion — ``column``,
-``leading_columns``, ``principal_partition`` — take 1-based indices i in
-1..n, matching how stages are counted.
+``Grid`` holds a matrix as a tuple of row tuples and implements, once for
+both computation paths, the structural operations of the
+column-partitioning recursion: ``column``, ``leading_columns``,
+``leading_block`` and ``principal_partition``, which returns the triple
+(prev, border, corner).  ``RfMatrix`` (canonical rational-function
+entries) and ``poly_greville.PolyMatrix`` (integer coefficient tuples)
+subclass it.  Entry access ``a[r, c]`` is 0-based (Python convention); the
+structural operations take 1-based indices i in 1..n, matching how stages
+are counted.
 
 ``ff_inverse`` is the independent inverse oracle: denominators are cleared
 to a single scalar polynomial and the polynomial matrix is inverted by
@@ -13,11 +18,94 @@ exact by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import PoleError, SingularMatrixError
 from .scalars import ONE, ZERO, Poly, RatFun, ONE_POLY, poly_gcd
+
+
+class Grid:
+    """Immutable rows x cols matrix held as a tuple of row tuples, with the
+    structural operations of the recursion; a subclass names its entry
+    constants ``ZERO`` and ``ONE``.  ``_of`` is the trusted constructor of
+    a grid of canonical entries."""
+
+    __slots__ = ("rows", "cols", "grid")
+
+    @classmethod
+    def _of(cls, rows, cols, grid):
+        m = object.__new__(cls)
+        m.rows, m.cols, m.grid = rows, cols, grid
+        return m
+
+    @classmethod
+    def identity(cls, n):
+        z = cls.ZERO
+        grid = tuple((z,) * r + (cls.ONE,) + (z,) * (n - 1 - r) for r in range(n))
+        return cls._of(n, n, grid)
+
+    def __getitem__(self, key):
+        r, c = key
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r}, {c}) out of range")
+        return self.grid[r][c]
+
+    def row(self, r):
+        return self.grid[r]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.rows, self.cols, self.grid) == (other.rows, other.cols, other.grid)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.grid))
+
+    @property
+    def is_square(self):
+        return self.rows == self.cols
+
+    def transpose(self):
+        """Conjugate transpose; real coefficients make it plain transpose."""
+        grid = tuple(zip(*self.grid)) or ((),) * self.cols
+        return self._of(self.cols, self.rows, grid)
+
+    @property
+    def is_symmetric(self):
+        return self.is_square and self.grid == tuple(zip(*self.grid))
+
+    def column(self, i):
+        """The i-th column (1-based) as a rows x 1 matrix."""
+        if not 1 <= i <= self.cols:
+            raise IndexError(f"column index {i} out of range 1..{self.cols}")
+        return self._of(self.rows, 1, tuple((row[i - 1],) for row in self.grid))
+
+    def leading_columns(self, i):
+        """The submatrix of the first i columns (1-based)."""
+        if not 1 <= i <= self.cols:
+            raise IndexError(f"column count {i} out of range 1..{self.cols}")
+        return self._of(self.rows, i, tuple(row[:i] for row in self.grid))
+
+    def leading_block(self, i):
+        """The leading principal i x i submatrix (1-based)."""
+        if not self.is_square:
+            raise ValueError("leading principal block of a non-square matrix")
+        if not 1 <= i <= self.rows:
+            raise IndexError(f"block size {i} out of range 1..{self.rows}")
+        return self._of(i, i, tuple(row[:i] for row in self.grid[:i]))
+
+    def principal_partition(self, i):
+        """The leading i x i block (i is 1-based, 2 <= i <= size) split as
+        (prev, border, corner): the (i-1) block, its coupling column and
+        the corner entry."""
+        if not self.is_square:
+            raise ValueError("principal partition of a non-square matrix")
+        if not 2 <= i <= self.rows:
+            raise IndexError(f"partition index {i} out of range 2..{self.rows}")
+        prev = self.leading_block(i - 1)
+        border = self._of(i - 1, 1, tuple((row[i - 1],) for row in self.grid[:i - 1]))
+        return prev, border, self.grid[i - 1][i - 1]
 
 
 def _want_entry(x):
@@ -27,10 +115,11 @@ def _want_entry(x):
     return f
 
 
-class RfMatrix:
+class RfMatrix(Grid):
     """Immutable dense matrix with canonical RatFun entries."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ()
+    ZERO, ONE = ZERO, ONE
 
     def __init__(self, rows, cols, entries):
         entries = tuple(_want_entry(x) for x in entries)
@@ -38,9 +127,8 @@ class RfMatrix:
             raise ValueError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self._e = entries
+        self.rows, self.cols = rows, cols
+        self.grid = tuple(entries[r * cols:(r + 1) * cols] for r in range(rows))
 
     @classmethod
     def from_rows(cls, rows):
@@ -52,87 +140,51 @@ class RfMatrix:
         return cls(m, n, [x for r in rows for x in r])
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
-
-    @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._of(rows, cols, ((ZERO,) * cols,) * rows)
 
     @classmethod
     def block(cls, grid):
         """Assemble from a grid of conforming blocks."""
         out_rows = []
-        for row_of_blocks in grid:
-            height = row_of_blocks[0].rows
-            if any(b.rows != height for b in row_of_blocks):
+        for blocks in grid:
+            height = blocks[0].rows
+            if any(b.rows != height for b in blocks):
                 raise ValueError("block heights differ within a block row")
-            for r in range(height):
-                line = []
-                for b in row_of_blocks:
-                    line.extend(b.row(r))
-                out_rows.append(line)
+            out_rows += (sum((b.row(r) for b in blocks), ()) for r in range(height))
         return cls.from_rows(out_rows)
 
-    def __getitem__(self, key):
-        r, c = key
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry ({r}, {c}) out of range")
-        return self._e[r * self.cols + c]
-
-    def row(self, r):
-        return self._e[r * self.cols : (r + 1) * self.cols]
-
-    def __eq__(self, other):
-        if not isinstance(other, RfMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._e == other._e
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
-
     def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(x) for x in self.row(r)) for r in range(self.rows)
-        )
+        body = "; ".join(", ".join(str(x) for x in row) for row in self.grid)
         return f"RfMatrix({self.rows}x{self.cols}: {body})"
 
     @property
     def is_zero(self):
-        return all(x.is_zero for x in self._e)
+        return all(x.is_zero for row in self.grid for x in row)
 
-    @property
-    def is_square(self):
-        return self.rows == self.cols
+    def _map(self, f, *others):
+        # f applied entrywise to self and the conforming ``others``
+        grids = (self.grid, *(o.grid for o in others))
+        grid = tuple(tuple(map(f, *rows)) for rows in zip(*grids))
+        return RfMatrix._of(self.rows, self.cols, grid)
+
+    def _entrywise(self, other, f, verb):
+        if not isinstance(other, RfMatrix):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(
+                f"cannot {verb} {self.rows}x{self.cols} and {other.rows}x{other.cols}"
+            )
+        return self._map(f, other)
 
     def __add__(self, other):
-        if not isinstance(other, RfMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        return RfMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)]
-        )
+        return self._entrywise(other, add, "add")
 
     def __sub__(self, other):
-        if not isinstance(other, RfMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"cannot subtract {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        return RfMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
-        )
+        return self._entrywise(other, sub, "subtract")
 
     def __neg__(self):
-        return RfMatrix(self.rows, self.cols, [-a for a in self._e])
+        return self._map(neg)
 
     def __mul__(self, other):
         if isinstance(other, RfMatrix):
@@ -140,24 +192,20 @@ class RfMatrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            e = self._e
-            o = other._e
-            n, k, p = self.rows, self.cols, other.cols
+            o, p = other.grid, other.cols
             out = []
-            for i in range(n):
-                base = i * k
+            for row in self.grid:
                 for j in range(p):
                     acc = ZERO
-                    for t in range(k):
-                        a = e[base + t]
+                    for t, a in enumerate(row):
                         if a.is_zero:
                             continue
-                        b = o[t * p + j]
+                        b = o[t][j]
                         if b.is_zero:
                             continue
                         acc = acc + a * b
                     out.append(acc)
-            return RfMatrix(n, p, out)
+            return RfMatrix(self.rows, p, out)
         f = RatFun._want(other)
         if f is None:
             return NotImplemented
@@ -171,61 +219,7 @@ class RfMatrix:
 
     def scale(self, f):
         f = _want_entry(f)
-        return RfMatrix(self.rows, self.cols, [f * a for a in self._e])
-
-    def transpose(self):
-        """Conjugate transpose; real coefficients make it plain transpose."""
-        return RfMatrix(
-            self.cols,
-            self.rows,
-            [self._e[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)],
-        )
-
-    @property
-    def is_symmetric(self):
-        return self.is_square and self == self.transpose()
-
-    def column(self, i):
-        """The i-th column (1-based) as a rows x 1 matrix."""
-        if not 1 <= i <= self.cols:
-            raise IndexError(f"column index {i} out of range 1..{self.cols}")
-        c = i - 1
-        return RfMatrix(
-            self.rows, 1, [self._e[r * self.cols + c] for r in range(self.rows)]
-        )
-
-    def leading_columns(self, i):
-        """The submatrix of the first i columns (1-based)."""
-        if not 1 <= i <= self.cols:
-            raise IndexError(f"column count {i} out of range 1..{self.cols}")
-        return RfMatrix(
-            self.rows,
-            i,
-            [self._e[r * self.cols + c] for r in range(self.rows) for c in range(i)],
-        )
-
-    def leading_block(self, i):
-        """The leading principal i x i submatrix (1-based)."""
-        if not self.is_square:
-            raise ValueError("leading principal block of a non-square matrix")
-        if not 1 <= i <= self.rows:
-            raise IndexError(f"block size {i} out of range 1..{self.rows}")
-        return RfMatrix(
-            i, i, [self._e[r * self.cols + c] for r in range(i) for c in range(i)]
-        )
-
-    def principal_partition(self, i):
-        """Split the leading i x i block into the (i-1) block, its coupling
-        column and the corner scalar (i is 1-based, 2 <= i <= size)."""
-        if not self.is_square:
-            raise ValueError("principal partition of a non-square matrix")
-        if not 2 <= i <= self.rows:
-            raise IndexError(f"partition index {i} out of range 2..{self.rows}")
-        prev = self.leading_block(i - 1)
-        col = RfMatrix(
-            i - 1, 1, [self._e[r * self.cols + (i - 1)] for r in range(i - 1)]
-        )
-        return PrincipalPartition(prev, col, self[i - 1, i - 1])
+        return self._map(lambda a: f * a)
 
     def eval_at(self, x):
         """Entrywise value at x as a tuple of tuples of Fractions.
@@ -235,10 +229,9 @@ class RfMatrix:
         """
         x = Fraction(x)
         out = []
-        for r in range(self.rows):
+        for r, row in enumerate(self.grid):
             line = []
-            for c in range(self.cols):
-                f = self._e[r * self.cols + c]
+            for c, f in enumerate(row):
                 try:
                     line.append(f.eval(x))
                 except PoleError:
@@ -259,19 +252,19 @@ class RfMatrix:
         L by an entry denominator is too.  Each distinct denominator costs
         one gcd and one exact division, however many entries share it.
         """
-        dens = {f.den.coeffs: f.den for f in self._e}
+        dens = {f.den.coeffs: f.den for row in self.grid for f in row}
         L = ONE_POLY
         for den in dens.values():
             if den.coeffs != (1,):
                 g = poly_gcd(L, den)
                 L = L.exact_div(g) * den if g.degree > 0 else L * den
         quotients = {key: L.exact_div(den) for key, den in dens.items()}
-        rows = (self.row(r) for r in range(self.rows))
-        return [[f.num * quotients[f.den.coeffs] for f in row] for row in rows], L
+        grid = [[f.num * quotients[f.den.coeffs] for f in row] for row in self.grid]
+        return grid, L
 
     def rank(self):
         """Rank over the rational-function field, by elimination."""
-        work = [list(self.row(r)) for r in range(self.rows)]
+        work = [list(row) for row in self.grid]
         rank = 0
         col = 0
         while rank < self.rows and col < self.cols:
@@ -340,16 +333,6 @@ class RfMatrix:
         return RfMatrix(
             n, n, [scale * RatFun(work[r][n + c]) for r in range(n) for c in range(n)]
         )
-
-
-@dataclass(frozen=True)
-class PrincipalPartition:
-    """The pieces of a leading principal block: previous block, coupling
-    column, corner scalar."""
-
-    n_prev: RfMatrix
-    l: RfMatrix
-    n_ii: RatFun
 
 
 def constant_matrix(values):

@@ -8,9 +8,13 @@ pseudoinverse is one matrix-polynomial numerator over one scalar
 polynomial denominator.  Every formula of the rational path then turns
 into a sum of Cauchy products of coefficient sequences, which one
 Kronecker-substitution kernel (``_conv``) evaluates in integer arithmetic.
-``PolyMatrix`` rejects non-integral coefficients; a rational matrix enters
-through ``solve`` or ``invert`` as P/L, the integer matrix polynomial P
-over the scalar polynomial L of ``RfMatrix.clear_denominators``.
+``PolyMatrix`` is a ``matrices.Grid`` of such tuples, so its column,
+leading-block and principal-partition accessors (the triple (prev, border,
+corner), corner a coefficient tuple) are those of ``RfMatrix``: the two
+recursions share this indexing and no arithmetic.  ``PolyMatrix`` rejects
+non-integral coefficients; a rational matrix enters through ``solve`` or
+``invert`` as P/L, the integer matrix polynomial P over the scalar
+polynomial L of ``RfMatrix.clear_denominators``.
 
 The degree of every computed sequence is bounded a priori by the degrees
 of its inputs; ``_fit`` checks each capacity on the untrimmed sequence and
@@ -40,7 +44,7 @@ from operator import add, mul
 
 from .errors import CapacityError, DegenerateWeightError, SingularMatrixError
 from .greville import WeightedProblem
-from .matrices import RfMatrix
+from .matrices import Grid, RfMatrix
 from .scalars import (
     ONE_POLY, Poly, RatFun, _coerce_coeff, _digits, _pack, _trim, joint_reduce
 )
@@ -158,16 +162,24 @@ def _fit(seq, cap, label):
 
 
 def _int_grid(grid, rows, cols):
-    """grid as a rows x cols grid of trimmed int tuples; a non-integral
-    coefficient is rejected, naming its 1-based entry."""
+    """grid as a rows x cols grid of trimmed int tuples; an entry that is
+    not a coefficient list or tuple, or a non-integral coefficient, is
+    rejected, naming its 1-based entry."""
     def coerce(r, c, x):
         try:
             return _coerce_coeff(x)
         except ValueError:
             raise ValueError(f"entry ({r + 1}, {c + 1}) is not integral: {x}") from None
 
+    def entry(r, c, seq):
+        if not isinstance(seq, (tuple, list)):
+            raise TypeError(
+                f"entry ({r + 1}, {c + 1}) is not a coefficient sequence: {seq!r}"
+            )
+        return _trim([coerce(r, c, x) for x in seq])
+
     out = tuple(
-        tuple(_trim([coerce(r, c, x) for x in seq]) for c, seq in enumerate(row))
+        tuple(entry(r, c, seq) for c, seq in enumerate(row))
         for r, row in enumerate(grid)
     )
     if len(out) != rows or any(len(row) != cols for row in out):
@@ -175,31 +187,25 @@ def _int_grid(grid, rows, cols):
     return out
 
 
-class PolyMatrix:
+class PolyMatrix(Grid):
     """Matrix polynomial as a grid of per-entry integer coefficient tuples.
 
-    ``coeffs[r][c]`` is the coefficient tuple of entry (r, c), lowest
-    degree first and without trailing zeros, as ``Poly.coeffs``; the zero
-    matrix is a grid of empty tuples, so it keeps its shape.  Coefficients
-    are ints; the constructors reject a non-integral one (an integral
-    Fraction is taken as its int).
+    ``coeffs[r][c]`` (the ``Grid`` grid) is the coefficient tuple of entry
+    (r, c), lowest degree first and without trailing zeros, as
+    ``Poly.coeffs``; the zero matrix is a grid of empty tuples, so it keeps
+    its shape.  Coefficients are ints; the constructors reject a
+    non-integral one (an integral Fraction is taken as its int).
     """
 
-    __slots__ = ("rows", "cols", "coeffs")
+    __slots__ = ()
+    ZERO, ONE = (), (1,)
 
     def __init__(self, rows, cols, coeffs=None):
-        self.rows = rows
-        self.cols = cols
         if coeffs is None:
             coeffs = (((),) * cols,) * rows
-        self.coeffs = _int_grid(coeffs, rows, cols)
+        self.rows, self.cols, self.grid = rows, cols, _int_grid(coeffs, rows, cols)
 
-    @classmethod
-    def _ints(cls, rows, cols, coeffs):
-        # trusted: a rows x cols grid of trimmed int tuples
-        p = object.__new__(cls)
-        p.rows, p.cols, p.coeffs = rows, cols, coeffs
-        return p
+    coeffs = property(lambda self: self.grid, doc="The grid of coefficient tuples.")
 
     @classmethod
     def from_rf_matrix(cls, a):
@@ -208,13 +214,12 @@ class PolyMatrix:
         Entries with a nontrivial denominator are rejected, naming the
         1-based entry.
         """
-        grid = [a.row(r) for r in range(a.rows)]
-        for r, row in enumerate(grid):
+        for r, row in enumerate(a.grid):
             for c, f in enumerate(row):
                 if f.den != ONE_POLY:
                     raise ValueError(f"entry ({r + 1}, {c + 1}) is not a polynomial: {f}")
-        coeffs = tuple(tuple(f.num.coeffs for f in row) for row in grid)
-        return cls._ints(a.rows, a.cols, coeffs)
+        coeffs = tuple(tuple(f.num.coeffs for f in row) for row in a.grid)
+        return cls._of(a.rows, a.cols, coeffs)
 
     @classmethod
     def from_entries(cls, grid):
@@ -228,73 +233,21 @@ class PolyMatrix:
         grid = [[coeffs(x) for x in row] for row in grid]
         return cls(len(grid), len(grid[0]) if grid else 0, grid)
 
-    @classmethod
-    def identity(cls, n):
-        grid = tuple(tuple((1,) if i == j else () for j in range(n)) for i in range(n))
-        return cls._ints(n, n, grid)
-
     @property
     def degree(self):
-        return _len(self.coeffs) - 1
+        return _len(self.grid) - 1
 
     @property
     def is_zero(self):
-        return not any(map(any, self.coeffs))
+        return not any(map(any, self.grid))
 
     def entry_poly(self, r, c):
-        return Poly._raw(self.coeffs[r][c])
-
-    def column(self, i):
-        if not 1 <= i <= self.cols:
-            raise IndexError(f"column index {i} out of range 1..{self.cols}")
-        column = tuple((row[i - 1],) for row in self.coeffs)
-        return PolyMatrix._ints(self.rows, 1, column)
-
-    def leading_columns(self, i):
-        if not 1 <= i <= self.cols:
-            raise IndexError(f"column count {i} out of range 1..{self.cols}")
-        return PolyMatrix._ints(self.rows, i, tuple(row[:i] for row in self.coeffs))
-
-    def leading_block(self, i):
-        """The leading principal i x i block (1-based)."""
-        if self.rows != self.cols:
-            raise ValueError("leading principal block of a non-square matrix")
-        if not 1 <= i <= self.rows:
-            raise IndexError(f"block size {i} out of range 1..{self.rows}")
-        return PolyMatrix._ints(i, i, tuple(row[:i] for row in self.coeffs[:i]))
-
-    def partition_coeffs(self, i):
-        """Pieces of the leading i x i block: previous block, coupling
-        column, corner scalar coefficient sequence (i is 1-based)."""
-        if self.rows != self.cols:
-            raise ValueError("principal partition of a non-square matrix")
-        if not 2 <= i <= self.rows:
-            raise IndexError(f"partition index {i} out of range 2..{self.rows}")
-        border = tuple((row[i - 1],) for row in self.coeffs[:i - 1])
-        prev = self.leading_block(i - 1)
-        return prev, PolyMatrix._ints(i - 1, 1, border), self.coeffs[i - 1][i - 1]
-
-    def transpose(self):
-        return PolyMatrix._ints(self.cols, self.rows, _mT(self.coeffs))
-
-    @property
-    def is_symmetric(self):
-        return self.rows == self.cols and self.coeffs == _mT(self.coeffs)
+        return Poly._raw(self.grid[r][c])
 
     def to_rf_matrix(self, den=1):
         """Entrywise rational functions, each entry over ``den``."""
-        entries = [RatFun(Poly._raw(e), den) for row in self.coeffs for e in row]
+        entries = [RatFun(Poly._raw(e), den) for row in self.grid for e in row]
         return RfMatrix(self.rows, self.cols, entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.coeffs) == (
-            other.rows, other.cols, other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.coeffs))
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree})"
@@ -317,7 +270,7 @@ def fraction_simplify(num, den):
     reduced, new_den = joint_reduce(entries, den_poly)
     coeffs = [p.coeffs for p in reduced]
     grid = tuple(tuple(coeffs[r:r + num.cols]) for r in range(0, len(coeffs), num.cols))
-    return PolyMatrix._ints(num.rows, num.cols, grid), new_den.coeffs
+    return PolyMatrix._of(num.rows, num.cols, grid), new_den.coeffs
 
 
 class MatrixPolyFraction:
@@ -422,7 +375,7 @@ def init_fraction(col, m_weight):
         raise DegenerateWeightError(
             "weighted squared length of a nonzero column is identically zero", stage=1
         )
-    return PolyMatrix._ints(1, col.rows, z), y
+    return PolyMatrix._of(1, col.rows, z), y
 
 
 def step_projection(state, col):
@@ -560,7 +513,7 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
             "extended denominator: identically zero", "extended denominator"
         )
 
-    num = PolyMatrix._ints(state.i + 1, state.x.num.cols, upper + lower)
+    num = PolyMatrix._of(state.i + 1, state.x.num.cols, upper + lower)
     return MatrixPolyFraction(num, den)
 
 
@@ -598,12 +551,12 @@ def poly_bordering_step(inv, border, corner, n_deg):
     ndd2 = _fit(_conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
     den = _fit(_conv((1, ndd, g)), ndd_deg + g_deg, "block denominator")
     stacked = tuple(map(add, core, side)) + (_mT(side)[0] + (ndd2,),)
-    return MatrixPolyFraction(PolyMatrix._ints(i, i, stacked), den)
+    return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
 
 
 def _leading_inverses(mat, parts):
     """Yield the inverse of the order-1 leading block of ``mat``, then of
-    each larger one, one bordering step per ``partition_coeffs`` triple in
+    each larger one, one bordering step per principal partition in
     ``parts`` (orders 2, 3, ...), each as a MatrixPolyFraction."""
     corner = mat.coeffs[0][0]
     if not corner:
@@ -620,11 +573,11 @@ def _leading_inverses(mat, parts):
 def bordering_inverse(mat):
     """Inverse of a symmetric matrix polynomial as a matrix-polynomial
     numerator over one scalar denominator."""
-    if mat.rows != mat.cols:
+    if not mat.is_square:
         raise ValueError("bordering inverse of a non-square matrix")
     if not mat.is_symmetric:
         raise ValueError("bordering inverse expects a symmetric matrix")
-    parts = (mat.partition_coeffs(i) for i in range(2, mat.rows + 1))
+    parts = (mat.principal_partition(i) for i in range(2, mat.rows + 1))
     for inv in _leading_inverses(mat, parts):
         pass
     return inv
@@ -640,7 +593,7 @@ def partition_stages(a, m_weight=None, n_weight=None):
     m_weight, n_weight = problem.m_weight, problem.n_weight
     q, m_deg, n_deg = a.degree, m_weight.degree, n_weight.degree
     # the inverse of the order-i weight block is drawn at stage i < n only
-    parts = [n_weight.partition_coeffs(i) for i in range(2, a.cols + 1)]
+    parts = [n_weight.principal_partition(i) for i in range(2, a.cols + 1)]
     inverses = _leading_inverses(n_weight, parts)
 
     x = MatrixPolyFraction(*init_fraction(a.column(1), m_weight))
@@ -686,14 +639,14 @@ def _cleared(mat):
     """(P, L) with mat = P/L, by ``RfMatrix.clear_denominators``."""
     grid, den = mat.clear_denominators()
     coeffs = tuple(tuple(p.coeffs for p in row) for row in grid)
-    return PolyMatrix._ints(mat.rows, mat.cols, coeffs), den.coeffs
+    return PolyMatrix._of(mat.rows, mat.cols, coeffs), den.coeffs
 
 
 def _times(den, frac):
     """den * frac, for a scalar coefficient sequence den."""
     num = frac.num
     scaled = _mtrim(_conv((1, den, num.coeffs)))
-    return MatrixPolyFraction(PolyMatrix._ints(num.rows, num.cols, scaled), frac.den)
+    return MatrixPolyFraction(PolyMatrix._of(num.rows, num.cols, scaled), frac.den)
 
 
 def solve(problem):

@@ -305,11 +305,27 @@ class TestEval:
         assert code == 2
         assert "pole" in capsys.readouterr().err
 
-    def test_bad_point_syntax(self, capsys):
-        code = run_command(
-            ["eval", "--in", fixture("wmp_rank2_a.mat"), "--at", "half"]
+    @pytest.mark.parametrize(
+        "point",
+        ["half", "1e30000000", "1e100000", "1.5", "1_000", "+1", " 1", "1/-2",
+         "\u0661", "1/0"],
+    )
+    def test_bad_point_syntax(self, point):
+        # a subprocess, so that a point that builds 10**exp hits the timeout
+        # instead of stalling the suite
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-m", "wmpinv", "eval",
+             "--in", fixture("wmp_rank2_a.mat"), "--at", point],
+            capture_output=True, text=True, timeout=10, env=src_env(),
         )
-        assert code == 2
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"invalid evaluation point {point!r}: expected <p>/<q> or an integer\n"
+        )
 
 
 class TestArgumentErrors:

@@ -172,6 +172,18 @@ class TestWeightedPinv:
                 poly_weighted_pinv(to_poly(a), to_poly(m_weight), to_poly(n_weight))
             assert str(rational.value) == str(coefficient.value) == message
 
+    def test_weight_of_the_other_matrix_type_rejected(self):
+        rf = RfMatrix.identity(2)
+        poly = PolyMatrix.identity(2)
+        message = r"row weight is a PolyMatrix, but the matrix is a RfMatrix"
+        with pytest.raises(TypeError, match=message):
+            WeightedProblem(rf, poly)
+        with pytest.raises(TypeError, match=message):
+            weighted_pinv(WeightedProblem(rf, poly))
+        with pytest.raises(TypeError, match="column weight is a RfMatrix, but the "
+                           "matrix is a PolyMatrix"):
+            poly_weighted_pinv(poly, None, rf)
+
     def test_singular_column_weight_reports_stage(self):
         a = ones_1x2()
         n = constant_matrix([[0, 0], [0, 1]])

@@ -11,6 +11,7 @@ from wmpinv import matrices
 from wmpinv.errors import PoleError, SingularMatrixError
 from wmpinv.matrices import RfMatrix, constant_matrix
 from wmpinv.matrixio import parse_entry
+from wmpinv.poly_greville import PolyMatrix
 from wmpinv.scalars import RatFun
 
 
@@ -54,81 +55,102 @@ class TestTranspose:
         assert a.transpose().transpose() == a
 
 
-class TestColumnsAndPartitions:
-    def test_fixture_first_column(self):
-        x = load("wmp_rank2_a.mat")
-        assert x.column(1) == RfMatrix.from_rows([[e("s+1")], [e("s")], [e("s+1")]])
+def _same(a):
+    return a
 
-    def test_identity_column(self):
-        assert RfMatrix.identity(3).column(2) == RfMatrix.from_rows(
-            [[e("0")], [e("1")], [e("0")]]
+
+class TestColumnsAndPartitions:
+    """The ``Grid`` accessors, on RfMatrix and on the PolyMatrix of the
+    same polynomial input (``kind`` converts an RfMatrix to either)."""
+
+    @pytest.fixture(params=[_same, PolyMatrix.from_rf_matrix], ids=["rational", "poly"])
+    def kind(self, request):
+        return request.param
+
+    @staticmethod
+    def entry(kind, text):
+        return kind(RfMatrix.from_rows([[e(text)]]))[0, 0]
+
+    def test_fixture_first_column(self, kind):
+        x = kind(load("wmp_rank2_a.mat"))
+        column = RfMatrix.from_rows([[e("s+1")], [e("s")], [e("s+1")]])
+        assert x.column(1) == kind(column)
+
+    def test_identity_column(self, kind):
+        assert kind(RfMatrix.identity(3)).column(2) == kind(
+            RfMatrix.from_rows([[e("0")], [e("1")], [e("0")]])
         )
 
-    def test_column_out_of_range(self):
+    def test_column_out_of_range(self, kind):
         with pytest.raises(IndexError):
-            RfMatrix.identity(3).column(4)
+            kind(RfMatrix.identity(3)).column(4)
 
-    def test_leading_columns_full_prefix(self):
-        a = rand_matrix(random.Random(8), 3, 3)
+    def test_leading_columns_full_prefix(self, kind):
+        a = kind(rand_matrix(random.Random(8), 3, 3))
         assert a.leading_columns(a.cols) == a
 
-    def test_leading_columns_single(self):
-        a = rand_matrix(random.Random(9), 3, 3)
+    def test_leading_columns_single(self, kind):
+        a = kind(rand_matrix(random.Random(9), 3, 3))
         assert a.leading_columns(1) == a.column(1)
 
-    def test_fixture_two_leading_columns(self):
-        x = load("wmp_rank2_a.mat")
+    def test_fixture_two_leading_columns(self, kind):
+        x = kind(load("wmp_rank2_a.mat"))
         two = x.leading_columns(2)
         assert two.cols == 2
         assert two.column(1) == x.column(1)
         assert two.column(2) == x.column(2)
 
-    def test_fixture_partition(self):
-        n1 = load("wmp_rank2_n.mat")
-        part = n1.principal_partition(3)
-        assert part.n_prev == RfMatrix.from_rows(
-            [[e("s+1"), e("s+1")], [e("s+1"), e("s+2")]]
+    def test_fixture_partition(self, kind):
+        n1 = kind(load("wmp_rank2_n.mat"))
+        prev, border, corner = n1.principal_partition(3)
+        assert prev == kind(
+            RfMatrix.from_rows([[e("s+1"), e("s+1")], [e("s+1"), e("s+2")]])
         )
-        assert part.l == RfMatrix.from_rows([[e("s+1")], [e("s")]])
-        assert part.n_ii == e("s+3")
+        assert border == kind(RfMatrix.from_rows([[e("s+1")], [e("s")]]))
+        assert corner == self.entry(kind, "s+3")
 
-    def test_identity_partition(self):
-        part = RfMatrix.identity(3).principal_partition(2)
-        assert part.n_prev == RfMatrix.identity(1)
-        assert part.l.is_zero
-        assert part.n_ii == RatFun(1)
+    def test_identity_partition(self, kind):
+        prev, border, corner = kind(RfMatrix.identity(3)).principal_partition(2)
+        assert prev == kind(RfMatrix.identity(1))
+        assert border.is_zero
+        assert corner == self.entry(kind, "1")
 
-    def test_diagonal_partition(self):
-        d = RfMatrix.from_rows([[e("s"), e("0")], [e("0"), e("s+2")]])
-        part = d.principal_partition(2)
-        assert part.n_prev == RfMatrix.from_rows([[e("s")]])
-        assert part.l.is_zero
-        assert part.n_ii == e("s+2")
+    def test_diagonal_partition(self, kind):
+        d = kind(RfMatrix.from_rows([[e("s"), e("0")], [e("0"), e("s+2")]]))
+        prev, border, corner = d.principal_partition(2)
+        assert prev == kind(RfMatrix.from_rows([[e("s")]]))
+        assert border.is_zero
+        assert corner == self.entry(kind, "s+2")
 
-    def test_partition_out_of_range(self):
+    def test_partition_out_of_range(self, kind):
         with pytest.raises(IndexError):
-            RfMatrix.identity(3).principal_partition(4)
+            kind(RfMatrix.identity(3)).principal_partition(4)
 
-    def test_reassembly_roundtrip(self):
+    def test_non_square_block_and_partition(self, kind):
+        a = kind(rand_matrix(random.Random(10), 2, 3))
+        with pytest.raises(ValueError, match="non-square"):
+            a.leading_block(1)
+        with pytest.raises(ValueError, match="non-square"):
+            a.principal_partition(2)
+
+    def test_reassembly_roundtrip(self, kind):
         # the partition shape ([[prev, l], [l^T, corner]]) presumes symmetry,
         # which is what the weight matrices guarantee
         rng = random.Random(12)
-        n = rand_weight(rng, 4, max_deg=2)
+        n = kind(rand_weight(rng, 4, max_deg=2))
         for i in range(2, 5):
-            part = n.principal_partition(i)
-            corner = RfMatrix(1, 1, [part.n_ii])
-            block = RfMatrix.block([[part.n_prev, part.l], [part.l.transpose(), corner]])
-            assert block == n.leading_block(i)
+            prev, border, corner = n.principal_partition(i)
+            upper = tuple(p + b for p, b in zip(prev.grid, border.grid))
+            block = upper + (border.transpose().row(0) + (corner,),)
+            assert block == n.leading_block(i).grid
 
-    def test_leading_columns_recursion(self):
+    def test_leading_columns_recursion(self, kind):
         rng = random.Random(13)
-        a = rand_matrix(rng, 3, 4)
+        a = kind(rand_matrix(rng, 3, 4))
         for i in range(2, 5):
             prev = a.leading_columns(i - 1)
-            joined = RfMatrix.from_rows(
-                [list(prev.row(r)) + [a.column(i)[r, 0]] for r in range(a.rows)]
-            )
-            assert a.leading_columns(i) == joined
+            joined = tuple(p + c for p, c in zip(prev.grid, a.column(i).grid))
+            assert a.leading_columns(i).grid == joined
 
 
 class TestFfInverse:

@@ -83,6 +83,13 @@ class TestPolyMatrix:
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             PolyMatrix.from_rf_matrix(parse_matrix_file("matrix 1 2\n1; s/2"))
 
+    def test_non_sequence_entry_rejected_with_position(self):
+        not_a_sequence = r"entry \(1, 1\) is not a coefficient sequence: 5$"
+        with pytest.raises(TypeError, match=not_a_sequence):
+            PolyMatrix(1, 1, [[5]])
+        with pytest.raises(TypeError, match=r"entry \(2, 2\) .* sequence: '12'"):
+            PolyMatrix(2, 2, [[(1,), ()], [(), "12"]])
+
     def test_integral_fraction_taken_as_int(self):
         p = PolyMatrix(1, 2, [[(Fraction(3, 1),), (Fraction(-4, 2),)]])
         assert p.coeffs == (((3,), (-2,)),)
@@ -109,9 +116,9 @@ class TestPolyMatrix:
         with pytest.raises(ValueError, match="non-square"):
             PolyMatrix(2, 3).leading_block(1)
 
-    def test_partition_coeffs(self):
+    def test_principal_partition(self):
         n = PolyMatrix.from_rf_matrix(load("wmp_rank2_n.mat"))
-        prev, border, corner = n.partition_coeffs(3)
+        prev, border, corner = n.principal_partition(3)
         assert prev.to_rf_matrix() == load("wmp_rank2_n.mat").leading_block(2)
         assert border.entry_poly(0, 0) == Poly([1, 1])
         assert border.entry_poly(1, 0) == Poly([0, 1])
