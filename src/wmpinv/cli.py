@@ -22,7 +22,7 @@ from .errors import (
 )
 from .greville import WeightedProblem, bordering_inverse, weighted_pinv
 from .matrices import constant_matrix
-from .matrixio import format_matrix, parse_matrix_file
+from .matrixio import MAX_SIZE, format_matrix, parse_matrix_file
 from .poly_greville import invert, solve
 from .verify import penrose_check
 
@@ -107,6 +107,15 @@ def _cmd_eval(args):
         point = None
     if point is None:
         _diag(f"invalid evaluation point {args.at!r}: expected <p>/<q> or an integer")
+        return 2
+    # the bound that (p/q)^degree meets in a matrix file
+    degree = max(max(f.num.degree, f.den.degree) for row in mat.grid for f in row)
+    size = max(abs(point.numerator), point.denominator).bit_length()
+    if degree * size > MAX_SIZE:
+        _diag(
+            f"evaluation point too large: its size {size} times the matrix "
+            f"degree {degree} exceeds the size bound {MAX_SIZE}"
+        )
         return 2
     values = mat.eval_at(point)
     _emit(format_matrix(constant_matrix(values)), args.out)

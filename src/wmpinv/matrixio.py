@@ -11,6 +11,12 @@ Entry grammar (whitespace insignificant):
 quotients obey MAX_SIZE; integer literals are ASCII digits and obey the
 interpreter's integer-string digit limit.
 
+Each entry is split into tokens once, by one regular expression (a run
+of ASCII digits or one non-space character); offsets are located again
+only to report an error.  A sub-expression with denominator 1 stays a
+`Poly` and uses polynomial arithmetic until a '/' or a rational operand
+promotes it to a `RatFun`.
+
 File format: optional full-line comments starting with '#', a header line
 ``matrix <rows> <cols>``, then one line per row with entries separated by
 ';' (the separator is ';' and not whitespace so expressions may contain
@@ -20,11 +26,12 @@ parsing its output reproduces the matrix exactly.
 
 from __future__ import annotations
 
+import re
 import sys
 
 from .errors import MatrixParseError
 from .matrices import RfMatrix
-from .scalars import RatFun, S, format_ratfun
+from .scalars import S_POLY, Poly, RatFun, format_ratfun
 
 
 # Bound on the nesting of '(' and unary '-'.  Each level costs a few
@@ -39,119 +46,119 @@ MAX_SIZE = 2000
 
 
 def _size(f):
-    num, den = f.num.coeffs, f.den.coeffs
+    # a Poly p measures as p/1
+    if isinstance(f, Poly):
+        num, den = f.coeffs, (1,)
+    else:
+        num, den = f.num.coeffs, f.den.coeffs
     degree = len(num if len(num) > len(den) else den) - 1
     return degree + max(map(abs, num + den)).bit_length()
+
+
+# an integer literal or one non-space character; \s agrees with str.isspace
+_TOKEN = re.compile(r"[0-9]+|\S")
+
+
+def _is_int(tok):
+    return "0" <= tok[:1] <= "9"
 
 
 class _EntryParser:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text) + [""]
+        self.k = 0
         self.depth = 0
 
-    def error(self, message, pos=None):
-        pos = self.pos if pos is None else pos
+    def error(self, message, k=None, end=False):
+        """Raise at the start of token k (default: the current one), or just
+        past its end; offsets are located only here, by scanning again."""
+        k = self.k if k is None else k
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        pos = starts[k] + len(self.toks[k]) if end else starts[k]
         raise MatrixParseError(f"{message} at offset {pos}", offset=pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
     def integer(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an unsigned integer")
+        tok = self.toks[self.k]
         limit = sys.get_int_max_str_digits()
-        if 0 < limit < self.pos - start:
-            self.error(f"integer literal longer than {limit} digits", start)
-        return int(self.text[start : self.pos])
+        if 0 < limit < len(tok):
+            self.error(f"integer literal longer than {limit} digits")
+        self.k += 1
+        return int(tok)
 
     def expr(self):
         value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
+        while (op := self.toks[self.k]) in ("+", "-"):
+            self.k += 1
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self):
         value = self.factor()
-        while self.peek() in ("*", "/"):
-            op_pos = self.pos
-            op = self.take()
+        while (op := self.toks[self.k]) in ("*", "/"):
+            op_k = self.k
+            self.k += 1
             rhs = self.factor()
             if _size(value) + _size(rhs) > MAX_SIZE:
                 kind = "product" if op == "*" else "quotient"
-                self.error(f"{kind} exceeds the size bound {MAX_SIZE}", op_pos)
+                self.error(f"{kind} exceeds the size bound {MAX_SIZE}", op_k)
             if op == "/":
                 if rhs.is_zero:
-                    self.error("division by zero", op_pos)
-                value = value / rhs
+                    self.error("division by zero", op_k)
+                value = RatFun._want(value) / rhs
             else:
                 value = value * rhs
         return value
 
     def factor(self):
         value = self.atom()
-        if self.peek() == "^":
-            self.take()
-            if not "0" <= self.peek() <= "9":
+        if self.toks[self.k] == "^":
+            self.k += 1
+            if not _is_int(self.toks[self.k]):
                 self.error("exponent must be an unsigned integer")
             exponent = self.integer()
             if exponent * _size(value) > MAX_SIZE:
-                self.error(f"power exceeds the size bound {MAX_SIZE}")
+                message = f"power exceeds the size bound {MAX_SIZE}"
+                self.error(message, self.k - 1, end=True)
             value = value ** exponent
         return value
 
     def nested(self, parse):
         if self.depth == MAX_NESTING:
-            self.error(f"nesting of '(' and '-' deeper than {MAX_NESTING}")
+            message = f"nesting of '(' and '-' deeper than {MAX_NESTING}"
+            self.error(message, self.k - 1, end=True)
         self.depth += 1
         value = parse()
         self.depth -= 1
         return value
 
     def atom(self):
-        ch = self.peek()
-        if ch == "s":
-            self.pos += 1
-            return S
-        if "0" <= ch <= "9":
-            return RatFun.const(self.integer())
-        if ch == "(":
-            self.pos += 1
+        tok = self.toks[self.k]
+        if _is_int(tok):
+            return Poly.const(self.integer())
+        self.k += 1
+        if tok == "s":
+            return S_POLY
+        if tok == "(":
             value = self.nested(self.expr)
-            if self.peek() != ")":
+            if self.toks[self.k] != ")":
                 self.error("expected ')'")
-            self.pos += 1
+            self.k += 1
             return value
-        if ch == "-":
-            self.pos += 1
+        if tok == "-":
             return -self.nested(self.factor)
-        self.error("expected 's', an integer, '(' or '-'")
+        self.error("expected 's', an integer, '(' or '-'", self.k - 1)
 
 
 def parse_entry(text):
     """Parse one entry expression to a canonical rational function."""
     p = _EntryParser(text)
     value = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
+    if p.toks[p.k]:
         p.error("unexpected trailing input")
-    return value
+    return RatFun._want(value)
 
 
 def format_entry(f):

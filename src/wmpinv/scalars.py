@@ -80,6 +80,9 @@ class Poly:
     def __len__(self):
         return len(self.coeffs)
 
+    def __iter__(self):
+        return iter(self.coeffs)
+
     def __getitem__(self, j):
         """Coefficient of s**j, 0 for j beyond the degree."""
         if isinstance(j, slice):
@@ -482,7 +485,7 @@ class RatFun:
         if isinstance(x, (int, Fraction)):
             return RatFun.const(x)
         if isinstance(x, Poly):
-            return RatFun(x)
+            return RatFun._reduced(x, ONE_POLY)  # p/1 is already coprime
         return None
 
     def __add__(self, other):

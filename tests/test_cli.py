@@ -327,6 +327,35 @@ class TestEval:
             f"invalid evaluation point {point!r}: expected <p>/<q> or an integer\n"
         )
 
+    def test_point_too_large_for_the_degree_exits_two_quickly(self, tmp_path):
+        # a subprocess, so that an unbounded evaluation hits the timeout
+        # instead of stalling the suite
+        import subprocess
+        import sys
+
+        a = tmp_path / "a.mat"
+        a.write_text("matrix 1 1\n(1+s)^500\n")
+        point = "7" * 4000 + "/1" + "0" * 3999
+        result = subprocess.run(
+            [sys.executable, "-m", "wmpinv", "eval", "--in", str(a), "--at", point],
+            capture_output=True, text=True, timeout=10, env=src_env(),
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "evaluation point too large: its size 13288 times the matrix degree 500 "
+            "exceeds the size bound 2000\n"
+        )
+
+    def test_point_at_the_bound_evaluates(self, tmp_path, capsys):
+        # 3/2 has size 2, and 2 * 1000 is the bound itself
+        a = tmp_path / "a.mat"
+        a.write_text("matrix 1 1\n(1+s)^1000\n")
+        assert run_command(["eval", "--in", str(a), "--at", "3/2"]) == 0
+        assert capsys.readouterr().out == f"matrix 1 1\n{5**1000}/{2**1000}\n"
+        assert run_command(["eval", "--in", str(a), "--at", "4/3"]) == 2
+        assert capsys.readouterr().err.startswith("evaluation point too large")
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):

@@ -1,6 +1,8 @@
 """Entry grammar, matrix file format, and the parse/format round trip."""
 
 import random
+import re
+import sys
 
 import pytest
 
@@ -57,6 +59,76 @@ class TestParseEntry:
         from fractions import Fraction
 
         assert parse_entry("3/4") == RatFun.const(Fraction(3, 4))
+
+
+EM = "\u2003"  # em space: whitespace to str.isspace, as is "\x1c"
+LIMIT = sys.get_int_max_str_digits()
+
+
+class TestErrorContract:
+    """The exact message and offset of every entry parse error, with leading
+    and inner whitespace of several kinds."""
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            (" s^", "exponent must be an unsigned integer", 3),
+            ("s ^" + EM + "x", "exponent must be an unsigned integer", 4),
+            ("\x1c2^ -1", "exponent must be an unsigned integer", 4),
+            (" 1+" + "9" * (LIMIT + 1), f"integer literal longer than {LIMIT} digits", 3),
+            ("s^" + EM + "9" * (LIMIT + 1), f"integer literal longer than {LIMIT} digits", 3),
+            (" s" + EM + "* s^1000 * s^1000", "product exceeds the size bound 2000", 12),
+            ("\x1cs^1000 / (s*s^999)", "quotient exceeds the size bound 2000", 8),
+            (" (1+s) ^ 1001", "power exceeds the size bound 2000", 13),
+            (EM + "s^2001 ", "power exceeds the size bound 2000", 7),
+            ("s ^ 2000" + EM, "power exceeds the size bound 2000", 8),
+            ("1 /\x1c(s - s)", "division by zero", 2),
+            (EM + "(s + 1" + EM, "expected ')'", 8),
+            (" ( s + 1 ]", "expected ')'", 9),
+            ("s + 1 " + EM + " 2", "unexpected trailing input", 8),
+            (" s)", "unexpected trailing input", 2),
+            ("2s", "unexpected trailing input", 1),
+            ("\x1c" + "(" * 101 + "s" + ")" * 101, "nesting of '(' and '-' deeper than 100", 102),
+            (" " + "- " * 101 + "s", "nesting of '(' and '-' deeper than 100", 202),
+            ((" ( " + EM) * 100 + "- s" + ")" * 100, "nesting of '(' and '-' deeper than 100", 401),
+            ("s +" + EM + "x", "expected 's', an integer, '(' or '-'", 4),
+            ("s * ²", "expected 's', an integer, '(' or '-'", 4),
+            ("", "expected 's', an integer, '(' or '-'", 0),
+            (" \x1c ", "expected 's', an integer, '(' or '-'", 3),
+        ],
+    )
+    def test_message_and_offset(self, text, message, offset):
+        with pytest.raises(MatrixParseError) as err:
+            parse_entry(text)
+        assert str(err.value) == f"{message} at offset {offset}"
+        assert err.value.offset == offset
+
+    def test_regex_whitespace_is_str_isspace(self):
+        space = re.compile(r"\s")
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert bool(space.match(ch)) == ch.isspace(), hex(code)
+
+
+class TestRobustness:
+    TOKENS = ["s", "0", "1", "2", "7", "12", "+", "-", "*", "/", "^", "(", ")",
+              " ", "\t", EM, "\x1c", "²", "x"]
+
+    def test_random_token_strings_parse_or_fail_located(self):
+        # every string either round-trips or is one located MatrixParseError;
+        # any other exception fails the test
+        rng = random.Random(97)
+        parsed = 0
+        for _ in range(20000):
+            text = "".join(rng.choices(self.TOKENS, k=rng.randint(1, 12)))
+            try:
+                f = parse_entry(text)
+            except MatrixParseError as exc:
+                assert 0 <= exc.offset <= len(text), text
+                continue
+            assert parse_entry(format_entry(f)) == f, text
+            parsed += 1
+        assert parsed > 1000
 
 
 class TestParseMatrixFile:

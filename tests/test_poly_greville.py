@@ -89,6 +89,8 @@ class TestPolyMatrix:
             PolyMatrix(1, 1, [[5]])
         with pytest.raises(TypeError, match=r"entry \(2, 2\) .* sequence: '12'"):
             PolyMatrix(2, 2, [[(1,), ()], [(), "12"]])
+        with pytest.raises(TypeError, match=r"entry \(1, 1\) .* sequence: Poly\(\[1, 2\]\)$"):
+            PolyMatrix(1, 1, [[Poly([1, 2])]])
 
     def test_integral_fraction_taken_as_int(self):
         p = PolyMatrix(1, 2, [[(Fraction(3, 1),), (Fraction(-4, 2),)]])

@@ -77,6 +77,13 @@ class TestPolyNormalization:
     def test_already_normalized_unchanged(self):
         assert Poly([0, 1]).coeffs == (0, 1)
 
+    def test_iteration_stops_at_the_last_coefficient(self):
+        # bounded, so that an iteration that never stops fails instead of hangs
+        import itertools
+
+        assert list(itertools.islice(iter(Poly([1, 2])), 5)) == [1, 2]
+        assert list(itertools.islice(iter(Poly()), 5)) == []
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Poly([0.5])
