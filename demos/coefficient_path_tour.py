@@ -35,7 +35,7 @@ w = PolyMatrix.from_rf_matrix(w_rf)
 print("input degree:", a.degree, " weight degree:", w.degree)
 
 # watch the representation grow and then shrink under per-stage reduction
-for state in partition_stages(a, w, w):
+for state in partition_stages(WeightedProblem(a, w, w)):
     print(
         f"stage {state.i}: numerator degree {state.x.num.degree:2d}, "
         f"denominator degree {len(state.x.den) - 1:2d}"

@@ -5,8 +5,11 @@ Two independent computation paths are provided: a rational-function path
 (``greville``) that grows the pseudoinverse column by column, and a
 coefficient path (``poly_greville``) that carries every quantity as
 polynomial coefficient sequences over a single scalar denominator.  Both
-are exact; ``verify`` checks the four weighted Penrose identities and the
-agreement of the paths.
+are exact, neither imports the other, and each yields its stages from
+``partition_stages(problem)``, ``problem`` a ``matrices.WeightedProblem``
+over the path's matrix type.  ``scalars`` holds the scalar arithmetic and
+the integer-sequence kernel; ``verify`` checks the four weighted Penrose
+identities and the agreement of the paths.
 """
 
 from .errors import (
@@ -16,13 +19,8 @@ from .errors import (
     PoleError,
     SingularMatrixError,
 )
-from .greville import (
-    WeightedProblem,
-    bordering_inverse,
-    partition_stages,
-    weighted_pinv,
-)
-from .matrices import RfMatrix, constant_matrix
+from .greville import bordering_inverse, partition_stages, weighted_pinv
+from .matrices import RfMatrix, WeightedProblem, constant_matrix
 from .matrixio import format_entry, format_matrix, parse_entry, parse_matrix_file
 from .poly_greville import MatrixPolyFraction, PolyMatrix
 from .scalars import Poly, RatFun, poly_gcd

@@ -13,13 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (
-    CapacityError,
-    DegenerateWeightError,
-    MatrixParseError,
-    PoleError,
-    SingularMatrixError,
-)
+from .errors import CapacityError, MatrixParseError, PoleError, StageError
 from .greville import WeightedProblem, bordering_inverse, weighted_pinv
 from .matrices import constant_matrix
 from .matrixio import MAX_SIZE, format_matrix, parse_matrix_file
@@ -193,7 +187,7 @@ def run_command(argv):
     except PoleError as exc:
         _diag(f"evaluation error: {exc}")
         return 2
-    except (SingularMatrixError, DegenerateWeightError, CapacityError) as exc:
+    except (StageError, CapacityError) as exc:
         stage = getattr(exc, "stage", None)
         where = f" (stage {stage})" if stage else ""
         _diag(f"algebra error{where}: {exc}")

@@ -18,10 +18,10 @@ class PoleError(ArithmeticError):
         self.position = position
 
 
-class SingularMatrixError(ArithmeticError):
-    """A matrix (or a leading principal block) is symbolically singular.
+class StageError(ArithmeticError):
+    """An algebra failure of the recursions.
 
-    ``stage`` is the 1-based recursion stage at which singularity surfaced,
+    ``stage`` is the 1-based recursion stage at which the failure surfaced,
     or None outside the partitioning recursions.
     """
 
@@ -30,13 +30,13 @@ class SingularMatrixError(ArithmeticError):
         self.stage = stage
 
 
-class DegenerateWeightError(ArithmeticError):
+class SingularMatrixError(StageError):
+    """A matrix (or a leading principal block) is symbolically singular."""
+
+
+class DegenerateWeightError(StageError):
     """A quadratic form or Schur-type factor the recursion must invert is
     identically zero; the weight matrices are unusable for this input."""
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
 
 
 class CapacityError(ArithmeticError):

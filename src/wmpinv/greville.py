@@ -24,41 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateWeightError, SingularMatrixError
-from .matrices import Grid, RfMatrix
+from .matrices import RfMatrix, WeightedProblem  # WeightedProblem: re-exported
 from .scalars import RatFun
-
-
-@dataclass(frozen=True)
-class WeightedProblem:
-    """A matrix with its two symmetric weights; identity weights of the
-    matrix's own type by default.  ``a`` is an RfMatrix (rational path) or
-    a PolyMatrix (coefficient path), and the weights are of the same type."""
-
-    a: Grid
-    m_weight: Grid = None
-    n_weight: Grid = None
-
-    def __post_init__(self):
-        kind = type(self.a)
-        weights = ("row", "m_weight", self.a.rows), ("column", "n_weight", self.a.cols)
-        for name, field, order in weights:
-            w = getattr(self, field)
-            if w is None:
-                object.__setattr__(self, field, kind.identity(order))
-            elif type(w) is not kind:
-                raise TypeError(
-                    f"{name} weight is a {type(w).__name__}, but the matrix is a "
-                    f"{kind.__name__}"
-                )
-        for name, field, order in weights:
-            w = getattr(self, field)
-            if w.rows != order or not w.is_square:
-                raise ValueError(
-                    f"{name} weight must be square of order = {name} count"
-                )
-        for name, field, _ in weights:
-            if not getattr(self, field).is_symmetric:
-                raise ValueError(f"{name} weight must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -192,7 +159,7 @@ def _leading_inverses(mat, parts):
 def bordering_inverse(mat):
     """Inverse of a symmetric matrix whose leading principal blocks are all
     symbolically nonsingular, computed by the bordering recursion."""
-    if not mat.is_square:
+    if not RfMatrix.expect(mat).is_square:
         raise ValueError("bordering inverse of a non-square matrix")
     if not mat.is_symmetric:
         raise ValueError("bordering inverse expects a symmetric matrix")
@@ -209,7 +176,7 @@ def partition_stages(problem):
     matrix.  The coupling column (I - X*prefix)*N^-1*l is t - X*(prefix*t)
     with t = N^-1*l.  Errors carry the failing stage index.
     """
-    a, n_w = problem.a, problem.n_weight
+    a, n_w = RfMatrix.expect(problem.a), problem.n_weight
     # the inverse of the order-i weight block is drawn at stage i < n only
     parts = [n_w.principal_partition(i) for i in range(2, a.cols + 1)]
     inverses = _leading_inverses(n_w, parts)

@@ -8,7 +8,8 @@ column-partitioning recursion: ``column``, ``leading_columns``,
 entries) and ``poly_greville.PolyMatrix`` (integer coefficient tuples)
 subclass it.  Entry access ``a[r, c]`` is 0-based (Python convention); the
 structural operations take 1-based indices i in 1..n, matching how stages
-are counted.
+are counted.  ``WeightedProblem`` holds a grid with its two weights and
+validates them once for both paths.
 
 ``ff_inverse`` is the independent inverse oracle: denominators are cleared
 to a single scalar polynomial and the polynomial matrix is inverted by
@@ -18,6 +19,7 @@ exact by construction.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
 
@@ -44,6 +46,13 @@ class Grid:
         z = cls.ZERO
         grid = tuple((z,) * r + (cls.ONE,) + (z,) * (n - 1 - r) for r in range(n))
         return cls._of(n, n, grid)
+
+    @classmethod
+    def expect(cls, mat):
+        """``mat``, or TypeError when it is not a ``cls``."""
+        if not isinstance(mat, cls):
+            raise TypeError(f"{cls.__name__} expected, got {type(mat).__name__}")
+        return mat
 
     def __getitem__(self, key):
         r, c = key
@@ -106,6 +115,39 @@ class Grid:
         prev = self.leading_block(i - 1)
         border = self._of(i - 1, 1, tuple((row[i - 1],) for row in self.grid[:i - 1]))
         return prev, border, self.grid[i - 1][i - 1]
+
+
+@dataclass(frozen=True)
+class WeightedProblem:
+    """A matrix with its two symmetric weights; identity weights of the
+    matrix's own type by default.  ``a`` is an RfMatrix (rational path) or
+    a PolyMatrix (coefficient path), and the weights are of the same type."""
+
+    a: Grid
+    m_weight: Grid = None
+    n_weight: Grid = None
+
+    def __post_init__(self):
+        kind = type(self.a)
+        weights = ("row", "m_weight", self.a.rows), ("column", "n_weight", self.a.cols)
+        for name, field, order in weights:
+            w = getattr(self, field)
+            if w is None:
+                object.__setattr__(self, field, kind.identity(order))
+            elif type(w) is not kind:
+                raise TypeError(
+                    f"{name} weight is a {type(w).__name__}, but the matrix is a "
+                    f"{kind.__name__}"
+                )
+        for name, field, order in weights:
+            w = getattr(self, field)
+            if w.rows != order or not w.is_square:
+                raise ValueError(
+                    f"{name} weight must be square of order = {name} count"
+                )
+        for name, field, _ in weights:
+            if not getattr(self, field).is_symmetric:
+                raise ValueError(f"{name} weight must be symmetric")
 
 
 def _want_entry(x):

@@ -1,13 +1,13 @@
 """Column-partitioning pseudoinverse at the coefficient level.
 
 Instead of rational-function entries, every quantity is carried as
-polynomial coefficient sequences: a matrix polynomial is a grid (a tuple
-of rows) of per-entry integer coefficient tuples, entry (r, c) holding the
-coefficients of s**0, s**1, ... as in ``Poly.coeffs``, and each stage's
-pseudoinverse is one matrix-polynomial numerator over one scalar
-polynomial denominator.  Every formula of the rational path then turns
-into a sum of Cauchy products of coefficient sequences, which one
-Kronecker-substitution kernel (``_conv``) evaluates in integer arithmetic.
+polynomial coefficient sequences in the grid format of ``scalars`` (a
+matrix polynomial is a grid of per-entry integer coefficient tuples), and
+each stage's pseudoinverse is one matrix-polynomial numerator over one
+scalar polynomial denominator.  Every formula of the rational path then
+turns into a sum of Cauchy products of coefficient sequences, which the
+Kronecker-substitution kernel ``scalars.conv`` evaluates in integer
+arithmetic.
 ``PolyMatrix`` is a ``matrices.Grid`` of such tuples, so its column,
 leading-block and principal-partition accessors (the triple (prev, border,
 corner), corner a coefficient tuple) are those of ``RfMatrix``: the two
@@ -17,12 +17,12 @@ non-integral coefficients; a rational matrix enters through ``solve`` or
 polynomial L of ``RfMatrix.clear_denominators``.
 
 The degree of every computed sequence is bounded a priori by the degrees
-of its inputs; ``_fit`` checks each capacity on the untrimmed sequence and
-only then trims trailing zeros, so an index slip in any convolution raises
-CapacityError, also under ``python -O``.  After each stage the
-numerator/denominator pair is reduced (common polynomial factor and integer
-content divided out), which is what keeps the capacities from growing
-multiplicatively.
+of its inputs; ``scalars.fit`` checks each capacity on the untrimmed
+sequence and only then trims trailing zeros, so an index slip in any
+convolution raises CapacityError, also under ``python -O``.  After each
+stage the numerator/denominator pair is reduced (common polynomial factor
+and integer content divided out), which is what keeps the capacities from
+growing multiplicatively.
 
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
@@ -30,132 +30,19 @@ earlier in the same stage as arguments and return new sequences, and the
 driver builds one new frozen state (i, x, ninv, stage) per stage, stage
 being None at stage 1.  The column-weight inverse is grown by one
 bordering loop shared with ``bordering_inverse``.
-
-Zero-length sequences represent zero throughout, so a zero matrix is a
-grid of empty entries and keeps its shape; when two sequences of
-different lengths are combined the shorter is implicitly padded with
-zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add
 
 from .errors import CapacityError, DegenerateWeightError, SingularMatrixError
-from .greville import WeightedProblem
-from .matrices import Grid, RfMatrix
+from .matrices import Grid, RfMatrix, WeightedProblem
 from .scalars import (
-    ONE_POLY, Poly, RatFun, _coerce_coeff, _digits, _pack, _trim, joint_reduce
+    ONE_POLY, Poly, RatFun, coerce_coeff, conv, fit, joint_reduce, seq_len,
+    transpose, trim, trim_grid,
 )
-
-# ---------------------------------------------------------------------------
-# coefficient sequences (scalar: a tuple of ints; matrix: a grid of them)
-
-
-def _is_grid(seq):
-    return bool(seq) and not isinstance(seq[0], int)
-
-
-def _mT(grid):
-    return tuple(zip(*grid))
-
-
-def _mtrim(grid):
-    return tuple(tuple(map(_trim, row)) for row in grid)
-
-
-def _len(seq):
-    # untrimmed length: of the longest entry of a grid
-    return max(len(e) for row in seq for e in row) if _is_grid(seq) else len(seq)
-
-
-def _norm(seq):
-    # largest coefficient magnitude of a nonzero-length sequence
-    if _is_grid(seq):
-        return max(max(map(abs, e), default=0) for row in seq for e in row)
-    return max(map(abs, seq))
-
-
-def _packed(seq, k):
-    """Each entry's sequence as its value at s = 2**k (``scalars._pack``)."""
-    if _is_grid(seq):
-        return tuple(tuple(_pack(e, k) for e in row) for row in seq)
-    return _pack(seq, k)
-
-
-def _pmul(x, y):
-    # product of packed values: ints, an int scaling a matrix, or matrices
-    if isinstance(x, int):
-        return x * y if isinstance(y, int) else _pmul(y, x)
-    if isinstance(y, int):
-        return tuple(tuple(v * y for v in row) for row in x)
-    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*y)) for row in x)
-
-
-def _product_shape(a, b):
-    """Shape of a*b (None for a scalar), or ValueError naming both shapes
-    when the matrix product does not conform."""
-    sa, sb = ((len(x), len(x[0])) if _is_grid(x) else None for x in (a, b))
-    if sa and sb and sa[1] != sb[0]:
-        raise ValueError(
-            f"nonconformable product: {sa[0]}x{sa[1]} times {sb[0]}x{sb[1]}"
-        )
-    return (sa[0], sb[1]) if sa and sb else sa or sb
-
-
-def _conv(*terms):
-    """Sum of c*a*b over the terms (c, a, b): c an int, a and b scalar or
-    matrix coefficient sequences, each product a Cauchy product with a
-    matrix product per term.  Products that do not conform, or that differ
-    in shape, raise ValueError.
-
-    Kronecker substitution: every entry's sequence is packed into its value
-    at s = 2**k, the whole sum is evaluated in integer arithmetic, and the
-    balanced base-2**k digits are unpacked once.  2**(k-2) exceeds the sum
-    over the terms of |c| * max|a| * max|b| * min(len a, len b) * inner,
-    which bounds every output coefficient, so the digits are the
-    coefficients.  Every result entry is untrimmed, of the length of the
-    longest product, len a + len b - 1 (a term with a zero-length operand
-    adds nothing), len being the length of a matrix's longest entry.
-    """
-    shapes = {_product_shape(a, b) for _, a, b in terms}
-    if len(shapes) > 1:
-        named = sorted("scalar" if s is None else f"{s[0]}x{s[1]}" for s in shapes)
-        raise ValueError(f"terms of different shapes: {' and '.join(named)}")
-    shape = shapes.pop() if shapes else None
-    terms = [(c, a, b) for c, a, b in terms if _len(a) and _len(b)]
-    if not terms:
-        return (((),) * shape[1],) * shape[0] if shape else ()
-    bound = 0
-    for c, a, b in terms:
-        inner = len(b) if _is_grid(a) and _is_grid(b) else 1
-        bound += abs(c) * _norm(a) * _norm(b) * min(_len(a), _len(b)) * inner
-    k = bound.bit_length() + 2
-    n = max(_len(a) + _len(b) - 1 for _, a, b in terms)
-
-    def unpack(v):
-        digits = _digits(v, k)
-        return tuple(digits) + (0,) * (n - len(digits))
-
-    prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in terms]
-    if shape is None:
-        return unpack(sum(prods))
-    return tuple(tuple(unpack(sum(v)) for v in zip(*rows)) for rows in zip(*prods))
-
-
-def _fit(seq, cap, label):
-    """seq with every entry's trailing zeros trimmed, once its untrimmed
-    length has been checked against the formula's degree capacity ``cap``."""
-    n = _len(seq)
-    if n and n > cap + 1:
-        raise CapacityError(
-            f"{label}: coefficient sequence of length {n} exceeds "
-            f"its degree capacity {cap}",
-            label,
-        )
-    return _mtrim(seq) if _is_grid(seq) else _trim(seq)
-
 
 # ---------------------------------------------------------------------------
 # matrix polynomials and matrix/scalar polynomial fractions
@@ -167,7 +54,7 @@ def _int_grid(grid, rows, cols):
     rejected, naming its 1-based entry."""
     def coerce(r, c, x):
         try:
-            return _coerce_coeff(x)
+            return coerce_coeff(x)
         except ValueError:
             raise ValueError(f"entry ({r + 1}, {c + 1}) is not integral: {x}") from None
 
@@ -176,7 +63,7 @@ def _int_grid(grid, rows, cols):
             raise TypeError(
                 f"entry ({r + 1}, {c + 1}) is not a coefficient sequence: {seq!r}"
             )
-        return _trim([coerce(r, c, x) for x in seq])
+        return trim([coerce(r, c, x) for x in seq])
 
     out = tuple(
         tuple(entry(r, c, seq) for c, seq in enumerate(row))
@@ -235,7 +122,7 @@ class PolyMatrix(Grid):
 
     @property
     def degree(self):
-        return _len(self.grid) - 1
+        return seq_len(self.grid) - 1
 
     @property
     def is_zero(self):
@@ -367,10 +254,10 @@ def init_fraction(col, m_weight):
     if col.is_zero:
         return PolyMatrix(1, col.rows), (1,)
     q, m_deg = col.degree, m_weight.degree
-    z = _conv((1, _mT(col.coeffs), m_weight.coeffs))
-    z = _fit(z, q + m_deg, "single-column numerator")
-    y = _conv((1, z, col.coeffs))[0][0]
-    y = _fit(y, 2 * q + m_deg, "single-column denominator")
+    z = conv((1, transpose(col.coeffs), m_weight.coeffs))
+    z = fit(z, q + m_deg, "single-column numerator")
+    y = conv((1, z, col.coeffs))[0][0]
+    y = fit(y, 2 * q + m_deg, "single-column denominator")
     if not y:
         raise DegenerateWeightError(
             "weighted squared length of a nonzero column is identically zero", stage=1
@@ -381,28 +268,28 @@ def init_fraction(col, m_weight):
 def step_projection(state, col):
     """Numerator coefficients of the new column's coordinates in the old
     columns (shares the previous stage's denominator)."""
-    out = _conv((1, state.x.num.coeffs, col.coeffs))
-    return _fit(out, state.q_prev + state.q, "projection")
+    out = conv((1, state.x.num.coeffs, col.coeffs))
+    return fit(out, state.q_prev + state.q, "projection")
 
 
 def step_residual(state, col, prefix, proj):
     """Numerator coefficients of the residual column (over the previous
     denominator); an empty result selects the dependent-column branch."""
-    out = _conv((1, state.x.den, col.coeffs), (-1, prefix.coeffs, proj))
-    return _fit(out, state.q_hat + state.q, "residual")
+    out = conv((1, state.x.den, col.coeffs), (-1, prefix.coeffs, proj))
+    return fit(out, state.q_hat + state.q, "residual")
 
 
 def step_coupling(state, prefix, border):
     """The weight-coupling column (I - X*prefix)*N^-1*l, X = num/y and
     N^-1 = nbar/ndd, in rank-one form: y*t - num*(prefix*t) with t = nbar*l,
     over its scalar denominator y*ndd."""
-    t = _conv((1, state.ninv.num.coeffs, border.coeffs))
-    t = _fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")
-    at = _conv((1, prefix.coeffs, t))
-    phi = _conv((1, state.x.den, t), (-1, state.x.num.coeffs, at))
-    phi = _fit(phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator")
-    psi = _conv((1, state.x.den, state.ninv.den))
-    return phi, _fit(psi, state.p_prev + state.ndd_deg, "coupling denominator")
+    t = conv((1, state.ninv.num.coeffs, border.coeffs))
+    t = fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")
+    at = conv((1, prefix.coeffs, t))
+    phi = conv((1, state.x.den, t), (-1, state.x.num.coeffs, at))
+    phi = fit(phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator")
+    psi = conv((1, state.x.den, state.ninv.den))
+    return phi, fit(psi, state.p_prev + state.ndd_deg, "coupling denominator")
 
 
 def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
@@ -424,13 +311,13 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     """
     i = state.i + 1
     if any(map(any, resid)):  # a nonzero entry: the independent branch
-        v = _fit(
-            _conv((1, _mT(resid), m_weight.coeffs)),
+        v = fit(
+            conv((1, transpose(resid), m_weight.coeffs)),
             state.q_hat + state.q + state.m_deg,
             "bottom row numerator (independent)",
         )
-        w = _fit(
-            _conv((1, v, col.coeffs))[0][0],
+        w = fit(
+            conv((1, v, col.coeffs))[0][0],
             state.q_hat + 2 * state.q + state.m_deg,
             "bottom row denominator (independent)",
         )
@@ -444,24 +331,24 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     # dependent branch: residual is identically zero
     y, ndd = state.x.den, state.ninv.den
     nprev, border, corner = part
-    projT, borderT = _mT(proj), _mT(border.coeffs)
-    yy = _conv((1, y, y))
-    schur_den = _fit(
-        _conv((1, yy, ndd)),
+    projT, borderT = transpose(proj), transpose(border.coeffs)
+    yy = conv((1, y, y))
+    schur_den = fit(
+        conv((1, yy, ndd)),
         2 * state.p_prev + state.ndd_deg,
         "Schur factor denominator",
     )
 
     # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l, l^T phi
-    dn = _conv((1, projT, nprev.coeffs))
-    core = _conv(
+    dn = conv((1, projT, nprev.coeffs))
+    core = conv(
         (1, ((corner,),), yy),
         (1, dn, proj),
-        (-2, _conv((1, projT, border.coeffs)), y),
+        (-2, conv((1, projT, border.coeffs)), y),
     )
-    lphi = _conv((1, borderT, coupling_num))
-    row_den = _fit(
-        _conv((1, core, ndd), (-1, lphi, y))[0][0],
+    lphi = conv((1, borderT, coupling_num))
+    row_den = fit(
+        conv((1, core, ndd), (-1, lphi, y))[0][0],
         2 * state.q_hat
         + state.n_deg
         + max(state.n_deg + state.nbar_deg, state.ndd_deg),
@@ -472,9 +359,9 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
             "weighted Schur factor is identically zero", stage=i
         )
 
-    lhs = _conv((1, dn, (1,)), (-1, y, borderT))
-    v = _fit(
-        _conv((1, ndd, _conv((1, lhs, state.x.num.coeffs)))),
+    lhs = conv((1, dn, (1,)), (-1, y, borderT))
+    v = fit(
+        conv((1, ndd, conv((1, lhs, state.x.num.coeffs)))),
         state.ndd_deg + state.q_prev + state.q_hat + state.n_deg,
         "bottom row numerator (dependent)",
     )
@@ -490,24 +377,24 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     ndd = state.ninv.den
     b_den = len(row_den) - 1
 
-    proj_coupling = _conv((1, ndd, proj), (1, coupling_num, (1,)))
-    upper = _conv(
-        (1, _conv((1, ndd, row_den)), state.x.num.coeffs),
+    proj_coupling = conv((1, ndd, proj), (1, coupling_num, (1,)))
+    upper = conv(
+        (1, conv((1, ndd, row_den)), state.x.num.coeffs),
         (-1, proj_coupling, row_num),
     )
     cap_upper = (
         state.q_hat
         + state.q
         + max(state.nbar_deg + state.n_deg, state.ndd_deg)
-        + max(_len(row_num) - 1, b_den)
+        + max(seq_len(row_num) - 1, b_den)
     )
-    upper = _fit(upper, cap_upper, "extended numerator (upper block)")
+    upper = fit(upper, cap_upper, "extended numerator (upper block)")
 
-    lower = _conv((1, coupling_den, row_num))
-    lower = _fit(lower, cap_upper, "extended numerator (bottom row)")
+    lower = conv((1, coupling_den, row_num))
+    lower = fit(lower, cap_upper, "extended numerator (bottom row)")
 
-    den = _conv((1, coupling_den, row_den))
-    den = _fit(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
+    den = conv((1, coupling_den, row_den))
+    den = fit(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
     if not den:
         raise CapacityError(
             "extended denominator: identically zero", "extended denominator"
@@ -533,24 +420,24 @@ def poly_bordering_step(inv, border, corner, n_deg):
     nbar, ndd = inv.num.coeffs, inv.den
     nbar_deg, ndd_deg = inv.num.degree, len(ndd) - 1
 
-    f = _fit(_conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
-    p_seq = _fit(_conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
-    q_seq = _conv((1, _mT(border.coeffs), f))[0][0]
-    q_seq = _fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
-    g = _conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
-    g = _fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
+    f = fit(conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
+    p_seq = fit(conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
+    q_seq = conv((1, transpose(border.coeffs), f))[0][0]
+    q_seq = fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
+    g = conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
+    g = fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
     if not g:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=i
         )
-    g_deg, f_deg = len(g) - 1, _len(f) - 1
+    g_deg, f_deg = len(g) - 1, seq_len(f) - 1
 
-    core = _conv((1, g, nbar), (1, f, _mT(f)))
-    core = _fit(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
-    side = _fit(_conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
-    ndd2 = _fit(_conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
-    den = _fit(_conv((1, ndd, g)), ndd_deg + g_deg, "block denominator")
-    stacked = tuple(map(add, core, side)) + (_mT(side)[0] + (ndd2,),)
+    core = conv((1, g, nbar), (1, f, transpose(f)))
+    core = fit(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
+    side = fit(conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
+    ndd2 = fit(conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
+    den = fit(conv((1, ndd, g)), ndd_deg + g_deg, "block denominator")
+    stacked = tuple(map(add, core, side)) + (transpose(side)[0] + (ndd2,),)
     return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
 
 
@@ -573,7 +460,7 @@ def _leading_inverses(mat, parts):
 def bordering_inverse(mat):
     """Inverse of a symmetric matrix polynomial as a matrix-polynomial
     numerator over one scalar denominator."""
-    if not mat.is_square:
+    if not PolyMatrix.expect(mat).is_square:
         raise ValueError("bordering inverse of a non-square matrix")
     if not mat.is_symmetric:
         raise ValueError("bordering inverse expects a symmetric matrix")
@@ -587,10 +474,11 @@ def bordering_inverse(mat):
 # driver
 
 
-def partition_stages(a, m_weight=None, n_weight=None):
-    """Yield the coefficient-path state after every stage i = 1..n."""
-    problem = WeightedProblem(a, m_weight, n_weight)
-    m_weight, n_weight = problem.m_weight, problem.n_weight
+def partition_stages(problem):
+    """Yield the coefficient-path state after every stage i = 1..n of a
+    ``WeightedProblem`` over PolyMatrix."""
+    a, m_weight, n_weight = problem.a, problem.m_weight, problem.n_weight
+    PolyMatrix.expect(a)
     q, m_deg, n_deg = a.degree, m_weight.degree, n_weight.degree
     # the inverse of the order-i weight block is drawn at stage i < n only
     parts = [n_weight.principal_partition(i) for i in range(2, a.cols + 1)]
@@ -626,7 +514,7 @@ def weighted_pinv(a, m_weight=None, n_weight=None):
     weighted pseudoinverse is unique, so this is a complete cross-check of
     both implementations.
     """
-    for state in partition_stages(a, m_weight, n_weight):
+    for state in partition_stages(WeightedProblem(a, m_weight, n_weight)):
         pass
     return state.x
 
@@ -635,9 +523,9 @@ def weighted_pinv(a, m_weight=None, n_weight=None):
 # rational front doors: a rational matrix enters as P/L
 
 
-def _cleared(mat):
+def cleared(mat):
     """(P, L) with mat = P/L, by ``RfMatrix.clear_denominators``."""
-    grid, den = mat.clear_denominators()
+    grid, den = RfMatrix.expect(mat).clear_denominators()
     coeffs = tuple(tuple(p.coeffs for p in row) for row in grid)
     return PolyMatrix._of(mat.rows, mat.cols, coeffs), den.coeffs
 
@@ -645,7 +533,7 @@ def _cleared(mat):
 def _times(den, frac):
     """den * frac, for a scalar coefficient sequence den."""
     num = frac.num
-    scaled = _mtrim(_conv((1, den, num.coeffs)))
+    scaled = trim_grid(conv((1, den, num.coeffs)))
     return MatrixPolyFraction(PolyMatrix._of(num.rows, num.cols, scaled), frac.den)
 
 
@@ -653,14 +541,14 @@ def solve(problem):
     """Weighted pseudoinverse of a rational ``WeightedProblem``: with
     A = P/L it is L*P^+, and a weight enters as its cleared numerator (a
     nonzero scalar factor on a weight leaves the result unchanged)."""
-    a, den = _cleared(problem.a)
-    m_weight, _ = _cleared(problem.m_weight)
-    n_weight, _ = _cleared(problem.n_weight)
+    a, den = cleared(problem.a)
+    m_weight, _ = cleared(problem.m_weight)
+    n_weight, _ = cleared(problem.n_weight)
     return _times(den, weighted_pinv(a, m_weight, n_weight))
 
 
 def invert(mat):
     """Inverse of a symmetric RfMatrix N = P/L as L*P^-1, with P^-1 from
     ``bordering_inverse``."""
-    p, den = _cleared(mat)
+    p, den = cleared(mat)
     return _times(den, bordering_inverse(p))

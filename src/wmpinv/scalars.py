@@ -11,24 +11,36 @@ chosen so that equality is structural: the pair has integer coefficients,
 the joint content of numerator and denominator is 1, gcd(num, den) = 1 as
 polynomials, and the denominator's leading coefficient is positive.  Zero
 is 0/1.  Canonical form makes golden-fixture comparisons bit-exact.
+
+The module also owns the integer-sequence format that the coefficient path
+and the Penrose checker compute in.  A scalar sequence is a tuple of ints,
+lowest degree first as in ``Poly.coeffs``; a matrix polynomial is a grid
+(a tuple of rows) of such per-entry tuples.  Zero-length sequences
+represent zero, so a zero matrix is a grid of empty entries and keeps its
+shape; when two sequences of different lengths are combined the shorter
+is implicitly padded with zeros.  ``pack`` and ``digits`` convert a
+sequence to and from its value at s = 2**k, the one codec of GCDHEU and of
+the Kronecker-substitution kernel ``conv``; ``fit`` checks a result's
+untrimmed length against its degree capacity and then trims it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import mul
 
-from .errors import PoleError
+from .errors import CapacityError, PoleError
 
 
-def _trim(coeffs):
+def trim(coeffs):
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
 
-def _coerce_coeff(c):
+def coerce_coeff(c):
     """c as an int: an int, or a Fraction with denominator 1.  Any other
     Fraction is a ValueError, any other type a TypeError."""
     if isinstance(c, int):
@@ -51,7 +63,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([_coerce_coeff(c) for c in coeffs])
+        self.coeffs = trim([coerce_coeff(c) for c in coeffs])
 
     @classmethod
     def _raw(cls, coeffs):
@@ -62,7 +74,7 @@ class Poly:
 
     @classmethod
     def const(cls, c):
-        c = _coerce_coeff(c)
+        c = coerce_coeff(c)
         return cls._raw((c,)) if c else ZERO_POLY
 
     @property
@@ -124,7 +136,7 @@ class Poly:
         out = list(a)
         for j, c in enumerate(b):
             out[j] += c
-        return Poly._raw(_trim(out))
+        return Poly._raw(trim(out))
 
     __radd__ = __add__
 
@@ -156,7 +168,7 @@ class Poly:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return Poly._raw(_trim(out))
+        return Poly._raw(trim(out))
 
     __rmul__ = __mul__
 
@@ -197,7 +209,7 @@ class Poly:
                 quo[k] = f
                 for j, cj in enumerate(q.coeffs):
                     rem[k + j] -= f * cj
-        return Poly._raw(_trim(quo)), Poly._raw(_trim(rem))
+        return Poly._raw(trim(quo)), Poly._raw(trim(rem))
 
     def exact_div(self, other):
         """Quotient of an exact division; raises when there is a remainder."""
@@ -275,7 +287,7 @@ def _divides(d, a):
         return False
 
 
-def _pack(seq, k):
+def pack(seq, k):
     """The integer sequence's value at s = 2**k (shift-Horner)."""
     v = 0
     for c in reversed(seq):
@@ -283,20 +295,128 @@ def _pack(seq, k):
     return v
 
 
-def _digits(v, k):
+def digits(v, k):
     """Balanced base-2**k digits of v (k >= 2), each in (-2**(k-1), 2**(k-1)],
-    lowest first up to the top nonzero one: the inverse of ``_pack`` on
+    lowest first up to the top nonzero one: the inverse of ``pack`` on
     sequences in that range, up to trailing zeros."""
     mask, half = (1 << k) - 1, 1 << (k - 1)
-    digits = []
+    out = []
     while v:
         d = v & mask
         v >>= k
         if d > half:
             d -= mask + 1
             v += 1
-        digits.append(d)
-    return digits
+        out.append(d)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# coefficient sequences (scalar: a tuple of ints; matrix: a grid of them)
+
+
+def _is_grid(seq):
+    return bool(seq) and not isinstance(seq[0], int)
+
+
+def transpose(grid):
+    return tuple(zip(*grid))
+
+
+def trim_grid(grid):
+    return tuple(tuple(map(trim, row)) for row in grid)
+
+
+def seq_len(seq):
+    """Untrimmed length: of the longest entry of a grid."""
+    return max(len(e) for row in seq for e in row) if _is_grid(seq) else len(seq)
+
+
+def _norm(seq):
+    # largest coefficient magnitude of a nonzero-length sequence
+    if _is_grid(seq):
+        return max(max(map(abs, e), default=0) for row in seq for e in row)
+    return max(map(abs, seq))
+
+
+def _packed(seq, k):
+    """Each entry's sequence as its value at s = 2**k (``pack``)."""
+    if _is_grid(seq):
+        return tuple(tuple(pack(e, k) for e in row) for row in seq)
+    return pack(seq, k)
+
+
+def _pmul(x, y):
+    # product of packed values: ints, an int scaling a matrix, or matrices
+    if isinstance(x, int):
+        return x * y if isinstance(y, int) else _pmul(y, x)
+    if isinstance(y, int):
+        return tuple(tuple(v * y for v in row) for row in x)
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*y)) for row in x)
+
+
+def _product_shape(a, b):
+    """Shape of a*b (None for a scalar), or ValueError naming both shapes
+    when the matrix product does not conform."""
+    sa, sb = ((len(x), len(x[0])) if _is_grid(x) else None for x in (a, b))
+    if sa and sb and sa[1] != sb[0]:
+        raise ValueError(
+            f"nonconformable product: {sa[0]}x{sa[1]} times {sb[0]}x{sb[1]}"
+        )
+    return (sa[0], sb[1]) if sa and sb else sa or sb
+
+
+def conv(*terms):
+    """Sum of c*a*b over the terms (c, a, b): c an int, a and b scalar or
+    matrix coefficient sequences, each product a Cauchy product with a
+    matrix product per term.  Products that do not conform, or that differ
+    in shape, raise ValueError.
+
+    Kronecker substitution: every entry's sequence is packed into its value
+    at s = 2**k, the whole sum is evaluated in integer arithmetic, and the
+    balanced base-2**k digits are unpacked once.  2**(k-2) exceeds the sum
+    over the terms of |c| * max|a| * max|b| * min(len a, len b) * inner,
+    which bounds every output coefficient, so the digits are the
+    coefficients.  Every result entry is untrimmed, of the length of the
+    longest product, len a + len b - 1 (a term with a zero-length operand
+    adds nothing), len being the length of a matrix's longest entry.
+    """
+    shapes = {_product_shape(a, b) for _, a, b in terms}
+    if len(shapes) > 1:
+        named = sorted("scalar" if s is None else f"{s[0]}x{s[1]}" for s in shapes)
+        raise ValueError(f"terms of different shapes: {' and '.join(named)}")
+    shape = shapes.pop() if shapes else None
+    terms = [(c, a, b) for c, a, b in terms if seq_len(a) and seq_len(b)]
+    if not terms:
+        return (((),) * shape[1],) * shape[0] if shape else ()
+    bound = 0
+    for c, a, b in terms:
+        inner = len(b) if _is_grid(a) and _is_grid(b) else 1
+        bound += abs(c) * _norm(a) * _norm(b) * min(seq_len(a), seq_len(b)) * inner
+    k = bound.bit_length() + 2
+    n = max(seq_len(a) + seq_len(b) - 1 for _, a, b in terms)
+
+    def unpack(v):
+        coeffs = digits(v, k)
+        return tuple(coeffs) + (0,) * (n - len(coeffs))
+
+    prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in terms]
+    if shape is None:
+        return unpack(sum(prods))
+    return tuple(tuple(unpack(sum(v)) for v in zip(*rows)) for rows in zip(*prods))
+
+
+def fit(seq, cap, label):
+    """seq with every entry's trailing zeros trimmed, once its untrimmed
+    length has been checked against the formula's degree capacity ``cap``."""
+    n = seq_len(seq)
+    if n and n > cap + 1:
+        raise CapacityError(
+            f"{label}: coefficient sequence of length {n} exceeds "
+            f"its degree capacity {cap}",
+            label,
+        )
+    return trim_grid(seq) if _is_grid(seq) else trim(seq)
 
 
 def _heu_gcd(a, b):
@@ -304,7 +424,7 @@ def _heu_gcd(a, b):
     of degree >= 1: the gcd with a positive leading coefficient, or None
     when the reconstructed candidate fails the divisibility check."""
     k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
-    g = _primitive_ints(_digits(_int_gcd(_pack(a, k), _pack(b, k)), k))
+    g = _primitive_ints(digits(_int_gcd(pack(a, k), pack(b, k)), k))
     if len(g) == 1 or _divides(g, a) and _divides(g, b):
         return g
     return None
@@ -334,7 +454,7 @@ def poly_gcd(p, q):
 
     * evaluation: h = gcd(a(xi), b(xi)) over the integers, at the least
       power of two xi >= 2*min(|a|_inf, |b|_inf) + 2, so that evaluation
-      and reconstruction are the shifts of ``_pack`` and ``_digits``;
+      and reconstruction are the shifts of ``pack`` and ``digits``;
     * reconstruction: G is the primitive part, with positive leading
       coefficient, of the polynomial whose coefficients are the balanced
       base-xi digits of h, each in (-xi/2, xi/2];
@@ -607,8 +727,6 @@ ZERO = object.__new__(RatFun)
 ZERO.num, ZERO.den = ZERO_POLY, ONE_POLY
 ONE = object.__new__(RatFun)
 ONE.num, ONE.den = ONE_POLY, ONE_POLY
-S = object.__new__(RatFun)
-S.num, S.den = S_POLY, ONE_POLY
 
 
 def format_poly(p):

@@ -4,8 +4,8 @@ the two computation paths, and pointwise evaluation consistency.
 Everything here is exact; there are no tolerances.  The Penrose checker
 clears A, X and the weights to integer matrix polynomials over scalar
 denominators, so each identity holds exactly when an integer
-matrix-polynomial sum, evaluated by the coefficient path's kernel
-``_conv`` with no gcd, is zero.  The rational path and the cross-path
+matrix-polynomial sum, evaluated by the integer-sequence kernel
+``scalars.conv`` with no gcd, is zero.  The rational path and the cross-path
 equality stay the independent oracle.
 """
 
@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .errors import DegenerateWeightError, PoleError, SingularMatrixError
-from .greville import WeightedProblem, weighted_pinv
-from .matrices import constant_matrix
-from .poly_greville import _cleared, _conv, _mT, _mtrim, solve
-from .scalars import Poly, RatFun
+from .errors import PoleError, StageError
+from .greville import weighted_pinv
+from .matrices import WeightedProblem, constant_matrix
+from .poly_greville import cleared, solve
+from .scalars import Poly, RatFun, conv, transpose, trim_grid
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def _asymmetry(grid):
     length, as the kernel returns them."""
     return [
         [tuple(map(sub, t, s)) for t, s in zip(trow, row)]
-        for trow, row in zip(_mT(grid), grid)
+        for trow, row in zip(transpose(grid), grid)
     ]
 
 
@@ -74,16 +74,16 @@ def penrose_check(a, m_weight, n_weight, x):
         if w.rows != k or w.cols != k:
             raise ValueError(f"weight {name} must be {k}x{k}, got {w.rows}x{w.cols}")
     (p, l_den), (xn, d), (mn, lm), (nn, ln) = (
-        (mat.coeffs, den) for mat, den in map(_cleared, (a, x, m_weight, n_weight))
+        (mat.coeffs, den) for mat, den in map(cleared, (a, x, m_weight, n_weight))
     )
-    ld = _conv((1, l_den, d))
-    px = _mtrim(_conv((1, p, xn)))
-    xp = _mtrim(_conv((1, xn, p)))
+    ld = conv((1, l_den, d))
+    px = trim_grid(conv((1, p, xn)))
+    xp = trim_grid(conv((1, xn, p)))
     residuals = (
-        ("(1)", _conv((1, px, p), (-1, ld, p)), l_den),
-        ("(2)", _conv((1, xp, xn), (-1, ld, xn)), d),
-        ("(3M)", _asymmetry(_conv((1, mn, px))), lm),
-        ("(4N)", _asymmetry(_conv((1, nn, xp))), ln),
+        ("(1)", conv((1, px, p), (-1, ld, p)), l_den),
+        ("(2)", conv((1, xp, xn), (-1, ld, xn)), d),
+        ("(3M)", _asymmetry(conv((1, mn, px))), lm),
+        ("(4N)", _asymmetry(conv((1, nn, xp))), ln),
     )
     flags = []
     first_failure = None
@@ -156,7 +156,7 @@ def eval_consistency_check(a, m_weight, n_weight, x, sample_points):
             continue
         try:
             recomputed = weighted_pinv(WeightedProblem(a0, m0, n0))
-        except (DegenerateWeightError, SingularMatrixError) as exc:
+        except StageError as exc:
             points.append(EvalPoint(s0, "skip", f"constant recursion: {exc}"))
             continue
         if recomputed == x0:

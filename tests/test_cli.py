@@ -483,11 +483,11 @@ class TestHostileInput:
             "from wmpinv.cli import run_command\n"
             "if not sys.flags.optimize:\n"
             "    sys.exit(9)\n"
-            "real = poly_greville._conv\n"
+            "real = poly_greville.conv\n"
             "def padded(*terms):\n"
             "    out = real(*terms)\n"
             "    return out + (0,) if out and isinstance(out[0], int) else out\n"
-            "poly_greville._conv = padded\n"
+            "poly_greville.conv = padded\n"
             "sys.exit(run_command(sys.argv[1:]))\n"
         )
         result = subprocess.run(

@@ -17,16 +17,14 @@ from helpers import (
     rand_weight,
 )
 from wmpinv.errors import CapacityError, DegenerateWeightError, SingularMatrixError
-from wmpinv.greville import WeightedProblem
 from wmpinv.greville import bordering_inverse as rational_bordering_inverse
 from wmpinv.greville import partition_stages as rational_stages
 from wmpinv.greville import weighted_pinv as rational_pinv
-from wmpinv.matrices import RfMatrix
+from wmpinv.matrices import RfMatrix, WeightedProblem
 from wmpinv.matrixio import parse_entry, parse_matrix_file
 from wmpinv.poly_greville import (
     MatrixPolyFraction,
     PolyMatrix,
-    _fit,
     bordering_inverse,
     fraction_simplify,
     init_fraction,
@@ -35,7 +33,7 @@ from wmpinv.poly_greville import (
     solve,
     weighted_pinv,
 )
-from wmpinv.scalars import Poly, RatFun
+from wmpinv.scalars import Poly, RatFun, fit
 from wmpinv.verify import penrose_check
 
 
@@ -161,7 +159,7 @@ class TestInitFraction:
 
 class TestStageSequences:
     def test_orthogonal_columns(self):
-        states = list(partition_stages(PolyMatrix.identity(2)))
+        states = list(partition_stages(WeightedProblem(PolyMatrix.identity(2))))
         st, sg = states[1], states[1].stage
         assert sg.proj == (((),),)  # zero projection: one empty entry
         assert seq_value(sg.resid, st.x.den and [1], 2, 1) == RfMatrix.from_rows(
@@ -178,7 +176,7 @@ class TestStageSequences:
 
     def test_dependent_column_value(self):
         a = PolyMatrix.from_entries([[1, 1]])
-        states = list(partition_stages(a))
+        states = list(partition_stages(WeightedProblem(a)))
         st, sg = states[1], states[1].stage
         assert sg.resid == (((),),)
         # Schur factor 2 (its numerator is the row denominator), bottom row
@@ -196,7 +194,7 @@ class TestStageSequences:
         # factor y on either side
         a, w = load("wmp_poly3_a.mat"), load("wmp_poly3_w.mat")
         ap, wp = PolyMatrix.from_rf_matrix(a), PolyMatrix.from_rf_matrix(w)
-        st1, st2 = list(partition_stages(ap, wp, wp))[:2]
+        st1, st2 = list(partition_stages(WeightedProblem(ap, wp, wp)))[:2]
         st = st2.stage
         assert len(st1.x.den) > 1 and not is_zero_grid(st.resid)
         rows = ap.rows
@@ -224,7 +222,7 @@ class TestStageSequences:
                 ap, mp, np_ = (PolyMatrix.from_rf_matrix(x) for x in (a, m, n))
                 problem = WeightedProblem(a, m, n)
                 rat, rat_err = run_stages(rational_stages(problem))
-                pol, pol_err = run_stages(partition_stages(ap, mp, np_))
+                pol, pol_err = run_stages(partition_stages(WeightedProblem(ap, mp, np_)))
                 assert pol_err == rat_err
                 assert len(pol) == len(rat)
                 for st_rat, st_pol in zip(rat, pol):
@@ -266,7 +264,7 @@ class TestFrozenStages:
             for name in "amn"
         )
         states, snapshots = [], []
-        for st in partition_stages(a, m, n):
+        for st in partition_stages(WeightedProblem(a, m, n)):
             states.append(st)
             snapshots.append(asdict(st))
         # the three shapes: no stage record at stage 1, and a Schur
@@ -360,25 +358,25 @@ class TestCapacityChecks:
     def test_violation_raises(self):
         # the untrimmed length counts: trimmed, [1, 2, 0] would fit degree 1
         with pytest.raises(CapacityError) as info:
-            _fit([1, 2, 0], 1, "probe")
+            fit([1, 2, 0], 1, "probe")
         assert info.value.label == "probe"
         assert str(info.value).startswith("probe: ")
 
     def test_empty_always_fits(self):
-        assert _fit([], -2, "probe") == ()
+        assert fit([], -2, "probe") == ()
 
     def test_int_sequence_fits_then_trims(self):
         # the untrimmed length is checked: 3 coefficients fit degree 2
-        assert _fit([4, -1, 0], 2, "probe") == (4, -1)
+        assert fit([4, -1, 0], 2, "probe") == (4, -1)
 
     def test_matrix_sequence_fits_then_trims(self):
         # s times ((1, 0), (0, 2)), every entry untrimmed to length 4
         grid = (((0, 1, 0, 0), (0, 0, 0, 0)), ((0, 0, 0, 0), (0, 2, 0, 0)))
-        assert _fit(grid, 3, "probe") == (((0, 1), ()), ((), (0, 2)))
+        assert fit(grid, 3, "probe") == (((0, 1), ()), ((), (0, 2)))
 
     def test_all_zero_sequence_fits_as_empty(self):
-        assert _fit([0, 0], 1, "probe") == ()
-        assert _fit((((0,),),), 0, "probe") == (((),),)
+        assert fit([0, 0], 1, "probe") == ()
+        assert fit((((0,),),), 0, "probe") == (((),),)
 
     def test_random_runs_stay_within_bounds(self):
         # every step asserts its pre-trim length against the formula bound,
@@ -481,3 +479,28 @@ class TestDegenerateWeights:
         with pytest.raises(DegenerateWeightError) as err:
             weighted_pinv(a, PolyMatrix.identity(1), n)
         assert err.value.stage == 2
+
+
+RF_2X2 = RfMatrix.identity(2)
+POLY_2X2 = PolyMatrix.identity(2)
+
+
+@pytest.mark.parametrize(
+    "compute, arg, expected, got",
+    [
+        (weighted_pinv, RF_2X2, "PolyMatrix", "RfMatrix"),
+        (rational_pinv, WeightedProblem(POLY_2X2), "RfMatrix", "PolyMatrix"),
+        (rational_bordering_inverse, POLY_2X2, "RfMatrix", "PolyMatrix"),
+        (bordering_inverse, RF_2X2, "PolyMatrix", "RfMatrix"),
+        (solve, WeightedProblem(POLY_2X2), "RfMatrix", "PolyMatrix"),
+        (invert, POLY_2X2, "RfMatrix", "PolyMatrix"),
+        (lambda x: penrose_check(x, x, x, x), POLY_2X2, "RfMatrix", "PolyMatrix"),
+    ],
+    ids=[
+        "poly-pinv", "rational-pinv", "rational-bordering", "poly-bordering",
+        "solve", "invert", "penrose-check",
+    ],
+)
+def test_each_path_rejects_the_other_paths_matrix_type(compute, arg, expected, got):
+    with pytest.raises(TypeError, match=rf"^{expected} expected, got {got}$"):
+        compute(arg)

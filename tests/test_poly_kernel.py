@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from wmpinv.poly_greville import _conv
+from wmpinv.scalars import conv
 
 
 def _mzero(rows, cols):
@@ -127,8 +127,8 @@ def to_degree_major(seq):
 
 
 def kernel(*terms):
-    """``_conv`` on grid terms, its result in the degree-major layout."""
-    return to_degree_major(_conv(*terms))
+    """``conv`` on grid terms, its result in the degree-major layout."""
+    return to_degree_major(conv(*terms))
 
 
 def ref(*terms):
@@ -217,16 +217,16 @@ class TestKernelAgainstSchoolbook:
         # a zero matrix is a grid of empty entries and keeps its shape
         m = to_grid([((1, 2), (3, 4))], 2, 2)
         zero = (((), ()), ((), ()))
-        assert _conv((1, [], [1, 2])) == ()
-        assert _conv((1, [1, 2], [])) == ()
-        assert _conv((1, [], m)) == zero
-        assert _conv((1, m, [])) == zero
-        assert _conv() == ()
-        assert _conv((1, [], [5]), (2, [1, 1], [3])) == (6, 6)
+        assert conv((1, [], [1, 2])) == ()
+        assert conv((1, [1, 2], [])) == ()
+        assert conv((1, [], m)) == zero
+        assert conv((1, m, [])) == zero
+        assert conv() == ()
+        assert conv((1, [], [5]), (2, [1, 1], [3])) == (6, 6)
 
     def test_all_zero_operands_keep_their_length(self):
         zero = to_grid([_mzero(2, 2)] * 3, 2, 2)
-        assert _conv((1, [0, 0], [0, 0, 0])) == (0, 0, 0, 0)
+        assert conv((1, [0, 0], [0, 0, 0])) == (0, 0, 0, 0)
         assert kernel((1, zero, zero)) == [_mzero(2, 2)] * 5
         assert kernel((2, [0], zero)) == [_mzero(2, 2)] * 3
 
@@ -243,8 +243,8 @@ class TestKernelAgainstSchoolbook:
             s, t = scalar_seq(rng, bits, 3), scalar_seq(rng, bits, 2)
             a, b = matrix_seq(rng, 2, 3, bits), matrix_seq(rng, 3, 1, bits)
             n = len(s) + len(t) - 1
-            assert _conv((1, s, t), (-1, t, s)) == (0,) * n
-            assert _conv((2, s, t), (-1, s, t), (-1, t, s)) == (0,) * n
+            assert conv((1, s, t), (-1, t, s)) == (0,) * n
+            assert conv((2, s, t), (-1, s, t), (-1, t, s)) == (0,) * n
             a_len, b_len = len(to_degree_major(a)), len(to_degree_major(b))
             if a_len and b_len:
                 n = a_len + b_len - 1
@@ -283,7 +283,7 @@ class TestKernelAgainstSchoolbook:
         for c in (-2, -1, 1, 2):
             assert kernel((c, s, m)) == ref((c, s, m))
             assert kernel((c, m, s)) == ref((c, s, m))
-            assert _conv((c, s, s)) == (4 * c, -4 * c, c)
+            assert conv((c, s, s)) == (4 * c, -4 * c, c)
 
 
 def identity_grid(n):
@@ -296,21 +296,21 @@ class TestConformity:
 
     def test_inner_dimensions_must_agree(self):
         with pytest.raises(ValueError, match="3x3 times 2x2"):
-            _conv((1, identity_grid(3), identity_grid(2)))
+            conv((1, identity_grid(3), identity_grid(2)))
         row, col = to_grid([((1, 2, 3),)], 1, 3), to_grid([((1,), (2,))], 2, 1)
         with pytest.raises(ValueError, match="1x3 times 2x1"):
-            _conv((1, row, col))
+            conv((1, row, col))
 
     def test_terms_must_share_one_shape(self):
         i2, i3 = identity_grid(2), identity_grid(3)
         with pytest.raises(ValueError, match="2x2 and 3x3"):
-            _conv((1, i2, i2), (-1, i3, i3))
+            conv((1, i2, i2), (-1, i3, i3))
         with pytest.raises(ValueError, match="2x2 and scalar"):
-            _conv((1, [1], [1]), (1, i2, [1]))
+            conv((1, [1], [1]), (1, i2, [1]))
 
     def test_zero_operands_are_checked_too(self):
         zero3 = to_grid([], 3, 3)
         with pytest.raises(ValueError, match="3x3 times 2x2"):
-            _conv((1, zero3, identity_grid(2)))
+            conv((1, zero3, identity_grid(2)))
         with pytest.raises(ValueError, match="2x2 and 3x3"):
-            _conv((1, zero3, []), (1, identity_grid(2), [1]))
+            conv((1, zero3, []), (1, identity_grid(2), [1]))

@@ -45,7 +45,7 @@ def problems(draw):
 def test_paths_agree_on_every_branch_and_result(problem):
     a, m, n = problem.a, problem.m_weight, problem.n_weight
     rat = list(rational_stages(problem))
-    pol = list(poly_stages(*(PolyMatrix.from_rf_matrix(w) for w in (a, m, n))))
+    pol = list(poly_stages(WeightedProblem(*map(PolyMatrix.from_rf_matrix, (a, m, n)))))
     assert [s.i for s in rat] == [s.i for s in pol] == list(range(1, a.cols + 1))
     for s_rat, s_pol in zip(rat, pol):
         assert (s_rat.stage is None) == (s_pol.stage is None) == (s_rat.i == 1)

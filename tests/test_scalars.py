@@ -15,11 +15,11 @@ from wmpinv.errors import PoleError
 from wmpinv.scalars import (
     Poly,
     RatFun,
-    _digits,
     _heu_gcd,
-    _pack,
     _prs_gcd,
+    digits,
     joint_reduce,
+    pack,
     poly_gcd,
 )
 
@@ -263,7 +263,7 @@ def rand_nonconstant(rng, deg, bits):
 
 
 class TestSequenceCodec:
-    """_pack and _digits, shared by GCDHEU and the coefficient-path kernel."""
+    """pack and digits, shared by GCDHEU and the coefficient-path kernel."""
 
     def test_digits_invert_pack(self):
         rng = random.Random(31)
@@ -280,16 +280,16 @@ class TestSequenceCodec:
             trimmed = list(seq)
             while trimmed and not trimmed[-1]:
                 trimmed.pop()
-            assert _digits(_pack(seq, k), k) == trimmed, (k, seq)
+            assert digits(pack(seq, k), k) == trimmed, (k, seq)
 
     def test_digit_range_ends(self):
         # digits lie in (-2**(k-1), 2**(k-1)]: 2**(k-1) stays a digit, and
         # -(2**(k-1)) is carried into the next one
-        assert _digits(_pack([4, -3, 4], 3), 3) == [4, -3, 4]
-        assert _digits(_pack([-3, 1], 3), 3) == [-3, 1]
-        assert _digits(-4, 3) == [4, -1]
-        assert _digits(_pack([0, 0, -1], 3), 3) == [0, 0, -1]
-        assert _digits(0, 3) == [] and _pack([], 3) == 0
+        assert digits(pack([4, -3, 4], 3), 3) == [4, -3, 4]
+        assert digits(pack([-3, 1], 3), 3) == [-3, 1]
+        assert digits(-4, 3) == [4, -1]
+        assert digits(pack([0, 0, -1], 3), 3) == [0, 0, -1]
+        assert digits(0, 3) == [] and pack([], 3) == 0
 
     def test_gcd_of_high_powers(self):
         # the evaluation point is 2**197 here, and a(xi) has about 59000 bits
