@@ -176,6 +176,7 @@ def partition_stages(problem):
     matrix.  The coupling column (I - X*prefix)*N^-1*l is t - X*(prefix*t)
     with t = N^-1*l.  Errors carry the failing stage index.
     """
+    problem = WeightedProblem.expect(problem)
     a, n_w = RfMatrix.expect(problem.a), problem.n_weight
     # the inverse of the order-i weight block is drawn at stage i < n only
     parts = [n_w.principal_partition(i) for i in range(2, a.cols + 1)]

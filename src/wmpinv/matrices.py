@@ -11,6 +11,11 @@ structural operations take 1-based indices i in 1..n, matching how stages
 are counted.  ``WeightedProblem`` holds a grid with its two weights and
 validates them once for both paths.
 
+An ``RfMatrix`` product reduces each entry once per denominator: the
+entry's products a*b (each canonical) are grouped by denominator, each
+group's numerators are added as polynomials and reduced once, and then
+the groups are added as rational functions.
+
 ``ff_inverse`` is the independent inverse oracle: denominators are cleared
 to a single scalar polynomial and the polynomial matrix is inverted by
 fraction-free (Bareiss-style) Gauss-Jordan elimination, every division
@@ -24,7 +29,14 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import PoleError, SingularMatrixError
-from .scalars import ONE, ZERO, Poly, RatFun, ONE_POLY, poly_gcd
+from .scalars import ONE, ZERO, Poly, RatFun, ONE_POLY, ZERO_POLY, poly_gcd
+
+
+def _expect(cls, obj):
+    """``obj``, or TypeError when it is not a ``cls``."""
+    if not isinstance(obj, cls):
+        raise TypeError(f"{cls.__name__} expected, got {type(obj).__name__}")
+    return obj
 
 
 class Grid:
@@ -47,12 +59,7 @@ class Grid:
         grid = tuple((z,) * r + (cls.ONE,) + (z,) * (n - 1 - r) for r in range(n))
         return cls._of(n, n, grid)
 
-    @classmethod
-    def expect(cls, mat):
-        """``mat``, or TypeError when it is not a ``cls``."""
-        if not isinstance(mat, cls):
-            raise TypeError(f"{cls.__name__} expected, got {type(mat).__name__}")
-        return mat
+    expect = classmethod(_expect)
 
     def __getitem__(self, key):
         r, c = key
@@ -127,6 +134,8 @@ class WeightedProblem:
     m_weight: Grid = None
     n_weight: Grid = None
 
+    expect = classmethod(_expect)
+
     def __post_init__(self):
         kind = type(self.a)
         weights = ("row", "m_weight", self.a.rows), ("column", "n_weight", self.a.cols)
@@ -155,6 +164,24 @@ def _want_entry(x):
     if f is None:
         raise TypeError(f"matrix entry must be exact, got {type(x).__name__}")
     return f
+
+
+def _dot(row, col):
+    """Sum of the products a*b of canonical entries, the products grouped
+    by denominator: each group's numerators are added as polynomials and
+    reduced once, and then the groups are added."""
+    groups = {}
+    for a, b in zip(row, col):
+        if a and b:
+            ab = a * b
+            groups.setdefault(ab.den.coeffs, []).append(ab)
+    acc = ZERO
+    for terms in groups.values():
+        term = terms[0]
+        if len(terms) > 1:
+            term = RatFun(sum((t.num for t in terms), ZERO_POLY), term.den)
+        acc = acc + term
+    return acc
 
 
 class RfMatrix(Grid):
@@ -234,20 +261,9 @@ class RfMatrix(Grid):
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            o, p = other.grid, other.cols
-            out = []
-            for row in self.grid:
-                for j in range(p):
-                    acc = ZERO
-                    for t, a in enumerate(row):
-                        if a.is_zero:
-                            continue
-                        b = o[t][j]
-                        if b.is_zero:
-                            continue
-                        acc = acc + a * b
-                    out.append(acc)
-            return RfMatrix(self.rows, p, out)
+            cols = tuple(zip(*other.grid)) or ((),) * other.cols
+            grid = tuple(tuple(_dot(row, col) for col in cols) for row in self.grid)
+            return RfMatrix._of(self.rows, other.cols, grid)
         f = RatFun._want(other)
         if f is None:
             return NotImplemented

@@ -477,6 +477,7 @@ def bordering_inverse(mat):
 def partition_stages(problem):
     """Yield the coefficient-path state after every stage i = 1..n of a
     ``WeightedProblem`` over PolyMatrix."""
+    problem = WeightedProblem.expect(problem)
     a, m_weight, n_weight = problem.a, problem.m_weight, problem.n_weight
     PolyMatrix.expect(a)
     q, m_deg, n_deg = a.degree, m_weight.degree, n_weight.degree

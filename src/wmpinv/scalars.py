@@ -10,7 +10,11 @@ A rational function is a reduced pair of polynomials in a canonical form
 chosen so that equality is structural: the pair has integer coefficients,
 the joint content of numerator and denominator is 1, gcd(num, den) = 1 as
 polynomials, and the denominator's leading coefficient is positive.  Zero
-is 0/1.  Canonical form makes golden-fixture comparisons bit-exact.
+is 0/1.  Canonical form makes golden-fixture comparisons bit-exact.  Each
+gcd's division work is done once: ``gcd_cofactors(p, q)`` returns
+(g, p/g, q/g), reusing the quotients of GCDHEU's divisibility proof, and
+the field operations and ``joint_reduce`` cancel with those cofactors
+instead of dividing by g again.
 
 The module also owns the integer-sequence format that the coefficient path
 and the Penrose checker compute in.  A scalar sequence is a tuple of ints,
@@ -276,15 +280,16 @@ def _primitive_ints(ints):
     return [c // g for c in ints]
 
 
-def _divides(d, a):
-    """Whether the primitive integer polynomial d divides a in Z[x].
+def _quotient(a, d):
+    """a/d when the primitive polynomial d divides a in Z[x], else None.
 
     By Gauss's lemma an exact quotient by a primitive d has integer
     coefficients, so integer long division decides it."""
     try:
-        return not divmod(Poly._raw(tuple(a)), Poly._raw(tuple(d)))[1]
+        quo, rem = divmod(a, d)
     except ArithmeticError:
-        return False
+        return None
+    return None if rem else quo
 
 
 def pack(seq, k):
@@ -420,14 +425,19 @@ def fit(seq, cap, label):
 
 
 def _heu_gcd(a, b):
-    """One GCDHEU step (see poly_gcd) on primitive integer coefficient lists
-    of degree >= 1: the gcd with a positive leading coefficient, or None
-    when the reconstructed candidate fails the divisibility check."""
-    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
-    g = _primitive_ints(digits(_int_gcd(pack(a, k), pack(b, k)), k))
-    if len(g) == 1 or _divides(g, a) and _divides(g, b):
-        return g
-    return None
+    """One GCDHEU step (see poly_gcd) on primitive polynomials of degree
+    >= 1: (g, a/g, b/g) with g's leading coefficient positive, the
+    quotients being those of the divisibility check, or None when the
+    reconstructed candidate fails that check."""
+    ac, bc = a.coeffs, b.coeffs
+    k = (2 * min(max(map(abs, ac)), max(map(abs, bc))) + 1).bit_length()
+    g = _primitive_ints(digits(_int_gcd(pack(ac, k), pack(bc, k)), k))
+    if len(g) == 1:
+        return ONE_POLY, a, b
+    g = Poly._raw(tuple(g))
+    qa = _quotient(a, g)
+    qb = None if qa is None else _quotient(b, g)
+    return None if qb is None else (g, qa, qb)
 
 
 def _prs_gcd(a, b):
@@ -470,20 +480,51 @@ def poly_gcd(p, q):
     reconstructs to G = 1.  When the divisibility check fails, the
     primitive pseudo-remainder sequence computes the gcd instead.
     """
+    return _gcd(Poly._want(p), Poly._want(q))[0]
+
+
+def gcd_cofactors(p, q):
+    """(g, p/g, q/g) with g = poly_gcd(p, q).
+
+    A gcd found by GCDHEU comes with the quotients of its trial divisions,
+    which times each operand's integer content are the cofactors; only a
+    gcd found by the pseudo-remainder sequence costs two exact divisions.
+    A gcd of 1 returns the operands themselves.
+    """
     p, q = Poly._want(p), Poly._want(q)
+    g, cp, cq = _gcd(p, q)
+    if cp is None:
+        cp, cq = p.exact_div(g), q.exact_div(g)
+    return g, cp, cq
+
+
+def _scaled(p, c):
+    return p if c == 1 else Poly._raw(tuple(c * x for x in p.coeffs))
+
+
+def _gcd(p, q):
+    """(g, p/g, q/g) as in gcd_cofactors, except that both quotients are
+    None when g is a nonconstant gcd found by the pseudo-remainder
+    sequence."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    a = list(p.primitive()[1].coeffs)
-    b = list(q.primitive()[1].coeffs)
-    if not a:
-        a, b = b, a
-    if not b:
-        if a[-1] < 0:
-            a = [-c for c in a]
-        return Poly._raw(tuple(a))
-    if len(a) == 1 or len(b) == 1:
-        return ONE_POLY  # a nonzero constant is coprime to everything
-    return Poly._raw(tuple(_heu_gcd(a, b) or _prs_gcd(a, b)))
+    if q.is_zero or p.is_zero:
+        c, g = (p if q.is_zero else q).primitive()
+        if g.coeffs[-1] < 0:
+            c, g = -c, -g
+        c = Poly.const(c)
+        return (g, c, ZERO_POLY) if q.is_zero else (g, ZERO_POLY, c)
+    if p.degree == 0 or q.degree == 0:
+        return ONE_POLY, p, q  # a nonzero constant is coprime to everything
+    (cp, a), (cq, b) = p.primitive(), q.primitive()
+    found = _heu_gcd(a, b)
+    if found is None:
+        g = Poly._raw(tuple(_prs_gcd(list(a.coeffs), list(b.coeffs))))
+        return (g, p, q) if g.degree == 0 else (g, None, None)
+    g, qa, qb = found
+    if g.degree == 0:
+        return g, p, q
+    return g, _scaled(qa, cp), _scaled(qb, cq)
 
 
 def _normalize(nums, den):
@@ -518,6 +559,9 @@ def joint_reduce(nums, den):
     live = [p for p in nums if p]
     if not live:
         return [ZERO_POLY] * len(nums), ONE_POLY
+    if len(nums) == 1:
+        _, den, num = gcd_cofactors(den, nums[0])
+        return _normalize([num], den)
     g = den
     for p in live:
         if g.degree == 0:
@@ -625,21 +669,17 @@ class RatFun:
                 return RatFun._reduced(num, f.den)
             return RatFun(num, f.den)
         # Knuth 4.5.1: with both operands reduced, cancellation can only
-        # come from d1 = gcd of the denominators
-        d1 = poly_gcd(f.den, g.den)
+        # come from d1 = gcd of the denominators, and then only from
+        # d2 = gcd(t, d1); the cofactors fb, gb, t/d2 and d1/d2 come with
+        # the gcds
+        d1, fb, gb = gcd_cofactors(f.den, g.den)
         if d1.degree == 0:
             return RatFun._reduced(f.num * g.den + g.num * f.den, f.den * g.den)
-        fb = f.den.exact_div(d1)
-        gb = g.den.exact_div(d1)
         t = f.num * gb + g.num * fb
         if t.is_zero:
             return ZERO
-        d2 = poly_gcd(t, d1)
-        if d2.degree > 0:
-            t = t.exact_div(d2)
-            den = fb * g.den.exact_div(d2)
-        else:
-            den = fb * g.den
+        d2, t, d1 = gcd_cofactors(t, d1)
+        den = fb * g.den if d2.degree == 0 else fb * gb * d1
         return RatFun._reduced(t, den)
 
     __radd__ = __add__
@@ -670,16 +710,8 @@ class RatFun:
             return ZERO
         # cross-cancellation keeps the gcd calls on small operands and
         # yields a reduced product directly
-        fn, gd = f.num, g.den
-        if fn.degree > 0 and gd.degree > 0:
-            d1 = poly_gcd(fn, gd)
-            if d1.degree > 0:
-                fn, gd = fn.exact_div(d1), gd.exact_div(d1)
-        gn, fd = g.num, f.den
-        if gn.degree > 0 and fd.degree > 0:
-            d2 = poly_gcd(gn, fd)
-            if d2.degree > 0:
-                gn, fd = gn.exact_div(d2), fd.exact_div(d2)
+        _, fn, gd = gcd_cofactors(f.num, g.den)
+        _, gn, fd = gcd_cofactors(g.num, f.den)
         return RatFun._reduced(fn * gn, fd * gd)
 
     __rmul__ = __mul__

@@ -23,6 +23,14 @@ def src_env():
     return env
 
 
+def count_calls(monkeypatch, cls, name):
+    """A list that gains one entry per call of ``cls.name`` from now on."""
+    calls = []
+    method = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda *args: calls.append(args) or method(*args))
+    return calls
+
+
 def rand_poly(rng, max_deg, lo=-3, hi=3):
     return Poly([rng.randint(lo, hi) for _ in range(rng.randint(0, max_deg) + 1)])
 

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 
-from helpers import load, rand_problem_matrix, rand_weight
+from helpers import count_calls, load, rand_problem_matrix, rand_weight
 from wmpinv.errors import DegenerateWeightError, SingularMatrixError
 from wmpinv.greville import (
     WeightedProblem,
@@ -21,7 +21,7 @@ from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import PolyMatrix
 from wmpinv.poly_greville import bordering_inverse as poly_bordering_inverse
 from wmpinv.poly_greville import weighted_pinv as poly_weighted_pinv
-from wmpinv.scalars import RatFun
+from wmpinv.scalars import Poly, RatFun
 from wmpinv.verify import penrose_check
 
 
@@ -138,6 +138,18 @@ class TestWeightedPinv:
     def test_hessenberg_first_row(self):
         x = weighted_pinv(WeightedProblem(load("wmp_hessenberg_a.mat")))
         assert list(x.row(0)) == [e("s/(1+s^2)"), e("0"), e("0"), e("0"), e("0")]
+
+    def test_hessenberg_division_count(self, monkeypatch):
+        # Each gcd's trial-division quotients serve as the cofactors, and
+        # each matrix-product entry is reduced once per denominator; a
+        # count does not depend on the host.  Dividing again by every gcd
+        # and reducing every partial sum took 308 divisions here.
+        a = load("wmp_hessenberg_a.mat")
+        calls = count_calls(monkeypatch, Poly, "__divmod__")
+        x = weighted_pinv(WeightedProblem(a))
+        monkeypatch.undo()
+        assert x == load("wmp_hessenberg_x_true.mat")
+        assert len(calls) <= 132
 
     def test_output_shape(self):
         rng = random.Random(29)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import load, rand_matrix, rand_weight
+from helpers import load, rand_matrix, rand_poly, rand_weight
 from wmpinv import matrices
 from wmpinv.errors import PoleError, SingularMatrixError
 from wmpinv.matrices import RfMatrix, constant_matrix
@@ -38,6 +38,67 @@ class TestArithmetic:
             RfMatrix.identity(2) * RfMatrix.identity(3)
         with pytest.raises(ValueError):
             RfMatrix.identity(2) + RfMatrix.zeros(2, 3)
+
+
+def fold_product(a, b):
+    # reference: every entry as the left fold acc + a*b, one reduction per
+    # partial sum
+    out = []
+    for r in range(a.rows):
+        for c in range(b.cols):
+            acc = RatFun(0)
+            for t in range(a.cols):
+                acc = acc + a[r, t] * b[t, c]
+            out.append(acc)
+    return RfMatrix(a.rows, b.cols, out)
+
+
+# a few shared denominators, some constant and some not primitive
+DENS = [e(d) for d in ("1", "2", "s+1", "s-1", "s^2-1", "2*s+2")]
+
+
+def shared_den_matrix(rng, rows, cols, dens):
+    entries = [
+        RatFun(0) if rng.random() < 0.2
+        else RatFun(rand_poly(rng, 1, -1, 1)) / rng.choice(dens)
+        for _ in range(rows * cols)
+    ]
+    return RfMatrix(rows, cols, entries)
+
+
+class TestProduct:
+    """RfMatrix.__mul__ sums each entry's products by denominator."""
+
+    def test_matches_the_left_fold(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            m, k, n = rng.randint(0, 4), rng.randint(0, 6), rng.randint(0, 4)
+            a = shared_den_matrix(rng, m, k, DENS)
+            # polynomial or constant-denominator entries keep a's denominators
+            b = shared_den_matrix(rng, k, n, rng.choice([DENS, DENS[:2]]))
+            if k and rng.random() < 0.3:  # a zero row of a, a zero column of b
+                a = RfMatrix.block([[RfMatrix.zeros(1, k)], [a]])
+                b = RfMatrix.block([[b, RfMatrix.zeros(k, 1)]])
+            assert a * b == fold_product(a, b)
+
+    def test_group_sum_cancels_to_zero(self):
+        a = RfMatrix.from_rows([[e("1/(s+1)"), e("1/(s+1)"), e("1/2")]])
+        b = RfMatrix.from_rows(
+            [[e("s"), e("1")], [e("-s"), e("1")], [e("0"), e("-4/(s+1)")]]
+        )
+        assert a * b == fold_product(a, b) == RfMatrix.from_rows([[e("0"), e("0")]])
+
+    def test_group_sum_is_reduced(self):
+        # 1/(s^2-1) + s/(s^2-1) = 1/(s-1), and 1/2 + 1/2 over a constant
+        a = RfMatrix.from_rows([[e("1/(s^2-1)"), e("s/(s^2-1)"), e("1/2"), e("1/2")]])
+        b = constant_matrix([[1], [1], [0], [0]])
+        assert a * b == fold_product(a, b) == RfMatrix.from_rows([[e("1/(s-1)")]])
+        b = constant_matrix([[0], [0], [1], [1]])
+        assert a * b == RfMatrix.identity(1)
+
+    def test_empty_inner_dimension(self):
+        assert RfMatrix.zeros(2, 0) * RfMatrix.zeros(0, 3) == RfMatrix.zeros(2, 3)
+        assert RfMatrix.zeros(0, 2) * RfMatrix.identity(2) == RfMatrix.zeros(0, 2)
 
 
 class TestTranspose:

@@ -504,3 +504,14 @@ POLY_2X2 = PolyMatrix.identity(2)
 def test_each_path_rejects_the_other_paths_matrix_type(compute, arg, expected, got):
     with pytest.raises(TypeError, match=rf"^{expected} expected, got {got}$"):
         compute(arg)
+
+
+@pytest.mark.parametrize(
+    "stages, arg, got",
+    [(rational_stages, RF_2X2, "RfMatrix"), (partition_stages, POLY_2X2, "PolyMatrix")],
+    ids=["rational", "poly"],
+)
+def test_partition_stages_rejects_a_bare_matrix(stages, arg, got):
+    # the coefficient path's old form passed the matrix itself
+    with pytest.raises(TypeError, match=rf"^WeightedProblem expected, got {got}$"):
+        next(stages(arg))

@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 import pytest
 
-from helpers import rand_ratfun
+from helpers import count_calls, rand_ratfun
 from wmpinv.errors import PoleError
 from wmpinv.scalars import (
     Poly,
@@ -18,6 +18,7 @@ from wmpinv.scalars import (
     _heu_gcd,
     _prs_gcd,
     digits,
+    gcd_cofactors,
     joint_reduce,
     pack,
     poly_gcd,
@@ -262,6 +263,75 @@ def rand_nonconstant(rng, deg, bits):
     return Poly([rng.randint(-(2**bits), 2**bits) for _ in range(deg)] + [top])
 
 
+class TestGcdCofactors:
+    """gcd_cofactors(p, q) = (g, p/g, q/g) with g = poly_gcd(p, q)."""
+
+    @staticmethod
+    def check(p, q):
+        g, cp, cq = gcd_cofactors(p, q)
+        assert g == poly_gcd(p, q)
+        assert g * cp == p and g * cq == q
+        return g, cp, cq
+
+    def test_random_operands(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            bits = rng.choice([1, 2, 8, 70])
+            common = rand_nonconstant(rng, rng.randint(0, 4), bits)
+            p = common * rand_nonconstant(rng, rng.randint(0, 5), bits)
+            q = common * rand_nonconstant(rng, rng.randint(0, 5), bits)
+            p, q = p * rng.choice([1, -1, 6, -10]), q * rng.choice([1, -1, 4, -9])
+            self.check(p, q)
+            self.check(q, p)
+
+    def test_coprime_operands_are_their_own_cofactors(self):
+        # s^2+s and s^2+s+2 are even at every integer point; GCDHEU
+        # certifies their gcd 1 from the content of the digits
+        p, q = Poly([0, 1, 1]), Poly([2, 1, 1])
+        g, cp, cq = self.check(p, q)
+        assert g == 1 and cp is p and cq is q
+
+    def test_prs_fallback(self):
+        # GCDHEU's candidate (s+1)(s-3) fails the divisibility check (see
+        # TestHeuristicGcd), so the cofactors come from exact division
+        p, q = Poly([-1, -2, 0, 1]) * 3, Poly([-1, 1, 2]) * -2
+        g, cp, cq = self.check(p, q)
+        assert g.coeffs == (1, 1)
+        assert cp.coeffs == (-3, -3, 3) and cq.coeffs == (2, -4)
+
+    def test_zero_operand(self):
+        p = Poly([4, -6, -2])  # -2 * (s^2 + 3s - 2)
+        assert self.check(p, Poly([])) == (Poly([-2, 3, 1]), Poly([-2]), Poly([]))
+        assert self.check(Poly([]), p) == (Poly([-2, 3, 1]), Poly([]), Poly([-2]))
+        assert self.check(Poly([-5]), Poly([])) == (Poly([1]), Poly([-5]), Poly([]))
+        with pytest.raises(ValueError):
+            gcd_cofactors(Poly([]), Poly([]))
+
+    def test_constant_operands(self):
+        for p, q in (
+            (Poly([6]), Poly([4])), (Poly([-3]), Poly([1, 2])), (Poly([0, 2]), Poly([7]))
+        ):
+            g, cp, cq = self.check(p, q)
+            assert g == 1 and cp is p and cq is q
+
+    def test_non_primitive_negative_leading_operands(self):
+        common = Poly([1, -2, 3])
+        p = common * Poly([5, 0, -1]) * -6
+        q = common * Poly([1, -4]) * 10
+        g, cp, cq = self.check(p, q)
+        assert g == common and cp == Poly([5, 0, -1]) * -6 and cq == Poly([1, -4]) * 10
+        g, cp, cq = self.check(-p, -q)
+        assert g == common and cp == Poly([5, 0, -1]) * 6
+
+    def test_heuristic_gcd_costs_only_its_trial_divisions(self, monkeypatch):
+        common = Poly([-3, -1, 2])
+        p, q = common * Poly([1, 1]) * 4, common * Poly([-2, 0, 5])
+        calls = count_calls(monkeypatch, Poly, "__divmod__")
+        g, cp, cq = gcd_cofactors(p, q)
+        assert len(calls) == 2
+        assert g == common and cp == Poly([1, 1]) * 4 and cq == Poly([-2, 0, 5])
+
+
 class TestSequenceCodec:
     """pack and digits, shared by GCDHEU and the coefficient-path kernel."""
 
@@ -304,7 +374,10 @@ class TestHeuristicGcd:
         # s^2+s and s^2+s+2 are even at every integer point, yet coprime
         p, q = Poly([0, 1, 1]), Poly([2, 1, 1])
         assert all(p(x) % 2 == 0 and q(x) % 2 == 0 for x in range(-20, 21))
-        assert _heu_gcd([0, 1, 1], [2, 1, 1]) == [1]
+        # the common factor 2 of the values is the content of the digits
+        # of h, so GCDHEU itself certifies the gcd 1, with the operands as
+        # their own cofactors
+        assert _heu_gcd(p, q) == (Poly([1]), p, q)
         assert poly_gcd(p, q).coeffs == prs_reference(p, q) == (1,)
 
     def test_planted_common_factors(self):
@@ -356,7 +429,7 @@ class TestHeuristicGcd:
         # which divides neither a = s^3-2s-1 nor b = 2s^2+s-1; the gcd s+1
         # comes from the PRS
         a, b = [-1, -2, 0, 1], [-1, 1, 2]
-        assert _heu_gcd(a, b) is None
+        assert _heu_gcd(Poly(a), Poly(b)) is None
         assert _prs_gcd(a, b) == [1, 1]
         assert poly_gcd(Poly(a), Poly(b)).coeffs == (1, 1)
 
