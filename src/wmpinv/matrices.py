@@ -256,24 +256,15 @@ class RfMatrix(Grid):
         return self._map(neg)
 
     def __mul__(self, other):
-        if isinstance(other, RfMatrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            cols = tuple(zip(*other.grid)) or ((),) * other.cols
-            grid = tuple(tuple(_dot(row, col) for col in cols) for row in self.grid)
-            return RfMatrix._of(self.rows, other.cols, grid)
-        f = RatFun._want(other)
-        if f is None:
+        if not isinstance(other, RfMatrix):
             return NotImplemented
-        return self.scale(f)
-
-    def __rmul__(self, other):
-        f = RatFun._want(other)
-        if f is None:
-            return NotImplemented
-        return self.scale(f)
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        cols = tuple(zip(*other.grid)) or ((),) * other.cols
+        grid = tuple(tuple(_dot(row, col) for col in cols) for row in self.grid)
+        return RfMatrix._of(self.rows, other.cols, grid)
 
     def scale(self, f):
         f = _want_entry(f)

@@ -18,10 +18,11 @@ only to report an error.  A sub-expression with denominator 1 stays a
 promotes it to a `RatFun`.
 
 File format: optional full-line comments starting with '#', a header line
-``matrix <rows> <cols>``, then one line per row with entries separated by
-';' (the separator is ';' and not whitespace so expressions may contain
-spaces).  ``format_matrix`` emits canonical entries and round-trips:
-parsing its output reproduces the matrix exactly.
+``matrix <rows> <cols>`` (the dimensions in ASCII digits, as integer
+literals are), then one line per row with entries separated by ';' (the
+separator is ';' and not whitespace so expressions may contain spaces).
+``format_matrix`` emits canonical entries and round-trips: parsing its
+output reproduces the matrix exactly.
 """
 
 from __future__ import annotations
@@ -178,16 +179,17 @@ def parse_matrix_file(text):
         raise MatrixParseError("empty matrix file: missing header line")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 3 or parts[0] != "matrix":
-        raise MatrixParseError(
-            f"line {lineno}: header must be 'matrix <rows> <cols>', got {header!r}"
-        )
+    bad_header = MatrixParseError(
+        f"line {lineno}: header must be 'matrix <rows> <cols>', got {header!r}"
+    )
+    if len(parts) != 3 or parts[0] != "matrix" or not all(
+        re.fullmatch("[0-9]+", x) for x in parts[1:]
+    ):
+        raise bad_header
     try:
         rows, cols = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise MatrixParseError(
-            f"line {lineno}: header must be 'matrix <rows> <cols>', got {header!r}"
-        ) from None
+    except ValueError:  # beyond the integer-string digit limit
+        raise bad_header from None
     if rows < 1 or cols < 1:
         raise MatrixParseError(f"line {lineno}: matrix dimensions must be positive")
     body = lines[1:]

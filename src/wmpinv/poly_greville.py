@@ -148,16 +148,11 @@ def fraction_simplify(num, den):
     coefficient.  The value is unchanged;
     applying it twice changes nothing.  Returns (PolyMatrix, tuple).
     """
-    den_poly = den if isinstance(den, Poly) else Poly(den)
-    if den_poly.is_zero:
-        raise ZeroDivisionError("zero scalar denominator")
-    if num.is_zero:
-        return PolyMatrix(num.rows, num.cols), (1,)
     entries = [Poly._raw(e) for row in num.coeffs for e in row]
-    reduced, new_den = joint_reduce(entries, den_poly)
-    coeffs = [p.coeffs for p in reduced]
-    grid = tuple(tuple(coeffs[r:r + num.cols]) for r in range(0, len(coeffs), num.cols))
-    return PolyMatrix._of(num.rows, num.cols, grid), new_den.coeffs
+    reduced, den = joint_reduce(entries, Poly(den))
+    it = iter(reduced)
+    grid = tuple(tuple(next(it).coeffs for _ in row) for row in num.coeffs)
+    return PolyMatrix._of(num.rows, num.cols, grid), den.coeffs
 
 
 class MatrixPolyFraction:

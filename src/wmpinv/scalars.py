@@ -11,10 +11,11 @@ chosen so that equality is structural: the pair has integer coefficients,
 the joint content of numerator and denominator is 1, gcd(num, den) = 1 as
 polynomials, and the denominator's leading coefficient is positive.  Zero
 is 0/1.  Canonical form makes golden-fixture comparisons bit-exact.  Each
-gcd's division work is done once: ``gcd_cofactors(p, q)`` returns
-(g, p/g, q/g), reusing the quotients of GCDHEU's divisibility proof, and
-the field operations and ``joint_reduce`` cancel with those cofactors
-instead of dividing by g again.
+gcd's division work is done once: ``gcd_cofactors(p, q)``, the one
+function that runs a gcd algorithm, returns (g, p/g, q/g), reusing the
+quotients of GCDHEU's divisibility proof.  The field operations and
+``joint_reduce`` (also the coefficient path's stage reduction) cancel with
+those cofactors instead of dividing by g again.
 
 The module also owns the integer-sequence format that the coefficient path
 and the Penrose checker compute in.  A scalar sequence is a tuple of ints,
@@ -480,32 +481,24 @@ def poly_gcd(p, q):
     reconstructs to G = 1.  When the divisibility check fails, the
     primitive pseudo-remainder sequence computes the gcd instead.
     """
-    return _gcd(Poly._want(p), Poly._want(q))[0]
-
-
-def gcd_cofactors(p, q):
-    """(g, p/g, q/g) with g = poly_gcd(p, q).
-
-    A gcd found by GCDHEU comes with the quotients of its trial divisions,
-    which times each operand's integer content are the cofactors; only a
-    gcd found by the pseudo-remainder sequence costs two exact divisions.
-    A gcd of 1 returns the operands themselves.
-    """
-    p, q = Poly._want(p), Poly._want(q)
-    g, cp, cq = _gcd(p, q)
-    if cp is None:
-        cp, cq = p.exact_div(g), q.exact_div(g)
-    return g, cp, cq
+    return gcd_cofactors(p, q)[0]
 
 
 def _scaled(p, c):
     return p if c == 1 else Poly._raw(tuple(c * x for x in p.coeffs))
 
 
-def _gcd(p, q):
-    """(g, p/g, q/g) as in gcd_cofactors, except that both quotients are
-    None when g is a nonconstant gcd found by the pseudo-remainder
-    sequence."""
+def gcd_cofactors(p, q):
+    """(g, p/g, q/g) with g = poly_gcd(p, q); the one function that runs a
+    gcd algorithm.
+
+    A gcd found by GCDHEU comes with the quotients of its trial divisions,
+    which times each operand's integer content are the cofactors; a
+    nonconstant gcd found by the pseudo-remainder sequence fallback is
+    divided out here, by two exact divisions.  A gcd of 1 returns the
+    operands themselves.
+    """
+    p, q = Poly._want(p), Poly._want(q)
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
     if q.is_zero or p.is_zero:
@@ -520,7 +513,7 @@ def _gcd(p, q):
     found = _heu_gcd(a, b)
     if found is None:
         g = Poly._raw(tuple(_prs_gcd(list(a.coeffs), list(b.coeffs))))
-        return (g, p, q) if g.degree == 0 else (g, None, None)
+        found = (g, a, b) if g.degree == 0 else (g, a.exact_div(g), b.exact_div(g))
     g, qa, qb = found
     if g.degree == 0:
         return g, p, q
@@ -551,25 +544,28 @@ def joint_reduce(nums, den):
     """Reduce a family of numerator polynomials over one denominator.
 
     Divides gcd(den, all numerators) out, then the joint integer content,
-    and makes the leading denominator coefficient positive.  The family's
-    values num[k]/den are unchanged.  Returns (new_nums, new_den).
+    and makes the leading denominator coefficient positive; an all-zero
+    family becomes zeros over 1.  The family's values num[k]/den are
+    unchanged.  Returns (new_nums, new_den).
+
+    One pass: the running gcd g, starting at den, meets each nonzero
+    numerator in ``gcd_cofactors``, which leaves that numerator's quotient
+    by the new g; when g shrinks by a cofactor c, the earlier quotients and
+    den/g are multiplied by c.  The pass stops once g is constant.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    live = [p for p in nums if p]
-    if not live:
-        return [ZERO_POLY] * len(nums), ONE_POLY
-    if len(nums) == 1:
-        _, den, num = gcd_cofactors(den, nums[0])
-        return _normalize([num], den)
-    g = den
-    for p in live:
+    g, den, nums = den, ONE_POLY, list(nums)
+    for k, p in enumerate(nums):
+        if not p:
+            continue
+        g, c, nums[k] = gcd_cofactors(g, p)
+        if c.coeffs != (1,):
+            den = c if den is ONE_POLY else den * c  # den/g is 1 until g shrinks
+            for j in range(k):
+                nums[j] *= c
         if g.degree == 0:
             break
-        g = poly_gcd(g, p)
-    if g.degree > 0:
-        den = den.exact_div(g)
-        nums = [p.exact_div(g) if p else p for p in nums]
     return _normalize(nums, den)
 
 
@@ -586,13 +582,7 @@ class RatFun:
     def __init__(self, num, den=1):
         if not isinstance(num, (Poly, int)) or not isinstance(den, (Poly, int)):
             raise TypeError("polynomial or integer expected")
-        num, den = Poly._want(num), Poly._want(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num, self.den = ZERO_POLY, ONE_POLY
-            return
-        (self.num,), self.den = joint_reduce([num], den)
+        (self.num,), self.den = joint_reduce([Poly._want(num)], Poly._want(den))
 
     @classmethod
     def _reduced(cls, num, den):

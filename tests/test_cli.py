@@ -471,6 +471,15 @@ class TestHostileInput:
                 f"parse error: row 1, column 1 (line 2): {message}\n"
             )
 
+    def test_underscored_header_dimension_is_a_parse_error(self, tmp_path, capsys):
+        a = tmp_path / "a.mat"
+        a.write_text("matrix 1_0 1\n1\n")
+        assert run_command(["compute", "--a", str(a), "--path", "both", "--verify"]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 1: header must be 'matrix <rows> <cols>', "
+            "got 'matrix 1_0 1'\n"
+        )
+
     def test_capacity_error_exits_three_under_optimize(self):
         # an extra coefficient on every scalar result of the convolution
         # kernel must trip the capacity check even with asserts stripped by -O

@@ -69,6 +69,15 @@ def shared_den_matrix(rng, rows, cols, dens):
 class TestProduct:
     """RfMatrix.__mul__ sums each entry's products by denominator."""
 
+    def test_scalar_operand_is_a_type_error(self):
+        # a scalar product is spelled RfMatrix.scale
+        a = RfMatrix.identity(2)
+        for scalar in (2, RatFun(1, 3)):
+            with pytest.raises(TypeError):
+                a * scalar
+            with pytest.raises(TypeError):
+                scalar * a
+
     def test_matches_the_left_fold(self):
         rng = random.Random(47)
         for _ in range(300):

@@ -154,9 +154,21 @@ class TestParseMatrixFile:
         assert (err.value.row, err.value.col) == (2, 2)
         assert err.value.offset is not None
 
-    def test_bad_header(self):
-        with pytest.raises(MatrixParseError):
-            parse_matrix_file("m 2 2\n1; 2\n3; 4")
+    @pytest.mark.parametrize(
+        "header",
+        # dimensions are ASCII digits only, as entry literals are
+        [
+            "m 2 2",
+            "matrix 1_0 1",
+            "matrix +1 1",
+            "matrix \u0661 1",
+            "matrix 1 \uff11",
+            pytest.param("matrix " + "9" * 5000 + " 1", id="beyond-the-digit-limit"),
+        ],
+    )
+    def test_bad_header(self, header):
+        with pytest.raises(MatrixParseError, match="header must be 'matrix <rows> <cols>'"):
+            parse_matrix_file(f"{header}\n1\n")
 
     def test_missing_rows(self):
         with pytest.raises(MatrixParseError):

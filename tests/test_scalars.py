@@ -614,3 +614,63 @@ class TestJointReduce:
         reduced, new_den = joint_reduce([Poly([]), Poly([])], Poly([3, 1]))
         assert new_den.coeffs == (1,)
         assert all(p.is_zero for p in reduced)
+
+    @staticmethod
+    def two_pass(nums, den):
+        # reference: the gcd of the whole family by the PRS alone, exact
+        # division by it, then the joint content and the denominator's sign
+        if not any(nums):
+            return [Poly([])] * len(nums), Poly([1])
+        g = den
+        for p in nums:
+            if p:
+                g = Poly(prs_reference(g, p))
+        nums, den = [p.exact_div(g) for p in nums], den.exact_div(g)
+        content = gcd(*den.coeffs, *(c for p in nums for c in p.coeffs))
+        content *= 1 if den.coeffs[-1] > 0 else -1
+        return [Poly([c // content for c in p]) for p in nums], Poly(
+            [c // content for c in den]
+        )
+
+    def check(self, nums, den):
+        assert joint_reduce(nums, den) == self.two_pass(nums, den), (nums, den)
+
+    def test_matches_two_pass_reference(self):
+        # products of random subsets of a few factors, so that the running
+        # gcd shrinks at different positions of the family; zero entries
+        # between the others, and constant, negative and non-primitive
+        # denominators
+        factors = [Poly([1, 1]), Poly([-2, 1]), Poly([3, 2]), Poly([1, 0, 1]), Poly([0, 1])]
+        rng = random.Random(61)
+
+        def product():
+            p = Poly([rng.choice([1, -1, 2, -3, 6])])
+            for f in factors:
+                if rng.random() < 0.5:
+                    p = p * f ** rng.randint(1, 2)
+            return p
+
+        for _ in range(1500):
+            size = rng.choice([1, 1, 2, 3, 5])
+            nums = [Poly([]) if rng.random() < 0.2 else product() for _ in range(size)]
+            self.check(nums, product())
+
+    def test_gcd_shrinks_late(self):
+        common = Poly([1, 1]) * Poly([-2, 1])
+        nums = [common * 5, Poly([]), common * Poly([0, 1]), Poly([1, 1]) * 3, Poly([-2, 1])]
+        self.check(nums, common * -4)
+        self.check(nums[:4], common * -4)
+
+    def test_constant_denominators(self):
+        for den in (Poly([1]), Poly([-1]), Poly([6]), Poly([-4])):
+            self.check([Poly([2, 4]), Poly([]), Poly([0, 0, 8])], den)
+            self.check([Poly([3, 6, 9])], den)
+
+    def test_prs_fallback_divides_inside_the_gcd_step(self):
+        # GCDHEU's candidate fails its divisibility check on this pair (see
+        # TestHeuristicGcd), so the gcd s+1 is divided out by gcd_cofactors
+        a, b = Poly([-1, -2, 0, 1]), Poly([-1, 1, 2])
+        assert _heu_gcd(a, b) is None
+        assert joint_reduce([b], a) == ([Poly([-1, 2])], Poly([-1, -1, 1]))
+        for nums in ([b], [Poly([]), b * 3], [a * b, b, Poly([])], [b * Poly([0, 1]), a]):
+            self.check(nums, a * -2)
