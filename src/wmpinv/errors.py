@@ -41,9 +41,10 @@ class DegenerateWeightError(StageError):
 
 class CapacityError(ArithmeticError):
     """A coefficient sequence of the coefficient path outgrew the a priori
-    degree capacity of its formula, or a denominator vanished identically.
+    degree capacity of its formula, a denominator vanished identically, or
+    a result coefficient is too long to write as a decimal string.
 
-    ``label`` names the stage quantity that failed the check.
+    ``label`` names the stage quantity or the entry that failed the check.
     """
 
     def __init__(self, message, label):

@@ -137,6 +137,10 @@ class WeightedProblem:
     expect = classmethod(_expect)
 
     def __post_init__(self):
+        if not isinstance(self.a, Grid):
+            raise TypeError(
+                f"RfMatrix or PolyMatrix expected, got {type(self.a).__name__}"
+            )
         kind = type(self.a)
         weights = ("row", "m_weight", self.a.rows), ("column", "n_weight", self.a.cols)
         for name, field, order in weights:

@@ -167,6 +167,29 @@ class TestCompute:
                 "algebra error (stage 1): leading 1x1 block is symbolically singular\n"
             )
 
+    def test_result_past_the_digit_limit_exits_three(self, tmp_path, capsys):
+        # every literal of A is inside the integer-string digit limit, but
+        # the inverse's denominator (the determinant) is about twice as long
+        import re
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        a = tmp_path / "a.mat"
+        a.write_text(
+            f"matrix 2 2\n{'9' * limit}; {'8' * limit}\n{'7' * limit}; {'1' * limit}\n"
+        )
+        for path in ("rational", "poly"):
+            code = run_command(["compute", "--a", str(a), "--path", path])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            found = re.fullmatch(
+                r"algebra error: cannot write entry \(1, 1\): a coefficient has "
+                rf"(\d+) digits, more than the integer-string limit of {limit}\n",
+                captured.err,
+            )
+            assert found and int(found[1]) > limit, captured.err
+
 
 class TestVerify:
     def test_good_inverse(self, capsys):

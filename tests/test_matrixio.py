@@ -6,10 +6,18 @@ import sys
 
 import pytest
 
-from helpers import load, rand_ratfun
-from wmpinv.errors import MatrixParseError
+from helpers import count_calls, load, rand_matrix, rand_ratfun
+from wmpinv import WeightedProblem
+from wmpinv.errors import CapacityError, MatrixParseError
+from wmpinv.greville import weighted_pinv
 from wmpinv.matrices import RfMatrix
-from wmpinv.matrixio import format_entry, format_matrix, parse_entry, parse_matrix_file
+from wmpinv.matrixio import (
+    _EntryParser,
+    format_entry,
+    format_matrix,
+    parse_entry,
+    parse_matrix_file,
+)
 from wmpinv.scalars import Poly, RatFun
 
 
@@ -65,38 +73,38 @@ EM = "\u2003"  # em space: whitespace to str.isspace, as is "\x1c"
 LIMIT = sys.get_int_max_str_digits()
 
 
+ERROR_CONTRACT = [
+    (" s^", "exponent must be an unsigned integer", 3),
+    ("s ^" + EM + "x", "exponent must be an unsigned integer", 4),
+    ("\x1c2^ -1", "exponent must be an unsigned integer", 4),
+    (" 1+" + "9" * (LIMIT + 1), f"integer literal longer than {LIMIT} digits", 3),
+    ("s^" + EM + "9" * (LIMIT + 1), f"integer literal longer than {LIMIT} digits", 3),
+    (" s" + EM + "* s^1000 * s^1000", "product exceeds the size bound 2000", 12),
+    ("\x1cs^1000 / (s*s^999)", "quotient exceeds the size bound 2000", 8),
+    (" (1+s) ^ 1001", "power exceeds the size bound 2000", 13),
+    (EM + "s^2001 ", "power exceeds the size bound 2000", 7),
+    ("s ^ 2000" + EM, "power exceeds the size bound 2000", 8),
+    ("1 /\x1c(s - s)", "division by zero", 2),
+    (EM + "(s + 1" + EM, "expected ')'", 8),
+    (" ( s + 1 ]", "expected ')'", 9),
+    ("s + 1 " + EM + " 2", "unexpected trailing input", 8),
+    (" s)", "unexpected trailing input", 2),
+    ("2s", "unexpected trailing input", 1),
+    ("\x1c" + "(" * 101 + "s" + ")" * 101, "nesting of '(' and '-' deeper than 100", 102),
+    (" " + "- " * 101 + "s", "nesting of '(' and '-' deeper than 100", 202),
+    ((" ( " + EM) * 100 + "- s" + ")" * 100, "nesting of '(' and '-' deeper than 100", 401),
+    ("s +" + EM + "x", "expected 's', an integer, '(' or '-'", 4),
+    ("s * ²", "expected 's', an integer, '(' or '-'", 4),
+    ("", "expected 's', an integer, '(' or '-'", 0),
+    (" \x1c ", "expected 's', an integer, '(' or '-'", 3),
+]
+
+
 class TestErrorContract:
     """The exact message and offset of every entry parse error, with leading
     and inner whitespace of several kinds."""
 
-    @pytest.mark.parametrize(
-        "text, message, offset",
-        [
-            (" s^", "exponent must be an unsigned integer", 3),
-            ("s ^" + EM + "x", "exponent must be an unsigned integer", 4),
-            ("\x1c2^ -1", "exponent must be an unsigned integer", 4),
-            (" 1+" + "9" * (LIMIT + 1), f"integer literal longer than {LIMIT} digits", 3),
-            ("s^" + EM + "9" * (LIMIT + 1), f"integer literal longer than {LIMIT} digits", 3),
-            (" s" + EM + "* s^1000 * s^1000", "product exceeds the size bound 2000", 12),
-            ("\x1cs^1000 / (s*s^999)", "quotient exceeds the size bound 2000", 8),
-            (" (1+s) ^ 1001", "power exceeds the size bound 2000", 13),
-            (EM + "s^2001 ", "power exceeds the size bound 2000", 7),
-            ("s ^ 2000" + EM, "power exceeds the size bound 2000", 8),
-            ("1 /\x1c(s - s)", "division by zero", 2),
-            (EM + "(s + 1" + EM, "expected ')'", 8),
-            (" ( s + 1 ]", "expected ')'", 9),
-            ("s + 1 " + EM + " 2", "unexpected trailing input", 8),
-            (" s)", "unexpected trailing input", 2),
-            ("2s", "unexpected trailing input", 1),
-            ("\x1c" + "(" * 101 + "s" + ")" * 101, "nesting of '(' and '-' deeper than 100", 102),
-            (" " + "- " * 101 + "s", "nesting of '(' and '-' deeper than 100", 202),
-            ((" ( " + EM) * 100 + "- s" + ")" * 100, "nesting of '(' and '-' deeper than 100", 401),
-            ("s +" + EM + "x", "expected 's', an integer, '(' or '-'", 4),
-            ("s * ²", "expected 's', an integer, '(' or '-'", 4),
-            ("", "expected 's', an integer, '(' or '-'", 0),
-            (" \x1c ", "expected 's', an integer, '(' or '-'", 3),
-        ],
-    )
+    @pytest.mark.parametrize("text, message, offset", ERROR_CONTRACT)
     def test_message_and_offset(self, text, message, offset):
         with pytest.raises(MatrixParseError) as err:
             parse_entry(text)
@@ -129,6 +137,75 @@ class TestRobustness:
             assert parse_entry(format_entry(f)) == f, text
             parsed += 1
         assert parsed > 1000
+
+
+def _outcome(text):
+    try:
+        f = parse_entry(text)
+    except MatrixParseError as exc:
+        return str(exc), exc.offset
+    return f.num.coeffs, f.den.coeffs
+
+
+class TestMonomialLane:
+    """The monomial lane of expr() reads c, s, s^e, c*s and c*s^e terms
+    without the general grammar; with it declining every term, every
+    value, message and offset must be the same."""
+
+    TOKENS = TestRobustness.TOKENS + ["1000", "999", "1001", "500"]
+    EDGES = [
+        "0*s^1000",
+        "9" * LIMIT + "*s",
+        "9" * (LIMIT + 1) + "*s",
+        "-2^3",
+        "s^0",
+        "3*s^2/5",
+        "s - -s",
+        "2*s^999+7*s^1000-s^1001",
+        "9" * 998 + "*s^1000",
+        "9" * 300 + "*s^1000",
+        "(" * 99 + "-s" + ")" * 99,
+        "(" * 99 + "-3*s^2+1" + ")" * 99,
+        "(" * 100 + "-s" + ")" * 100,
+        "(" * 100 + "s-2*s" + ")" * 100,
+    ]
+
+    def _texts(self):
+        rng = random.Random(101)
+        texts = ["".join(rng.choices(self.TOKENS, k=rng.randint(1, 12))) for _ in range(5000)]
+        return texts + [text for text, _, _ in ERROR_CONTRACT] + self.EDGES
+
+    def test_lane_agrees_with_the_grammar(self, monkeypatch):
+        texts = self._texts()
+        with_lane = [_outcome(text) for text in texts]
+        monkeypatch.setattr(_EntryParser, "monomial", lambda self, coeffs, negate: False)
+        for text, expected in zip(texts, with_lane):
+            assert _outcome(text) == expected, text
+
+    def test_edges(self):
+        assert _outcome("0*s^1000") == ((), (1,))
+        assert _outcome("-2^3") == ((-8,), (1,))
+        assert _outcome("s - -s") == ((0, 2), (1,))
+        assert _outcome("(" * 99 + "-s" + ")" * 99) == ((0, -1), (1,))
+        assert _outcome("(" * 100 + "-s" + ")" * 100) == (
+            "nesting of '(' and '-' deeper than 100 at offset 101", 101
+        )
+        assert _outcome("9" * (LIMIT + 1) + "*s") == (
+            f"integer literal longer than {LIMIT} digits at offset 0", 0
+        )
+
+    def test_parse_count(self, monkeypatch):
+        # canonical terms cost no polynomial product or sum; a count does
+        # not depend on the host (the general grammar alone made 633 and 593)
+        x = weighted_pinv(WeightedProblem(rand_matrix(random.Random(3), 5, 4)))
+        text = format_matrix(x)
+        muls = count_calls(monkeypatch, Poly, "__mul__")
+        adds = count_calls(monkeypatch, Poly, "__add__")
+        parsed = parse_matrix_file(text)
+        monkeypatch.undo()
+        assert parsed == x
+        assert len(muls) <= 40
+        assert len(adds) == 0
 
 
 class TestParseMatrixFile:
@@ -210,3 +287,14 @@ class TestFormatMatrix:
         for _ in range(60):
             f = rand_ratfun(rng, max_deg=4)
             assert parse_entry(format_entry(f)) == f
+
+    def test_coefficient_past_the_digit_limit_is_a_capacity_error(self):
+        big = RatFun(10**LIMIT)  # LIMIT + 1 digits
+        m = RfMatrix.from_rows([[RatFun(1), RatFun(1)], [RatFun(2), big / 3]])
+        with pytest.raises(CapacityError) as err:
+            format_matrix(m)
+        assert str(err.value) == (
+            f"cannot write entry (2, 2): a coefficient has {LIMIT + 1} digits, "
+            f"more than the integer-string limit of {LIMIT}"
+        )
+        assert err.value.label == "entry (2, 2)"

@@ -536,3 +536,16 @@ def test_partition_stages_rejects_a_bare_matrix(stages, arg, got):
     # the coefficient path's old form passed the matrix itself
     with pytest.raises(TypeError, match=rf"^WeightedProblem expected, got {got}$"):
         next(stages(arg))
+
+
+@pytest.mark.parametrize(
+    "a, got",
+    [(WeightedProblem(POLY_2X2), "WeightedProblem"), ([[1]], "list")],
+    ids=["problem", "list"],
+)
+def test_weighted_problem_rejects_a_non_matrix(a, got):
+    # the coefficient path's weighted_pinv takes the matrix, not a problem
+    with pytest.raises(TypeError, match=rf"^RfMatrix or PolyMatrix expected, got {got}$"):
+        weighted_pinv(a)
+    with pytest.raises(TypeError, match=rf"^RfMatrix or PolyMatrix expected, got {got}$"):
+        WeightedProblem(a)
