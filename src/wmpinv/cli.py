@@ -12,6 +12,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from math import log10
 
 from .errors import CapacityError, MatrixParseError, PoleError, StageError
 from .greville import WeightedProblem, bordering_inverse, weighted_pinv
@@ -38,6 +39,26 @@ def _diag(message):
     print(message, file=sys.stderr)
 
 
+def _digit_count(n):
+    """Decimal digits of a nonzero int, without writing it out."""
+    n = abs(n)
+    d = int((n.bit_length() - 1) * log10(2)) + 1
+    return d + (n >= 10 ** d)
+
+
+def _residual_text(f):
+    """The residual written out, or, past the integer-string digit limit,
+    its degrees and the digit count of its longest coefficient."""
+    try:
+        return str(f)
+    except ValueError:
+        digits = max(_digit_count(c) for p in (f.num, f.den) for c in p.coeffs if c)
+        return (
+            f"not written (numerator degree {f.num.degree}, denominator degree "
+            f"{f.den.degree}, largest coefficient {digits} digits)"
+        )
+
+
 def _cmd_compute(args):
     a = _load(args.a)
     m = _load(args.m) if args.m else None
@@ -60,7 +81,10 @@ def _cmd_compute(args):
         report = penrose_check(a, problem.m_weight, problem.n_weight, x)
         if not report.all_hold:
             tag, r, c, residual = report.first_failure
-            _diag(f"verification failed: equation {tag} at ({r}, {c}), residual {residual}")
+            _diag(
+                f"verification failed: equation {tag} at ({r}, {c}), "
+                f"residual {_residual_text(residual)}"
+            )
             return 1
     _emit(format_matrix(x), args.out)
     return 0
@@ -84,7 +108,7 @@ def _cmd_verify(args):
         print("all four weighted Penrose equations hold")
         return 0
     tag, r, c, residual = report.first_failure
-    _diag(f"equation {tag} fails at ({r}, {c}), residual {residual}")
+    _diag(f"equation {tag} fails at ({r}, {c}), residual {_residual_text(residual)}")
     return 1
 
 

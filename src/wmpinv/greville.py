@@ -126,7 +126,7 @@ def bordering_step(prev_inv, part):
     Given the inverse of the previous block and the partition pieces,
     returns the inverse of the enlarged block; a singular one raises with
     its order as the stage.  One column t = prev_inv*l serves the Schur
-    scalar and the border.
+    scalar, the border -t/schur and the core prev_inv + t*t^T/schur.
     """
     _, border, corner = part
     t = prev_inv * border
@@ -137,7 +137,7 @@ def bordering_step(prev_inv, part):
         )
     inv_corner = schur.reciprocal()
     inv_border = t.scale(-inv_corner)
-    core = prev_inv + (inv_border * inv_border.transpose()).scale(schur)
+    core = prev_inv - inv_border * t.transpose()
     corner_m = RfMatrix(1, 1, [inv_corner])
     return RfMatrix.block([[core, inv_border], [inv_border.transpose(), corner_m]])
 

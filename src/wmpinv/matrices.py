@@ -11,10 +11,13 @@ structural operations take 1-based indices i in 1..n, matching how stages
 are counted.  ``WeightedProblem`` holds a grid with its two weights and
 validates them once for both paths.
 
-An ``RfMatrix`` product reduces each entry once per denominator: the
-entry's products a*b (each canonical) are grouped by denominator, each
-group's numerators are added as polynomials and reduced once, and then
-the groups are added as rational functions.
+An ``RfMatrix`` product reduces each entry once per pair of operand
+denominators: the entry's products a*b are grouped by (a.den, b.den),
+each group's numerator products are added as polynomials over a.den*b.den
+and reduced once, and then the groups are added as rational functions.
+Each matrix operation (``*``, ``+``, ``-``, ``scale``) runs each gcd of
+two nonconstant polynomials once: its entries share one memo dict
+(``RatFun.plus``, ``RatFun.times``) that dies with the operation.
 
 ``ff_inverse`` is the independent inverse oracle: denominators are cleared
 to a single scalar polynomial and the polynomial matrix is inverted by
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import neg
 
 from .errors import PoleError, SingularMatrixError
 from .scalars import ONE, ZERO, Poly, RatFun, ONE_POLY, ZERO_POLY, poly_gcd
@@ -170,21 +173,25 @@ def _want_entry(x):
     return f
 
 
-def _dot(row, col):
-    """Sum of the products a*b of canonical entries, the products grouped
-    by denominator: each group's numerators are added as polynomials and
-    reduced once, and then the groups are added."""
+def _dot(row, col, memo):
+    """Sum of the products a*b of canonical entries, grouped by the pair
+    (a.den, b.den) of operand denominators.  A group of several products
+    adds its numerator products as polynomials over a.den*b.den and is
+    reduced once; a lone product is cross-cancelled.  Then the groups are
+    added.  ``memo`` keeps the product's gcds (``RatFun.plus``)."""
     groups = {}
     for a, b in zip(row, col):
         if a and b:
-            ab = a * b
-            groups.setdefault(ab.den.coeffs, []).append(ab)
+            groups.setdefault((a.den.coeffs, b.den.coeffs), []).append((a, b))
     acc = ZERO
-    for terms in groups.values():
-        term = terms[0]
-        if len(terms) > 1:
-            term = RatFun(sum((t.num for t in terms), ZERO_POLY), term.den)
-        acc = acc + term
+    for pairs in groups.values():
+        a, b = pairs[0]
+        if len(pairs) == 1:
+            term = a.times(b, memo)
+        else:
+            num = sum((x.num * y.num for x, y in pairs), ZERO_POLY)
+            term = RatFun(num, a.den * b.den)
+        acc = acc.plus(term, memo)
     return acc
 
 
@@ -251,10 +258,12 @@ class RfMatrix(Grid):
         return self._map(f, other)
 
     def __add__(self, other):
-        return self._entrywise(other, add, "add")
+        memo = {}
+        return self._entrywise(other, lambda a, b: a.plus(b, memo), "add")
 
     def __sub__(self, other):
-        return self._entrywise(other, sub, "subtract")
+        memo = {}
+        return self._entrywise(other, lambda a, b: a.plus(-b, memo), "subtract")
 
     def __neg__(self):
         return self._map(neg)
@@ -267,12 +276,13 @@ class RfMatrix(Grid):
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         cols = tuple(zip(*other.grid)) or ((),) * other.cols
-        grid = tuple(tuple(_dot(row, col) for col in cols) for row in self.grid)
+        memo = {}
+        grid = tuple(tuple(_dot(row, col, memo) for col in cols) for row in self.grid)
         return RfMatrix._of(self.rows, other.cols, grid)
 
     def scale(self, f):
-        f = _want_entry(f)
-        return self._map(lambda a: f * a)
+        f, memo = _want_entry(f), {}
+        return self._map(lambda a: f.times(a, memo))
 
     def eval_at(self, x):
         """Entrywise value at x as a tuple of tuples of Fractions.

@@ -15,7 +15,10 @@ gcd's division work is done once: ``gcd_cofactors(p, q)``, the one
 function that runs a gcd algorithm, returns (g, p/g, q/g), reusing the
 quotients of GCDHEU's divisibility proof.  The field operations and
 ``joint_reduce`` (also the coefficient path's stage reduction) cancel with
-those cofactors instead of dividing by g again.
+those cofactors instead of dividing by g again.  ``RatFun.plus`` and
+``RatFun.times`` also take a memo, one dict per matrix operation, so a
+pair of nonconstant operands met again in that operation reuses its gcd;
+nothing is cached across operations.
 
 The module also owns the integer-sequence format that the coefficient path
 and the Penrose checker compute in.  A scalar sequence is a tuple of ints,
@@ -520,6 +523,19 @@ def gcd_cofactors(p, q):
     return g, _scaled(qa, cp), _scaled(qb, cq)
 
 
+def _cofactors(p, q, memo):
+    """gcd_cofactors(p, q), run once per pair of nonconstant operands while
+    ``memo`` lives: the dict maps their coefficient tuples to the result.
+    A memo of None runs it every time."""
+    if memo is None or p.degree < 1 or q.degree < 1:
+        return gcd_cofactors(p, q)
+    key = p.coeffs, q.coeffs
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = gcd_cofactors(p, q)
+    return found
+
+
 def _normalize(nums, den):
     """Divide a family of numerators over one polynomial-coprime denominator
     by their joint integer content, signed so that the leading denominator
@@ -646,6 +662,12 @@ class RatFun:
         g = RatFun._want(other)
         if g is None:
             return NotImplemented
+        return self.plus(g)
+
+    def plus(self, g, memo=None):
+        """self + g for a RatFun g.  ``memo``, a dict that lives for one
+        matrix operation, keeps the gcds of nonconstant operands found so
+        far (see ``_cofactors``)."""
         f = self
         if f.is_zero:
             return g
@@ -662,13 +684,13 @@ class RatFun:
         # come from d1 = gcd of the denominators, and then only from
         # d2 = gcd(t, d1); the cofactors fb, gb, t/d2 and d1/d2 come with
         # the gcds
-        d1, fb, gb = gcd_cofactors(f.den, g.den)
+        d1, fb, gb = _cofactors(f.den, g.den, memo)
         if d1.degree == 0:
             return RatFun._reduced(f.num * g.den + g.num * f.den, f.den * g.den)
         t = f.num * gb + g.num * fb
         if t.is_zero:
             return ZERO
-        d2, t, d1 = gcd_cofactors(t, d1)
+        d2, t, d1 = _cofactors(t, d1, memo)
         den = fb * g.den if d2.degree == 0 else fb * gb * d1
         return RatFun._reduced(t, den)
 
@@ -695,13 +717,17 @@ class RatFun:
         g = RatFun._want(other)
         if g is None:
             return NotImplemented
+        return self.times(g)
+
+    def times(self, g, memo=None):
+        """self * g for a RatFun g; ``memo`` as in ``plus``."""
         f = self
         if f.is_zero or g.is_zero:
             return ZERO
         # cross-cancellation keeps the gcd calls on small operands and
         # yields a reduced product directly
-        _, fn, gd = gcd_cofactors(f.num, g.den)
-        _, gn, fd = gcd_cofactors(g.num, f.den)
+        _, fn, gd = _cofactors(f.num, g.den, memo)
+        _, gn, fd = _cofactors(g.num, f.den, memo)
         return RatFun._reduced(fn * gn, fd * gd)
 
     __rmul__ = __mul__

@@ -246,6 +246,48 @@ class TestVerify:
         assert code == 1
         assert "equation (1)" in capsys.readouterr().err
 
+    def test_residual_past_the_digit_limit_is_summarised(self, tmp_path, capsys):
+        # A = 10^L - 1 is inside the digit limit L, but the residual of
+        # equation (1) with X = 1, A^2 - A, has 2L digits
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        a, one = tmp_path / "a.mat", tmp_path / "one.mat"
+        a.write_text(f"matrix 1 1\n{'9' * limit}\n")
+        one.write_text("matrix 1 1\n1\n")
+        code = run_command(
+            ["verify", "--a", str(a), "--m", str(one), "--n", str(one), "--x", str(one)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "equation (1) fails at (1, 1), residual not written (numerator "
+            f"degree 0, denominator degree 0, largest coefficient {2 * limit} "
+            "digits)\n"
+        )
+
+    def test_compute_verify_summarises_a_residual_past_the_digit_limit(
+        self, capsys, monkeypatch
+    ):
+        import sys
+
+        import wmpinv.cli as cli
+        from wmpinv.scalars import Poly, RatFun
+        from wmpinv.verify import PenroseReport
+
+        limit = sys.get_int_max_str_digits()
+        residual = RatFun(Poly([1, 10 ** limit]), Poly([3, 1]))
+        report = PenroseReport(True, False, True, True, ("(2)", 2, 1, residual))
+        monkeypatch.setattr(cli, "penrose_check", lambda *args: report)
+        code = run_command(["compute", "--a", fixture("wmp_rank2_a.mat"), "--verify"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "verification failed: equation (2) at (2, 1), residual not written "
+            f"(numerator degree 1, denominator degree 1, largest coefficient "
+            f"{limit + 1} digits)\n"
+        )
+
     @pytest.mark.parametrize(
         "weight, message",
         [

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError, asdict
 import pytest
 
 from helpers import count_calls, load, rand_problem_matrix, rand_weight
+from wmpinv import scalars
 from wmpinv.errors import DegenerateWeightError, SingularMatrixError
 from wmpinv.greville import (
     WeightedProblem,
@@ -140,16 +141,28 @@ class TestWeightedPinv:
         assert list(x.row(0)) == [e("s/(1+s^2)"), e("0"), e("0"), e("0"), e("0")]
 
     def test_hessenberg_division_count(self, monkeypatch):
-        # Each gcd's trial-division quotients serve as the cofactors, and
-        # each matrix-product entry is reduced once per denominator; a
-        # count does not depend on the host.  Dividing again by every gcd
-        # and reducing every partial sum took 308 divisions here.
+        # Each gcd's trial-division quotients serve as the cofactors, each
+        # matrix-product entry is reduced once per pair of operand
+        # denominators, and one matrix operation runs each gcd of two
+        # nonconstant operands once; a count does not depend on the host.
+        # Dividing again by every gcd and reducing every partial sum took
+        # 308 divisions here, and grouping by the product's denominator
+        # without reusing gcds 132.
         a = load("wmp_hessenberg_a.mat")
         calls = count_calls(monkeypatch, Poly, "__divmod__")
         x = weighted_pinv(WeightedProblem(a))
         monkeypatch.undo()
         assert x == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 132
+        assert len(calls) <= 88
+
+    def test_hessenberg_gcd_count(self, monkeypatch):
+        # 294 gcds before one matrix operation reused its gcds
+        a = load("wmp_hessenberg_a.mat")
+        calls = count_calls(monkeypatch, scalars, "gcd_cofactors")
+        x = weighted_pinv(WeightedProblem(a))
+        monkeypatch.undo()
+        assert x == load("wmp_hessenberg_x_true.mat")
+        assert len(calls) <= 178
 
     def test_output_shape(self):
         rng = random.Random(29)

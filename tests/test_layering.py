@@ -44,3 +44,23 @@ def test_the_two_paths_do_not_import_each_other():
 def test_every_public_name_resolves():
     missing = [name for name in wmpinv.__all__ if not hasattr(wmpinv, name)]
     assert missing == []
+
+
+def test_no_module_caches_calls_with_functools():
+    # a memo lives inside one matrix operation and dies with it
+    caches = {"cache", "lru_cache"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                names = {node.attr}
+            else:
+                continue
+            found += [(path.name, name) for name in sorted(names & caches)]
+    assert found == []

@@ -3,6 +3,7 @@ fraction-free elimination inverse used as the independent oracle."""
 
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -67,7 +68,8 @@ def shared_den_matrix(rng, rows, cols, dens):
 
 
 class TestProduct:
-    """RfMatrix.__mul__ sums each entry's products by denominator."""
+    """RfMatrix.__mul__ sums each entry's products by the pair of operand
+    denominators."""
 
     def test_scalar_operand_is_a_type_error(self):
         # a scalar product is spelled RfMatrix.scale
@@ -82,7 +84,8 @@ class TestProduct:
         rng = random.Random(47)
         for _ in range(300):
             m, k, n = rng.randint(0, 4), rng.randint(0, 6), rng.randint(0, 4)
-            a = shared_den_matrix(rng, m, k, DENS)
+            # few denominators on each side make groups of several products
+            a = shared_den_matrix(rng, m, k, rng.choice([DENS, DENS[2:4]]))
             # polynomial or constant-denominator entries keep a's denominators
             b = shared_den_matrix(rng, k, n, rng.choice([DENS, DENS[:2]]))
             if k and rng.random() < 0.3:  # a zero row of a, a zero column of b
@@ -105,9 +108,46 @@ class TestProduct:
         b = constant_matrix([[0], [0], [1], [1]])
         assert a * b == RfMatrix.identity(1)
 
+    def test_operand_group_cancels_to_zero(self):
+        # s/((s+1)(s-1)) - s/((s+1)(s-1)) in one group, next to a lone product
+        a = RfMatrix.from_rows([[e("1/(s+1)"), e("1/(s+1)"), e("s")]])
+        b = RfMatrix.from_rows([[e("s/(s-1)")], [e("-s/(s-1)")], [e("1/s")]])
+        assert a * b == fold_product(a, b) == RfMatrix.identity(1)
+
+    def test_operand_group_shares_a_factor_with_one_denominator(self):
+        # (1 + s)/((s+1)(s-1)) = 1/(s-1): the sum cancels a.den only
+        a = RfMatrix.from_rows([[e("1/(s+1)"), e("s/(s+1)")]])
+        b = RfMatrix.from_rows([[e("1/(s-1)")], [e("1/(s-1)")]])
+        assert a * b == fold_product(a, b) == RfMatrix.from_rows([[e("1/(s-1)")]])
+
+    def test_constant_next_to_polynomial_denominators(self):
+        # group (2, s+1) sums to 1/2, group (s+1, 1) to 3/(s+1)
+        a = RfMatrix.from_rows([[e("1/2"), e("1/2"), e("1/(s+1)")]])
+        b = RfMatrix.from_rows([[e("1/(s+1)")], [e("s/(s+1)")], [e("3")]])
+        assert a * b == fold_product(a, b) == RfMatrix.from_rows([[e("(7+s)/(2+2*s)")]])
+
     def test_empty_inner_dimension(self):
         assert RfMatrix.zeros(2, 0) * RfMatrix.zeros(0, 3) == RfMatrix.zeros(2, 3)
         assert RfMatrix.zeros(0, 2) * RfMatrix.identity(2) == RfMatrix.zeros(0, 2)
+
+
+class TestEntrywise:
+    """Entrywise +, - and scale give the per-entry RatFun operators."""
+
+    def test_match_the_scalar_operators(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            a = shared_den_matrix(rng, rows, cols, DENS)
+            b = shared_den_matrix(rng, rows, cols, rng.choice([DENS, DENS[2:4]]))
+            f = RatFun(rand_poly(rng, 1, -2, 2)) / rng.choice(DENS)
+            for got, op in ((a + b, add), (a - b, sub)):
+                assert got == RfMatrix(
+                    rows, cols, [op(a[r, c], b[r, c]) for r in range(rows) for c in range(cols)]
+                )
+            assert a.scale(f) == RfMatrix(
+                rows, cols, [f * a[r, c] for r in range(rows) for c in range(cols)]
+            )
 
 
 class TestTranspose:

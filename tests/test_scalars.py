@@ -549,6 +549,21 @@ class TestRatFunArithmetic:
             if not g.is_zero:
                 assert f / g == RatFun(f.num * g.den, f.den * g.num)
 
+    def test_memo_taking_methods_equal_the_operators(self):
+        # one memo across three rounds over the same pairs, so the later
+        # rounds take every gcd of nonconstant operands from the memo
+        rng = random.Random(61)
+        values = [rand_ratfun(rng, 2, -3, 3) for _ in range(8)]
+        values += [RatFun(0), RatFun(3), RatFun(1, 2)]
+        memo = {}
+        for _ in range(3):
+            for f in values:
+                for g in values:
+                    total = RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
+                    assert f.plus(g, memo) == f + g == total
+                    assert f.times(g, memo) == f * g == RatFun(f.num * g.num, f.den * g.den)
+        assert memo
+
     def test_field_axioms_random(self):
         rng = random.Random(14)
         for _ in range(60):
