@@ -12,12 +12,11 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from math import log10
 
 from .errors import CapacityError, MatrixParseError, PoleError, StageError
 from .greville import WeightedProblem, bordering_inverse, weighted_pinv
 from .matrices import constant_matrix
-from .matrixio import MAX_SIZE, format_matrix, parse_matrix_file
+from .matrixio import MAX_SIZE, digit_count, format_matrix, parse_matrix_file
 from .poly_greville import invert, solve
 from .verify import penrose_check
 
@@ -39,20 +38,13 @@ def _diag(message):
     print(message, file=sys.stderr)
 
 
-def _digit_count(n):
-    """Decimal digits of a nonzero int, without writing it out."""
-    n = abs(n)
-    d = int((n.bit_length() - 1) * log10(2)) + 1
-    return d + (n >= 10 ** d)
-
-
 def _residual_text(f):
     """The residual written out, or, past the integer-string digit limit,
     its degrees and the digit count of its longest coefficient."""
     try:
         return str(f)
     except ValueError:
-        digits = max(_digit_count(c) for p in (f.num, f.den) for c in p.coeffs if c)
+        digits = max(digit_count(c) for p in (f.num, f.den) for c in p.coeffs if c)
         return (
             f"not written (numerator degree {f.num.degree}, denominator degree "
             f"{f.den.degree}, largest coefficient {digits} digits)"

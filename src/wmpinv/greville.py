@@ -51,11 +51,13 @@ class PartitionState:
     stage: Stage = None
 
 
-def _weighted_form_row(v, m_weight, what, stage):
+def _weighted_form_row(v, col, m_weight, what, stage):
     """v^T M / (v^T M v) for a nonzero column v, whose weighted squared
-    length must be a nonzero rational function."""
+    length must be a nonzero rational function.  v^T M v is formed as
+    (v^T M)*col: ``col`` is v itself, or the stage's new column, whose
+    residual v is M-orthogonal to the earlier columns (Greville 1960)."""
     form = v.transpose() * m_weight
-    sq = (form * v)[0, 0]
+    sq = (form * col)[0, 0]
     if sq.is_zero:
         raise DegenerateWeightError(
             f"weighted squared length of a nonzero {what} is identically zero",
@@ -72,7 +74,7 @@ def column_pinv_init(col, m_weight):
     """
     if col.is_zero:
         return col.transpose()
-    return _weighted_form_row(col, m_weight, "column", 1)
+    return _weighted_form_row(col, col, m_weight, "column", 1)
 
 
 def project_column(x, col, prefix):
@@ -105,10 +107,11 @@ def weighted_schur_factor(proj, part, coupling, i):
     return value
 
 
-def bottom_row(x, proj, resid, schur, m_weight, part, i):
-    """New bottom row of the pseudoinverse for stage i (1 x rows)."""
+def bottom_row(x, col, proj, resid, schur, m_weight, part, i):
+    """New bottom row of the pseudoinverse for stage i (1 x rows), ``col``
+    being the stage's new column."""
     if not resid.is_zero:
-        return _weighted_form_row(resid, m_weight, "residual", i)
+        return _weighted_form_row(resid, col, m_weight, "residual", i)
     nprev, border, _ = part
     lhs = proj.transpose() * nprev - border.transpose()
     return (lhs * x).scale(schur.reciprocal())
@@ -186,13 +189,14 @@ def partition_stages(problem):
     yield state
     for i, part in enumerate(parts, 2):
         prefix = a.leading_columns(i - 1)
-        proj, resid = project_column(state.x, a.column(i), prefix)
+        col = a.column(i)
+        proj, resid = project_column(state.x, col, prefix)
         t = state.ninv * part[1]
         coupling = t - state.x * (prefix * t)
         schur = None
         if resid.is_zero:
             schur = weighted_schur_factor(proj, part, coupling, i)
-        row = bottom_row(state.x, proj, resid, schur, problem.m_weight, part, i)
+        row = bottom_row(state.x, col, proj, resid, schur, problem.m_weight, part, i)
         x = extend_pinv(state.x, proj, coupling, row)
         ninv = next(inverses) if i < a.cols else None
         state = PartitionState(i, x, ninv, Stage(proj, resid, row, schur))

@@ -337,7 +337,7 @@ def format_matrix(a):
         except ValueError:  # str() of an int past the digit limit
             limit = sys.get_int_max_str_digits()
             for c, f in enumerate(a.row(r), start=1):
-                digits = _digit_count(max(map(abs, f.num.coeffs + f.den.coeffs)))
+                digits = digit_count(max(map(abs, f.num.coeffs + f.den.coeffs)))
                 if digits > limit:
                     raise CapacityError(
                         f"cannot write entry ({r + 1}, {c}): a coefficient has "
@@ -349,9 +349,10 @@ def format_matrix(a):
     return "\n".join(lines) + "\n"
 
 
-def _digit_count(n):
-    # decimal digits of the int n >= 1, without str(n); the estimate from
-    # the bit length is at most the count
+def digit_count(n):
+    """Decimal digits of |n| for a nonzero int n, without str(n)."""
+    n = abs(n)
+    # the estimate from the bit length is at most the count
     d = max(1, int((n.bit_length() - 1) * 0.30102999566398120))
     while 10**d <= n:
         d += 1

@@ -13,12 +13,14 @@ polynomials, and the denominator's leading coefficient is positive.  Zero
 is 0/1.  Canonical form makes golden-fixture comparisons bit-exact.  Each
 gcd's division work is done once: ``gcd_cofactors(p, q)``, the one
 function that runs a gcd algorithm, returns (g, p/g, q/g), reusing the
-quotients of GCDHEU's divisibility proof.  The field operations and
-``joint_reduce`` (also the coefficient path's stage reduction) cancel with
-those cofactors instead of dividing by g again.  ``RatFun.plus`` and
-``RatFun.times`` also take a memo, one dict per matrix operation, so a
-pair of nonconstant operands met again in that operation reuses its gcd;
-nothing is cached across operations.
+quotients of GCDHEU's divisibility proof.  The field operations cancel
+with those cofactors instead of dividing by g again; so does
+``joint_reduce`` (also the coefficient path's stage reduction), which
+tries each numerator after its first gcd step by one trial division by
+the running gcd and takes a gcd step only where that fails.
+``RatFun.plus`` and ``RatFun.times`` also take a memo, one dict per matrix
+operation, so a pair of nonconstant operands met again in that operation
+reuses its gcd; nothing is cached across operations.
 
 The module also owns the integer-sequence format that the coefficient path
 and the Penrose checker compute in.  A scalar sequence is a tuple of ints,
@@ -564,18 +566,28 @@ def joint_reduce(nums, den):
     family becomes zeros over 1.  The family's values num[k]/den are
     unchanged.  Returns (new_nums, new_den).
 
-    One pass: the running gcd g, starting at den, meets each nonzero
-    numerator in ``gcd_cofactors``, which leaves that numerator's quotient
-    by the new g; when g shrinks by a cofactor c, the earlier quotients and
-    den/g are multiplied by c.  The pass stops once g is constant.
+    One pass over the nonzero numerators with a running gcd g, starting at
+    den.  The first one meets den in ``gcd_cofactors``, which leaves its
+    quotient by the new g; g is then primitive with a positive leading
+    coefficient.  Each later numerator is first tried by one trial division
+    by g: when g divides it, g is the gcd, and the exact quotient is the
+    one a gcd step would leave.  Only a numerator that g does not divide
+    meets g in ``gcd_cofactors``; when g shrinks by a cofactor c, the
+    earlier quotients and den/g are multiplied by c.  The pass stops once
+    g is constant.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    g, den, nums = den, ONE_POLY, list(nums)
+    g, den, nums, found = den, ONE_POLY, list(nums), False
     for k, p in enumerate(nums):
         if not p:
             continue
+        quo = _quotient(p, g) if found else None
+        if quo is not None:
+            nums[k] = quo
+            continue
         g, c, nums[k] = gcd_cofactors(g, p)
+        found = True
         if c.coeffs != (1,):
             den = c if den is ONE_POLY else den * c  # den/g is 1 until g shrinks
             for j in range(k):

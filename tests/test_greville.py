@@ -146,14 +146,15 @@ class TestWeightedPinv:
         # denominators, and one matrix operation runs each gcd of two
         # nonconstant operands once; a count does not depend on the host.
         # Dividing again by every gcd and reducing every partial sum took
-        # 308 divisions here, and grouping by the product's denominator
-        # without reusing gcds 132.
+        # 308 divisions here, grouping by the product's denominator without
+        # reusing gcds 132, and forming each residual's squared length as
+        # r^T M r rather than (r^T M)*a_i 88.
         a = load("wmp_hessenberg_a.mat")
         calls = count_calls(monkeypatch, Poly, "__divmod__")
         x = weighted_pinv(WeightedProblem(a))
         monkeypatch.undo()
         assert x == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 88
+        assert len(calls) <= 82
 
     def test_hessenberg_gcd_count(self, monkeypatch):
         # 294 gcds before one matrix operation reused its gcds

@@ -13,6 +13,7 @@ from wmpinv.greville import weighted_pinv
 from wmpinv.matrices import RfMatrix
 from wmpinv.matrixio import (
     _EntryParser,
+    digit_count,
     format_entry,
     format_matrix,
     parse_entry,
@@ -298,3 +299,15 @@ class TestFormatMatrix:
             f"more than the integer-string limit of {LIMIT}"
         )
         assert err.value.label == "entry (2, 2)"
+
+
+class TestDigitCount:
+    def test_small_boundaries(self):
+        for n, d in ((1, 1), (9, 1), (10, 2), (99, 2), (100, 3), (-9, 1), (-10, 2)):
+            assert digit_count(n) == d, n
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 17, 22, 100, 1000, 4000])
+    def test_powers_of_ten_and_their_predecessors(self, k):
+        for n in (10**k - 1, 10**k, 10**k + 1, 2 ** (k * 10 // 3)):
+            for signed in (n, -n):
+                assert digit_count(signed) == len(str(n)), signed

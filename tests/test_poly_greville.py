@@ -34,6 +34,7 @@ from wmpinv.poly_greville import (
     solve,
     weighted_pinv,
 )
+from wmpinv import scalars
 from wmpinv.scalars import Poly, RatFun, fit
 from wmpinv.verify import penrose_check
 
@@ -319,16 +320,27 @@ class TestExtend:
         ]
 
     def test_hessenberg_division_count(self, monkeypatch):
-        # Each stage's reduction cancels with the cofactors of its gcd
-        # steps; a count does not depend on the host.  A gcd over the whole
-        # family followed by dividing every entry again took 122 divisions
-        # here.
+        # Each stage's reduction tries every entry after the first gcd by
+        # one trial division, and cancels with the cofactors of its gcd
+        # steps otherwise; a count does not depend on the host.  A gcd
+        # step on every entry took 78 divisions here, and a gcd over the
+        # whole family followed by dividing every entry again took 122.
         a = PolyMatrix.from_rf_matrix(load("wmp_hessenberg_a.mat"))
         calls = count_calls(monkeypatch, Poly, "__divmod__")
         x = weighted_pinv(a)
         monkeypatch.undo()
         assert x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 78
+        assert len(calls) <= 48
+
+    def test_hessenberg_gcd_count(self, monkeypatch):
+        # a gcd step runs only where the running gcd does not divide the
+        # entry: 43 gcd steps when every nonzero entry took one
+        a = PolyMatrix.from_rf_matrix(load("wmp_hessenberg_a.mat"))
+        calls = count_calls(monkeypatch, scalars, "gcd_cofactors")
+        x = weighted_pinv(a)
+        monkeypatch.undo()
+        assert x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
+        assert len(calls) <= 11
 
 
 class TestFractionSimplify:

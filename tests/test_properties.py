@@ -1,10 +1,13 @@
-"""Property test over small random problems: the two paths take the same
+"""Property tests over small random problems: the two paths take the same
 branch at every stage, and their common result is the weighted
-pseudoinverse, of the rank of the input."""
+pseudoinverse, of the rank of the input; the rational path's residual
+identity holds at every stage."""
+
+import random
 
 import pytest
 
-from helpers import rand_weight
+from helpers import rand_den, rand_weight
 from wmpinv import RatFun, RfMatrix, WeightedProblem
 from wmpinv.greville import partition_stages as rational_stages
 from wmpinv.poly_greville import PolyMatrix
@@ -57,3 +60,23 @@ def test_paths_agree_on_every_branch_and_result(problem):
     assert penrose_check(a, m, n, x).all_hold
     assert cross_path_check(a, m, n)
     assert x.rank() == a.rank()
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
+@hypothesis.given(problems(), st.integers(0, 2**32))
+def test_residual_squared_length_is_its_form_on_the_new_column(problem, seed):
+    # the residual r of column i is M-orthogonal to the earlier columns, so
+    # r^T M r = (r^T M) a_i (Greville 1960), the form the rational path
+    # uses; here over rational entries (row r divided by d_r) and an SPD M
+    a, rng = problem.a, random.Random(seed)
+    d = [rand_den(rng) for _ in range(a.rows)]
+    a = RfMatrix.from_rows(
+        [[a[r, c] / RatFun(d[r]) for c in range(a.cols)] for r in range(a.rows)]
+    )
+    m = rand_weight(rng, a.rows)
+    for state in rational_stages(WeightedProblem(a, m, problem.n_weight)):
+        if state.stage is None or state.stage.resid.is_zero:
+            continue
+        resid = state.stage.resid
+        form = resid.transpose() * m
+        assert (form * resid)[0, 0] == (form * a.column(state.i))[0, 0]

@@ -11,6 +11,7 @@ from math import gcd, lcm
 import pytest
 
 from helpers import count_calls, rand_ratfun
+from wmpinv import scalars
 from wmpinv.errors import PoleError
 from wmpinv.scalars import (
     Poly,
@@ -669,6 +670,34 @@ class TestJointReduce:
             size = rng.choice([1, 1, 2, 3, 5])
             nums = [Poly([]) if rng.random() < 0.2 else product() for _ in range(size)]
             self.check(nums, product())
+
+    def test_quotient_branch_matches_reference(self):
+        # after the first gcd step every nonzero numerator is tried by one
+        # trial division by the running gcd g before a gcd step
+        f, h = Poly([1, 1]), Poly([-2, 1])
+        g = f * h
+        # the first gcd is the family gcd: every later entry divides
+        self.check([g * 3, g * Poly([0, 1]), g * -2, g * g], g * Poly([3, 2]) * 4)
+        # a later entry does not divide: g shrinks after quotients were kept
+        self.check([g * 3, g * Poly([0, 1]), f * 5, g * 7, h], g * -6)
+        self.check([g * g, g * h, h * h * 2, f], g * g * 3)
+        # zeros first, over a non-primitive, negative-leading denominator
+        self.check([Poly([]), Poly([]), g * 2, Poly([]), g * Poly([1, 0, 1])], g * -4)
+        # constant entries, before and after the first gcd step
+        self.check([Poly([6]), g, Poly([-3])], g * 2)
+        self.check([g * 5, Poly([]), Poly([-3]), g], g * -2)
+        self.check([g * 5, g, Poly([4])], Poly([6]))
+
+    def test_one_gcd_step_when_the_first_gcd_divides_the_family(self, monkeypatch):
+        g = Poly([1, 1]) * Poly([3, 2])
+        for k in (1, 2, 7):
+            nums = [g * Poly([c, 1]) for c in range(-3, k - 3)]
+            den = g * Poly([0, 0, 1]) * -2
+            calls = count_calls(monkeypatch, scalars, "gcd_cofactors")
+            reduced = joint_reduce(nums, den)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert reduced == self.two_pass(nums, den)
 
     def test_gcd_shrinks_late(self):
         common = Poly([1, 1]) * Poly([-2, 1])
