@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from .errors import CapacityError, MatrixParseError, PoleError, StageError
-from .greville import WeightedProblem, bordering_inverse, weighted_pinv
-from .matrices import constant_matrix
+from .greville import bordering_inverse, weighted_pinv
+from .matrices import WeightedProblem, constant_matrix
 from .matrixio import MAX_SIZE, digit_count, format_matrix, parse_matrix_file
 from .poly_greville import invert, solve
 from .verify import penrose_check

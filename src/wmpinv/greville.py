@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateWeightError, SingularMatrixError
-from .matrices import RfMatrix, WeightedProblem  # WeightedProblem: re-exported
+# WeightedProblem is re-exported; its last caller is bench/worker.py
+from .matrices import RfMatrix, WeightedProblem
 from .scalars import RatFun
 
 

@@ -37,6 +37,7 @@ untrimmed length against its degree capacity and then trims it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd as _int_gcd
 from operator import mul
 
@@ -339,21 +340,24 @@ def trim_grid(grid):
 
 
 def seq_len(seq):
-    """Untrimmed length: of the longest entry of a grid."""
-    return max(len(e) for row in seq for e in row) if _is_grid(seq) else len(seq)
-
-
-def _norm(seq):
-    # largest coefficient magnitude of a nonzero-length sequence
+    """Untrimmed length: of the longest entry of a grid, 0 when the grid
+    has no entries."""
     if _is_grid(seq):
-        return max(max(map(abs, e), default=0) for row in seq for e in row)
-    return max(map(abs, seq))
+        return max(map(len, chain.from_iterable(seq)), default=0)
+    return len(seq)
+
+
+def _magnitude(seq):
+    # largest coefficient magnitude; 0 for an all-zero or empty sequence
+    if _is_grid(seq):
+        seq = chain.from_iterable(chain.from_iterable(seq))
+    return max(map(abs, seq), default=0)
 
 
 def _packed(seq, k):
     """Each entry's sequence as its value at s = 2**k (``pack``)."""
     if _is_grid(seq):
-        return tuple(tuple(pack(e, k) for e in row) for row in seq)
+        return tuple(tuple(map(pack, row, repeat(k))) for row in seq)
     return pack(seq, k)
 
 
@@ -385,33 +389,39 @@ def conv(*terms):
 
     Kronecker substitution: every entry's sequence is packed into its value
     at s = 2**k, the whole sum is evaluated in integer arithmetic, and the
-    balanced base-2**k digits are unpacked once.  2**(k-2) exceeds the sum
-    over the terms of |c| * max|a| * max|b| * min(len a, len b) * inner,
-    which bounds every output coefficient, so the digits are the
-    coefficients.  Every result entry is untrimmed, of the length of the
-    longest product, len a + len b - 1 (a term with a zero-length operand
-    adds nothing), len being the length of a matrix's longest entry.
+    balanced base-2**k digits are unpacked once.  Each operand is scanned
+    once for its untrimmed length, len (a matrix's being that of its
+    longest entry), and, in a term whose operands both have nonzero length,
+    once for its largest coefficient magnitude; both scans are C-level
+    passes over the entries that build no copy.  A term with a zero-length
+    operand adds nothing.  2**(k-2) exceeds the sum over the other terms of
+    |c| * max|a| * max|b| * min(len a, len b) * inner, which bounds every
+    output coefficient, so the digits are the coefficients.  Every result
+    entry is untrimmed, of the length of the longest product,
+    len a + len b - 1.
     """
     shapes = {_product_shape(a, b) for _, a, b in terms}
     if len(shapes) > 1:
         named = sorted("scalar" if s is None else f"{s[0]}x{s[1]}" for s in shapes)
         raise ValueError(f"terms of different shapes: {' and '.join(named)}")
     shape = shapes.pop() if shapes else None
-    terms = [(c, a, b) for c, a, b in terms if seq_len(a) and seq_len(b)]
-    if not terms:
-        return (((),) * shape[1],) * shape[0] if shape else ()
-    bound = 0
+    live, bound, n = [], 0, 0
     for c, a, b in terms:
-        inner = len(b) if _is_grid(a) and _is_grid(b) else 1
-        bound += abs(c) * _norm(a) * _norm(b) * min(seq_len(a), seq_len(b)) * inner
+        len_a, len_b = seq_len(a), seq_len(b)
+        if len_a and len_b:
+            inner = len(b) if _is_grid(a) and _is_grid(b) else 1
+            bound += abs(c) * _magnitude(a) * _magnitude(b) * min(len_a, len_b) * inner
+            n = max(n, len_a + len_b - 1)
+            live.append((c, a, b))
+    if not live:
+        return (((),) * shape[1],) * shape[0] if shape else ()
     k = bound.bit_length() + 2
-    n = max(seq_len(a) + seq_len(b) - 1 for _, a, b in terms)
 
     def unpack(v):
         coeffs = digits(v, k)
         return tuple(coeffs) + (0,) * (n - len(coeffs))
 
-    prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in terms]
+    prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in live]
     if shape is None:
         return unpack(sum(prods))
     return tuple(tuple(unpack(sum(v)) for v in zip(*rows)) for rows in zip(*prods))

@@ -23,8 +23,8 @@ from helpers import (
     rand_weight,
 )
 from wmpinv.cli import run_command
-from wmpinv.greville import WeightedProblem, bordering_inverse, weighted_pinv
-from wmpinv.matrices import RfMatrix
+from wmpinv.greville import bordering_inverse, weighted_pinv
+from wmpinv.matrices import RfMatrix, WeightedProblem
 from wmpinv.matrixio import format_matrix, parse_matrix_file
 from wmpinv.poly_greville import PolyMatrix
 from wmpinv.poly_greville import bordering_inverse as poly_bordering_inverse

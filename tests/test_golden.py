@@ -9,7 +9,8 @@ at rational points with plain Fractions, and pins the transcribed variant
 """
 
 from helpers import load
-from wmpinv.greville import WeightedProblem, weighted_pinv
+from wmpinv.greville import weighted_pinv
+from wmpinv.matrices import WeightedProblem
 from wmpinv.poly_greville import PolyMatrix
 from wmpinv.poly_greville import weighted_pinv as poly_weighted_pinv
 from wmpinv.verify import penrose_check

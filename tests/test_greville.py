@@ -10,14 +10,13 @@ from helpers import count_calls, load, rand_problem_matrix, rand_weight
 from wmpinv import scalars
 from wmpinv.errors import DegenerateWeightError, SingularMatrixError
 from wmpinv.greville import (
-    WeightedProblem,
     bordering_inverse,
     bordering_step,
     column_pinv_init,
     partition_stages,
     weighted_pinv,
 )
-from wmpinv.matrices import RfMatrix, constant_matrix
+from wmpinv.matrices import RfMatrix, WeightedProblem, constant_matrix
 from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import PolyMatrix
 from wmpinv.poly_greville import bordering_inverse as poly_bordering_inverse

@@ -34,7 +34,7 @@ from wmpinv.poly_greville import (
     solve,
     weighted_pinv,
 )
-from wmpinv import scalars
+from wmpinv import poly_greville, scalars
 from wmpinv.scalars import Poly, RatFun, fit
 from wmpinv.verify import penrose_check
 
@@ -98,6 +98,12 @@ class TestPolyMatrix:
         assert all(type(x) is int for entry in p.coeffs[0] for x in entry)
         q = PolyMatrix.from_entries([[Poly([Fraction(6, 3)]), Fraction(5, 1)]])
         assert q.coeffs == (((2,), (5,)),)
+
+    def test_degree_of_matrices_without_entries(self):
+        # a matrix with no entries is zero, of degree -1, whichever side is empty
+        assert PolyMatrix(2, 0).degree == -1
+        assert PolyMatrix(0, 2).degree == -1
+        assert PolyMatrix(2, 2).degree == -1
 
     def test_roundtrip_through_rf_matrix(self):
         rng = random.Random(41)
@@ -410,6 +416,28 @@ class TestCapacityChecks:
     def test_all_zero_sequence_fits_as_empty(self):
         assert fit([0, 0], 1, "probe") == ()
         assert fit((((0,),),), 0, "probe") == (((),),)
+
+    def test_padded_grid_result_raises_at_the_first_grid_label(self, monkeypatch):
+        # one extra zero on every entry of every grid result of the kernel:
+        # fit reads a grid's untrimmed length as that of its longest entry,
+        # so the first grid it checks, the stage-1 numerator z = a_1^T M,
+        # overflows (column 1 of degree 1, identity weight: capacity 1)
+        real = poly_greville.conv
+
+        def padded(*terms):
+            out = real(*terms)
+            if out and isinstance(out[0], tuple):
+                return tuple(tuple(e + (0,) for e in row) for row in out)
+            return out
+
+        monkeypatch.setattr(poly_greville, "conv", padded)
+        with pytest.raises(CapacityError) as info:
+            weighted_pinv(PolyMatrix.from_rf_matrix(load("wmp_poly3_a.mat")))
+        assert info.value.label == "single-column numerator"
+        assert str(info.value) == (
+            "single-column numerator: coefficient sequence of length 3 "
+            "exceeds its degree capacity 1"
+        )
 
     def test_random_runs_stay_within_bounds(self):
         # every step asserts its pre-trim length against the formula bound,

@@ -131,9 +131,20 @@ def kernel(*terms):
     return to_degree_major(conv(*terms))
 
 
+def padded(seq):
+    """A grid with every entry padded with zeros to the longest one's
+    length, the layout ``to_degree_major`` needs; a scalar as it is."""
+    if not seq or isinstance(seq[0], int):
+        return seq
+    n = max(len(e) for row in seq for e in row)
+    return tuple(tuple(tuple(e) + (0,) * (n - len(e)) for e in row) for row in seq)
+
+
 def ref(*terms):
-    """``reference`` on grid terms."""
-    return reference(*((c, to_degree_major(a), to_degree_major(b)) for c, a, b in terms))
+    """``reference`` on grid terms, their entries padded to one length."""
+    return reference(
+        *((c, to_degree_major(padded(a)), to_degree_major(padded(b))) for c, a, b in terms)
+    )
 
 
 def scalar_seq(rng, bits, length=None):
@@ -159,6 +170,11 @@ def matrix_seq(rng, rows, cols, bits):
     if rng.random() < 0.1:
         seq = [_mzero(rows, cols)] * len(seq)
     return to_grid(seq, rows, cols)
+
+
+def as_lists(seq):
+    """seq with every tuple, at every level, turned into a list."""
+    return [as_lists(x) for x in seq] if isinstance(seq, (tuple, list)) else seq
 
 
 def random_terms(rng, bits):
@@ -224,6 +240,11 @@ class TestKernelAgainstSchoolbook:
         assert conv() == ()
         assert conv((1, [], [5]), (2, [1, 1], [3])) == (6, 6)
 
+    def test_operands_without_entries_add_nothing(self):
+        # a 2x0 grid has no entries: the product keeps its shape, 2x0
+        assert conv((1, ((), ()), ())) == ((), ())
+        assert conv((1, ((), ()), [1, 2])) == ((), ())
+
     def test_all_zero_operands_keep_their_length(self):
         zero = to_grid([_mzero(2, 2)] * 3, 2, 2)
         assert conv((1, [0, 0], [0, 0, 0])) == (0, 0, 0, 0)
@@ -276,6 +297,59 @@ class TestKernelAgainstSchoolbook:
             row = matrix_seq(rng, 1, k, 1000)
             for a, b in ((row, col), (col, row)):
                 assert kernel((-1, a, b)) == ref((-1, a, b))
+
+    def test_list_operands(self):
+        # lists in place of tuples at every level give the same tuples
+        rng = random.Random(83)
+        for _ in range(200):
+            terms = random_terms(rng, 64)
+            got = kernel(*((c, as_lists(a), as_lists(b)) for c, a, b in terms))
+            want = ref(*terms)
+            assert len(got) == len(want), terms
+            assert got == want, terms
+
+    def test_longest_entry_all_zeros(self):
+        # the untrimmed length is the longest entry's, zeros or not
+        a = (((1, 2), (0, 0, 0, 0)), ((3,), ()))
+        b = (((5,), (-1, 1)), ((0, 0, 0), (2,)))
+        cases = ((5, [(1, a, [1, -1])]), (6, [(-2, a, b)]), (6, [(1, b, a), (1, a, b)]))
+        for n, terms in cases:
+            got, want = kernel(*terms), ref(*terms)
+            assert len(got) == len(want) == n
+            assert got == want
+
+    def test_largest_magnitude_in_a_short_entry(self):
+        # the digit bound must see the large coefficient of the short entry
+        top = 2**200 + 1
+        a = (((1, 1, 1, 1), (top,)),)
+        b = (((top,), (-top, 0, 1)), ((1, -1, 1), (top,)))
+        for terms in ([(1, a, b)], [(3, a, [top, top])], [(-1, [top], b), (1, b, [1, 1])]):
+            got = kernel(*terms)
+            want = ref(*terms)
+            assert len(got) == len(want)
+            assert got == want
+
+    def test_ragged_grids(self):
+        # entries of one grid of different lengths and magnitudes
+        rng = random.Random(89)
+
+        def ragged(rows, cols):
+            return tuple(
+                tuple(scalar_seq(rng, rng.choice((2, 300))) for _ in range(cols))
+                for _ in range(rows)
+            )
+
+        for _ in range(200):
+            rows, inner, cols = (rng.randint(1, 3) for _ in range(3))
+            s = scalar_seq(rng, 64)
+            terms = [
+                (1, ragged(rows, inner), ragged(inner, cols)),
+                (-2, s, ragged(rows, cols)),
+            ]
+            got = kernel(*terms)
+            want = ref(*terms)
+            assert len(got) == len(want), terms
+            assert got == want, terms
 
     def test_scalar_matrix_and_coefficients(self):
         m = to_grid([((1, -2), (0, 3)), ((4, 0), (0, -1))], 2, 2)

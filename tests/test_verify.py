@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import load, rand_problem_matrix, rand_weight
-from wmpinv.greville import WeightedProblem, weighted_pinv
-from wmpinv.matrices import RfMatrix, constant_matrix
+from wmpinv.greville import weighted_pinv
+from wmpinv.matrices import RfMatrix, WeightedProblem, constant_matrix
 from wmpinv.matrixio import parse_entry
 from wmpinv.scalars import RatFun
 from wmpinv.verify import (
