@@ -119,8 +119,9 @@ def bottom_row(x, col, proj, resid, schur, m_weight, part, i):
 
 
 def extend_pinv(x, proj, coupling, row):
-    """Stack the corrected previous pseudoinverse on the new bottom row."""
-    upper = x - (proj + coupling) * row
+    """Stack x - (proj + coupling)*row, one grouped rank-one update
+    (``RfMatrix.minus_outer``), on the new bottom row."""
+    upper = x.minus_outer(proj + coupling, row)
     return RfMatrix.block([[upper], [row]])
 
 
@@ -129,8 +130,8 @@ def bordering_step(prev_inv, part):
 
     Given the inverse of the previous block and the partition pieces,
     returns the inverse of the enlarged block; a singular one raises with
-    its order as the stage.  One column t = prev_inv*l serves the Schur
-    scalar, the border -t/schur and the core prev_inv + t*t^T/schur.
+    its order as the stage.  t = prev_inv*l serves the Schur scalar, the
+    border -t/schur and the core prev_inv - border*t^T (``minus_outer``).
     """
     _, border, corner = part
     t = prev_inv * border
@@ -141,7 +142,7 @@ def bordering_step(prev_inv, part):
         )
     inv_corner = schur.reciprocal()
     inv_border = t.scale(-inv_corner)
-    core = prev_inv - inv_border * t.transpose()
+    core = prev_inv.minus_outer(inv_border, t.transpose())
     corner_m = RfMatrix(1, 1, [inv_corner])
     return RfMatrix.block([[core, inv_border], [inv_border.transpose(), corner_m]])
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import neg
 
 from .errors import PoleError, SingularMatrixError
-from .scalars import ONE, ZERO, Poly, RatFun, ONE_POLY, ZERO_POLY, poly_gcd
+from .scalars import ONE, ZERO, RatFun, ONE_POLY, ZERO_POLY, gcd_cofactors, poly_gcd
 
 
 def _expect(cls, obj):
@@ -144,6 +144,9 @@ class WeightedProblem:
             raise TypeError(
                 f"RfMatrix or PolyMatrix expected, got {type(self.a).__name__}"
             )
+        if not (self.a.rows and self.a.cols):
+            raise ValueError(f"matrix dimensions must be positive, got "
+                             f"{self.a.rows}x{self.a.cols}")
         kind = type(self.a)
         weights = ("row", "m_weight", self.a.rows), ("column", "n_weight", self.a.cols)
         for name, field, order in weights:
@@ -280,6 +283,31 @@ class RfMatrix(Grid):
         grid = tuple(tuple(_dot(row, col, memo) for col in cols) for row in self.grid)
         return RfMatrix._of(self.rows, other.cols, grid)
 
+    def minus_outer(self, u, v):
+        """self - u*v for a column u and a row v, without forming u*v: entry
+        x - a*b is (x.num*abq - a.num*b.num*xq)/(x.den*abq), xq and abq being
+        the cofactors of gcd(x.den, a.den*b.den), found once per triple of
+        denominators, whose entries share one ``RatFun.over`` hint."""
+        u, v = RfMatrix.expect(u), RfMatrix.expect(v)
+        if (u.rows, u.cols, v.rows, v.cols) != (self.rows, 1, 1, self.cols):
+            raise ValueError(f"cannot subtract the product of {u.rows}x{u.cols} and "
+                             f"{v.rows}x{v.cols} from {self.rows}x{self.cols}")
+        hints = {}
+
+        def entry(x, a, b):
+            if not (a and b):
+                return x
+            key = x.den.coeffs, a.den.coeffs, b.den.coeffs
+            if key not in hints:
+                _, xq, abq = gcd_cofactors(x.den, a.den * b.den)
+                hints[key] = x.den * abq, xq, abq, []
+            den, xq, abq, hint = hints[key]
+            return RatFun.over(x.num * abq - a.num * b.num * xq, den, hint)
+
+        grid = tuple(tuple(entry(x, a, b) for x, b in zip(xs, v.grid[0]))
+                     for xs, (a,) in zip(self.grid, u.grid))
+        return RfMatrix._of(self.rows, self.cols, grid)
+
     def scale(self, f):
         f, memo = _want_entry(f), {}
         return self._map(lambda a: f.times(a, memo))
@@ -365,7 +393,7 @@ class RfMatrix(Grid):
         # augmented [P | I] over polynomials; Jordan elimination keeps every
         # division exact (entries stay minors of P)
         work = [
-            grid[r] + [ONE_POLY if c == r else Poly() for c in range(n)]
+            grid[r] + [ONE_POLY if c == r else ZERO_POLY for c in range(n)]
             for r in range(n)
         ]
         prev = ONE_POLY

@@ -20,7 +20,10 @@ tries each numerator after its first gcd step by one trial division by
 the running gcd and takes a gcd step only where that fails.
 ``RatFun.plus`` and ``RatFun.times`` also take a memo, one dict per matrix
 operation, so a pair of nonconstant operands met again in that operation
-reuses its gcd; nothing is cached across operations.
+reuses its gcd; nothing is cached across operations.  ``RatFun.over``
+reduces numerators over one shared denominator (a grouped rank-one update):
+the first nonconstant gcd found is a hint, tried on each later numerator by
+one trial division and never assumed to be the whole gcd.
 
 The module also owns the integer-sequence format that the coefficient path
 and the Penrose checker compute in.  A scalar sequence is a tuple of ints,
@@ -398,7 +401,8 @@ def conv(*terms):
     |c| * max|a| * max|b| * min(len a, len b) * inner, which bounds every
     output coefficient, so the digits are the coefficients.  Every result
     entry is untrimmed, of the length of the longest product,
-    len a + len b - 1.
+    len a + len b - 1.  The format has no 0xk grid: its grid, (), is read
+    as the zero scalar, so a caller rejects matrices with no rows first.
     """
     shapes = {_product_shape(a, b) for _, a, b in terms}
     if len(shapes) > 1:
@@ -632,6 +636,22 @@ class RatFun:
         f = object.__new__(cls)
         f.num, f.den = num, den
         return f
+
+    @classmethod
+    def over(cls, num, den, hint):
+        """num/den reduced.  ``hint``, a list shared by the calls over one
+        den, is empty or [g, den/g] for the first nonconstant gcd g found:
+        a numerator that g divides meets only den/g in ``gcd_cofactors``."""
+        if not num:
+            return ZERO
+        if hint:
+            quo = _quotient(num, hint[0])
+            if quo is not None:
+                return cls._reduced(*gcd_cofactors(quo, hint[1])[1:])
+        g, num, den = gcd_cofactors(num, den)
+        if g.degree > 0 and not hint:
+            hint[:] = g, den
+        return cls._reduced(num, den)
 
     @classmethod
     def const(cls, c):

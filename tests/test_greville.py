@@ -6,8 +6,14 @@ from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 
-from helpers import count_calls, load, rand_problem_matrix, rand_weight
-from wmpinv import scalars
+from helpers import (
+    count_calls,
+    load,
+    rand_problem_matrix,
+    rand_rational_problem,
+    rand_weight,
+)
+from wmpinv import matrices, scalars
 from wmpinv.errors import DegenerateWeightError, SingularMatrixError
 from wmpinv.greville import (
     bordering_inverse,
@@ -147,22 +153,40 @@ class TestWeightedPinv:
         # Dividing again by every gcd and reducing every partial sum took
         # 308 divisions here, grouping by the product's denominator without
         # reusing gcds 132, and forming each residual's squared length as
-        # r^T M r rather than (r^T M)*a_i 88.
+        # r^T M r rather than (r^T M)*a_i 88, and forming each stage's
+        # rank-one updates as a matrix product and a difference 82.
         a = load("wmp_hessenberg_a.mat")
         calls = count_calls(monkeypatch, Poly, "__divmod__")
         x = weighted_pinv(WeightedProblem(a))
         monkeypatch.undo()
         assert x == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 82
+        assert len(calls) <= 80
 
     def test_hessenberg_gcd_count(self, monkeypatch):
-        # 294 gcds before one matrix operation reused its gcds
+        # 294 gcds before one matrix operation reused its gcds, 178 before
+        # each stage's rank-one updates reused one gcd per denominator triple
+        # and tried each entry's first gcd as a hint; the count includes
+        # the triples' gcds, which ``matrices`` calls by its own name
         a = load("wmp_hessenberg_a.mat")
         calls = count_calls(monkeypatch, scalars, "gcd_cofactors")
+        monkeypatch.setattr(matrices, "gcd_cofactors", scalars.gcd_cofactors)
         x = weighted_pinv(WeightedProblem(a))
         monkeypatch.undo()
         assert x == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 178
+        assert len(calls) <= 152
+
+    @pytest.mark.parametrize("seed", [None, 11, 38])
+    def test_result_does_not_rest_on_a_trial_division(self, monkeypatch, seed):
+        # every trial division missing (so every hint fails and every gcd
+        # takes its fallback) leaves each entry reduced by its own gcd; the
+        # 4x4 weighted problems of seeds 11 and 38 meet a hint 15 and 12 times
+        if seed is None:
+            problem = WeightedProblem(load("wmp_hessenberg_a.mat"))
+        else:
+            problem = rand_rational_problem(random.Random(seed), 4)
+        expected = weighted_pinv(problem)
+        monkeypatch.setattr(scalars, "_quotient", lambda a, d: None)
+        assert weighted_pinv(problem) == expected
 
     def test_output_shape(self):
         rng = random.Random(29)
@@ -196,6 +220,15 @@ class TestWeightedPinv:
             with pytest.raises(ValueError) as coefficient:
                 poly_weighted_pinv(to_poly(a), to_poly(m_weight), to_poly(n_weight))
             assert str(rational.value) == str(coefficient.value) == message
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+    def test_zero_dimensions_rejected(self, rows, cols):
+        # one validation serves both paths: same ValueError, same message
+        message = rf"^matrix dimensions must be positive, got {rows}x{cols}$"
+        with pytest.raises(ValueError, match=message):
+            weighted_pinv(WeightedProblem(RfMatrix.zeros(rows, cols)))
+        with pytest.raises(ValueError, match=message):
+            poly_weighted_pinv(PolyMatrix(rows, cols))
 
     def test_weight_of_the_other_matrix_type_rejected(self):
         rf = RfMatrix.identity(2)

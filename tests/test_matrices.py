@@ -13,7 +13,7 @@ from wmpinv.errors import PoleError, SingularMatrixError
 from wmpinv.matrices import RfMatrix, constant_matrix
 from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import PolyMatrix
-from wmpinv.scalars import RatFun
+from wmpinv.scalars import Poly, RatFun
 
 
 def e(text):
@@ -148,6 +148,67 @@ class TestEntrywise:
             assert a.scale(f) == RfMatrix(
                 rows, cols, [f * a[r, c] for r in range(rows) for c in range(cols)]
             )
+
+
+class TestMinusOuter:
+    """x.minus_outer(u, v) is x - u*v for a column u and a row v, each
+    entry reduced by its own gcd."""
+
+    def test_hint_hit_miss_and_a_shared_factor_after_a_hit(self):
+        # every entry is over (s+1)(s+2) before reduction: 3s+3 leaves the
+        # hint s+1, s+2 misses it, and (s+1)(s+2) hits it with a quotient
+        # s+2 that still shares a factor with (s+1)(s+2)/(s+1)
+        x = RfMatrix.from_rows(
+            [[e("(3*s+4)/(s^2+3*s+2)"), e("(s+3)/(s^2+3*s+2)"), e("(s^2+3*s+3)/(s^2+3*s+2)")]]
+        )
+        u = RfMatrix.from_rows([[e("1/(s+1)")]])
+        v = RfMatrix.from_rows([[e("1/(s+2)")] * 3])
+        expected = RfMatrix.from_rows([[e("3/(s+2)"), e("1/(s+1)"), e("1")]])
+        assert x.minus_outer(u, v) == x - u * v == expected
+
+    def test_over_keeps_the_first_nonconstant_gcd_as_its_hint(self):
+        den, hint = Poly([2, 3, 1]), []
+        assert RatFun.over(Poly([2]), den, hint) == RatFun(2, den)
+        assert hint == []
+        assert RatFun.over(Poly([3, 3]), den, hint) == e("3/(s+2)")
+        assert hint == [Poly([1, 1]), Poly([2, 1])]
+        assert RatFun.over(Poly([2, 1]), den, hint) == e("1/(s+1)")
+        assert RatFun.over(Poly([-4, -6, -2]), den, hint) == RatFun(-2)
+        assert RatFun.over(Poly(), den, hint) == RatFun(0)
+        assert hint == [Poly([1, 1]), Poly([2, 1])]
+
+    def test_zero_factors_leave_the_entry(self):
+        x = RfMatrix.from_rows([[e("1/(s+1)"), e("s")], [e("2"), e("0")]])
+        u = RfMatrix.from_rows([[e("0")], [e("1/s")]])
+        v = RfMatrix.from_rows([[e("s"), e("0")]])
+        assert x.minus_outer(u, v) == RfMatrix.from_rows(
+            [[e("1/(s+1)"), e("s")], [e("1"), e("0")]]
+        )
+
+    def test_empty_shapes(self):
+        assert RfMatrix.zeros(0, 3).minus_outer(
+            RfMatrix.zeros(0, 1), RfMatrix.zeros(1, 3)
+        ) == RfMatrix.zeros(0, 3)
+        assert RfMatrix.zeros(2, 0).minus_outer(
+            RfMatrix.zeros(2, 1), RfMatrix.zeros(1, 0)
+        ) == RfMatrix.zeros(2, 0)
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [((3, 1), (1, 3)), ((2, 2), (2, 3)), ((2, 1), (1, 2)), ((2, 1), (2, 3))],
+    )
+    def test_nonconformable_shapes(self, u, v):
+        x = RfMatrix.zeros(2, 3)
+        message = (
+            rf"^cannot subtract the product of {u[0]}x{u[1]} and "
+            rf"{v[0]}x{v[1]} from 2x3$"
+        )
+        with pytest.raises(ValueError, match=message):
+            x.minus_outer(RfMatrix.zeros(*u), RfMatrix.zeros(*v))
+
+    def test_non_matrix_operand(self):
+        with pytest.raises(TypeError, match=r"^RfMatrix expected, got list$"):
+            RfMatrix.zeros(1, 1).minus_outer([[1]], RfMatrix.zeros(1, 1))
 
 
 class TestTranspose:

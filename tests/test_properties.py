@@ -4,6 +4,7 @@ pseudoinverse, of the rank of the input; the rational path's residual
 identity holds at every stage."""
 
 import random
+from math import prod
 
 import pytest
 
@@ -80,3 +81,47 @@ def test_residual_squared_length_is_its_form_on_the_new_column(problem, seed):
         resid = state.stage.resid
         form = resid.transpose() * m
         assert (form * resid)[0, 0] == (form * a.column(state.i))[0, 0]
+
+
+# products of a few linear factors, over contents that make some
+# denominators constant, non-primitive or negative-leading
+FACTORS = [Poly(c) for c in ((0, 1), (1, 1), (-1, 1), (1, 2))]
+
+
+@st.composite
+def outer_updates(draw):
+    """(x, u, v) for a rank-one update x - u*v of order at most 3.  The
+    nonzero entries of u share one denominator, and those of v another,
+    over numerators with no rational root.  x_rc is u_r*v_c (they cancel)
+    or u_r*v_c + r, r an entry over a divisor of the product D of the two
+    denominators: then x_rc is over D, and the update's entries, which
+    share their triple of denominators, cancel against D in varied ways."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    factors = st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3)
+    unit = st.sampled_from([Poly(c) for c in ((), (1,), (-1,), (1, 0, 1), (2, 0, -1))])
+    # a coefficient 1 keeps a denominator's content through reduction
+    num = st.lists(st.integers(-3, 3), max_size=2).map(lambda cs: Poly(cs + [1]))
+
+    def den(fs):
+        return prod(fs, start=Poly.const(draw(st.sampled_from((1, -2, 3)))))
+
+    fu, fv = draw(factors), draw(factors)
+    du, dv = den(fu), den(fv)
+    u = [RatFun(draw(unit), du) for _ in range(rows)]
+    v = [RatFun(draw(unit), dv) for _ in range(cols)]
+
+    def cell(a, b):
+        if draw(st.booleans()):
+            return a * b
+        return a * b + RatFun(draw(num), den([f for f in fu + fv if draw(st.booleans())]))
+
+    x = [cell(a, b) for a in u for b in v]
+    return RfMatrix(rows, cols, x), RfMatrix(rows, 1, u), RfMatrix(1, cols, v)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(outer_updates())
+def test_minus_outer_is_the_difference_with_the_outer_product(update):
+    x, u, v = update
+    assert x.minus_outer(u, v) == x - u * v
+
