@@ -14,11 +14,9 @@ import sys
 from fractions import Fraction
 
 from .errors import CapacityError, MatrixParseError, PoleError, StageError
-from .greville import bordering_inverse, weighted_pinv
 from .matrices import WeightedProblem, constant_matrix
-from .matrixio import MAX_SIZE, digit_count, format_matrix, parse_matrix_file
-from .poly_greville import invert, solve
-from .verify import penrose_check
+from .matrixio import MAX_SIZE, digit_count, format_matrix, parse_matrix_file, power_fits
+from .verify import PATHS, penrose_check
 
 
 def _load(path):
@@ -57,17 +55,14 @@ def _cmd_compute(args):
     n = _load(args.n) if args.n else None
     problem = WeightedProblem(a, m, n)
 
-    if args.path == "rational":
-        x = weighted_pinv(problem)
-    else:
-        x = solve(problem).to_rf_matrix()
-        if args.path == "both":
-            x_rat = weighted_pinv(problem)
-            for r in range(x.rows):
-                for c in range(x.cols):
-                    if x[r, c] != x_rat[r, c]:
-                        _diag(f"computation paths disagree at entry ({r + 1}, {c + 1})")
-                        return 1
+    names = PATHS if args.path == "both" else (args.path,)
+    x, *others = (PATHS[name][0](problem) for name in names)
+    for other in others:
+        for r in range(x.rows):
+            for c in range(x.cols):
+                if other[r, c] != x[r, c]:
+                    _diag(f"computation paths disagree at entry ({r + 1}, {c + 1})")
+                    return 1
 
     if args.verify:
         report = penrose_check(a, problem.m_weight, problem.n_weight, x)
@@ -83,12 +78,7 @@ def _cmd_compute(args):
 
 
 def _cmd_invert(args):
-    n = _load(args.n)
-    if args.path == "rational":
-        inv = bordering_inverse(n)
-    else:
-        inv = invert(n).to_rf_matrix()
-    _emit(format_matrix(inv), args.out)
+    _emit(format_matrix(PATHS[args.path][1](_load(args.n))), args.out)
     return 0
 
 
@@ -121,7 +111,7 @@ def _cmd_eval(args):
     # the bound that (p/q)^degree meets in a matrix file
     degree = max(max(f.num.degree, f.den.degree) for row in mat.grid for f in row)
     size = max(abs(point.numerator), point.denominator).bit_length()
-    if degree * size > MAX_SIZE:
+    if not power_fits(degree, size):
         _diag(
             f"evaluation point too large: its size {size} times the matrix "
             f"degree {degree} exceeds the size bound {MAX_SIZE}"
@@ -148,7 +138,7 @@ def build_parser():
     p.add_argument("--n", help="column weight file (identity when omitted)")
     p.add_argument(
         "--path",
-        choices=("rational", "poly", "both"),
+        choices=(*PATHS, "both"),
         default="rational",
         help="computation path: the rational-function recursion, the "
         "coefficient recursion, or both, failing unless they agree",
@@ -163,7 +153,7 @@ def build_parser():
 
     p = sub.add_parser("invert", help="inverse of a symmetric matrix file")
     p.add_argument("--n", required=True, help="input matrix file")
-    p.add_argument("--path", choices=("rational", "poly"), default="rational")
+    p.add_argument("--path", choices=tuple(PATHS), default="rational")
     p.add_argument("--out", help="output file (stdout when omitted)")
     p.set_defaults(func=_cmd_invert)
 

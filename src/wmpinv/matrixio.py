@@ -81,7 +81,7 @@ def _literal_fits(tok):
     return not 0 < limit < len(tok)
 
 
-def _power_fits(exponent, base_size):
+def power_fits(exponent, base_size):
     return exponent * base_size <= MAX_SIZE
 
 
@@ -183,7 +183,7 @@ class _EntryParser:
                 if not (_is_int(tok) and _literal_fits(tok)):
                     return False
                 e = int(tok)
-                if not _power_fits(e, _S_SIZE):
+                if not power_fits(e, _S_SIZE):
                     return False
                 k += 2
             if product and not _product_fits(
@@ -223,7 +223,7 @@ class _EntryParser:
             if not _is_int(self.toks[self.k]):
                 self.error("exponent must be an unsigned integer")
             exponent = self.integer()
-            if not _power_fits(exponent, _size(value)):
+            if not power_fits(exponent, _size(value)):
                 message = f"power exceeds the size bound {MAX_SIZE}"
                 self.error(message, self.k - 1, end=True)
             value = value ** exponent

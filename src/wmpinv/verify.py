@@ -1,5 +1,10 @@
 """Correctness oracles: the four weighted Penrose identities, agreement of
-the two computation paths, and pointwise evaluation consistency.
+the computation paths, and pointwise evaluation consistency.
+
+``PATHS`` is the one table of computation paths, in order: each name maps
+to (weighted pseudoinverse of a rational ``WeightedProblem``, inverse of a
+symmetric ``RfMatrix``), both returning an ``RfMatrix``.  The CLI's
+``--path`` choices and ``cross_path_check`` read it.
 
 Everything here is exact; there are no tolerances.  The Penrose checker
 clears A, X and the weights to integer matrix polynomials over scalar
@@ -16,10 +21,15 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import PoleError, StageError
-from .greville import weighted_pinv
+from .greville import bordering_inverse, weighted_pinv
 from .matrices import WeightedProblem, constant_matrix
-from .poly_greville import cleared, solve
+from .poly_greville import cleared, invert, solve
 from .scalars import Poly, RatFun, conv, transpose, trim_grid
+
+PATHS = {
+    "rational": (weighted_pinv, bordering_inverse),
+    "poly": (lambda p: solve(p).to_rf_matrix(), lambda n: invert(n).to_rf_matrix()),
+}
 
 
 @dataclass(frozen=True)
@@ -97,10 +107,11 @@ def penrose_check(a, m_weight, n_weight, x):
 
 
 def cross_path_check(a, m_weight, n_weight):
-    """True iff the rational path and the coefficient path produce the same
-    canonical matrix (the weighted pseudoinverse is unique, so they must)."""
+    """True iff every path in ``PATHS`` produces the same canonical matrix
+    (the weighted pseudoinverse is unique, so they must)."""
     problem = WeightedProblem(a, m_weight, n_weight)
-    return weighted_pinv(problem) == solve(problem).to_rf_matrix()
+    first, *rest = (pinv(problem) for pinv, _ in PATHS.values())
+    return all(x == first for x in rest)
 
 
 @dataclass(frozen=True)
@@ -122,10 +133,6 @@ class EvalConsistencyReport:
     @property
     def passed(self):
         return tuple(p for p in self.points if p.status == "pass")
-
-    @property
-    def skipped(self):
-        return tuple(p for p in self.points if p.status == "skip")
 
 
 def eval_consistency_check(a, m_weight, n_weight, x, sample_points):

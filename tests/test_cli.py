@@ -8,6 +8,7 @@ from helpers import DATA, load, src_env
 from wmpinv.cli import run_command
 from wmpinv.matrixio import format_matrix, parse_matrix_file
 from wmpinv.matrices import RfMatrix
+from wmpinv.verify import PATHS
 
 
 def fixture(name):
@@ -101,22 +102,17 @@ class TestCompute:
     def test_both_paths_disagreement_exits_one(self, capsys, monkeypatch):
         # force a corrupted coefficient-path result; the cross-check must
         # catch it, name the entry, and exit 1
-        import wmpinv.cli as cli
         from wmpinv.scalars import RatFun
 
-        real = cli.solve
+        pinv, inverse = PATHS["poly"]
 
-        class Corrupted:
-            def __init__(self, frac):
-                self._frac = frac
+        def corrupted(problem):
+            m = pinv(problem)
+            rows = [list(m.row(r)) for r in range(m.rows)]
+            rows[0][0] = rows[0][0] + RatFun(1)
+            return RfMatrix.from_rows(rows)
 
-            def to_rf_matrix(self):
-                m = self._frac.to_rf_matrix()
-                rows = [list(m.row(r)) for r in range(m.rows)]
-                rows[0][0] = rows[0][0] + RatFun(1)
-                return RfMatrix.from_rows(rows)
-
-        monkeypatch.setattr(cli, "solve", lambda problem: Corrupted(real(problem)))
+        monkeypatch.setitem(PATHS, "poly", (corrupted, inverse))
         code = run_command(
             ["compute", "--a", fixture("wmp_poly3_a.mat"), "--path", "both"]
         )
@@ -158,7 +154,7 @@ class TestCompute:
         bad.write_text("matrix 2 2\n0; 0\n0; 1\n")
         a = tmp_path / "a.mat"
         a.write_text("matrix 1 2\n1; 1\n")
-        for path in ("rational", "poly", "both"):
+        for path in (*PATHS, "both"):
             code = run_command(["compute", "--a", str(a), "--n", str(bad), "--path", path])
             captured = capsys.readouterr()
             assert code == 3
@@ -178,7 +174,7 @@ class TestCompute:
         a.write_text(
             f"matrix 2 2\n{'9' * limit}; {'8' * limit}\n{'7' * limit}; {'1' * limit}\n"
         )
-        for path in ("rational", "poly"):
+        for path in PATHS:
             code = run_command(["compute", "--a", str(a), "--path", path])
             captured = capsys.readouterr()
             assert code == 3
@@ -345,7 +341,7 @@ class TestInvert:
         # transpose as the new row, so it cannot invert this matrix
         bad = tmp_path / "n.mat"
         bad.write_text("matrix 2 2\n1; 2\n0; 1\n")
-        for path in ("rational", "poly"):
+        for path in PATHS:
             assert run_command(["invert", "--n", str(bad), "--path", path]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

@@ -20,6 +20,7 @@ import pytest
 
 from helpers import DATA
 from wmpinv.cli import run_command
+from wmpinv.verify import PATHS
 
 SNAPSHOTS = DATA / "cli_snapshots.json"
 # inputs that are not fixture files: a singular order-1 column-weight block
@@ -33,7 +34,7 @@ def _cases():
     fixtures = sorted(p.name for p in DATA.glob("*.mat"))
     runs = []
     for a in (name for name in fixtures if name.endswith("_a.mat")):
-        for path in ("rational", "poly", "both"):
+        for path in (*PATHS, "both"):
             base = ["compute", "--a", a, "--path", path]
             runs += [
                 base,
@@ -41,9 +42,9 @@ def _cases():
                 base + ["--m", "wmp_rank2_m.mat", "--n", "wmp_rank2_n.mat", "--verify"],
             ]
     for n in fixtures:
-        for path in ("rational", "poly"):
+        for path in PATHS:
             runs.append(["invert", "--n", n, "--path", path])
-    for path in ("rational", "poly", "both"):
+    for path in (*PATHS, "both"):
         runs.append(
             ["compute", "--a", "one_row_a.mat", "--n", "singular_n.mat", "--path", path]
         )
@@ -87,10 +88,10 @@ def test_every_case_is_pinned(pinned):
 
 
 def test_path_never_changes_the_output(pinned):
-    # both paths take the same inputs, so --path poly and --path both must
+    # every path takes the same inputs, so each --path and --path both must
     # print what --path rational prints, errors included
     def twin(name):
-        return re.sub("--path (poly|both)", "--path rational", name)
+        return re.sub("--path [a-z]+", "--path rational", name)
 
     assert [name for name in sorted(pinned) if pinned[name] != pinned[twin(name)]] == []
 

@@ -1,14 +1,17 @@
 """Module layering of the package: no module reaches into another's
 private names, the two computation paths stay independent of each other,
-and the public API resolves."""
+the CLI takes its paths from the path table, and the public API resolves."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import wmpinv
+from wmpinv import verify
+from wmpinv.cli import build_parser
 
 SRC = Path(wmpinv.__file__).parent
-PATHS = {"greville", "poly_greville"}
+PATH_MODULES = {"greville", "poly_greville"}
 
 
 def relative_imports(path):
@@ -34,11 +37,31 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_the_two_paths_do_not_import_each_other():
-    for own in PATHS:
+    for own in PATH_MODULES:
         imported = {
             module or name for module, name in relative_imports(SRC / f"{own}.py")
         }
-        assert not imported & (PATHS - {own}), own
+        assert not imported & (PATH_MODULES - {own}), own
+
+
+def test_the_cli_imports_no_path_module():
+    # the choice of path is written once, in verify.PATHS
+    imported = {module for module, _ in relative_imports(SRC / "cli.py")}
+    assert imported & PATH_MODULES == set()
+
+
+def test_the_cli_offers_the_paths_of_the_path_table():
+    parsers = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    offered = {}
+    for command in ("compute", "invert"):
+        (path,) = [a for a in parsers[command]._actions if a.dest == "path"]
+        assert path.default == "rational"
+        offered[command] = path.choices
+    assert offered == {"compute": (*verify.PATHS, "both"), "invert": tuple(verify.PATHS)}
 
 
 def test_every_public_name_resolves():

@@ -36,7 +36,7 @@ from wmpinv.poly_greville import (
 )
 from wmpinv import poly_greville, scalars
 from wmpinv.scalars import Poly, RatFun, fit
-from wmpinv.verify import penrose_check
+from wmpinv.verify import PATHS, penrose_check
 
 
 def e(text):
@@ -492,13 +492,15 @@ def _outcome(compute, problem):
 class TestRationalInput:
     def test_solve_agrees_with_the_rational_path(self):
         # A = P/L enters as L*P^+ and each weight as its cleared numerator:
-        # same result, or the same error class, stage and message
+        # every path gives the same result, or the same error class, stage
+        # and message
         rng = random.Random(8080)
         results = errors = 0
         for trial in range(400):
             p = rand_rational_problem(rng)
             expected = _outcome(rational_pinv, p)
-            assert _outcome(lambda p: solve(p).to_rf_matrix(), p) == expected, trial
+            for name, (pinv, _) in PATHS.items():
+                assert _outcome(pinv, p) == expected, (name, trial)
             if isinstance(expected, RfMatrix):
                 results += 1
             else:
