@@ -42,11 +42,13 @@ class Stage:
 
 @dataclass(frozen=True)
 class PartitionState:
-    """State after stage i: the pseudoinverse of the first i columns, the
-    inverse of the order-i leading block of the column weight (None at the
-    last stage), and the ``Stage`` that produced it (None at stage 1)."""
+    """State after stage i: the rank of the first i columns, their
+    pseudoinverse, the inverse of the order-i leading block of the column
+    weight (None at the last stage), and the ``Stage`` that produced it
+    (None at stage 1)."""
 
     i: int
+    rank: int
     x: RfMatrix
     ninv: RfMatrix = None
     stage: Stage = None
@@ -89,18 +91,16 @@ def weighted_schur_factor(proj, part, coupling, i):
     """Schur-type scalar inverted on the dependent-column branch.
 
     Combines the corner of the order-i weight block ``part`` with the
-    projection coordinates and the weight-coupling column; must be a
-    nonzero rational function for the recursion to continue.
+    projection coordinates and the weight-coupling column (None when it is
+    zero); must be a nonzero rational function for the recursion to
+    continue.
     """
     nprev, border, corner = part
     projT = proj.transpose()
     mixed = (projT * border)[0, 0]
-    value = (
-        corner
-        + (projT * nprev * proj)[0, 0]
-        - (mixed + mixed)
-        - (border.transpose() * coupling)[0, 0]
-    )
+    value = corner + (projT * nprev * proj)[0, 0] - (mixed + mixed)
+    if coupling is not None:
+        value -= (border.transpose() * coupling)[0, 0]
     if value.is_zero:
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
@@ -120,8 +120,9 @@ def bottom_row(x, col, proj, resid, schur, m_weight, part, i):
 
 def extend_pinv(x, proj, coupling, row):
     """Stack x - (proj + coupling)*row, one grouped rank-one update
-    (``RfMatrix.minus_outer``), on the new bottom row."""
-    upper = x.minus_outer(proj + coupling, row)
+    (``RfMatrix.minus_outer``), on the new bottom row; a zero coupling
+    column is passed as None and not added."""
+    upper = x.minus_outer(proj if coupling is None else proj + coupling, row)
     return RfMatrix.block([[upper], [row]])
 
 
@@ -179,29 +180,38 @@ def partition_stages(problem):
 
     The final state's ``x`` is the weighted pseudoinverse of the full
     matrix.  The coupling column (I - X*prefix)*N^-1*l is t - X*(prefix*t)
-    with t = N^-1*l.  Errors carry the failing stage index.
+    with t = N^-1*l.  It is zero when the first i-1 columns have full
+    column rank, since A*X*A = A then gives X*prefix = I (Greville 1960),
+    and is formed only where the rank falls short.  N^-1 is still grown at
+    every stage, so a singular weight block raises where it always did.
+    Errors carry the failing stage index.
     """
     problem = WeightedProblem.expect(problem)
     a, n_w = RfMatrix.expect(problem.a), problem.n_weight
     # the inverse of the order-i weight block is drawn at stage i < n only
     parts = [n_w.principal_partition(i) for i in range(2, a.cols + 1)]
     inverses = _leading_inverses(n_w, parts)
-    x = column_pinv_init(a.column(1), problem.m_weight)
-    state = PartitionState(1, x, next(inverses) if a.cols > 1 else None)
+    col = a.column(1)
+    x = column_pinv_init(col, problem.m_weight)
+    ninv = next(inverses) if a.cols > 1 else None
+    state = PartitionState(1, int(not col.is_zero), x, ninv)
     yield state
     for i, part in enumerate(parts, 2):
         prefix = a.leading_columns(i - 1)
         col = a.column(i)
         proj, resid = project_column(state.x, col, prefix)
-        t = state.ninv * part[1]
-        coupling = t - state.x * (prefix * t)
+        coupling = None
+        if state.rank < state.i:
+            t = state.ninv * part[1]
+            coupling = t - state.x * (prefix * t)
         schur = None
         if resid.is_zero:
             schur = weighted_schur_factor(proj, part, coupling, i)
         row = bottom_row(state.x, col, proj, resid, schur, problem.m_weight, part, i)
         x = extend_pinv(state.x, proj, coupling, row)
         ninv = next(inverses) if i < a.cols else None
-        state = PartitionState(i, x, ninv, Stage(proj, resid, row, schur))
+        rank = state.rank + (not resid.is_zero)
+        state = PartitionState(i, rank, x, ninv, Stage(proj, resid, row, schur))
         yield state
 
 

@@ -199,7 +199,8 @@ class PolyStage:
 class PolyPartitionState:
     """Coefficient-path state after stage i.
 
-    ``x`` is the pseudoinverse of the first i columns; ``ninv`` the
+    ``rank`` is the rank of the first i columns and ``x`` their
+    pseudoinverse; ``ninv`` the
     inverse of the matching leading block of the column weight (None at
     the last stage); ``stage`` the ``PolyStage`` that produced it (None at
     stage 1).  ``q``, ``m_deg``, ``n_deg`` are the input degrees fixed for
@@ -208,6 +209,7 @@ class PolyPartitionState:
     """
 
     i: int
+    rank: int
     x: MatrixPolyFraction
     ninv: MatrixPolyFraction | None
     q: int
@@ -277,7 +279,11 @@ def step_residual(state, col, prefix, proj):
 def step_coupling(state, prefix, border):
     """The weight-coupling column (I - X*prefix)*N^-1*l, X = num/y and
     N^-1 = nbar/ndd, in rank-one form: y*t - num*(prefix*t) with t = nbar*l,
-    over its scalar denominator y*ndd."""
+    over its scalar denominator y*ndd.  When the first i-1 columns have full
+    column rank, A*X*A = A gives X*prefix = I (Greville 1960), and the zero
+    column is returned over y without a convolution."""
+    if state.rank == state.i:
+        return (((),),) * state.i, state.x.den
     t = conv((1, state.ninv.num.coeffs, border.coeffs))
     t = fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")
     at = conv((1, prefix.coeffs, t))
@@ -302,7 +308,9 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     The Schur factor is (ndd*(c*y^2 + proj^T Nprev proj - 2*y*proj^T l) -
     y*l^T phi) over y^2*ndd, and in the row ((proj^T Nprev - y*l^T)/y)
     (num/y) / Schur factor the y^2 cancels: it is
-    ndd*(proj^T Nprev - y*l^T)*num over the Schur numerator.
+    ndd*(proj^T Nprev - y*l^T)*num over the Schur numerator.  A zero phi
+    leaves ndd in every term, so it is not formed: the Schur factor is
+    core/y^2 and the row (proj^T Nprev - y*l^T)*num over core.
     """
     i = state.i + 1
     if any(map(any, resid)):  # a nonzero entry: the independent branch
@@ -324,43 +332,36 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
         return v, w, None
 
     # dependent branch: residual is identically zero
-    y, ndd = state.x.den, state.ninv.den
+    y = state.x.den
     nprev, border, corner = part
     projT, borderT = transpose(proj), transpose(border.coeffs)
     yy = conv((1, y, y))
-    schur_den = fit(
-        conv((1, yy, ndd)),
-        2 * state.p_prev + state.ndd_deg,
-        "Schur factor denominator",
-    )
-
-    # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l, l^T phi
+    # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l
     dn = conv((1, projT, nprev.coeffs))
     core = conv(
         (1, ((corner,),), yy),
         (1, dn, proj),
         (-2, conv((1, projT, border.coeffs)), y),
     )
-    lphi = conv((1, borderT, coupling_num))
-    row_den = fit(
-        conv((1, core, ndd), (-1, lphi, y))[0][0],
-        2 * state.q_hat
-        + state.n_deg
-        + max(state.n_deg + state.nbar_deg, state.ndd_deg),
-        "Schur factor numerator",
-    )
+    lhs = conv((1, dn, (1,)), (-1, y, borderT))
+    v = conv((1, lhs, state.x.num.coeffs))
+    den_cap, core_cap = 2 * state.p_prev, 2 * state.q_hat + state.n_deg
+    v_cap = state.q_prev + state.q_hat + state.n_deg
+    if any(map(any, coupling_num)):  # every term over ndd, and l^T phi
+        ndd = state.ninv.den
+        yy = conv((1, yy, ndd))
+        core = conv((1, core, ndd), (-1, conv((1, borderT, coupling_num)), y))
+        v = conv((1, ndd, v))
+        den_cap += state.ndd_deg
+        core_cap += max(state.n_deg + state.nbar_deg, state.ndd_deg)
+        v_cap += state.ndd_deg
+    schur_den = fit(yy, den_cap, "Schur factor denominator")
+    row_den = fit(core[0][0], core_cap, "Schur factor numerator")
     if not row_den:
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
-
-    lhs = conv((1, dn, (1,)), (-1, y, borderT))
-    v = fit(
-        conv((1, ndd, conv((1, lhs, state.x.num.coeffs)))),
-        state.ndd_deg + state.q_prev + state.q_hat + state.n_deg,
-        "bottom row numerator (dependent)",
-    )
-    return v, row_den, schur_den
+    return fit(v, v_cap, "bottom row numerator (dependent)"), row_den, schur_den
 
 
 def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
@@ -368,28 +369,34 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     corrected previous block
     ndd*row_den*num - (ndd*proj + coupling_num)*row_num stacked on the new
     bottom row, all over the coupling denominator y*ndd times the row
-    denominator."""
-    ndd = state.ninv.den
-    b_den = len(row_den) - 1
+    denominator.  With a zero coupling column ndd is not formed: the upper
+    block is row_den*num - proj*row_num and the pair is over y*row_den."""
+    b_den, row_deg = len(row_den) - 1, seq_len(row_num) - 1
+    if any(map(any, coupling_num)):
+        ndd = state.ninv.den
+        scale = conv((1, ndd, row_den))
+        shift = conv((1, ndd, proj), (1, coupling_num, (1,)))
+        cap_upper = cap_lower = (
+            state.q_hat
+            + state.q
+            + max(state.nbar_deg + state.n_deg, state.ndd_deg)
+            + max(row_deg, b_den)
+        )
+        cap_den = state.p_prev + state.ndd_deg + b_den
+    else:  # zero coupling column: nothing is over ndd
+        scale, shift, coupling_den = row_den, proj, state.x.den
+        cap_upper = state.q_prev + max(b_den, state.q + row_deg)
+        cap_lower = state.p_prev + row_deg
+        cap_den = state.p_prev + b_den
 
-    proj_coupling = conv((1, ndd, proj), (1, coupling_num, (1,)))
-    upper = conv(
-        (1, conv((1, ndd, row_den)), state.x.num.coeffs),
-        (-1, proj_coupling, row_num),
-    )
-    cap_upper = (
-        state.q_hat
-        + state.q
-        + max(state.nbar_deg + state.n_deg, state.ndd_deg)
-        + max(seq_len(row_num) - 1, b_den)
-    )
+    upper = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num))
     upper = fit(upper, cap_upper, "extended numerator (upper block)")
 
     lower = conv((1, coupling_den, row_num))
-    lower = fit(lower, cap_upper, "extended numerator (bottom row)")
+    lower = fit(lower, cap_lower, "extended numerator (bottom row)")
 
     den = conv((1, coupling_den, row_den))
-    den = fit(den, state.p_prev + state.ndd_deg + b_den, "extended denominator")
+    den = fit(den, cap_den, "extended denominator")
     if not den:
         raise CapacityError(
             "extended denominator: identically zero", "extended denominator"
@@ -409,24 +416,37 @@ def poly_bordering_step(inv, border, corner, n_deg):
 
     With inv = nbar/ndd, the border column l, f = nbar*l and the Schur
     numerator g = corner*ndd - l^T*f, the enlarged inverse is
-    [[g*nbar + f*f^T, -ndd*f], [-ndd*f^T, ndd^2]] over ndd*g.
+    [[g*nbar + f*f^T, -ndd*f], [-ndd*f^T, ndd^2]] over ndd*g.  A zero
+    border gives f = 0 and g = corner*ndd, whose ndd cancels: the inverse
+    is block diagonal, [[corner*nbar, 0], [0, ndd]] over corner*ndd.
     """
     i = inv.num.rows + 1
     nbar, ndd = inv.num.coeffs, inv.den
     nbar_deg, ndd_deg = inv.num.degree, len(ndd) - 1
 
-    f = fit(conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
-    p_seq = fit(conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
-    q_seq = conv((1, transpose(border.coeffs), f))[0][0]
-    q_seq = fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
-    g = conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
-    g = fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
+    f = None
+    if any(map(any, border.coeffs)):
+        f = fit(conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
+        p_seq = fit(conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
+        q_seq = conv((1, transpose(border.coeffs), f))[0][0]
+        q_seq = fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
+        g = conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
+        g = fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
+    else:  # block diagonal: g is the corner itself
+        g = corner
     if not g:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=i
         )
-    g_deg, f_deg = len(g) - 1, seq_len(f) - 1
+    g_deg = len(g) - 1
 
+    if f is None:
+        core = fit(conv((1, g, nbar)), g_deg + nbar_deg, "block numerator (core)")
+        den = fit(conv((1, g, ndd)), g_deg + ndd_deg, "block denominator")
+        stacked = tuple(row + ((),) for row in core) + (((),) * (i - 1) + (ndd,),)
+        return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
+
+    f_deg = seq_len(f) - 1
     core = conv((1, g, nbar), (1, f, transpose(f)))
     core = fit(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
     side = fit(conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
@@ -480,9 +500,10 @@ def partition_stages(problem):
     parts = [n_weight.principal_partition(i) for i in range(2, a.cols + 1)]
     inverses = _leading_inverses(n_weight, parts)
 
-    x = MatrixPolyFraction(*init_fraction(a.column(1), m_weight))
+    col = a.column(1)
+    x = MatrixPolyFraction(*init_fraction(col, m_weight))
     ninv = next(inverses) if a.cols > 1 else None
-    state = PolyPartitionState(1, x, ninv, q, m_deg, n_deg)
+    state = PolyPartitionState(1, int(not col.is_zero), x, ninv, q, m_deg, n_deg)
     yield state
 
     for i, part in enumerate(parts, 2):
@@ -499,7 +520,8 @@ def partition_stages(problem):
         stage = PolyStage(
             proj, resid, coupling_num, coupling_den, row_num, row_den, schur_den
         )
-        state = PolyPartitionState(i, x, ninv, q, m_deg, n_deg, stage)
+        rank = state.rank + any(map(any, resid))
+        state = PolyPartitionState(i, rank, x, ninv, q, m_deg, n_deg, stage)
         yield state
 
 

@@ -567,6 +567,6 @@ class TestHostileInput:
         )
         assert result.returncode == 3
         assert result.stderr == (
-            "algebra error: coupling denominator: coefficient sequence of "
-            "length 4 exceeds its degree capacity 2\n"
+            "algebra error: extended denominator: coefficient sequence of "
+            "length 14 exceeds its degree capacity 12\n"
         )

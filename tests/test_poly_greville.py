@@ -475,11 +475,24 @@ class TestPolyBordering:
             frac = bordering_inverse(PolyMatrix.from_rf_matrix(n))
             assert n * frac.to_rf_matrix() == RfMatrix.identity(n.rows)
 
+    def test_zero_border_grows_a_block_diagonal_inverse(self):
+        # orders 3 and 4 have a zero border over a nonidentity block
+        n = parse_matrix_file(
+            "matrix 4 4\n1+s; 1; 0; 0\n1; 2; 0; 0\n0; 0; s; 0\n0; 0; 0; 3\n"
+        )
+        frac = bordering_inverse(PolyMatrix.from_rf_matrix(n))
+        assert frac.to_rf_matrix() == n.ff_inverse()
+        assert frac == MatrixPolyFraction(frac.num, frac.den)
+
     def test_singular_stage_reported(self):
         n = PolyMatrix.from_entries([[0, 0], [0, 1]])
         with pytest.raises(SingularMatrixError) as err:
             bordering_inverse(n)
         assert err.value.stage == 1
+        # a zero border over a zero corner
+        with pytest.raises(SingularMatrixError) as err:
+            bordering_inverse(PolyMatrix.from_entries([[1, 0], [0, 0]]))
+        assert err.value.stage == 2
 
 
 def _outcome(compute, problem):
