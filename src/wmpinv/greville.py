@@ -87,18 +87,17 @@ def project_column(x, col, prefix):
     return proj, col - prefix * proj
 
 
-def weighted_schur_factor(proj, part, coupling, i):
+def weighted_schur_factor(lhs, proj, part, coupling, i):
     """Schur-type scalar inverted on the dependent-column branch.
 
-    Combines the corner of the order-i weight block ``part`` with the
-    projection coordinates and the weight-coupling column (None when it is
-    zero); must be a nonzero rational function for the recursion to
-    continue.
+    Combines the corner c and border l of the order-i weight block
+    ``part`` with the projection coordinates, the row lhs = proj^T Nprev -
+    l^T and the weight-coupling column (None when it is zero):
+    c + lhs*proj - proj^T l - l^T coupling.  It must be a nonzero rational
+    function for the recursion to continue.
     """
-    nprev, border, corner = part
-    projT = proj.transpose()
-    mixed = (projT * border)[0, 0]
-    value = corner + (projT * nprev * proj)[0, 0] - (mixed + mixed)
+    _, border, corner = part
+    value = corner + (lhs * proj)[0, 0] - (proj.transpose() * border)[0, 0]
     if coupling is not None:
         value -= (border.transpose() * coupling)[0, 0]
     if value.is_zero:
@@ -108,13 +107,12 @@ def weighted_schur_factor(proj, part, coupling, i):
     return value
 
 
-def bottom_row(x, col, proj, resid, schur, m_weight, part, i):
+def bottom_row(x, col, resid, lhs, schur, m_weight, i):
     """New bottom row of the pseudoinverse for stage i (1 x rows), ``col``
-    being the stage's new column."""
+    being the stage's new column; on the dependent branch it is
+    (lhs*x)/schur with the row lhs of ``weighted_schur_factor``."""
     if not resid.is_zero:
         return _weighted_form_row(resid, col, m_weight, "residual", i)
-    nprev, border, _ = part
-    lhs = proj.transpose() * nprev - border.transpose()
     return (lhs * x).scale(schur.reciprocal())
 
 
@@ -182,9 +180,10 @@ def partition_stages(problem):
     matrix.  The coupling column (I - X*prefix)*N^-1*l is t - X*(prefix*t)
     with t = N^-1*l.  It is zero when the first i-1 columns have full
     column rank, since A*X*A = A then gives X*prefix = I (Greville 1960),
-    and is formed only where the rank falls short.  N^-1 is still grown at
-    every stage, so a singular weight block raises where it always did.
-    Errors carry the failing stage index.
+    and is formed only where the rank falls short and the border l is
+    nonzero (t = 0 when l = 0).  N^-1 is still grown at every stage, so a
+    singular weight block raises where it always did.  Errors carry the
+    failing stage index.
     """
     problem = WeightedProblem.expect(problem)
     a, n_w = RfMatrix.expect(problem.a), problem.n_weight
@@ -200,14 +199,14 @@ def partition_stages(problem):
         prefix = a.leading_columns(i - 1)
         col = a.column(i)
         proj, resid = project_column(state.x, col, prefix)
-        coupling = None
-        if state.rank < state.i:
+        coupling = lhs = schur = None
+        if state.rank < state.i and not part[1].is_zero:
             t = state.ninv * part[1]
             coupling = t - state.x * (prefix * t)
-        schur = None
         if resid.is_zero:
-            schur = weighted_schur_factor(proj, part, coupling, i)
-        row = bottom_row(state.x, col, proj, resid, schur, problem.m_weight, part, i)
+            lhs = proj.transpose() * part[0] - part[1].transpose()
+            schur = weighted_schur_factor(lhs, proj, part, coupling, i)
+        row = bottom_row(state.x, col, resid, lhs, schur, problem.m_weight, i)
         x = extend_pinv(state.x, proj, coupling, row)
         ninv = next(inverses) if i < a.cols else None
         rank = state.rank + (not resid.is_zero)

@@ -19,10 +19,11 @@ Each matrix operation (``*``, ``+``, ``-``, ``scale``) runs each gcd of
 two nonconstant polynomials once: its entries share one memo dict
 (``RatFun.plus``, ``RatFun.times``) that dies with the operation.
 
-``ff_inverse`` is the independent inverse oracle: denominators are cleared
-to a single scalar polynomial and the polynomial matrix is inverted by
-fraction-free (Bareiss-style) Gauss-Jordan elimination, every division
-exact by construction.
+``rank`` and ``ff_inverse`` are the independent oracles: denominators are
+cleared to a single scalar polynomial, and the one elimination,
+``_ff_eliminate``, runs fraction-free (Bareiss) Gauss-Jordan elimination
+on the integer polynomial matrix, every division exact by construction.
+``rank`` counts its pivots; ``ff_inverse`` runs it on [P | I].
 """
 
 from __future__ import annotations
@@ -354,76 +355,62 @@ class RfMatrix(Grid):
         return grid, L
 
     def rank(self):
-        """Rank over the rational-function field, by elimination."""
-        work = [list(row) for row in self.grid]
-        rank = 0
-        col = 0
-        while rank < self.rows and col < self.cols:
-            pivot = None
-            for r in range(rank, self.rows):
-                if not work[r][col].is_zero:
-                    pivot = r
-                    break
-            if pivot is None:
-                col += 1
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv = work[rank][col].reciprocal()
-            for r in range(rank + 1, self.rows):
-                f = work[r][col]
-                if f.is_zero:
-                    continue
-                factor = f * inv
-                for c in range(col, self.cols):
-                    work[r][c] = work[r][c] - factor * work[rank][c]
-            rank += 1
-            col += 1
-        return rank
+        """Rank over the rational-function field: the number of pivots of
+        the fraction-free elimination (``_ff_eliminate``) of P, where
+        self = P/L (``clear_denominators``)."""
+        work, _ = self.clear_denominators()
+        return len(_ff_eliminate(work, self.cols)[0])
 
     def ff_inverse(self):
-        """Exact inverse by fraction-free elimination (see module docstring).
-
-        The pivot for each column is the first nonzero entry scanning rows
-        in order, so intermediate values are deterministic.
-        """
+        """Exact inverse by fraction-free elimination of [P | I], where
+        self = P/L (``clear_denominators``): the last pivot is det P, and
+        the right half is det P times the inverse of P.  A singular matrix
+        raises, naming the first column without a pivot."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         grid, L = self.clear_denominators()
-        # augmented [P | I] over polynomials; Jordan elimination keeps every
-        # division exact (entries stay minors of P)
         work = [
             grid[r] + [ONE_POLY if c == r else ZERO_POLY for c in range(n)]
             for r in range(n)
         ]
-        prev = ONE_POLY
-        for k in range(n):
-            pivot_row = None
-            for r in range(k, n):
-                if work[r][k]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularMatrixError(
-                    f"matrix is symbolically singular (column {k + 1})"
-                )
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-            pivot = work[k][k]
-            for r in range(n):
-                if r == k:
-                    continue
-                lead = work[r][k]
-                row = work[r]
-                top = work[k]
-                for c in range(2 * n):
-                    row[c] = (pivot * row[c] - lead * top[c]).exact_div(prev)
-            prev = pivot
-        det = work[n - 1][n - 1]
+        pivots, det = _ff_eliminate(work, n)
+        if len(pivots) < n:
+            k = next(k for k, c in enumerate(pivots + [n]) if c != k)
+            raise SingularMatrixError(
+                f"matrix is symbolically singular (column {k + 1})"
+            )
         scale = RatFun(L, det)
         return RfMatrix(
             n, n, [scale * RatFun(work[r][n + c]) for r in range(n) for c in range(n)]
         )
+
+
+def _ff_eliminate(work, cols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968), in place, on the rows ``work`` of integer polynomials, pivoting
+    in the first ``cols`` columns only.  Each column's pivot is the first
+    nonzero entry at or below the next pivot row, so intermediate values
+    are deterministic; a column with none is skipped.  Every entry stays a
+    minor of the input, so each division by the previous pivot is an
+    ``exact_div``.  Returns the pivot columns and the last pivot (1 when
+    there is none)."""
+    pivots, prev = [], ONE_POLY
+    for col in range(cols):
+        k = len(pivots)
+        found = next((r for r in range(k, len(work)) if work[r][col]), None)
+        if found is None:
+            continue
+        work[k], work[found] = work[found], work[k]
+        top, pivot = work[k], work[k][col]
+        for r, row in enumerate(work):
+            if r != k:
+                lead = row[col]
+                for c in range(col, len(top)):
+                    row[c] = (pivot * row[c] - lead * top[c]).exact_div(prev)
+        pivots.append(col)
+        prev = pivot
+    return pivots, prev
 
 
 def constant_matrix(values):

@@ -280,9 +280,10 @@ def step_coupling(state, prefix, border):
     """The weight-coupling column (I - X*prefix)*N^-1*l, X = num/y and
     N^-1 = nbar/ndd, in rank-one form: y*t - num*(prefix*t) with t = nbar*l,
     over its scalar denominator y*ndd.  When the first i-1 columns have full
-    column rank, A*X*A = A gives X*prefix = I (Greville 1960), and the zero
-    column is returned over y without a convolution."""
-    if state.rank == state.i:
+    column rank, A*X*A = A gives X*prefix = I (Greville 1960), and a zero
+    border l gives t = 0; in both cases the zero column is returned over y
+    without a convolution."""
+    if state.rank == state.i or border.is_zero:
         return (((),),) * state.i, state.x.den
     t = conv((1, state.ninv.num.coeffs, border.coeffs))
     t = fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")

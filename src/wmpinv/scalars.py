@@ -212,17 +212,7 @@ class Poly:
             return NotImplemented
         if q.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq, lq = q.degree, q.coeffs[-1]
-        quo = [0] * max(len(rem) - dq, 0)
-        for k in range(len(rem) - dq - 1, -1, -1):
-            f, r = divmod(rem[k + dq], lq)
-            if r:
-                raise ArithmeticError("polynomial quotient is not integral")
-            if f:
-                quo[k] = f
-                for j, cj in enumerate(q.coeffs):
-                    rem[k + j] -= f * cj
+        quo, rem = _long_divmod(self.coeffs, q.coeffs)
         return Poly._raw(trim(quo)), Poly._raw(trim(rem))
 
     def exact_div(self, other):
@@ -267,20 +257,23 @@ def _int_content(ints):
     return g
 
 
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (b nonzero)."""
+def _long_divmod(a, b):
+    """Long division of integer coefficient lists, b with a nonzero leading
+    coefficient: the untrimmed quotient and remainder lists.  Raises
+    ArithmeticError exactly when the quotient over the rationals is not
+    integral."""
+    rem = list(a)
     db, lb = len(b) - 1, b[-1]
-    r = list(a)
-    while len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        rl = r[-1]
-        r = [lb * c for c in r]
-        for j, bj in enumerate(b):
-            r[k + j] -= rl * bj
-        del r[-1]
-        while r and not r[-1]:
-            del r[-1]
-    return r
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(rem) - db - 1, -1, -1):
+        f, r = divmod(rem[k + db], lb)
+        if r:
+            raise ArithmeticError("polynomial quotient is not integral")
+        if f:
+            quo[k] = f
+            for j, bj in enumerate(b):
+                rem[k + j] -= f * bj
+    return quo, rem
 
 
 def _primitive_ints(ints):
@@ -466,8 +459,10 @@ def _prs_gcd(a, b):
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive_ints(r)
+        # the pseudo-remainder: lc(b)**(deg a - deg b + 1)*a divides exactly
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        r = _long_divmod([scale * c for c in a], b)[1]
+        a, b = b, _primitive_ints(trim(r))
     if a[-1] < 0:
         a = [-c for c in a]
     return a
@@ -730,8 +725,6 @@ class RatFun:
         if d1.degree == 0:
             return RatFun._reduced(f.num * g.den + g.num * f.den, f.den * g.den)
         t = f.num * gb + g.num * fb
-        if t.is_zero:
-            return ZERO
         d2, t, d1 = _cofactors(t, d1, memo)
         den = fb * g.den if d2.degree == 0 else fb * gb * d1
         return RatFun._reduced(t, den)

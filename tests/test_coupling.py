@@ -175,3 +175,43 @@ class TestFullRankCounts:
         # 36 convolutions when the coupling column was formed at every stage
         assert len(convs) == 24
         assert last.x.to_rf_matrix() == load("wmp_poly3_x.mat")
+
+
+class TestZeroBorderCounts:
+    """On the Hessenberg fixture N = I, so every border l is zero and so
+    is t = N^-1*l: no stage forms the coupling column, although the first
+    two columns have rank 1, so that the rank test alone would form it at
+    stages 3 to 5."""
+
+    @staticmethod
+    def problem():
+        return WeightedProblem(load("wmp_hessenberg_a.mat"))
+
+    def test_rational_products(self, monkeypatch):
+        # 36 products when the coupling column was formed after every
+        # rank shortfall
+        calls = count_calls(monkeypatch, RfMatrix, "__mul__")
+        states = list(greville.partition_stages(self.problem()))
+        monkeypatch.undo()
+        assert [st.rank for st in states] == [1, 1, 2, 3, 4]
+        assert len(calls) == 26
+        assert states[-1].x == load("wmp_hessenberg_x_true.mat")
+
+    def test_no_convolution_in_the_coupling_step(self, monkeypatch):
+        convs = count_calls(monkeypatch, poly_greville, "conv")
+        inside = []
+        step = poly_greville.step_coupling
+
+        def counted(*args):
+            before = len(convs)
+            out = step(*args)
+            inside.append(len(convs) - before)
+            return out
+
+        monkeypatch.setattr(poly_greville, "step_coupling", counted)
+        *_, last = poly_greville.partition_stages(over_poly(self.problem()))
+        monkeypatch.undo()
+        # 4 convolutions in each of the last three steps when the formula ran
+        assert inside == [0, 0, 0, 0]
+        assert len(convs) == 40
+        assert last.x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")

@@ -198,6 +198,9 @@ class TestPolyArithmetic:
             assert rem.degree < q.degree
         assert outcomes == {True, False}
 
+    def test_reflected_subtraction(self):
+        assert 3 - Poly([1, 2]) == Poly([2, -2])
+
     def test_pow(self):
         assert (Poly([1, 1]) ** 3).coeffs == (1, 3, 3, 1)
         assert (Poly([0, 1]) ** 0).coeffs == (1,)
@@ -434,6 +437,15 @@ class TestHeuristicGcd:
         assert _prs_gcd(a, b) == [1, 1]
         assert poly_gcd(Poly(a), Poly(b)).coeffs == (1, 1)
 
+    def test_prs_divides_without_polynomial_objects(self, monkeypatch):
+        # each pseudo-remainder is the remainder of lc(b)^(deg a - deg b + 1)*a,
+        # divided on coefficient lists; it is not a ``Poly`` division
+        calls = count_calls(monkeypatch, Poly, "__divmod__")
+        assert _prs_gcd([-1, -2, 0, 1], [-1, 1, 2]) == [1, 1]
+        # (2s+1)(s-1) and (2s+1)(3s+2): leading coefficients other than 1
+        assert _prs_gcd([-1, -1, 2], [2, 7, 6]) == [1, 2]
+        assert calls == []
+
     def test_matches_prs_hypothesis(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
@@ -510,6 +522,9 @@ class TestRatFunArithmetic:
         f = RatFun(Poly([1, 1]), Poly([0, 1]))
         g = RatFun(Poly([0, 1]), Poly([1, 1]))
         assert f * g == RatFun(1)
+
+    def test_reflected_division(self):
+        assert 2 / RatFun(Poly([1, 1])) == RatFun(Poly([2]), Poly([1, 1]))
 
     def test_reciprocal_of_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):

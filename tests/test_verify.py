@@ -253,6 +253,15 @@ class TestEvalConsistency:
             )
             assert rep.all_checked_pass, rep.points
 
+    def test_degenerate_constant_recursion_skipped_with_reason(self):
+        # M = diag(s, 1) gives column 1 a zero weighted length at s = 0
+        eye = RfMatrix.identity(2)
+        m = RfMatrix.from_rows([[e("s"), e("0")], [e("0"), e("1")]])
+        rep = eval_consistency_check(eye, m, eye, eye, [0, 1])
+        assert [p.status for p in rep.points] == ["skip", "pass"]
+        assert rep.points[0].reason.startswith("constant recursion: ")
+        assert rep.all_checked_pass
+
     def test_rank_drop_point_skipped(self):
         # the evaluated input loses its generic rank at s = 0, so the point
         # is skipped no matter what the candidate looks like there
