@@ -41,8 +41,8 @@ class DegenerateWeightError(StageError):
 
 class CapacityError(ArithmeticError):
     """A coefficient sequence of the coefficient path outgrew the a priori
-    degree capacity of its formula, a denominator vanished identically, or
-    a result coefficient is too long to write as a decimal string.
+    degree capacity of its formula, or a result coefficient is too long to
+    write as a decimal string.
 
     ``label`` names the stage quantity or the entry that failed the check.
     """

@@ -11,9 +11,10 @@ Each stage is a pure function of the previous stage, of column i and of
 the order-i block of the column weight, split by ``principal_partition``
 into the triple (prev, border, corner): the stage formulas take what they
 read as arguments and return what they compute, and every stage yields a
-new frozen ``PartitionState`` (i, x, ninv, stage) that later stages never
-touch, ``stage`` being None at stage 1.  The column-weight inverse is
-grown by one bordering loop shared with ``bordering_inverse``.
+new frozen ``PartitionState`` (i, rank, x, ninv, stage) that later stages
+never touch, ``stage`` being None at stage 1.  The column-weight inverse
+starts from its order-1 block, as in ``bordering_inverse``, and grows by
+one ``bordering_step`` per stage of the same loop.
 
 All quantities are exact rational functions; "zero" always means
 identically zero.
@@ -146,18 +147,12 @@ def bordering_step(prev_inv, part):
     return RfMatrix.block([[core, inv_border], [inv_border.transpose(), corner_m]])
 
 
-def _leading_inverses(mat, parts):
-    """Yield the inverse of the order-1 leading block of ``mat``, then of
-    each larger one, one bordering step per principal partition in
-    ``parts`` (orders 2, 3, ...).  Singular blocks raise with their order
-    as the stage."""
+def _order_one_inverse(mat):
+    """Inverse of the order-1 leading block of ``mat``; a zero corner
+    raises at stage 1."""
     if mat[0, 0].is_zero:
         raise SingularMatrixError("leading 1x1 block is symbolically singular", stage=1)
-    inv = RfMatrix(1, 1, [mat[0, 0].reciprocal()])
-    yield inv
-    for part in parts:
-        inv = bordering_step(inv, part)
-        yield inv
+    return RfMatrix(1, 1, [mat[0, 0].reciprocal()])
 
 
 def bordering_inverse(mat):
@@ -167,9 +162,9 @@ def bordering_inverse(mat):
         raise ValueError("bordering inverse of a non-square matrix")
     if not mat.is_symmetric:
         raise ValueError("bordering inverse expects a symmetric matrix")
-    parts = (mat.principal_partition(i) for i in range(2, mat.rows + 1))
-    for inv in _leading_inverses(mat, parts):
-        pass
+    inv = _order_one_inverse(mat)
+    for i in range(2, mat.rows + 1):
+        inv = bordering_step(inv, mat.principal_partition(i))
     return inv
 
 
@@ -181,21 +176,20 @@ def partition_stages(problem):
     with t = N^-1*l.  It is zero when the first i-1 columns have full
     column rank, since A*X*A = A then gives X*prefix = I (Greville 1960),
     and is formed only where the rank falls short and the border l is
-    nonzero (t = 0 when l = 0).  N^-1 is still grown at every stage, so a
-    singular weight block raises where it always did.  Errors carry the
-    failing stage index.
+    nonzero (t = 0 when l = 0).  N^-1 still grows at every stage i < n,
+    by one ``bordering_step`` after that stage's extend, so a singular
+    weight block raises at its own stage.  Errors carry the failing stage
+    index.
     """
     problem = WeightedProblem.expect(problem)
     a, n_w = RfMatrix.expect(problem.a), problem.n_weight
-    # the inverse of the order-i weight block is drawn at stage i < n only
-    parts = [n_w.principal_partition(i) for i in range(2, a.cols + 1)]
-    inverses = _leading_inverses(n_w, parts)
     col = a.column(1)
     x = column_pinv_init(col, problem.m_weight)
-    ninv = next(inverses) if a.cols > 1 else None
+    ninv = _order_one_inverse(n_w) if a.cols > 1 else None
     state = PartitionState(1, int(not col.is_zero), x, ninv)
     yield state
-    for i, part in enumerate(parts, 2):
+    for i in range(2, a.cols + 1):
+        part = n_w.principal_partition(i)
         prefix = a.leading_columns(i - 1)
         col = a.column(i)
         proj, resid = project_column(state.x, col, prefix)
@@ -208,7 +202,7 @@ def partition_stages(problem):
             schur = weighted_schur_factor(lhs, proj, part, coupling, i)
         row = bottom_row(state.x, col, resid, lhs, schur, problem.m_weight, i)
         x = extend_pinv(state.x, proj, coupling, row)
-        ninv = next(inverses) if i < a.cols else None
+        ninv = bordering_step(state.ninv, part) if i < a.cols else None
         rank = state.rank + (not resid.is_zero)
         state = PartitionState(i, rank, x, ninv, Stage(proj, resid, row, schur))
         yield state

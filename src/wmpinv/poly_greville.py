@@ -27,9 +27,10 @@ growing multiplicatively.
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
 earlier in the same stage as arguments and return new sequences, and the
-driver builds one new frozen state (i, x, ninv, stage) per stage, stage
-being None at stage 1.  The column-weight inverse is grown by one
-bordering loop shared with ``bordering_inverse``.
+driver builds one new frozen state (i, rank, x, ninv, stage) per stage,
+stage being None at stage 1.  The column-weight inverse starts from its
+order-1 block, as in ``bordering_inverse``, and grows by one
+``poly_bordering_step`` per stage of the same loop.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .errors import CapacityError, DegenerateWeightError, SingularMatrixError
+from .errors import DegenerateWeightError, SingularMatrixError
 from .matrices import Grid, RfMatrix, WeightedProblem
 from .scalars import (
     ONE_POLY, Poly, RatFun, coerce_coeff, conv, fit, joint_reduce, seq_len,
@@ -242,6 +243,29 @@ class PolyPartitionState:
 # stage formulas
 
 
+def _weighted_row(s, col, m_weight, cap, labels, what, stage):
+    """The row v = s^T M and the scalar w = v*col for a nonzero column s,
+    ``col`` being s itself or the stage's new column, to which the residual
+    s is M-orthogonal (Greville 1960); a zero w raises at ``stage``.
+
+    v is fitted to the row capacity ``cap`` and w to cap + deg col, under
+    the two ``labels``.  No capacity grows: at stage 1 cap is
+    deg col + m_deg, so w's is 2 deg col + m_deg; on the independent
+    branch cap is q_hat + q + m_deg and deg col <= q, so w's is at most
+    q_hat + 2q + m_deg.  Nor can w's check fail once v's has passed: v then
+    has length at most cap + 1, and v*col has the untrimmed length
+    len v + len col - 1 <= cap + deg col + 1.
+    """
+    v = fit(conv((1, transpose(s), m_weight.coeffs)), cap, labels[0])
+    w = fit(conv((1, v, col.coeffs))[0][0], cap + col.degree, labels[1])
+    if not w:
+        raise DegenerateWeightError(
+            f"weighted squared length of a nonzero {what} is identically zero",
+            stage=stage,
+        )
+    return v, w
+
+
 def init_fraction(col, m_weight):
     """Numerator/denominator coefficients of the single-column pseudoinverse.
 
@@ -250,15 +274,9 @@ def init_fraction(col, m_weight):
     """
     if col.is_zero:
         return PolyMatrix(1, col.rows), (1,)
-    q, m_deg = col.degree, m_weight.degree
-    z = conv((1, transpose(col.coeffs), m_weight.coeffs))
-    z = fit(z, q + m_deg, "single-column numerator")
-    y = conv((1, z, col.coeffs))[0][0]
-    y = fit(y, 2 * q + m_deg, "single-column denominator")
-    if not y:
-        raise DegenerateWeightError(
-            "weighted squared length of a nonzero column is identically zero", stage=1
-        )
+    labels = ("single-column numerator", "single-column denominator")
+    cap = col.degree + m_weight.degree
+    z, y = _weighted_row(col.coeffs, col, m_weight, cap, labels, "column", 1)
     return PolyMatrix._of(1, col.rows, z), y
 
 
@@ -315,21 +333,11 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     """
     i = state.i + 1
     if any(map(any, resid)):  # a nonzero entry: the independent branch
-        v = fit(
-            conv((1, transpose(resid), m_weight.coeffs)),
-            state.q_hat + state.q + state.m_deg,
-            "bottom row numerator (independent)",
+        labels = (
+            "bottom row numerator (independent)", "bottom row denominator (independent)"
         )
-        w = fit(
-            conv((1, v, col.coeffs))[0][0],
-            state.q_hat + 2 * state.q + state.m_deg,
-            "bottom row denominator (independent)",
-        )
-        if not w:
-            raise DegenerateWeightError(
-                "weighted squared length of a nonzero residual is identically zero",
-                stage=i,
-            )
+        cap = state.q_hat + state.q + state.m_deg
+        v, w = _weighted_row(resid, col, m_weight, cap, labels, "residual", i)
         return v, w, None
 
     # dependent branch: residual is identically zero
@@ -398,10 +406,6 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
 
     den = conv((1, coupling_den, row_den))
     den = fit(den, cap_den, "extended denominator")
-    if not den:
-        raise CapacityError(
-            "extended denominator: identically zero", "extended denominator"
-        )
 
     num = PolyMatrix._of(state.i + 1, state.x.num.cols, upper + lower)
     return MatrixPolyFraction(num, den)
@@ -457,20 +461,13 @@ def poly_bordering_step(inv, border, corner, n_deg):
     return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
 
 
-def _leading_inverses(mat, parts):
-    """Yield the inverse of the order-1 leading block of ``mat``, then of
-    each larger one, one bordering step per principal partition in
-    ``parts`` (orders 2, 3, ...), each as a MatrixPolyFraction."""
+def _order_one_inverse(mat):
+    """Inverse of the order-1 leading block of ``mat`` as a
+    MatrixPolyFraction; a zero corner raises at stage 1."""
     corner = mat.coeffs[0][0]
     if not corner:
-        raise SingularMatrixError(
-            "leading 1x1 block is symbolically singular", stage=1
-        )
-    inv = MatrixPolyFraction(PolyMatrix.identity(1), corner)
-    yield inv
-    for _, border, corner in parts:
-        inv = poly_bordering_step(inv, border, corner, mat.degree)
-        yield inv
+        raise SingularMatrixError("leading 1x1 block is symbolically singular", stage=1)
+    return MatrixPolyFraction(PolyMatrix.identity(1), corner)
 
 
 def bordering_inverse(mat):
@@ -480,9 +477,10 @@ def bordering_inverse(mat):
         raise ValueError("bordering inverse of a non-square matrix")
     if not mat.is_symmetric:
         raise ValueError("bordering inverse expects a symmetric matrix")
-    parts = (mat.principal_partition(i) for i in range(2, mat.rows + 1))
-    for inv in _leading_inverses(mat, parts):
-        pass
+    inv = _order_one_inverse(mat)
+    for i in range(2, mat.rows + 1):
+        _, border, corner = mat.principal_partition(i)
+        inv = poly_bordering_step(inv, border, corner, mat.degree)
     return inv
 
 
@@ -497,17 +495,15 @@ def partition_stages(problem):
     a, m_weight, n_weight = problem.a, problem.m_weight, problem.n_weight
     PolyMatrix.expect(a)
     q, m_deg, n_deg = a.degree, m_weight.degree, n_weight.degree
-    # the inverse of the order-i weight block is drawn at stage i < n only
-    parts = [n_weight.principal_partition(i) for i in range(2, a.cols + 1)]
-    inverses = _leading_inverses(n_weight, parts)
 
     col = a.column(1)
     x = MatrixPolyFraction(*init_fraction(col, m_weight))
-    ninv = next(inverses) if a.cols > 1 else None
+    ninv = _order_one_inverse(n_weight) if a.cols > 1 else None
     state = PolyPartitionState(1, int(not col.is_zero), x, ninv, q, m_deg, n_deg)
     yield state
 
-    for i, part in enumerate(parts, 2):
+    for i in range(2, a.cols + 1):
+        part = n_weight.principal_partition(i)
         col = a.column(i)
         prefix = a.leading_columns(i - 1)
         proj = step_projection(state, col)
@@ -517,7 +513,10 @@ def partition_stages(problem):
             state, col, proj, resid, coupling_num, m_weight, part
         )
         x = step_extend(state, proj, coupling_num, coupling_den, row_num, row_den)
-        ninv = next(inverses) if i < a.cols else None
+        ninv = (
+            poly_bordering_step(state.ninv, part[1], part[2], n_deg)
+            if i < a.cols else None
+        )
         stage = PolyStage(
             proj, resid, coupling_num, coupling_den, row_num, row_den, schur_den
         )

@@ -438,7 +438,7 @@ def fit(seq, cap, label):
 
 
 def _heu_gcd(a, b):
-    """One GCDHEU step (see poly_gcd) on primitive polynomials of degree
+    """One GCDHEU step (see gcd_cofactors) on primitive polynomials of degree
     >= 1: (g, a/g, b/g) with g's leading coefficient positive, the
     quotients being those of the divisibility check, or None when the
     reconstructed candidate fails that check."""
@@ -473,6 +473,20 @@ def poly_gcd(p, q):
     with a positive leading coefficient.  gcd(p, 0) is the normalization of
     p; both arguments zero is an error.
 
+    This is ``gcd_cofactors(p, q)[0]``, kept as a public function and for
+    ``clear_denominators`` and the bench tracer, which counts its calls.
+    """
+    return gcd_cofactors(p, q)[0]
+
+
+def _scaled(p, c):
+    return p if c == 1 else Poly._raw(tuple(c * x for x in p.coeffs))
+
+
+def gcd_cofactors(p, q):
+    """(g, p/g, q/g) with g = poly_gcd(p, q); the one function that runs a
+    gcd algorithm.
+
     Two nonconstant operands take one step of the heuristic gcd GCDHEU
     (Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989; Liao and Fateman,
     ISSAC 1995) on their primitive integer parts a and b:
@@ -494,17 +508,6 @@ def poly_gcd(p, q):
     Coprime operands are certified by that one evaluation, since h = 1
     reconstructs to G = 1.  When the divisibility check fails, the
     primitive pseudo-remainder sequence computes the gcd instead.
-    """
-    return gcd_cofactors(p, q)[0]
-
-
-def _scaled(p, c):
-    return p if c == 1 else Poly._raw(tuple(c * x for x in p.coeffs))
-
-
-def gcd_cofactors(p, q):
-    """(g, p/g, q/g) with g = poly_gcd(p, q); the one function that runs a
-    gcd algorithm.
 
     A gcd found by GCDHEU comes with the quotients of its trial divisions,
     which times each operand's integer content are the cofactors; a

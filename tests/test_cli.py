@@ -336,6 +336,17 @@ class TestInvert:
         bad.write_text("matrix 2 2\n1; 1\n1; 1\n")
         assert run_command(["invert", "--n", str(bad)]) == 3
 
+    def test_non_square_input_rejected_on_both_paths(self, tmp_path, capsys):
+        bad = tmp_path / "n.mat"
+        bad.write_text("matrix 2 3\n1; 0; 0\n0; 1; 0\n")
+        for path in PATHS:
+            assert run_command(["invert", "--n", str(bad), "--path", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "input error: bordering inverse of a non-square matrix\n"
+            )
+
     def test_non_symmetric_input_rejected_on_both_paths(self, tmp_path, capsys):
         # the bordering recursion reads the coupling column and uses its
         # transpose as the new row, so it cannot invert this matrix

@@ -356,6 +356,10 @@ class TestFfInverse:
         )
         assert a.ff_inverse() == expected
 
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
+            constant_matrix([[1, 0, 0], [0, 1, 0]]).ff_inverse()
+
     def test_singular_raises(self):
         a = RfMatrix.from_rows([[e("s"), e("s")], [e("s"), e("s")]])
         with pytest.raises(SingularMatrixError):

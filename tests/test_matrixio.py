@@ -248,6 +248,18 @@ class TestParseMatrixFile:
         with pytest.raises(MatrixParseError, match="header must be 'matrix <rows> <cols>'"):
             parse_matrix_file(f"{header}\n1\n")
 
+    def test_comment_only_file(self):
+        with pytest.raises(
+            MatrixParseError, match="^empty matrix file: missing header line$"
+        ):
+            parse_matrix_file("# nothing but a comment\n\n")
+
+    def test_zero_dimension(self):
+        with pytest.raises(
+            MatrixParseError, match="^line 1: matrix dimensions must be positive$"
+        ):
+            parse_matrix_file("matrix 0 3\n")
+
     def test_missing_rows(self):
         with pytest.raises(MatrixParseError):
             parse_matrix_file("matrix 2 2\n1; 2")

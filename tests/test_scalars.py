@@ -119,6 +119,15 @@ class TestIntegerContract:
         with pytest.raises(ArithmeticError):
             Poly([1, 2]).exact_div(Poly([2]))
 
+    def test_inexact_division_raises(self):
+        # 1 + s^2 = (s - 1)(s + 1) + 2: the quotient is integral, with a remainder
+        with pytest.raises(ArithmeticError, match="^polynomial division is not exact$"):
+            Poly([1, 0, 1]).exact_div(Poly([1, 1]))
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(Poly([1]), Poly())
+
     def test_primitive_content_is_int(self):
         content, part = Poly([4, 6]).primitive()
         assert (content, part) == (2, Poly([2, 3]))
