@@ -185,7 +185,9 @@ class MatrixPolyFraction:
 class PolyStage:
     """Sequences that turn stage i-1 into stage i; ``schur_den`` is set
     exactly when the residual is zero (the dependent-column branch), where
-    ``row_den`` is the weighted Schur factor's numerator."""
+    ``row_den`` is the weighted Schur factor's numerator.  A zero
+    ``coupling_num`` is over the previous denominator y, a nonzero one
+    over y*ndd (``step_coupling``)."""
 
     proj: tuple             # coordinates of the new column (numerator)
     resid: tuple            # residual column (numerator)
@@ -297,17 +299,19 @@ def step_residual(state, col, prefix, proj):
 def step_coupling(state, prefix, border):
     """The weight-coupling column (I - X*prefix)*N^-1*l, X = num/y and
     N^-1 = nbar/ndd, in rank-one form: y*t - num*(prefix*t) with t = nbar*l,
-    over its scalar denominator y*ndd.  When the first i-1 columns have full
-    column rank, A*X*A = A gives X*prefix = I (Greville 1960), and a zero
-    border l gives t = 0; in both cases the zero column is returned over y
-    without a convolution."""
-    if state.rank == state.i or border.is_zero:
-        return (((),),) * state.i, state.x.den
-    t = conv((1, state.ninv.num.coeffs, border.coeffs))
-    t = fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")
-    at = conv((1, prefix.coeffs, t))
-    phi = conv((1, state.x.den, t), (-1, state.x.num.coeffs, at))
-    phi = fit(phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator")
+    over y*ndd; a zero column is over y, so ``coupling_den`` is y whenever
+    ``coupling_num`` is zero.  When the first i-1 columns have full column
+    rank, A*X*A = A gives X*prefix = I (Greville 1960), and a zero border l
+    gives t = 0; in both cases the column is not formed."""
+    phi = zero = (((),),) * state.i
+    if state.rank < state.i and not border.is_zero:
+        t = conv((1, state.ninv.num.coeffs, border.coeffs))
+        t = fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")
+        at = conv((1, prefix.coeffs, t))
+        phi = conv((1, state.x.den, t), (-1, state.x.num.coeffs, at))
+        phi = fit(phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator")
+    if phi == zero:
+        return phi, state.x.den
     psi = conv((1, state.x.den, state.ninv.den))
     return phi, fit(psi, state.p_prev + state.ndd_deg, "coupling denominator")
 
@@ -375,37 +379,36 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
 
 def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     """The next stage's pseudoinverse as a reduced MatrixPolyFraction: the
-    corrected previous block
-    ndd*row_den*num - (ndd*proj + coupling_num)*row_num stacked on the new
-    bottom row, all over the coupling denominator y*ndd times the row
-    denominator.  With a zero coupling column ndd is not formed: the upper
-    block is row_den*num - proj*row_num and the pair is over y*row_den."""
+    corrected previous block scale*num - shift*row_num stacked on the
+    bottom row coupling_den*row_num, all over coupling_den*row_den.  The
+    base case is a zero coupling column, over y: scale = row_den and
+    shift = proj.  A nonzero one, phi over y*ndd, sets scale = ndd*row_den
+    and shift = ndd*proj + phi.
+
+    Each capacity is the sum of its operands' degrees; shift's is that of
+    proj, q_prev + q, or max(ndd_deg + q_prev + q, q_hat + nbar_deg + n_deg)
+    with phi.  The base case's are those of the uncoupled formula; coupled,
+    q_prev, p_prev <= q_hat keep each within the full formula's
+    q_hat + q + max(nbar_deg + n_deg, ndd_deg) + max(row_deg, b_den).
+    """
     b_den, row_deg = len(row_den) - 1, seq_len(row_num) - 1
+    scale, shift, ndd_deg, shift_deg = row_den, proj, 0, state.q_prev + state.q
     if any(map(any, coupling_num)):
-        ndd = state.ninv.den
+        ndd, ndd_deg = state.ninv.den, state.ndd_deg
         scale = conv((1, ndd, row_den))
         shift = conv((1, ndd, proj), (1, coupling_num, (1,)))
-        cap_upper = cap_lower = (
-            state.q_hat
-            + state.q
-            + max(state.nbar_deg + state.n_deg, state.ndd_deg)
-            + max(row_deg, b_den)
-        )
-        cap_den = state.p_prev + state.ndd_deg + b_den
-    else:  # zero coupling column: nothing is over ndd
-        scale, shift, coupling_den = row_den, proj, state.x.den
-        cap_upper = state.q_prev + max(b_den, state.q + row_deg)
-        cap_lower = state.p_prev + row_deg
-        cap_den = state.p_prev + b_den
+        shift_deg = max(ndd_deg + shift_deg, state.q_hat + state.nbar_deg + state.n_deg)
+    c_deg = len(coupling_den) - 1
 
     upper = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num))
-    upper = fit(upper, cap_upper, "extended numerator (upper block)")
+    cap = max(state.q_prev + ndd_deg + b_den, shift_deg + row_deg)
+    upper = fit(upper, cap, "extended numerator (upper block)")
 
     lower = conv((1, coupling_den, row_num))
-    lower = fit(lower, cap_lower, "extended numerator (bottom row)")
+    lower = fit(lower, c_deg + row_deg, "extended numerator (bottom row)")
 
     den = conv((1, coupling_den, row_den))
-    den = fit(den, cap_den, "extended denominator")
+    den = fit(den, c_deg + b_den, "extended denominator")
 
     num = PolyMatrix._of(state.i + 1, state.x.num.cols, upper + lower)
     return MatrixPolyFraction(num, den)
@@ -421,15 +424,16 @@ def poly_bordering_step(inv, border, corner, n_deg):
 
     With inv = nbar/ndd, the border column l, f = nbar*l and the Schur
     numerator g = corner*ndd - l^T*f, the enlarged inverse is
-    [[g*nbar + f*f^T, -ndd*f], [-ndd*f^T, ndd^2]] over ndd*g.  A zero
-    border gives f = 0 and g = corner*ndd, whose ndd cancels: the inverse
-    is block diagonal, [[corner*nbar, 0], [0, ndd]] over corner*ndd.
+    [[g*nbar + f*f^T, -ndd*f], [-ndd*f^T, ndd^2]] over ndd*g.  The base
+    case is a zero border, where ndd cancels: g = corner, no f*f^T term, a
+    zero border column and the corner entry ndd.  A nonzero border
+    replaces these four pieces.
     """
     i = inv.num.rows + 1
     nbar, ndd = inv.num.coeffs, inv.den
     nbar_deg, ndd_deg = inv.num.degree, len(ndd) - 1
 
-    f = None
+    g, ff, ff_deg, side, last = corner, (), 0, (((),),) * (i - 1), ndd
     if any(map(any, border.coeffs)):
         f = fit(conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
         p_seq = fit(conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
@@ -437,27 +441,20 @@ def poly_bordering_step(inv, border, corner, n_deg):
         q_seq = fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
         g = conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
         g = fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
-    else:  # block diagonal: g is the corner itself
-        g = corner
+        f_deg = seq_len(f) - 1
+        ff, ff_deg = ((1, f, transpose(f)),), 2 * f_deg
+        side = fit(conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
+        last = fit(conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
     if not g:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=i
         )
     g_deg = len(g) - 1
 
-    if f is None:
-        core = fit(conv((1, g, nbar)), g_deg + nbar_deg, "block numerator (core)")
-        den = fit(conv((1, g, ndd)), g_deg + ndd_deg, "block denominator")
-        stacked = tuple(row + ((),) for row in core) + (((),) * (i - 1) + (ndd,),)
-        return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
-
-    f_deg = seq_len(f) - 1
-    core = conv((1, g, nbar), (1, f, transpose(f)))
-    core = fit(core, max(g_deg + nbar_deg, 2 * f_deg), "block numerator (core)")
-    side = fit(conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
-    ndd2 = fit(conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
+    core = conv((1, g, nbar), *ff)
+    core = fit(core, max(g_deg + nbar_deg, ff_deg), "block numerator (core)")
     den = fit(conv((1, ndd, g)), ndd_deg + g_deg, "block denominator")
-    stacked = tuple(map(add, core, side)) + (transpose(side)[0] + (ndd2,),)
+    stacked = tuple(map(add, core, side)) + (transpose(side)[0] + (last,),)
     return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
 
 

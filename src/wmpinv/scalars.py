@@ -103,9 +103,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __len__(self):
-        return len(self.coeffs)
-
     def __iter__(self):
         return iter(self.coeffs)
 

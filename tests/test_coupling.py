@@ -14,7 +14,14 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import count_calls, load, rand_problem_matrix, rand_singular_weight, rand_weight
+from helpers import (
+    count_calls,
+    load,
+    rand_problem_matrix,
+    rand_rational_problem,
+    rand_singular_weight,
+    rand_weight,
+)
 from wmpinv import greville, matrices, poly_greville, scalars
 from wmpinv.errors import SingularMatrixError
 from wmpinv.matrices import RfMatrix, WeightedProblem
@@ -215,3 +222,32 @@ class TestZeroBorderCounts:
         assert inside == [0, 0, 0, 0]
         assert len(convs) == 40
         assert last.x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
+
+
+
+def test_zero_coupling_column_is_over_the_previous_denominator():
+    # ``step_extend`` takes the coupling pair as given, so a zero column,
+    # whether skipped or formed, must be over y and a nonzero one over
+    # y*ndd; seeded as the cross-path agreement test, whose stream holds
+    # formed zero columns (trials 133 and 285)
+    rng = random.Random(8080)
+    tally = Counter()
+    for _ in range(400):
+        problem = rand_rational_problem(rng)
+        problem = WeightedProblem(
+            *(poly_greville.cleared(m)[0] for m in (problem.a, problem.m_weight, problem.n_weight))
+        )
+        states = states_until_error(poly_greville.partition_stages(problem))
+        for prev, cur in zip(states, states[1:]):
+            stage, y = cur.stage, prev.x.den
+            if any(map(any, stage.coupling_num)):
+                assert stage.coupling_den == (Poly(y) * Poly(prev.ninv.den)).coeffs
+                tally["nonzero"] += 1
+            else:
+                assert stage.coupling_den == y, f"stage {cur.i}"
+                _, border, _ = problem.n_weight.principal_partition(cur.i)
+                # a formed zero column, where y*ndd differs from y
+                formed = prev.rank < prev.i and not border.is_zero
+                tally["formed zero"] += formed and prev.ninv.den != (1,)
+    assert tally["nonzero"] > 20
+    assert tally["formed zero"] == 2

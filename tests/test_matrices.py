@@ -489,3 +489,45 @@ class TestRank:
             assert a.rank() == expected
             deficient += expected < min(rows, cols)
         assert deficient > 5
+
+
+class TestGuards:
+    """The argument checks of the matrix types, each with its message."""
+
+    def test_entry_index_out_of_range(self):
+        with pytest.raises(IndexError, match=r"^entry \(2, 0\) out of range$"):
+            RfMatrix.identity(2)[2, 0]
+
+    def test_leading_column_count_out_of_range(self):
+        with pytest.raises(IndexError, match=r"^column count 3 out of range 1\.\.2$"):
+            RfMatrix.identity(2).leading_columns(3)
+
+    def test_inexact_entry_rejected(self):
+        with pytest.raises(TypeError, match="^matrix entry must be exact, got float$"):
+            RfMatrix(1, 1, [0.5])
+
+    def test_entry_count_must_match_the_shape(self):
+        with pytest.raises(ValueError, match="^2x2 matrix needs 4 entries, got 3$"):
+            RfMatrix(2, 2, [1, 2, 3])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            RfMatrix.from_rows([[1, 2], [3]])
+
+    def test_block_heights_must_agree_within_a_block_row(self):
+        with pytest.raises(ValueError, match="^block heights differ within a block row$"):
+            RfMatrix.block([[RfMatrix.identity(2), RfMatrix.identity(1)]])
+
+    def test_poly_matrix_grid_must_match_the_shape(self):
+        with pytest.raises(ValueError, match="^coefficient grid is not 2x2$"):
+            PolyMatrix(2, 2, [[(1,), (1,)]])
+
+    def test_poly_matrix_entry_must_be_a_polynomial(self):
+        with pytest.raises(TypeError, match="^polynomial entry expected, got float$"):
+            PolyMatrix.from_entries([[0.5]])
+
+    def test_equal_matrices_hash_equal(self):
+        assert hash(RfMatrix.identity(2)) == hash(RfMatrix.identity(2))
+
+    def test_repr_names_shape_and_entries(self):
+        assert repr(RfMatrix(1, 1, [RatFun(1, Poly([0, 1]))])) == "RfMatrix(1x1: 1/s)"

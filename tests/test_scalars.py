@@ -94,6 +94,21 @@ class TestPolyNormalization:
         with pytest.raises(TypeError):
             RatFun.const(0.5)
 
+    def test_slicing_rejected(self):
+        with pytest.raises(TypeError, match="^polynomials do not support slicing$"):
+            Poly([1, 2])[0:1]
+
+    def test_exponent_guards(self):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            Poly([1, 1]) ** -1
+        with pytest.raises(ValueError, match="^exponent must be an integer$"):
+            RatFun(Poly([1, 1])) ** 1.5
+
+    def test_equal_fractions_hash_equal(self):
+        # (1+s)/s and (2+2s)/(2s) are one value
+        f, g = RatFun(Poly([1, 1]), Poly([0, 1])), RatFun(Poly([2, 2]), Poly([0, 2]))
+        assert f == g and hash(f) == hash(g)
+
 
 class TestIntegerContract:
     """A Poly holds ints only; rational constants enter through RatFun."""
