@@ -132,17 +132,22 @@ def bordering_step(prev_inv, part):
     returns the inverse of the enlarged block; a singular one raises with
     its order as the stage.  t = prev_inv*l serves the Schur scalar, the
     border -t/schur and the core prev_inv - border*t^T (``minus_outer``).
+    The base case is a zero border l, where t = 0: the Schur scalar is the
+    corner, the border zero and the core prev_inv, and none is formed.
     """
     _, border, corner = part
-    t = prev_inv * border
-    schur = corner - (border.transpose() * t)[0, 0]
+    t, schur, inv_border, core = None, corner, border, prev_inv
+    if not border.is_zero:
+        t = prev_inv * border
+        schur = corner - (border.transpose() * t)[0, 0]
     if schur.is_zero:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=prev_inv.rows + 1
         )
     inv_corner = schur.reciprocal()
-    inv_border = t.scale(-inv_corner)
-    core = prev_inv.minus_outer(inv_border, t.transpose())
+    if t is not None:
+        inv_border = t.scale(-inv_corner)
+        core = prev_inv.minus_outer(inv_border, t.transpose())
     corner_m = RfMatrix(1, 1, [inv_corner])
     return RfMatrix.block([[core, inv_border], [inv_border.transpose(), corner_m]])
 

@@ -19,10 +19,13 @@ polynomial L of ``RfMatrix.clear_denominators``.
 The degree of every computed sequence is bounded a priori by the degrees
 of its inputs; ``scalars.fit`` checks each capacity on the untrimmed
 sequence and only then trims trailing zeros, so an index slip in any
-convolution raises CapacityError, also under ``python -O``.  After each
-stage the numerator/denominator pair is reduced (common polynomial factor
+convolution raises CapacityError, also under ``python -O``.  Every stage
+leaves its numerator/denominator pair reduced (common polynomial factor
 and integer content divided out), which is what keeps the capacities from
-growing multiplicatively.
+growing multiplicatively.  It reduces the new bottom row over its own
+denominator first, then the corrected previous block over the coupling
+denominator alone; stacked, the two are already the canonical pair, so no
+gcd is taken over the whole family (``step_extend``).
 
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
@@ -165,6 +168,13 @@ class MatrixPolyFraction:
     def __init__(self, num, den):
         self.num, self.den = fraction_simplify(num, den)
 
+    @classmethod
+    def _of(cls, num, den):
+        # trusted: (num, den) already in reduced canonical form
+        frac = object.__new__(cls)
+        frac.num, frac.den = num, den
+        return frac
+
     def to_rf_matrix(self):
         return self.num.to_rf_matrix(Poly(self.den))
 
@@ -183,17 +193,19 @@ class MatrixPolyFraction:
 
 @dataclass(frozen=True)
 class PolyStage:
-    """Sequences that turn stage i-1 into stage i; ``schur_den`` is set
-    exactly when the residual is zero (the dependent-column branch), where
-    ``row_den`` is the weighted Schur factor's numerator.  A zero
-    ``coupling_num`` is over the previous denominator y, a nonzero one
-    over y*ndd (``step_coupling``)."""
+    """Sequences that turn stage i-1 into stage i.  ``row_num`` over
+    ``row_den`` is the new bottom row, reduced, so ``row_den`` is the
+    reduced row's denominator.  ``schur_den`` is set exactly when the
+    residual is zero (the dependent-column branch), where the row's
+    denominator before that reduction is the weighted Schur factor's
+    numerator.  A zero ``coupling_num`` is over the previous denominator
+    y, a nonzero one over y*ndd (``step_coupling``)."""
 
     proj: tuple             # coordinates of the new column (numerator)
     resid: tuple            # residual column (numerator)
     coupling_num: tuple     # weight-coupling column numerator
     coupling_den: tuple     # ... and its scalar denominator
-    row_num: tuple          # new bottom row numerator
+    row_num: tuple          # new bottom row numerator, reduced
     row_den: tuple          # ... and its scalar denominator
     schur_den: tuple = None  # Schur factor denominator
 
@@ -268,6 +280,12 @@ def _weighted_row(s, col, m_weight, cap, labels, what, stage):
     return v, w
 
 
+def _reduced_row(v, w):
+    """The 1 x m row v over the scalar w, reduced by ``fraction_simplify``."""
+    row, w = fraction_simplify(PolyMatrix._of(1, len(v[0]), v), w)
+    return row.coeffs, w
+
+
 def init_fraction(col, m_weight):
     """Numerator/denominator coefficients of the single-column pseudoinverse.
 
@@ -319,8 +337,10 @@ def step_coupling(state, prefix, border):
 def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     """Numerator/denominator coefficients of the stage's new bottom row,
     then the weighted Schur factor's denominator (None on the independent
-    branch); on the dependent branch the row denominator is the Schur
-    factor's numerator.
+    branch).  On both branches the row v over w is returned reduced by
+    ``fraction_simplify``, so the two are coprime and their joint content
+    is 1, as ``step_extend`` needs; on the dependent branch the unreduced
+    w is the Schur factor's numerator.
 
     Independent branch: r = resid/y is M-orthogonal to the old columns, so
     r^T M r = a_i^T M r for the new column a_i = ``col`` (Greville 1960) and
@@ -342,7 +362,7 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
         )
         cap = state.q_hat + state.q + state.m_deg
         v, w = _weighted_row(resid, col, m_weight, cap, labels, "residual", i)
-        return v, w, None
+        return (*_reduced_row(v, w), None)
 
     # dependent branch: residual is identically zero
     y = state.x.den
@@ -374,16 +394,28 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
-    return fit(v, v_cap, "bottom row numerator (dependent)"), row_den, schur_den
+    v = fit(v, v_cap, "bottom row numerator (dependent)")
+    return (*_reduced_row(v, row_den), schur_den)
 
 
 def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
-    """The next stage's pseudoinverse as a reduced MatrixPolyFraction: the
-    corrected previous block scale*num - shift*row_num stacked on the
-    bottom row coupling_den*row_num, all over coupling_den*row_den.  The
-    base case is a zero coupling column, over y: scale = row_den and
-    shift = proj.  A nonzero one, phi over y*ndd, sets scale = ndd*row_den
-    and shift = ndd*proj + phi.
+    """The next stage's pseudoinverse as a reduced MatrixPolyFraction.
+
+    With the reduced bottom row v/w (``step_bottom_row``) and the coupling
+    denominator c, the corrected previous block is U = scale*num - shift*v
+    over c*w.  The base case is a zero coupling column, over y: scale = w
+    and shift = proj.  A nonzero one, phi over y*ndd, sets scale = ndd*w
+    and shift = ndd*proj + phi.  U is reduced over c alone to U1/c1, so
+    the upper block is U1 over c1*w, and the result is [U1; c1*v] over
+    c1*w with no further reduction.
+
+    That pair is already canonical.  Both (U1, c1) and (v, w) are reduced,
+    so an irreducible p of Z[s] (an integer prime included) that divides
+    c1 misses some entry of U1, and one that divides w but not c1 misses
+    some v_j and so c1*v_j.  No p divides c1*w and every numerator entry,
+    and the leading coefficients of c1 and w are positive: the pair is the
+    one ``fraction_simplify`` makes of the unreduced stacked pair, both
+    being the canonical form of the same values.
 
     Each capacity is the sum of its operands' degrees; shift's is that of
     proj, q_prev + q, or max(ndd_deg + q_prev + q, q_hat + nbar_deg + n_deg)
@@ -398,20 +430,21 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
         scale = conv((1, ndd, row_den))
         shift = conv((1, ndd, proj), (1, coupling_num, (1,)))
         shift_deg = max(ndd_deg + shift_deg, state.q_hat + state.nbar_deg + state.n_deg)
-    c_deg = len(coupling_den) - 1
+    cols = state.x.num.cols
 
     upper = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num))
     cap = max(state.q_prev + ndd_deg + b_den, shift_deg + row_deg)
     upper = fit(upper, cap, "extended numerator (upper block)")
+    upper, c1 = fraction_simplify(PolyMatrix._of(state.i, cols, upper), coupling_den)
+    c_deg = len(c1) - 1
 
-    lower = conv((1, coupling_den, row_num))
+    lower = conv((1, c1, row_num))
     lower = fit(lower, c_deg + row_deg, "extended numerator (bottom row)")
-
-    den = conv((1, coupling_den, row_den))
+    den = conv((1, c1, row_den))
     den = fit(den, c_deg + b_den, "extended denominator")
 
-    num = PolyMatrix._of(state.i + 1, state.x.num.cols, upper + lower)
-    return MatrixPolyFraction(num, den)
+    num = PolyMatrix._of(state.i + 1, cols, upper.coeffs + lower)
+    return MatrixPolyFraction._of(num, den)
 
 
 # ---------------------------------------------------------------------------

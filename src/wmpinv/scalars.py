@@ -573,33 +573,38 @@ def joint_reduce(nums, den):
     Divides gcd(den, all numerators) out, then the joint integer content,
     and makes the leading denominator coefficient positive; an all-zero
     family becomes zeros over 1.  The family's values num[k]/den are
-    unchanged.  Returns (new_nums, new_den).
+    unchanged.  Returns (new_nums, new_den).  The result is the canonical
+    form of those values, so it does not depend on the order in which the
+    numerators are met.
 
-    One pass over the nonzero numerators with a running gcd g, starting at
-    den.  The first one meets den in ``gcd_cofactors``, which leaves its
-    quotient by the new g; g is then primitive with a positive leading
-    coefficient.  Each later numerator is first tried by one trial division
-    by g: when g divides it, g is the gcd, and the exact quotient is the
-    one a gcd step would leave.  Only a numerator that g does not divide
-    meets g in ``gcd_cofactors``; when g shrinks by a cofactor c, the
-    earlier quotients and den/g are multiplied by c.  The pass stops once
-    g is constant.
+    A constant den has no polynomial gcd with the family: only the integer
+    content is divided out.  Otherwise one pass over the nonzero numerators,
+    shortest first, with a running gcd g starting at den.  The first one
+    meets den in ``gcd_cofactors``, which leaves its quotient by the new g;
+    g is then primitive with a positive leading coefficient, and divides
+    that short numerator, so it is small.  Each later numerator is first
+    tried by one trial division by g: when g divides it, g is the gcd, and
+    the exact quotient is the one a gcd step would leave.  Only a numerator
+    that g does not divide meets g in ``gcd_cofactors``; when g shrinks by
+    a cofactor c, the quotients already taken and den/g are multiplied by
+    c.  The pass stops once g is constant.
     """
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    g, den, nums, found = den, ONE_POLY, list(nums), False
-    for k, p in enumerate(nums):
-        if not p:
-            continue
-        quo = _quotient(p, g) if found else None
+    nums = list(nums)
+    if den.degree == 0:
+        return _normalize(nums, den)
+    order = sorted((k for k, p in enumerate(nums) if p), key=lambda k: len(nums[k].coeffs))
+    g, den = den, ONE_POLY
+    for n, k in enumerate(order):
+        quo = _quotient(nums[k], g) if n else None
         if quo is not None:
             nums[k] = quo
             continue
-        g, c, nums[k] = gcd_cofactors(g, p)
-        found = True
+        g, c, nums[k] = gcd_cofactors(g, nums[k])
         if c.coeffs != (1,):
             den = c if den is ONE_POLY else den * c  # den/g is 1 until g shrinks
-            for j in range(k):
+            for j in order[:n]:
                 nums[j] *= c
         if g.degree == 0:
             break

@@ -579,5 +579,5 @@ class TestHostileInput:
         assert result.returncode == 3
         assert result.stderr == (
             "algebra error: extended denominator: coefficient sequence of "
-            "length 14 exceeds its degree capacity 12\n"
+            "length 12 exceeds its degree capacity 10\n"
         )

@@ -3,6 +3,7 @@ reduction, bordering inverse, and bit-exact agreement with the rational
 path (which is the reference semantics)."""
 
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from helpers import (
     count_calls,
     load,
     rand_den,
+    rand_matrix,
     rand_problem_matrix,
     rand_rational_problem,
     rand_singular_weight,
@@ -187,8 +189,8 @@ class TestStageSequences:
         states = list(partition_stages(WeightedProblem(a)))
         st, sg = states[1], states[1].stage
         assert sg.resid == (((),),)
-        # Schur factor 2 (its numerator is the row denominator), bottom row
-        # value 1/2
+        # Schur factor 2 (its numerator is the row denominator here, where
+        # the row has no common factor to reduce), bottom row value 1/2
         assert RatFun(Poly(sg.row_den), Poly(sg.schur_den)) == RatFun(2)
         assert RatFun(
             Poly(sg.row_num[0][0]), Poly(sg.row_den)
@@ -196,13 +198,20 @@ class TestStageSequences:
         assert st.x.num.entry_poly(0, 0) == Poly([1])
         assert st.x.den == (2,)
 
-    def test_independent_row_is_over_the_weighted_form_with_the_new_column(self):
+    def test_independent_row_is_over_the_weighted_form_with_the_new_column(self, monkeypatch):
         # stage 2 is independent and the stage-1 denominator y is not
         # constant: the row must be resid^T M over (resid^T M) a_2, with no
-        # factor y on either side
+        # factor y on either side, before ``_reduced_row``; the stage keeps
+        # the reduced pair
         a, w = load("wmp_poly3_a.mat"), load("wmp_poly3_w.mat")
         ap, wp = PolyMatrix.from_rf_matrix(a), PolyMatrix.from_rf_matrix(w)
+        unreduced = []
+        real = poly_greville._reduced_row
+        monkeypatch.setattr(
+            poly_greville, "_reduced_row", lambda v, w: unreduced.append((v, w)) or real(v, w)
+        )
         st1, st2 = list(partition_stages(WeightedProblem(ap, wp, wp)))[:2]
+        monkeypatch.undo()
         st = st2.stage
         assert len(st1.x.den) > 1 and not is_zero_grid(st.resid)
         rows = ap.rows
@@ -211,9 +220,15 @@ class TestStageSequences:
             sum((resid[r] * wp.entry_poly(r, c) for r in range(rows)), Poly([]))
             for c in range(rows)
         ]
-        assert [Poly(st.row_num[0][c]) for c in range(rows)] == form
         den = sum((form[c] * ap.entry_poly(c, 1) for c in range(rows)), Poly([]))
-        assert st.row_den == den.coeffs
+        # stage 1 comes from ``init_fraction``, so stage 2's row is the
+        # first one reduced
+        v, w_row = unreduced[0]
+        assert [Poly(v[0][c]) for c in range(rows)] == form
+        assert w_row == den.coeffs
+        row = PolyMatrix(1, rows, [[p.coeffs for p in form]])
+        row, row_den = fraction_simplify(row, den.coeffs)
+        assert (st.row_num, st.row_den) == (row.coeffs, row_den)
         rat = list(rational_stages(WeightedProblem(a, w, w)))[1]
         assert seq_value(st.row_num, st.row_den, 1, rows) == rat.stage.row
 
@@ -262,6 +277,74 @@ SEQUENCE_FIELDS = (
     "proj", "resid", "coupling_num", "coupling_den",
     "row_num", "row_den", "schur_den",
 )
+
+
+def rand_indefinite_weight(rng, k, max_deg=1):
+    """Symmetric weight B^T D B with D = diag(1, -1, 1, ...): indefinite
+    at almost every real point for k >= 2, negative definite for k = 1."""
+    b = rand_matrix(rng, k, k, max_deg, -2, 2) + RfMatrix.identity(k)
+    d = RfMatrix.from_rows(
+        [[RatFun((-1) ** (r + (k == 1)) if r == c else 0) for c in range(k)] for r in range(k)]
+    )
+    return b.transpose() * d * b
+
+
+class TestStageReduction:
+    """``step_bottom_row`` reduces the row v/w, and ``step_extend`` reduces
+    only the upper block over the coupling denominator c, stacking the row
+    on it with no gcd over the stacked pair.  That must give, sequence for
+    sequence, the pair that reducing the whole stacked pair of the
+    unreduced row gives."""
+
+    @staticmethod
+    def stacked_pair(prev, stage, v, w):
+        """``fraction_simplify`` of [scale*num - shift*v; c*v] over c*w for
+        the unreduced row v/w, in ``Poly`` arithmetic."""
+        num = [[Poly(e) for e in row] for row in prev.x.num.coeffs]
+        v, w, c = [Poly(e) for e in v[0]], Poly(w), Poly(stage.coupling_den)
+        scale, shift = w, [Poly(row[0]) for row in stage.proj]
+        if not is_zero_grid(stage.coupling_num):
+            ndd = Poly(prev.ninv.den)
+            scale = ndd * w
+            phi = [Poly(row[0]) for row in stage.coupling_num]
+            shift = [ndd * p + f for p, f in zip(shift, phi)]
+        upper = [[scale * n - t * vj for n, vj in zip(row, v)] for row, t in zip(num, shift)]
+        grid = [[p.coeffs for p in row] for row in upper + [[c * vj for vj in v]]]
+        return fraction_simplify(PolyMatrix(len(grid), len(v), grid), (c * w).coeffs)
+
+    def test_matches_the_reduced_stacked_pair_of_the_unreduced_row(self, monkeypatch):
+        # seeded: 300 problems of up to 4x4, some with zeroed or duplicated
+        # columns, each weight the identity, SPD, singular PSD or indefinite
+        rows = []
+        real = poly_greville._reduced_row
+        monkeypatch.setattr(
+            poly_greville, "_reduced_row", lambda v, w: rows.append((v, w)) or real(v, w)
+        )
+        weights = (
+            lambda rng, k: RfMatrix.identity(k),
+            rand_weight, rand_singular_weight, rand_indefinite_weight,
+        )
+        rng = random.Random(2929)
+        tally = Counter()
+        for _ in range(300):
+            a = rand_problem_matrix(rng, 4, rng.randint(1, 2))
+            m, n = (rng.choice(weights)(rng, k) for k in (a.rows, a.cols))
+            problem = WeightedProblem(*map(PolyMatrix.from_rf_matrix, (a, m, n)))
+            rows.clear()
+            states, _ = run_stages(partition_stages(problem))
+            for prev, cur, (v, w) in zip(states, states[1:], rows):
+                sg = cur.stage
+                num, den = self.stacked_pair(prev, sg, v, w)
+                assert (cur.x.num.coeffs, cur.x.den) == (num.coeffs, den), f"stage {cur.i}"
+                tally["dependent" if is_zero_grid(sg.resid) else "independent"] += 1
+                tally["coupled"] += not is_zero_grid(sg.coupling_num)
+                tally["zero row"] += is_zero_grid(v)
+                tally["row reduced"] += sg.row_den != w
+                tally["block reduced"] += len(cur.x.den) < len(sg.coupling_den) + len(w) - 1
+        for kind in (
+            "independent", "dependent", "coupled", "zero row", "row reduced", "block reduced"
+        ):
+            assert tally[kind] > 0, kind
 
 
 class TestFrozenStages:
@@ -331,22 +414,25 @@ class TestExtend:
         # steps otherwise; a count does not depend on the host.  A gcd
         # step on every entry took 78 divisions here, and a gcd over the
         # whole family followed by dividing every entry again took 122.
+        # Reducing the stacked pair of the unreduced row took 48.
         a = PolyMatrix.from_rf_matrix(load("wmp_hessenberg_a.mat"))
         calls = count_calls(monkeypatch, Poly, "__divmod__")
         x = weighted_pinv(a)
         monkeypatch.undo()
         assert x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 48
+        assert len(calls) <= 43
 
     def test_hessenberg_gcd_count(self, monkeypatch):
         # a gcd step runs only where the running gcd does not divide the
-        # entry: 43 gcd steps when every nonzero entry took one
+        # entry, and a constant denominator takes none: 43 gcd steps when
+        # every nonzero entry took one, 11 when the stacked pair of the
+        # unreduced row was reduced
         a = PolyMatrix.from_rf_matrix(load("wmp_hessenberg_a.mat"))
         calls = count_calls(monkeypatch, scalars, "gcd_cofactors")
         x = weighted_pinv(a)
         monkeypatch.undo()
         assert x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 11
+        assert len(calls) <= 9
 
 
 class TestFractionSimplify:

@@ -710,6 +710,33 @@ class TestJointReduce:
             nums = [Poly([]) if rng.random() < 0.2 else product() for _ in range(size)]
             self.check(nums, product())
 
+    def test_any_order_matches_reference(self):
+        # the numerators are met shortest first, yet the canonical result
+        # must not depend on the family's order: random families in random
+        # orders, with zero entries, constant denominators and negative
+        # leading coefficients
+        factors = [Poly([1, 1]), Poly([-2, 1]), Poly([3, -2]), Poly([1, 0, -1]), Poly([0, 1])]
+        rng = random.Random(29)
+
+        def product(terms):
+            p = Poly([rng.choice([1, -1, 2, -3, 6, -4])])
+            for f in rng.sample(factors, terms):
+                p = p * f ** rng.randint(1, 2)
+            return p
+
+        for _ in range(400):
+            nums = [
+                Poly([]) if rng.random() < 0.2 else product(rng.randint(0, 3))
+                for _ in range(rng.randint(1, 6))
+            ]
+            den = product(0 if rng.random() < 0.25 else rng.randint(1, 3))
+            want_nums, want_den = self.two_pass(nums, den)
+            for _ in range(3):
+                order = rng.sample(range(len(nums)), len(nums))
+                got_nums, got_den = joint_reduce([nums[k] for k in order], den)
+                assert got_den == want_den, (nums, den, order)
+                assert got_nums == [want_nums[k] for k in order], (nums, den, order)
+
     def test_quotient_branch_matches_reference(self):
         # after the first gcd step every nonzero numerator is tried by one
         # trial division by the running gcd g before a gcd step
@@ -744,10 +771,14 @@ class TestJointReduce:
         self.check(nums, common * -4)
         self.check(nums[:4], common * -4)
 
-    def test_constant_denominators(self):
+    def test_constant_denominators(self, monkeypatch):
+        # a constant denominator takes no gcd step, only the integer content
+        calls = count_calls(monkeypatch, scalars, "gcd_cofactors")
         for den in (Poly([1]), Poly([-1]), Poly([6]), Poly([-4])):
             self.check([Poly([2, 4]), Poly([]), Poly([0, 0, 8])], den)
             self.check([Poly([3, 6, 9])], den)
+            self.check([Poly([]), Poly([])], den)
+        assert calls == []
 
     def test_prs_fallback_divides_inside_the_gcd_step(self):
         # GCDHEU's candidate fails its divisibility check on this pair (see
