@@ -17,15 +17,16 @@ non-integral coefficients; a rational matrix enters through ``solve`` or
 polynomial L of ``RfMatrix.clear_denominators``.
 
 The degree of every computed sequence is bounded a priori by the degrees
-of its inputs; ``scalars.fit`` checks each capacity on the untrimmed
-sequence and only then trims trailing zeros, so an index slip in any
-convolution raises CapacityError, also under ``python -O``.  Every stage
-leaves its numerator/denominator pair reduced (common polynomial factor
-and integer content divided out), which is what keeps the capacities from
-growing multiplicatively.  It reduces the new bottom row over its own
-denominator first, then the corrected previous block over the coupling
-denominator alone; stacked, the two are already the canonical pair, so no
-gcd is taken over the whole family (``step_extend``).
+of its inputs; the kernel ``scalars.conv`` checks each capacity on the
+result's own untrimmed length and returns a checked result trimmed, so an
+index slip in any convolution raises CapacityError, also under
+``python -O``.  Every stage leaves its numerator/denominator pair reduced
+(common polynomial factor and integer content divided out), which is what
+keeps the capacities from growing multiplicatively.  It reduces the new
+bottom row over its own denominator first, then the corrected previous
+block over the coupling denominator alone; stacked, the two are already
+the canonical pair, so no gcd is taken over the whole family
+(``step_extend``).
 
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
@@ -44,7 +45,7 @@ from operator import add
 from .errors import DegenerateWeightError, SingularMatrixError
 from .matrices import Grid, RfMatrix, WeightedProblem
 from .scalars import (
-    ONE_POLY, Poly, RatFun, coerce_coeff, conv, fit, joint_reduce, seq_len,
+    ONE_POLY, Poly, RatFun, coerce_coeff, conv, joint_reduce, seq_len,
     transpose, trim, trim_grid,
 )
 
@@ -262,16 +263,16 @@ def _weighted_row(s, col, m_weight, cap, labels, what, stage):
     ``col`` being s itself or the stage's new column, to which the residual
     s is M-orthogonal (Greville 1960); a zero w raises at ``stage``.
 
-    v is fitted to the row capacity ``cap`` and w to cap + deg col, under
-    the two ``labels``.  No capacity grows: at stage 1 cap is
+    v is checked against the row capacity ``cap`` and w against cap + deg col,
+    under the two ``labels``.  No capacity grows: at stage 1 cap is
     deg col + m_deg, so w's is 2 deg col + m_deg; on the independent
     branch cap is q_hat + q + m_deg and deg col <= q, so w's is at most
     q_hat + 2q + m_deg.  Nor can w's check fail once v's has passed: v then
     has length at most cap + 1, and v*col has the untrimmed length
     len v + len col - 1 <= cap + deg col + 1.
     """
-    v = fit(conv((1, transpose(s), m_weight.coeffs)), cap, labels[0])
-    w = fit(conv((1, v, col.coeffs))[0][0], cap + col.degree, labels[1])
+    v = conv((1, transpose(s), m_weight.coeffs), cap=cap, label=labels[0])
+    w = conv((1, v, col.coeffs), cap=cap + col.degree, label=labels[1])[0][0]
     if not w:
         raise DegenerateWeightError(
             f"weighted squared length of a nonzero {what} is identically zero",
@@ -303,15 +304,15 @@ def init_fraction(col, m_weight):
 def step_projection(state, col):
     """Numerator coefficients of the new column's coordinates in the old
     columns (shares the previous stage's denominator)."""
-    out = conv((1, state.x.num.coeffs, col.coeffs))
-    return fit(out, state.q_prev + state.q, "projection")
+    cap = state.q_prev + state.q
+    return conv((1, state.x.num.coeffs, col.coeffs), cap=cap, label="projection")
 
 
 def step_residual(state, col, prefix, proj):
     """Numerator coefficients of the residual column (over the previous
     denominator); an empty result selects the dependent-column branch."""
-    out = conv((1, state.x.den, col.coeffs), (-1, prefix.coeffs, proj))
-    return fit(out, state.q_hat + state.q, "residual")
+    terms = (1, state.x.den, col.coeffs), (-1, prefix.coeffs, proj)
+    return conv(*terms, cap=state.q_hat + state.q, label="residual")
 
 
 def step_coupling(state, prefix, border):
@@ -323,15 +324,16 @@ def step_coupling(state, prefix, border):
     gives t = 0; in both cases the column is not formed."""
     phi = zero = (((),),) * state.i
     if state.rank < state.i and not border.is_zero:
-        t = conv((1, state.ninv.num.coeffs, border.coeffs))
-        t = fit(t, state.nbar_deg + state.n_deg, "weighted coupling column")
+        t = conv((1, state.ninv.num.coeffs, border.coeffs),
+                 cap=state.nbar_deg + state.n_deg, label="weighted coupling column")
         at = conv((1, prefix.coeffs, t))
-        phi = conv((1, state.x.den, t), (-1, state.x.num.coeffs, at))
-        phi = fit(phi, state.q_hat + state.nbar_deg + state.n_deg, "coupling numerator")
+        cap = state.q_hat + state.nbar_deg + state.n_deg
+        phi = conv((1, state.x.den, t), (-1, state.x.num.coeffs, at),
+                   cap=cap, label="coupling numerator")
     if phi == zero:
         return phi, state.x.den
-    psi = conv((1, state.x.den, state.ninv.den))
-    return phi, fit(psi, state.p_prev + state.ndd_deg, "coupling denominator")
+    return phi, conv((1, state.x.den, state.ninv.den),
+                     cap=state.p_prev + state.ndd_deg, label="coupling denominator")
 
 
 def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
@@ -368,34 +370,39 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     y = state.x.den
     nprev, border, corner = part
     projT, borderT = transpose(proj), transpose(border.coeffs)
-    yy = conv((1, y, y))
-    # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l
-    dn = conv((1, projT, nprev.coeffs))
-    core = conv(
-        (1, ((corner,),), yy),
-        (1, dn, proj),
-        (-2, conv((1, projT, border.coeffs)), y),
-    )
-    lhs = conv((1, dn, (1,)), (-1, y, borderT))
-    v = conv((1, lhs, state.x.num.coeffs))
+    coupled = any(map(any, coupling_num))  # every term over ndd, and l^T phi
     den_cap, core_cap = 2 * state.p_prev, 2 * state.q_hat + state.n_deg
     v_cap = state.q_prev + state.q_hat + state.n_deg
-    if any(map(any, coupling_num)):  # every term over ndd, and l^T phi
+    if coupled:
         ndd = state.ninv.den
-        yy = conv((1, yy, ndd))
-        core = conv((1, core, ndd), (-1, conv((1, borderT, coupling_num)), y))
-        v = conv((1, ndd, v))
         den_cap += state.ndd_deg
         core_cap += max(state.n_deg + state.nbar_deg, state.ndd_deg)
         v_cap += state.ndd_deg
-    schur_den = fit(yy, den_cap, "Schur factor denominator")
-    row_den = fit(core[0][0], core_cap, "Schur factor numerator")
+    checks = (
+        {"cap": den_cap, "label": "Schur factor denominator"},
+        {"cap": core_cap, "label": "Schur factor numerator"},
+        {"cap": v_cap, "label": "bottom row numerator (dependent)"},
+    )
+    # each chain is checked on its last product: with phi, the one by ndd
+    first = ({},) * 3 if coupled else checks
+    yy = conv((1, y, y), **first[0])
+    # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l
+    dn = conv((1, projT, nprev.coeffs))
+    core = conv((1, ((corner,),), yy), (1, dn, proj),
+                (-2, conv((1, projT, border.coeffs)), y), **first[1])
+    if coupled:
+        yy = conv((1, yy, ndd), **checks[0])
+        core = conv((1, core, ndd), (-1, conv((1, borderT, coupling_num)), y), **checks[1])
+    row_den = core[0][0]
     if not row_den:
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
-    v = fit(v, v_cap, "bottom row numerator (dependent)")
-    return (*_reduced_row(v, row_den), schur_den)
+    lhs = conv((1, dn, (1,)), (-1, y, borderT))
+    v = conv((1, lhs, state.x.num.coeffs), **first[2])
+    if coupled:
+        v = conv((1, ndd, v), **checks[2])
+    return (*_reduced_row(v, row_den), yy)
 
 
 def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
@@ -432,16 +439,15 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
         shift_deg = max(ndd_deg + shift_deg, state.q_hat + state.nbar_deg + state.n_deg)
     cols = state.x.num.cols
 
-    upper = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num))
     cap = max(state.q_prev + ndd_deg + b_den, shift_deg + row_deg)
-    upper = fit(upper, cap, "extended numerator (upper block)")
+    upper = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num),
+                 cap=cap, label="extended numerator (upper block)")
     upper, c1 = fraction_simplify(PolyMatrix._of(state.i, cols, upper), coupling_den)
     c_deg = len(c1) - 1
 
-    lower = conv((1, c1, row_num))
-    lower = fit(lower, c_deg + row_deg, "extended numerator (bottom row)")
-    den = conv((1, c1, row_den))
-    den = fit(den, c_deg + b_den, "extended denominator")
+    lower = conv((1, c1, row_num),
+                 cap=c_deg + row_deg, label="extended numerator (bottom row)")
+    den = conv((1, c1, row_den), cap=c_deg + b_den, label="extended denominator")
 
     num = PolyMatrix._of(state.i + 1, cols, upper.coeffs + lower)
     return MatrixPolyFraction._of(num, den)
@@ -468,25 +474,25 @@ def poly_bordering_step(inv, border, corner, n_deg):
 
     g, ff, ff_deg, side, last = corner, (), 0, (((),),) * (i - 1), ndd
     if any(map(any, border.coeffs)):
-        f = fit(conv((1, nbar, border.coeffs)), nbar_deg + n_deg, "border numerator")
-        p_seq = fit(conv((1, corner, ndd)), n_deg + ndd_deg, "corner scalar product")
-        q_seq = conv((1, transpose(border.coeffs), f))[0][0]
-        q_seq = fit(q_seq, 2 * n_deg + nbar_deg, "corner coupling form")
-        g = conv((1, p_seq, (1,)), (-1, q_seq, (1,)))
-        g = fit(g, max(n_deg + ndd_deg, 2 * n_deg + nbar_deg), "corner denominator")
+        f = conv((1, nbar, border.coeffs), cap=nbar_deg + n_deg, label="border numerator")
+        p_seq = conv((1, corner, ndd), cap=n_deg + ndd_deg, label="corner scalar product")
+        q_seq = conv((1, transpose(border.coeffs), f),
+                     cap=2 * n_deg + nbar_deg, label="corner coupling form")[0][0]
+        g = conv((1, p_seq, (1,)), (-1, q_seq, (1,)), label="corner denominator",
+                 cap=max(n_deg + ndd_deg, 2 * n_deg + nbar_deg))
         f_deg = seq_len(f) - 1
         ff, ff_deg = ((1, f, transpose(f)),), 2 * f_deg
-        side = fit(conv((-1, ndd, f)), ndd_deg + f_deg, "block numerator (border)")
-        last = fit(conv((1, ndd, ndd)), 2 * ndd_deg, "block numerator (corner)")
+        side = conv((-1, ndd, f), cap=ndd_deg + f_deg, label="block numerator (border)")
+        last = conv((1, ndd, ndd), cap=2 * ndd_deg, label="block numerator (corner)")
     if not g:
         raise SingularMatrixError(
             "leading principal block is symbolically singular", stage=i
         )
     g_deg = len(g) - 1
 
-    core = conv((1, g, nbar), *ff)
-    core = fit(core, max(g_deg + nbar_deg, ff_deg), "block numerator (core)")
-    den = fit(conv((1, ndd, g)), ndd_deg + g_deg, "block denominator")
+    core = conv((1, g, nbar), *ff,
+                cap=max(g_deg + nbar_deg, ff_deg), label="block numerator (core)")
+    den = conv((1, ndd, g), cap=ndd_deg + g_deg, label="block denominator")
     stacked = tuple(map(add, core, side)) + (transpose(side)[0] + (last,),)
     return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
 

@@ -33,14 +33,14 @@ represent zero, so a zero matrix is a grid of empty entries and keeps its
 shape; when two sequences of different lengths are combined the shorter
 is implicitly padded with zeros.  ``pack`` and ``digits`` convert a
 sequence to and from its value at s = 2**k, the one codec of GCDHEU and of
-the Kronecker-substitution kernel ``conv``; ``fit`` checks a result's
-untrimmed length against its degree capacity and then trims it.
+the Kronecker-substitution kernel ``conv``, which checks a degree
+capacity on its result's own untrimmed length and returns it trimmed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd as _int_gcd
 from operator import mul
 
@@ -348,9 +348,9 @@ def _magnitude(seq):
 
 
 def _packed(seq, k):
-    """Each entry's sequence as its value at s = 2**k (``pack``)."""
+    """Each entry's sequence as its value at s = 2**k; an empty one is 0."""
     if _is_grid(seq):
-        return tuple(tuple(map(pack, row, repeat(k))) for row in seq)
+        return [[pack(e, k) if e else 0 for e in row] for row in seq]
     return pack(seq, k)
 
 
@@ -374,7 +374,17 @@ def _product_shape(a, b):
     return (sa[0], sb[1]) if sa and sb else sa or sb
 
 
-def conv(*terms):
+def _check_capacity(n, cap, label):
+    # a sequence of untrimmed length n has degree at most cap (None: any)
+    if cap is not None and n > max(cap + 1, 0):
+        raise CapacityError(
+            f"{label}: coefficient sequence of length {n} exceeds "
+            f"its degree capacity {cap}",
+            label,
+        )
+
+
+def conv(*terms, cap=None, label=None):
     """Sum of c*a*b over the terms (c, a, b): c an int, a and b scalar or
     matrix coefficient sequences, each product a Cauchy product with a
     matrix product per term.  Products that do not conform, or that differ
@@ -390,9 +400,12 @@ def conv(*terms):
     operand adds nothing.  2**(k-2) exceeds the sum over the other terms of
     |c| * max|a| * max|b| * min(len a, len b) * inner, which bounds every
     output coefficient, so the digits are the coefficients.  Every result
-    entry is untrimmed, of the length of the longest product,
-    len a + len b - 1.  The format has no 0xk grid: its grid, (), is read
-    as the zero scalar, so a caller rejects matrices with no rows first.
+    entry is untrimmed, of the length n of the longest product,
+    len a + len b - 1, unless a degree capacity ``cap`` is given: then n,
+    before anything is packed, and every unpacked entry must fit cap + 1
+    (else CapacityError under ``label``), and each entry comes back
+    trimmed.  The format has no 0xk grid: its grid, (), is read as the zero
+    scalar, so a caller rejects matrices with no rows first.
     """
     shapes = {_product_shape(a, b) for _, a, b in terms}
     if len(shapes) > 1:
@@ -407,31 +420,22 @@ def conv(*terms):
             bound += abs(c) * _magnitude(a) * _magnitude(b) * min(len_a, len_b) * inner
             n = max(n, len_a + len_b - 1)
             live.append((c, a, b))
+    _check_capacity(n, cap, label)
     if not live:
         return (((),) * shape[1],) * shape[0] if shape else ()
     k = bound.bit_length() + 2
+    pad = (0,) * n if cap is None else ()  # unchecked, every entry keeps length n
 
     def unpack(v):
-        coeffs = digits(v, k)
-        return tuple(coeffs) + (0,) * (n - len(coeffs))
+        coeffs = tuple(digits(v, k)) if v else ()
+        return coeffs + pad[len(coeffs):] if pad else coeffs
 
     prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in live]
-    if shape is None:
-        return unpack(sum(prods))
-    return tuple(tuple(unpack(sum(v)) for v in zip(*rows)) for rows in zip(*prods))
-
-
-def fit(seq, cap, label):
-    """seq with every entry's trailing zeros trimmed, once its untrimmed
-    length has been checked against the formula's degree capacity ``cap``."""
-    n = seq_len(seq)
-    if n and n > cap + 1:
-        raise CapacityError(
-            f"{label}: coefficient sequence of length {n} exceeds "
-            f"its degree capacity {cap}",
-            label,
-        )
-    return trim_grid(seq) if _is_grid(seq) else trim(seq)
+    out = unpack(sum(prods)) if shape is None else tuple(
+        tuple(unpack(sum(v)) for v in zip(*rows)) for rows in zip(*prods))
+    if cap is not None:
+        _check_capacity(seq_len(out), cap, label)
+    return out
 
 
 def _heu_gcd(a, b):

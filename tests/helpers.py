@@ -3,7 +3,7 @@
 import os
 from pathlib import Path
 
-from wmpinv import RatFun, RfMatrix, WeightedProblem
+from wmpinv import RatFun, RfMatrix, WeightedProblem, scalars
 from wmpinv.matrixio import parse_matrix_file
 from wmpinv.scalars import Poly
 
@@ -27,8 +27,32 @@ def count_calls(monkeypatch, cls, name):
     """A list that gains one entry per call of ``cls.name`` from now on."""
     calls = []
     method = getattr(cls, name)
-    monkeypatch.setattr(cls, name, lambda *args: calls.append(args) or method(*args))
+    monkeypatch.setattr(
+        cls, name, lambda *args, **kwargs: calls.append(args) or method(*args, **kwargs)
+    )
     return calls
+
+
+def grid_result(terms, check):
+    """Whether a kernel call on ``terms`` gives a grid: some operand is one."""
+    return any(scalars._is_grid(x) for _, a, b in terms for x in (a, b))
+
+
+def longer_digits(conv, pick):
+    """``conv`` with one extra zero digit on every entry it unpacks in a
+    call for which ``pick(terms, check)`` holds, ``check`` being the call's
+    keyword arguments, so that such a result of full untrimmed length n
+    comes out of length n + 1, where a capacity check on it must see it."""
+    def wrapped(*terms, **check):
+        if not pick(terms, check):
+            return conv(*terms, **check)
+        real = scalars.digits
+        scalars.digits = lambda v, k: real(v, k) + [0]
+        try:
+            return conv(*terms, **check)
+        finally:
+            scalars.digits = real
+    return wrapped
 
 
 def rand_poly(rng, max_deg, lo=-3, hi=3):
@@ -94,6 +118,16 @@ def rand_rational_weight(rng, k):
     return w.scale(RatFun(1, rand_den(rng))) if rng.random() < 0.5 else w
 
 
+def rand_indefinite_weight(rng, k, max_deg=1):
+    """Symmetric weight B^T D B with D = diag(1, -1, 1, ...): indefinite
+    at almost every real point for k >= 2, negative definite for k = 1."""
+    b = rand_matrix(rng, k, k, max_deg, -2, 2) + RfMatrix.identity(k)
+    d = RfMatrix.from_rows(
+        [[RatFun((-1) ** (r + (k == 1)) if r == c else 0) for c in range(k)] for r in range(k)]
+    )
+    return b.transpose() * d * b
+
+
 def rand_rational_problem(rng, max_dim=3):
     """Random problem over rational functions: a ``rand_problem_matrix``
     (zero and duplicated columns included) with row r divided by d_r and
@@ -116,3 +150,15 @@ def rand_ratfun(rng, max_deg=3, lo=-5, hi=5):
     while den.is_zero:
         den = rand_poly(rng, max_deg, lo, hi)
     return RatFun(num, den)
+
+
+def run_stages(stages):
+    """The states a stage generator yields, then the (class, stage, message)
+    of the error that stopped it, or None."""
+    states = []
+    try:
+        for st in stages:
+            states.append(st)
+    except ArithmeticError as exc:
+        return states, (type(exc), exc.stage, str(exc))
+    return states, None

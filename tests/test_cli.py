@@ -553,22 +553,23 @@ class TestHostileInput:
         )
 
     def test_capacity_error_exits_three_under_optimize(self):
-        # an extra coefficient on every scalar result of the convolution
-        # kernel must trip the capacity check even with asserts stripped by -O
+        # an extra zero digit on every entry of every scalar result of the
+        # convolution kernel must trip the capacity check even with asserts
+        # stripped by -O
         import subprocess
         import sys
 
         script = (
             "import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from helpers import grid_result, longer_digits\n"
             "from wmpinv import poly_greville\n"
             "from wmpinv.cli import run_command\n"
             "if not sys.flags.optimize:\n"
             "    sys.exit(9)\n"
-            "real = poly_greville.conv\n"
-            "def padded(*terms):\n"
-            "    out = real(*terms)\n"
-            "    return out + (0,) if out and isinstance(out[0], int) else out\n"
-            "poly_greville.conv = padded\n"
+            "poly_greville.conv = longer_digits(\n"
+            "    poly_greville.conv, lambda terms, check: not grid_result(terms, check)\n"
+            ")\n"
             "sys.exit(run_command(sys.argv[1:]))\n"
         )
         result = subprocess.run(

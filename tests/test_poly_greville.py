@@ -11,13 +11,17 @@ import pytest
 
 from helpers import (
     count_calls,
+    grid_result,
     load,
+    longer_digits,
     rand_den,
+    rand_indefinite_weight,
     rand_matrix,
     rand_problem_matrix,
     rand_rational_problem,
     rand_singular_weight,
     rand_weight,
+    run_stages,
 )
 from wmpinv.errors import CapacityError, DegenerateWeightError, SingularMatrixError
 from wmpinv.greville import bordering_inverse as rational_bordering_inverse
@@ -37,7 +41,7 @@ from wmpinv.poly_greville import (
     weighted_pinv,
 )
 from wmpinv import poly_greville, scalars
-from wmpinv.scalars import Poly, RatFun, fit
+from wmpinv.scalars import Poly, RatFun, conv
 from wmpinv.verify import PATHS, penrose_check
 
 
@@ -261,32 +265,10 @@ class TestStageSequences:
                         assert st_pol.ninv.to_rf_matrix() == st_rat.ninv
 
 
-def run_stages(stages):
-    """The states a stage generator yields, then the (class, stage, message)
-    of the error that stopped it, or None."""
-    states = []
-    try:
-        for st in stages:
-            states.append(st)
-    except ArithmeticError as exc:
-        return states, (type(exc), exc.stage, str(exc))
-    return states, None
-
-
 SEQUENCE_FIELDS = (
     "proj", "resid", "coupling_num", "coupling_den",
     "row_num", "row_den", "schur_den",
 )
-
-
-def rand_indefinite_weight(rng, k, max_deg=1):
-    """Symmetric weight B^T D B with D = diag(1, -1, 1, ...): indefinite
-    at almost every real point for k >= 2, negative definite for k = 1."""
-    b = rand_matrix(rng, k, k, max_deg, -2, 2) + RfMatrix.identity(k)
-    d = RfMatrix.from_rows(
-        [[RatFun((-1) ** (r + (k == 1)) if r == c else 0) for c in range(k)] for r in range(k)]
-    )
-    return b.transpose() * d * b
 
 
 class TestStageReduction:
@@ -479,44 +461,55 @@ class TestFractionSimplify:
             fraction_simplify(PolyMatrix.identity(2), ())
 
 
+# the dependent branch's checks, each on its chain's last product
+DEPENDENT_LABELS = (
+    "Schur factor denominator", "Schur factor numerator",
+    "bottom row numerator (dependent)",
+)
+CAPACITY_LABELS = DEPENDENT_LABELS + (
+    "single-column numerator", "single-column denominator",
+    "projection", "residual",
+    "weighted coupling column", "coupling numerator", "coupling denominator",
+    "bottom row numerator (independent)", "bottom row denominator (independent)",
+    "extended numerator (upper block)", "extended numerator (bottom row)",
+    "extended denominator",
+    "border numerator", "corner scalar product", "corner coupling form",
+    "corner denominator", "block numerator (border)", "block numerator (corner)",
+    "block numerator (core)", "block denominator",
+)
+
+
 class TestCapacityChecks:
     def test_violation_raises(self):
         # the untrimmed length counts: trimmed, [1, 2, 0] would fit degree 1
         with pytest.raises(CapacityError) as info:
-            fit([1, 2, 0], 1, "probe")
+            conv((1, [1, 2, 0], [1]), cap=1, label="probe")
         assert info.value.label == "probe"
         assert str(info.value).startswith("probe: ")
 
     def test_empty_always_fits(self):
-        assert fit([], -2, "probe") == ()
+        assert conv((1, [], [1]), cap=-2, label="probe") == ()
 
     def test_int_sequence_fits_then_trims(self):
         # the untrimmed length is checked: 3 coefficients fit degree 2
-        assert fit([4, -1, 0], 2, "probe") == (4, -1)
+        assert conv((1, [4, -1, 0], [1]), cap=2, label="probe") == (4, -1)
 
     def test_matrix_sequence_fits_then_trims(self):
         # s times ((1, 0), (0, 2)), every entry untrimmed to length 4
         grid = (((0, 1, 0, 0), (0, 0, 0, 0)), ((0, 0, 0, 0), (0, 2, 0, 0)))
-        assert fit(grid, 3, "probe") == (((0, 1), ()), ((), (0, 2)))
+        assert conv((1, grid, [1]), cap=3, label="probe") == (((0, 1), ()), ((), (0, 2)))
 
     def test_all_zero_sequence_fits_as_empty(self):
-        assert fit([0, 0], 1, "probe") == ()
-        assert fit((((0,),),), 0, "probe") == (((),),)
+        assert conv((1, [0, 0], [1]), cap=1, label="probe") == ()
+        assert conv((1, (((0,),),), [1]), cap=0, label="probe") == (((),),)
 
     def test_padded_grid_result_raises_at_the_first_grid_label(self, monkeypatch):
-        # one extra zero on every entry of every grid result of the kernel:
-        # fit reads a grid's untrimmed length as that of its longest entry,
-        # so the first grid it checks, the stage-1 numerator z = a_1^T M,
-        # overflows (column 1 of degree 1, identity weight: capacity 1)
-        real = poly_greville.conv
-
-        def padded(*terms):
-            out = real(*terms)
-            if out and isinstance(out[0], tuple):
-                return tuple(tuple(e + (0,) for e in row) for row in out)
-            return out
-
-        monkeypatch.setattr(poly_greville, "conv", padded)
+        # one extra zero digit on every entry of every grid result of the
+        # kernel: the check reads a grid's untrimmed length as that of its
+        # longest entry, so the first grid it checks, the stage-1 numerator
+        # z = a_1^T M, overflows (column 1 of degree 1, identity weight:
+        # capacity 1)
+        monkeypatch.setattr(poly_greville, "conv", longer_digits(poly_greville.conv, grid_result))
         with pytest.raises(CapacityError) as info:
             weighted_pinv(PolyMatrix.from_rf_matrix(load("wmp_poly3_a.mat")))
         assert info.value.label == "single-column numerator"
@@ -524,6 +517,44 @@ class TestCapacityChecks:
             "single-column numerator: coefficient sequence of length 3 "
             "exceeds its degree capacity 1"
         )
+
+    def test_every_check_runs_under_its_own_label(self, monkeypatch):
+        # one extra zero digit on every entry of the kernel calls checked
+        # under one label must raise under that label; the two problems take
+        # every branch, and a check that has slack on one trips on the other.
+        # A dependent-branch label is injected only on a stage with a
+        # coupling column, where its check is on the chain's product by ndd
+        rng = random.Random(29)
+        problems = []
+        for _ in range(2):
+            a = rand_problem_matrix(rng, max_dim=4)
+            m, n = rand_weight(rng, a.rows), rand_weight(rng, a.cols)
+            problems.append(WeightedProblem(*map(PolyMatrix.from_rf_matrix, (a, m, n))))
+        coupled = [False]
+        step = poly_greville.step_bottom_row
+
+        def spy(state, col, proj, resid, coupling_num, *rest):
+            coupled[0] = not is_zero_grid(coupling_num)
+            return step(state, col, proj, resid, coupling_num, *rest)
+
+        monkeypatch.setattr(poly_greville, "step_bottom_row", spy)
+        real = poly_greville.conv
+        for label in CAPACITY_LABELS:
+            only_coupled = label in DEPENDENT_LABELS
+
+            def pick(terms, check, label=label, only_coupled=only_coupled):
+                return check.get("label") == label and (coupled[0] or not only_coupled)
+
+            monkeypatch.setattr(poly_greville, "conv", longer_digits(real, pick))
+            raised = []
+            for problem in problems:
+                try:
+                    list(partition_stages(problem))
+                except CapacityError as exc:
+                    raised.append(exc.label)
+                except ArithmeticError:
+                    pass  # a check with slack let the zero digit through
+            assert label in raised, label
 
     def test_random_runs_stay_within_bounds(self):
         # every step asserts its pre-trim length against the formula bound,

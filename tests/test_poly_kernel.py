@@ -10,13 +10,19 @@ kernel takes and returns grids of per-entry coefficient tuples; the tests
 convert at the boundary.  The kernel must reproduce the reference's values
 and its untrimmed lengths exactly, since every capacity check reads the
 length before trimming.
+
+Given a capacity, the kernel checks it and trims its result in the same
+pass; ``fit`` below is that check as a separate pass over the untrimmed
+result, the reference for the checked call.
 """
 
 import random
 
 import pytest
 
-from wmpinv.scalars import conv
+from wmpinv import scalars
+from wmpinv.errors import CapacityError
+from wmpinv.scalars import conv, seq_len, trim, trim_grid
 
 
 def _mzero(rows, cols):
@@ -388,3 +394,90 @@ class TestConformity:
             conv((1, zero3, identity_grid(2)))
         with pytest.raises(ValueError, match="2x2 and 3x3"):
             conv((1, zero3, []), (1, identity_grid(2), [1]))
+
+
+def fit(seq, cap, label):
+    """seq with every entry's trailing zeros trimmed, once its untrimmed
+    length has been checked against the degree capacity ``cap``."""
+    n = seq_len(seq)
+    if n and n > cap + 1:
+        raise CapacityError(
+            f"{label}: coefficient sequence of length {n} exceeds "
+            f"its degree capacity {cap}",
+            label,
+        )
+    return trim(seq) if not seq or isinstance(seq[0], int) else trim_grid(seq)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the label and message of the CapacityError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except CapacityError as exc:
+        return exc.label, str(exc)
+
+
+class TestCheckedKernel:
+    """``conv(..., cap=c, label=l)`` against ``fit(conv(...), c, l)`` for c
+    at, one below and two below the untrimmed length n's degree n - 1."""
+
+    @staticmethod
+    def assert_checked_as_fit(terms):
+        n = seq_len(conv(*terms))
+        for cap in (n - 2, n - 1, n):
+            want = outcome(fit, conv(*terms), cap, "probe")
+            assert outcome(conv, *terms, cap=cap, label="probe") == want, (terms, cap)
+
+    @pytest.mark.parametrize("bits", [2, 64, 1000])
+    def test_random_sums(self, bits):
+        rng = random.Random(97 + bits)
+        for _ in range(300):
+            self.assert_checked_as_fit(random_terms(rng, bits))
+
+    def test_edge_cases(self):
+        rng = random.Random(101)
+        s, t = scalar_seq(rng, 64, 3), scalar_seq(rng, 64, 2)
+        a, b = matrix_seq(rng, 2, 3, 64), matrix_seq(rng, 3, 1, 64)
+        m = to_grid([((1, 2), (3, 4))], 2, 2)
+        longest_zero = (((1, 2), (0, 0, 0, 0)), ((3,), ()))
+        cases = (
+            [(1, s, t), (-1, t, s)],  # cancels everywhere
+            [(1, [1, 1], [1, 1]), (-1, [1, 1], [0, 1])],  # cancels at the top
+            [(1, a, b), (-1, a, b)],
+            [(1, [0, 0], [0, 0, 0])],  # all-zero entries
+            [(2, [0], to_grid([_mzero(2, 2)] * 3, 2, 2))],
+            [(1, [], [1, 2])],  # zero-length operands
+            [(1, [], m)],
+            [(1, ((), ()), [1, 2])],
+            [(1, [], [5]), (2, [1, 1], [3])],
+            [],
+            [(1, longest_zero, [1, -1])],  # the longest entry is all zeros
+            [(-2, longest_zero, (((5,), (-1, 1)), ((0, 0, 0), (2,))))],
+        )
+        for terms in cases:
+            self.assert_checked_as_fit(terms)
+
+    def test_over_capacity_packs_nothing(self, monkeypatch):
+        def pack(seq, k):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(scalars, "pack", pack)
+        with pytest.raises(CapacityError, match="^probe: .* length 4 exceeds .* capacity 2$"):
+            conv((1, [1, 2], [3, 4, 5]), cap=2, label="probe")
+
+    def test_an_unpacked_entry_too_long_trips_the_check(self, monkeypatch):
+        # a slip in digit extraction that adds one coefficient to a result
+        # entry of the full untrimmed length n must raise at the capacity
+        # n - 1 that the length n fits, as ``fit`` raises on that result
+        m = to_grid([((1, 2), (3, 4)), ((0, 0), (0, 1))], 2, 2)
+        cases = ([(1, [1, 2], [3, 4])], [(1, m, m)], [(2, [1, -1], m)])
+        lengths = [seq_len(conv(*terms)) for terms in cases]
+        real = scalars.digits
+        monkeypatch.setattr(scalars, "digits", lambda v, k: real(v, k) + [0])
+        for terms, n in zip(cases, lengths):
+            want = outcome(fit, conv(*terms), n - 1, "probe")
+            assert want == (
+                "probe", f"probe: coefficient sequence of length {n + 1} "
+                f"exceeds its degree capacity {n - 1}"
+            )
+            assert outcome(conv, *terms, cap=n - 1, label="probe") == want

@@ -1,14 +1,20 @@
 """Property tests over small random problems: the two paths take the same
-branch at every stage, and their common result is the weighted
-pseudoinverse, of the rank of the input; the rational path's residual
-identity holds at every stage."""
+branch at every stage and stop with the same error, and their common
+result is the weighted pseudoinverse, of the rank of the input; the
+rational path's residual identity holds at every stage."""
 
 import random
 from math import prod
 
 import pytest
 
-from helpers import rand_den, rand_weight
+from helpers import (
+    rand_den,
+    rand_indefinite_weight,
+    rand_singular_weight,
+    rand_weight,
+    run_stages,
+)
 from wmpinv import RatFun, RfMatrix, WeightedProblem
 from wmpinv.greville import partition_stages as rational_stages
 from wmpinv.poly_greville import PolyMatrix
@@ -20,11 +26,20 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 
+def identity_weight(rng, k):
+    return RfMatrix.identity(k)
+
+
+DEFINITE = (identity_weight, rand_weight)
+WEIGHTS = DEFINITE + (rand_singular_weight, rand_indefinite_weight)
+
+
 @st.composite
-def problems(draw):
+def problems(draw, weights=WEIGHTS):
     """A tall, wide or square matrix of order at most 3 with entries of
     degree at most 2, at times with a zero and a duplicated column, under
-    identity or positive definite weights."""
+    weights drawn from ``weights``: by default identity, positive
+    definite, singular positive semidefinite or indefinite ones."""
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entry = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
     columns = [draw(st.lists(entry, min_size=rows, max_size=rows)) for _ in range(cols)]
@@ -39,24 +54,32 @@ def problems(draw):
     rng = draw(st.randoms(use_true_random=False))
 
     def weight(k):
-        return RfMatrix.identity(k) if draw(st.booleans()) else rand_weight(rng, k)
+        return draw(st.sampled_from(weights))(rng, k)
 
     return WeightedProblem(a, weight(rows), weight(cols))
 
 
-@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
 @hypothesis.given(problems())
 def test_paths_agree_on_every_branch_and_result(problem):
+    # a singular or indefinite weight can stop both paths: then with the
+    # same error type, stage and message, after the same stages
     a, m, n = problem.a, problem.m_weight, problem.n_weight
-    rat = list(rational_stages(problem))
-    pol = list(poly_stages(WeightedProblem(*map(PolyMatrix.from_rf_matrix, (a, m, n)))))
-    assert [s.i for s in rat] == [s.i for s in pol] == list(range(1, a.cols + 1))
+    rat, rat_err = run_stages(rational_stages(problem))
+    pol, pol_err = run_stages(
+        poly_stages(WeightedProblem(*map(PolyMatrix.from_rf_matrix, (a, m, n))))
+    )
+    assert pol_err == rat_err
+    assert [s.i for s in rat] == [s.i for s in pol]
     for s_rat, s_pol in zip(rat, pol):
         assert (s_rat.stage is None) == (s_pol.stage is None) == (s_rat.i == 1)
         if s_rat.i > 1:
             resid_is_zero = not any(e for row in s_pol.stage.resid for e in row)
             assert s_rat.stage.resid.is_zero == resid_is_zero
             assert (s_rat.stage.schur is None) == (s_pol.stage.schur_den is None)
+    if rat_err is not None:
+        return
+    assert [s.i for s in rat] == list(range(1, a.cols + 1))
     x = rat[-1].x
     assert penrose_check(a, m, n, x).all_hold
     assert cross_path_check(a, m, n)
@@ -64,7 +87,7 @@ def test_paths_agree_on_every_branch_and_result(problem):
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None)
-@hypothesis.given(problems(), st.integers(0, 2**32))
+@hypothesis.given(problems(DEFINITE), st.integers(0, 2**32))
 def test_residual_squared_length_is_its_form_on_the_new_column(problem, seed):
     # the residual r of column i is M-orthogonal to the earlier columns, so
     # r^T M r = (r^T M) a_i (Greville 1960), the form the rational path
