@@ -24,18 +24,11 @@ from .matrices import RfMatrix, WeightedProblem, constant_matrix
 from .matrixio import format_entry, format_matrix, parse_entry, parse_matrix_file
 from .poly_greville import MatrixPolyFraction, PolyMatrix
 from .scalars import Poly, RatFun, poly_gcd
-from .verify import (
-    EvalConsistencyReport,
-    PenroseReport,
-    cross_path_check,
-    eval_consistency_check,
-    penrose_check,
-)
+from .verify import PenroseReport, cross_path_check, penrose_check
 
 __all__ = [
     "CapacityError",
     "DegenerateWeightError",
-    "EvalConsistencyReport",
     "MatrixParseError",
     "MatrixPolyFraction",
     "PenroseReport",
@@ -49,7 +42,6 @@ __all__ = [
     "bordering_inverse",
     "constant_matrix",
     "cross_path_check",
-    "eval_consistency_check",
     "format_entry",
     "format_matrix",
     "parse_entry",

@@ -42,8 +42,9 @@ class DegenerateWeightError(StageError):
 class CapacityError(ArithmeticError):
     """A coefficient sequence of the coefficient path outgrew the a priori
     degree capacity of its formula (checked by the kernel ``scalars.conv``
-    on its own untrimmed length; a checked result comes back trimmed), or a
-    result coefficient is too long to write as a decimal string.
+    on the untrimmed length read from its operands and on the length of
+    its canonical result), or a result coefficient is too long to write as
+    a decimal string.
 
     ``label`` names the stage quantity or the entry that failed the check.
     """

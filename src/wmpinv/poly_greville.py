@@ -18,15 +18,15 @@ polynomial L of ``RfMatrix.clear_denominators``.
 
 The degree of every computed sequence is bounded a priori by the degrees
 of its inputs; the kernel ``scalars.conv`` checks each capacity on the
-result's own untrimmed length and returns a checked result trimmed, so an
-index slip in any convolution raises CapacityError, also under
-``python -O``.  Every stage leaves its numerator/denominator pair reduced
-(common polynomial factor and integer content divided out), which is what
-keeps the capacities from growing multiplicatively.  It reduces the new
-bottom row over its own denominator first, then the corrected previous
-block over the coupling denominator alone; stacked, the two are already
-the canonical pair, so no gcd is taken over the whole family
-(``step_extend``).
+operands' untrimmed length and on the length of its result, every entry
+of which is canonical (trimmed, () for zero), so an index slip in any
+convolution raises CapacityError, also under ``python -O``.  Every stage
+leaves its numerator/denominator pair reduced (common polynomial factor
+and integer content divided out), which is what keeps the capacities
+from growing multiplicatively.  It reduces the new bottom row over its own
+denominator first, then the corrected previous block over the coupling
+denominator alone; stacked, the two are already the canonical pair, so no
+gcd is taken over the whole family (``step_extend``).
 
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
@@ -46,7 +46,7 @@ from .errors import DegenerateWeightError, SingularMatrixError
 from .matrices import Grid, RfMatrix, WeightedProblem
 from .scalars import (
     ONE_POLY, Poly, RatFun, coerce_coeff, conv, joint_reduce, seq_len,
-    transpose, trim, trim_grid,
+    transpose, trim,
 )
 
 # ---------------------------------------------------------------------------
@@ -587,7 +587,7 @@ def cleared(mat):
 def _times(den, frac):
     """den * frac, for a scalar coefficient sequence den."""
     num = frac.num
-    scaled = trim_grid(conv((1, den, num.coeffs)))
+    scaled = conv((1, den, num.coeffs))
     return MatrixPolyFraction(PolyMatrix._of(num.rows, num.cols, scaled), frac.den)
 
 

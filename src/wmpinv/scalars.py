@@ -33,8 +33,10 @@ represent zero, so a zero matrix is a grid of empty entries and keeps its
 shape; when two sequences of different lengths are combined the shorter
 is implicitly padded with zeros.  ``pack`` and ``digits`` convert a
 sequence to and from its value at s = 2**k, the one codec of GCDHEU and of
-the Kronecker-substitution kernel ``conv``, which checks a degree
-capacity on its result's own untrimmed length and returns it trimmed.
+the Kronecker-substitution kernel ``conv``.  Every entry ``conv`` returns
+is canonical, as in ``Poly.coeffs`` (trimmed, () for zero), so canonical
+entries are equal exactly when their values are; a degree capacity, when
+given, is checked on the operands' untrimmed length and on the result's.
 """
 
 from __future__ import annotations
@@ -328,13 +330,9 @@ def transpose(grid):
     return tuple(zip(*grid))
 
 
-def trim_grid(grid):
-    return tuple(tuple(map(trim, row)) for row in grid)
-
-
 def seq_len(seq):
-    """Untrimmed length: of the longest entry of a grid, 0 when the grid
-    has no entries."""
+    """Length as stored, of a grid's longest entry (0 when the grid has no
+    entries): an operand may end in zeros, a ``conv`` result never does."""
     if _is_grid(seq):
         return max(map(len, chain.from_iterable(seq)), default=0)
     return len(seq)
@@ -400,12 +398,13 @@ def conv(*terms, cap=None, label=None):
     operand adds nothing.  2**(k-2) exceeds the sum over the other terms of
     |c| * max|a| * max|b| * min(len a, len b) * inner, which bounds every
     output coefficient, so the digits are the coefficients.  Every result
-    entry is untrimmed, of the length n of the longest product,
-    len a + len b - 1, unless a degree capacity ``cap`` is given: then n,
-    before anything is packed, and every unpacked entry must fit cap + 1
-    (else CapacityError under ``label``), and each entry comes back
-    trimmed.  The format has no 0xk grid: its grid, (), is read as the zero
-    scalar, so a caller rejects matrices with no rows first.
+    entry is canonical, as in ``Poly.coeffs``: its digits, whose last is
+    nonzero, or () for zero.  A degree capacity ``cap`` adds two checks
+    (CapacityError under ``label``): the untrimmed length n of the longest
+    product, len a + len b - 1, read from the operands before anything is
+    packed, and then every unpacked entry's length must fit cap + 1.  The
+    format has no 0xk grid: its grid, (), is read as the zero scalar, so a
+    caller rejects matrices with no rows first.
     """
     shapes = {_product_shape(a, b) for _, a, b in terms}
     if len(shapes) > 1:
@@ -424,11 +423,9 @@ def conv(*terms, cap=None, label=None):
     if not live:
         return (((),) * shape[1],) * shape[0] if shape else ()
     k = bound.bit_length() + 2
-    pad = (0,) * n if cap is None else ()  # unchecked, every entry keeps length n
 
     def unpack(v):
-        coeffs = tuple(digits(v, k)) if v else ()
-        return coeffs + pad[len(coeffs):] if pad else coeffs
+        return tuple(digits(v, k)) if v else ()
 
     prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in live]
     out = unpack(sum(prods)) if shape is None else tuple(

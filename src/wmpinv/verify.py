@@ -1,5 +1,5 @@
-"""Correctness oracles: the four weighted Penrose identities, agreement of
-the computation paths, and pointwise evaluation consistency.
+"""Correctness oracles: the four weighted Penrose identities and agreement
+of the computation paths.
 
 ``PATHS`` is the one table of computation paths, in order: each name maps
 to (weighted pseudoinverse of a rational ``WeightedProblem``, inverse of a
@@ -10,21 +10,20 @@ Everything here is exact; there are no tolerances.  The Penrose checker
 clears A, X and the weights to integer matrix polynomials over scalar
 denominators, so each identity holds exactly when an integer
 matrix-polynomial sum, evaluated by the integer-sequence kernel
-``scalars.conv`` with no gcd, is zero.  The rational path and the cross-path
-equality stay the independent oracle.
+``scalars.conv`` with no gcd, is zero.  The kernel's entries are
+canonical, so a zero entry is () and the symmetry identities compare
+tuples, subtracting only an unequal pair.  The rational path and the
+cross-path equality stay the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import sub
 
-from .errors import PoleError, StageError
 from .greville import bordering_inverse, weighted_pinv
-from .matrices import WeightedProblem, constant_matrix
+from .matrices import WeightedProblem
 from .poly_greville import cleared, invert, solve
-from .scalars import Poly, RatFun, conv, transpose, trim_grid
+from .scalars import Poly, RatFun, conv, transpose
 
 PATHS = {
     "rational": (weighted_pinv, bordering_inverse),
@@ -50,10 +49,11 @@ class PenroseReport:
 
 
 def _asymmetry(grid):
-    """S^T - S for a square matrix polynomial S whose entries share one
-    length, as the kernel returns them."""
+    """S^T - S for a square matrix polynomial S of canonical entries, which
+    are equal exactly when their values are: only unequal pairs are
+    subtracted."""
     return [
-        [tuple(map(sub, t, s)) for t, s in zip(trow, row)]
+        [() if t == s else (Poly(t) - Poly(s)).coeffs for t, s in zip(trow, row)]
         for trow, row in zip(transpose(grid), grid)
     ]
 
@@ -63,7 +63,7 @@ def _first_nonzero(res):
     polynomial, in row-major order and 1-based; None for the zero matrix."""
     for r, row in enumerate(res):
         for c, seq in enumerate(row):
-            if any(seq):
+            if seq:
                 return r + 1, c + 1, seq
     return None
 
@@ -87,8 +87,8 @@ def penrose_check(a, m_weight, n_weight, x):
         (mat.coeffs, den) for mat, den in map(cleared, (a, x, m_weight, n_weight))
     )
     ld = conv((1, l_den, d))
-    px = trim_grid(conv((1, p, xn)))
-    xp = trim_grid(conv((1, xn, p)))
+    px = conv((1, p, xn))
+    xp = conv((1, xn, p))
     residuals = (
         ("(1)", conv((1, px, p), (-1, ld, p)), l_den),
         ("(2)", conv((1, xp, xn), (-1, ld, xn)), d),
@@ -112,62 +112,3 @@ def cross_path_check(a, m_weight, n_weight):
     problem = WeightedProblem(a, m_weight, n_weight)
     first, *rest = (pinv(problem) for pinv, _ in PATHS.values())
     return all(x == first for x in rest)
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    point: Fraction
-    status: str  # "pass" | "skip" | "fail"
-    reason: str = None
-
-
-@dataclass(frozen=True)
-class EvalConsistencyReport:
-    generic_rank: int
-    points: tuple
-
-    @property
-    def all_checked_pass(self):
-        return all(p.status != "fail" for p in self.points)
-
-    @property
-    def passed(self):
-        return tuple(p for p in self.points if p.status == "pass")
-
-
-def eval_consistency_check(a, m_weight, n_weight, x, sample_points):
-    """Compare X evaluated at sample points against the constant-matrix
-    recursion run on the evaluated inputs.
-
-    A point is skipped (never failed) when any input or X has a pole
-    there, when the evaluated matrix loses the generic rank (the symbolic
-    pseudoinverse need not match the pointwise one at such points), or
-    when the constant recursion itself degenerates at that point.
-    """
-    generic_rank = a.rank()
-    points = []
-    for s0 in sample_points:
-        s0 = Fraction(s0)
-        try:
-            a0 = constant_matrix(a.eval_at(s0))
-            m0 = constant_matrix(m_weight.eval_at(s0))
-            n0 = constant_matrix(n_weight.eval_at(s0))
-            x0 = constant_matrix(x.eval_at(s0))
-        except PoleError as exc:
-            points.append(EvalPoint(s0, "skip", f"pole: {exc}"))
-            continue
-        if a0.rank() != generic_rank:
-            points.append(
-                EvalPoint(s0, "skip", f"rank drops from {generic_rank} to {a0.rank()}")
-            )
-            continue
-        try:
-            recomputed = weighted_pinv(WeightedProblem(a0, m0, n0))
-        except StageError as exc:
-            points.append(EvalPoint(s0, "skip", f"constant recursion: {exc}"))
-            continue
-        if recomputed == x0:
-            points.append(EvalPoint(s0, "pass"))
-        else:
-            points.append(EvalPoint(s0, "fail", "pointwise pseudoinverse differs"))
-    return EvalConsistencyReport(generic_rank, tuple(points))

@@ -1,9 +1,14 @@
-"""Shared fixture loading and random problem generators for the tests."""
+"""Shared fixture loading, random problem generators and the pointwise
+evaluation-consistency oracle for the tests."""
 
 import os
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
-from wmpinv import RatFun, RfMatrix, WeightedProblem, scalars
+from wmpinv import RatFun, RfMatrix, WeightedProblem, constant_matrix, scalars
+from wmpinv.errors import PoleError, StageError
+from wmpinv.greville import weighted_pinv
 from wmpinv.matrixio import parse_matrix_file
 from wmpinv.scalars import Poly
 
@@ -162,3 +167,62 @@ def run_stages(stages):
     except ArithmeticError as exc:
         return states, (type(exc), exc.stage, str(exc))
     return states, None
+
+
+@dataclass(frozen=True)
+class EvalPoint:
+    point: Fraction
+    status: str  # "pass" | "skip" | "fail"
+    reason: str = None
+
+
+@dataclass(frozen=True)
+class EvalConsistencyReport:
+    generic_rank: int
+    points: tuple
+
+    @property
+    def all_checked_pass(self):
+        return all(p.status != "fail" for p in self.points)
+
+    @property
+    def passed(self):
+        return tuple(p for p in self.points if p.status == "pass")
+
+
+def eval_consistency_check(a, m_weight, n_weight, x, sample_points):
+    """Compare X evaluated at sample points against the constant-matrix
+    recursion run on the evaluated inputs.
+
+    A point is skipped (never failed) when any input or X has a pole
+    there, when the evaluated matrix loses the generic rank (the symbolic
+    pseudoinverse need not match the pointwise one at such points), or
+    when the constant recursion itself degenerates at that point.
+    """
+    generic_rank = a.rank()
+    points = []
+    for s0 in sample_points:
+        s0 = Fraction(s0)
+        try:
+            a0 = constant_matrix(a.eval_at(s0))
+            m0 = constant_matrix(m_weight.eval_at(s0))
+            n0 = constant_matrix(n_weight.eval_at(s0))
+            x0 = constant_matrix(x.eval_at(s0))
+        except PoleError as exc:
+            points.append(EvalPoint(s0, "skip", f"pole: {exc}"))
+            continue
+        if a0.rank() != generic_rank:
+            points.append(
+                EvalPoint(s0, "skip", f"rank drops from {generic_rank} to {a0.rank()}")
+            )
+            continue
+        try:
+            recomputed = weighted_pinv(WeightedProblem(a0, m0, n0))
+        except StageError as exc:
+            points.append(EvalPoint(s0, "skip", f"constant recursion: {exc}"))
+            continue
+        if recomputed == x0:
+            points.append(EvalPoint(s0, "pass"))
+        else:
+            points.append(EvalPoint(s0, "fail", "pointwise pseudoinverse differs"))
+    return EvalConsistencyReport(generic_rank, tuple(points))

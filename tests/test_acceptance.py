@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    eval_consistency_check,
     load,
     rand_problem_matrix,
     rand_ratfun,
@@ -30,7 +31,7 @@ from wmpinv.poly_greville import PolyMatrix
 from wmpinv.poly_greville import bordering_inverse as poly_bordering_inverse
 from wmpinv.poly_greville import weighted_pinv as poly_weighted_pinv
 from wmpinv.scalars import Poly, RatFun
-from wmpinv.verify import cross_path_check, eval_consistency_check, penrose_check
+from wmpinv.verify import cross_path_check, penrose_check
 
 SAMPLE_POINTS = (1, 2, Fraction(1, 2), 3, Fraction(1, 3))
 

@@ -1,6 +1,7 @@
 """Module layering of the package: no module reaches into another's
-private names, the two computation paths stay independent of each other,
-the CLI takes its paths from the path table, and the public API resolves."""
+private names or imports a name it never uses, the two computation paths
+stay independent of each other, the CLI takes its paths from the path
+table, and the public API resolves."""
 
 import argparse
 import ast
@@ -34,6 +35,30 @@ def test_no_module_imports_a_private_name_of_another():
         if name.startswith("_")
     ]
     assert private == []
+
+
+def unused_imports(path):
+    """Names the file imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's re-exports are read through ``__all__``
+    unused = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in unused_imports(path)
+        if not (path.name == "__init__.py" and name in wmpinv.__all__)
+    }
+    assert unused == set()
 
 
 def test_the_two_paths_do_not_import_each_other():

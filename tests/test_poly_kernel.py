@@ -7,13 +7,14 @@ that multiply constant matrices coefficient pair by coefficient pair, and
 a termwise sum that pads the shorter sequence with zeros.  The reference
 keeps that degree-major layout (a list of constant matrices), while the
 kernel takes and returns grids of per-entry coefficient tuples; the tests
-convert at the boundary.  The kernel must reproduce the reference's values
-and its untrimmed lengths exactly, since every capacity check reads the
-length before trimming.
+convert at the boundary.  Every entry the kernel returns is canonical, its
+coefficients without trailing zeros and () for zero, so it must equal the
+reference's result with every entry trimmed, whether or not it is
+checked.
 
-Given a capacity, the kernel checks it and trims its result in the same
-pass; ``fit`` below is that check as a separate pass over the untrimmed
-result, the reference for the checked call.
+Given a capacity, the kernel checks it against the untrimmed length of the
+longest product, read from the operands; ``fit`` below is that check
+ahead of the schoolbook result, the reference for the checked call.
 """
 
 import random
@@ -22,7 +23,7 @@ import pytest
 
 from wmpinv import scalars
 from wmpinv.errors import CapacityError
-from wmpinv.scalars import conv, seq_len, trim, trim_grid
+from wmpinv.scalars import conv, seq_len, trim
 
 
 def _mzero(rows, cols):
@@ -124,33 +125,36 @@ def to_grid(seq, rows, cols):
 
 
 def to_degree_major(seq):
-    """Degree-major list of a grid whose entries share one length; a scalar
-    sequence as a list.  An entry shorter than the longest raises."""
+    """Degree-major list of a grid, its entries padded with zeros to the
+    longest one's length; a scalar sequence as a list."""
     if not seq or isinstance(seq[0], int):
         return list(seq)
-    n = max(len(e) for row in seq for e in row)
-    return [tuple(tuple(e[j] for e in row) for row in seq) for j in range(n)]
+    n = max((len(e) for row in seq for e in row), default=0)
+    return [
+        tuple(tuple(e[j] if j < len(e) else 0 for e in row) for row in seq)
+        for j in range(n)
+    ]
 
 
-def kernel(*terms):
-    """``conv`` on grid terms, its result in the degree-major layout."""
-    return to_degree_major(conv(*terms))
-
-
-def padded(seq):
-    """A grid with every entry padded with zeros to the longest one's
-    length, the layout ``to_degree_major`` needs; a scalar as it is."""
-    if not seq or isinstance(seq[0], int):
-        return seq
-    n = max(len(e) for row in seq for e in row)
-    return tuple(tuple(tuple(e) + (0,) * (n - len(e)) for e in row) for row in seq)
+def shape_of(terms):
+    """rows x cols of the products of grid terms, None for scalar ones or
+    no terms; the first term decides."""
+    for _, a, b in terms:
+        a_grid, b_grid = (bool(x) and not isinstance(x[0], int) for x in (a, b))
+        if not (a_grid or b_grid):
+            return None
+        return len(a if a_grid else b), len(b[0] if b_grid else a[0])
+    return None
 
 
 def ref(*terms):
-    """``reference`` on grid terms, their entries padded to one length."""
-    return reference(
-        *((c, to_degree_major(padded(a)), to_degree_major(padded(b))) for c, a, b in terms)
-    )
+    """``reference`` on grid terms, as the kernel returns it: a grid (or a
+    scalar sequence) of trimmed entries."""
+    want = reference(*((c, to_degree_major(a), to_degree_major(b)) for c, a, b in terms))
+    shape = shape_of(terms)
+    if shape is None:
+        return trim(want)
+    return tuple(tuple(map(trim, row)) for row in to_grid(want, *shape))
 
 
 def scalar_seq(rng, bits, length=None):
@@ -230,10 +234,7 @@ class TestKernelAgainstSchoolbook:
         rng = random.Random(71 + bits)
         for _ in range(400):
             terms = random_terms(rng, bits)
-            want = ref(*terms)
-            got = kernel(*terms)
-            assert len(got) == len(want), terms
-            assert got == want, terms
+            assert conv(*terms) == ref(*terms), terms
 
     def test_empty_operands_add_nothing(self):
         # a zero matrix is a grid of empty entries and keeps its shape
@@ -251,34 +252,30 @@ class TestKernelAgainstSchoolbook:
         assert conv((1, ((), ()), ())) == ((), ())
         assert conv((1, ((), ()), [1, 2])) == ((), ())
 
-    def test_all_zero_operands_keep_their_length(self):
+    def test_all_zero_operands_give_zero(self):
         zero = to_grid([_mzero(2, 2)] * 3, 2, 2)
-        assert conv((1, [0, 0], [0, 0, 0])) == (0, 0, 0, 0)
-        assert kernel((1, zero, zero)) == [_mzero(2, 2)] * 5
-        assert kernel((2, [0], zero)) == [_mzero(2, 2)] * 3
+        assert conv((1, [0, 0], [0, 0, 0])) == ()
+        assert conv((1, zero, zero)) == to_grid([], 2, 2)
+        assert conv((2, [0], zero)) == to_grid([], 2, 2)
 
-    def test_untrimmed_operands_keep_their_length(self):
+    def test_untrimmed_operands_give_trimmed_entries(self):
         a = to_grid([((1,), (2,)), ((0,), (0,))], 2, 1)  # trailing zero matrix
         b = to_grid([((3, -1),), ((0, 0),), ((0, 0),)], 1, 2)  # two of them
-        got = kernel((1, a, b))
+        got = conv((1, a, b))
         assert got == ref((1, a, b))
-        assert len(got) == 4
+        assert got == (((3,), (-1,)), ((6,), (-2,)))
 
-    def test_sums_that_cancel_keep_their_length(self):
+    def test_sums_that_cancel_are_zero(self):
         rng = random.Random(73)
         for bits in (3, 1000):
             s, t = scalar_seq(rng, bits, 3), scalar_seq(rng, bits, 2)
             a, b = matrix_seq(rng, 2, 3, bits), matrix_seq(rng, 3, 1, bits)
-            n = len(s) + len(t) - 1
-            assert conv((1, s, t), (-1, t, s)) == (0,) * n
-            assert conv((2, s, t), (-1, s, t), (-1, t, s)) == (0,) * n
-            a_len, b_len = len(to_degree_major(a)), len(to_degree_major(b))
-            if a_len and b_len:
-                n = a_len + b_len - 1
-                assert kernel((1, a, b), (-1, a, b)) == [_mzero(2, 1)] * n
-                assert kernel((2, s, a), (-1, a, s), (-1, s, a)) == ref(
-                    (2, s, a), (-1, a, s), (-1, s, a)
-                )
+            assert conv((1, s, t), (-1, t, s)) == ()
+            assert conv((2, s, t), (-1, s, t), (-1, t, s)) == ()
+            assert conv((1, a, b), (-1, a, b)) == to_grid([], 2, 1)
+            assert conv((2, s, a), (-1, a, s), (-1, s, a)) == ref(
+                (2, s, a), (-1, a, s), (-1, s, a)
+            )
 
     def test_coefficients_at_the_digit_bound(self):
         # equal-sign extreme coefficients make the middle output coefficient
@@ -294,7 +291,7 @@ class TestKernelAgainstSchoolbook:
                     [(-2, s, s), (-2, s, s)],
                     [(2, s, a)],
                 ):
-                    assert kernel(*terms) == ref(*terms)
+                    assert conv(*terms) == ref(*terms)
 
     def test_outer_and_inner_products(self):
         rng = random.Random(79)
@@ -302,27 +299,28 @@ class TestKernelAgainstSchoolbook:
             col = matrix_seq(rng, k, 1, 1000)
             row = matrix_seq(rng, 1, k, 1000)
             for a, b in ((row, col), (col, row)):
-                assert kernel((-1, a, b)) == ref((-1, a, b))
+                assert conv((-1, a, b)) == ref((-1, a, b))
 
     def test_list_operands(self):
         # lists in place of tuples at every level give the same tuples
         rng = random.Random(83)
         for _ in range(200):
             terms = random_terms(rng, 64)
-            got = kernel(*((c, as_lists(a), as_lists(b)) for c, a, b in terms))
-            want = ref(*terms)
-            assert len(got) == len(want), terms
-            assert got == want, terms
+            got = conv(*((c, as_lists(a), as_lists(b)) for c, a, b in terms))
+            assert got == ref(*terms), terms
 
     def test_longest_entry_all_zeros(self):
-        # the untrimmed length is the longest entry's, zeros or not
+        # the result is trimmed, but the capacity check reads the untrimmed
+        # length n, the longest entry's, zeros or not
         a = (((1, 2), (0, 0, 0, 0)), ((3,), ()))
         b = (((5,), (-1, 1)), ((0, 0, 0), (2,)))
         cases = ((5, [(1, a, [1, -1])]), (6, [(-2, a, b)]), (6, [(1, b, a), (1, a, b)]))
         for n, terms in cases:
-            got, want = kernel(*terms), ref(*terms)
-            assert len(got) == len(want) == n
-            assert got == want
+            got = conv(*terms)
+            assert got == ref(*terms)
+            assert seq_len(got) == 3
+            with pytest.raises(CapacityError, match=f"length {n} exceeds .* capacity {n - 2}$"):
+                conv(*terms, cap=n - 2, label="probe")
 
     def test_largest_magnitude_in_a_short_entry(self):
         # the digit bound must see the large coefficient of the short entry
@@ -330,10 +328,7 @@ class TestKernelAgainstSchoolbook:
         a = (((1, 1, 1, 1), (top,)),)
         b = (((top,), (-top, 0, 1)), ((1, -1, 1), (top,)))
         for terms in ([(1, a, b)], [(3, a, [top, top])], [(-1, [top], b), (1, b, [1, 1])]):
-            got = kernel(*terms)
-            want = ref(*terms)
-            assert len(got) == len(want)
-            assert got == want
+            assert conv(*terms) == ref(*terms)
 
     def test_ragged_grids(self):
         # entries of one grid of different lengths and magnitudes
@@ -352,17 +347,14 @@ class TestKernelAgainstSchoolbook:
                 (1, ragged(rows, inner), ragged(inner, cols)),
                 (-2, s, ragged(rows, cols)),
             ]
-            got = kernel(*terms)
-            want = ref(*terms)
-            assert len(got) == len(want), terms
-            assert got == want, terms
+            assert conv(*terms) == ref(*terms), terms
 
     def test_scalar_matrix_and_coefficients(self):
         m = to_grid([((1, -2), (0, 3)), ((4, 0), (0, -1))], 2, 2)
         s = [2, -1]
         for c in (-2, -1, 1, 2):
-            assert kernel((c, s, m)) == ref((c, s, m))
-            assert kernel((c, m, s)) == ref((c, s, m))
+            assert conv((c, s, m)) == ref((c, s, m))
+            assert conv((c, m, s)) == ref((c, s, m))
             assert conv((c, s, s)) == (4 * c, -4 * c, c)
 
 
@@ -396,17 +388,25 @@ class TestConformity:
             conv((1, zero3, []), (1, identity_grid(2), [1]))
 
 
-def fit(seq, cap, label):
-    """seq with every entry's trailing zeros trimmed, once its untrimmed
-    length has been checked against the degree capacity ``cap``."""
-    n = seq_len(seq)
+def untrimmed_length(terms):
+    """Length n of the longest product, len a + len b - 1 over the terms
+    whose operands both have nonzero length, read from the operands as
+    stored (a grid's length being its longest entry's); 0 for none."""
+    lengths = [(seq_len(a), seq_len(b)) for _, a, b in terms]
+    return max((la + lb - 1 for la, lb in lengths if la and lb), default=0)
+
+
+def fit(terms, cap, label):
+    """The schoolbook result of the terms, once the untrimmed length n has
+    been checked against the degree capacity ``cap``."""
+    n = untrimmed_length(terms)
     if n and n > cap + 1:
         raise CapacityError(
             f"{label}: coefficient sequence of length {n} exceeds "
             f"its degree capacity {cap}",
             label,
         )
-    return trim(seq) if not seq or isinstance(seq[0], int) else trim_grid(seq)
+    return ref(*terms)
 
 
 def outcome(fn, *args, **kwargs):
@@ -418,14 +418,14 @@ def outcome(fn, *args, **kwargs):
 
 
 class TestCheckedKernel:
-    """``conv(..., cap=c, label=l)`` against ``fit(conv(...), c, l)`` for c
-    at, one below and two below the untrimmed length n's degree n - 1."""
+    """``conv(..., cap=c, label=l)`` against ``fit(terms, c, l)`` for c at,
+    one below and two below the untrimmed length n's degree n - 1."""
 
     @staticmethod
     def assert_checked_as_fit(terms):
-        n = seq_len(conv(*terms))
+        n = untrimmed_length(terms)
         for cap in (n - 2, n - 1, n):
-            want = outcome(fit, conv(*terms), cap, "probe")
+            want = outcome(fit, terms, cap, "probe")
             assert outcome(conv, *terms, cap=cap, label="probe") == want, (terms, cap)
 
     @pytest.mark.parametrize("bits", [2, 64, 1000])
@@ -468,16 +468,17 @@ class TestCheckedKernel:
     def test_an_unpacked_entry_too_long_trips_the_check(self, monkeypatch):
         # a slip in digit extraction that adds one coefficient to a result
         # entry of the full untrimmed length n must raise at the capacity
-        # n - 1 that the length n fits, as ``fit`` raises on that result
+        # n - 1 that the length n fits, naming the length n + 1
         m = to_grid([((1, 2), (3, 4)), ((0, 0), (0, 1))], 2, 2)
         cases = ([(1, [1, 2], [3, 4])], [(1, m, m)], [(2, [1, -1], m)])
-        lengths = [seq_len(conv(*terms)) for terms in cases]
+        for terms in cases:
+            n = untrimmed_length(terms)
+            assert seq_len(conv(*terms)) == n
         real = scalars.digits
         monkeypatch.setattr(scalars, "digits", lambda v, k: real(v, k) + [0])
-        for terms, n in zip(cases, lengths):
-            want = outcome(fit, conv(*terms), n - 1, "probe")
-            assert want == (
+        for terms in cases:
+            n = untrimmed_length(terms)
+            assert outcome(conv, *terms, cap=n - 1, label="probe") == (
                 "probe", f"probe: coefficient sequence of length {n + 1} "
                 f"exceeds its degree capacity {n - 1}"
             )
-            assert outcome(conv, *terms, cap=n - 1, label="probe") == want

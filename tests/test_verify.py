@@ -1,19 +1,17 @@
-"""Verification oracles: Penrose identities, path agreement, pointwise
-evaluation consistency."""
+"""Verification oracles: Penrose identities and path agreement, and the
+test-only pointwise evaluation-consistency oracle of ``helpers``."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import load, rand_problem_matrix, rand_weight
+from helpers import eval_consistency_check, load, rand_problem_matrix, rand_weight
 from wmpinv.greville import weighted_pinv
 from wmpinv.matrices import RfMatrix, WeightedProblem, constant_matrix
 from wmpinv.matrixio import parse_entry
 from wmpinv.scalars import RatFun
-from wmpinv.verify import (
-    PenroseReport, cross_path_check, eval_consistency_check, penrose_check
-)
+from wmpinv.verify import PenroseReport, cross_path_check, penrose_check
 
 
 def e(text):
@@ -52,10 +50,22 @@ def reference_penrose_check(a, m_weight, n_weight, x):
     return PenroseReport(*flags, first_failure=first_failure)
 
 
-def _perturbed(x, r, c):
+def _perturbed(x, r, c, by=RatFun(1)):
     rows = [list(x.row(i)) for i in range(x.rows)]
-    rows[r][c] = rows[r][c] + RatFun(1)
+    rows[r][c] = rows[r][c] + by
     return RfMatrix.from_rows(rows)
+
+
+def _unequal_pair(s):
+    """Whether some entries S[r][c] and S[c][r] of the square matrix S
+    differ in degree, so that over one common denominator their
+    coefficient sequences differ in length."""
+    def degree(f):
+        return None if f.is_zero else f.num.degree - f.den.degree
+
+    return any(
+        degree(s[r, c]) != degree(s[c, r]) for r in range(s.rows) for c in range(r)
+    )
 
 
 def _fixture_triples():
@@ -194,6 +204,29 @@ class TestPenroseReference:
             assert rep.eq1_holds and rep.eq2_holds
             assert rep.first_failure[0] == tag
             self.assert_same(a, m, n, x)
+
+    def test_asymmetric_pairs_of_unequal_length(self):
+        # X perturbed by s^20 in one off-diagonal entry, under non-identity
+        # weights, makes S = MAX asymmetric in entries of unequal length.
+        # X + (I - XA) W AX and X + XA W (I - AX), W = s^20 in that entry,
+        # still satisfy (1) and (2), so there T = NXA, resp. S, is the first
+        # failure, again with pairs of unequal length.
+        a, m, n = (load(f"wmp_rank2_{k}.mat") for k in ("a", "m", "n"))
+        x = weighted_pinv(WeightedProblem(a, m, n))
+        eye = RfMatrix.identity(3)
+        for r, c in ((0, 1), (2, 1)):
+            w = _perturbed(RfMatrix.zeros(3, 3), r, c, e("s^20"))
+            cases = (
+                (x + w, "(1)", lambda x: m * a * x),
+                (x + (eye - x * a) * w * (a * x), "(4N)", lambda x: n * x * a),
+                (x + x * a * w * (eye - a * x), "(3M)", lambda x: m * a * x),
+            )
+            for candidate, tag, product in cases:
+                rep = penrose_check(a, m, n, candidate)
+                assert rep.first_failure[0] == tag, (r, c)
+                assert not (rep.eq3m_holds and rep.eq4n_holds), (r, c)
+                assert _unequal_pair(product(candidate)), (r, c, tag)
+                self.assert_same(a, m, n, candidate)
 
 
 class TestCrossPathCheck:
