@@ -32,11 +32,12 @@ lowest degree first as in ``Poly.coeffs``; a matrix polynomial is a grid
 represent zero, so a zero matrix is a grid of empty entries and keeps its
 shape; when two sequences of different lengths are combined the shorter
 is implicitly padded with zeros.  ``pack`` and ``digits`` convert a
-sequence to and from its value at s = 2**k, the one codec of GCDHEU and of
-the Kronecker-substitution kernel ``conv``.  Every entry ``conv`` returns
-is canonical, as in ``Poly.coeffs`` (trimmed, () for zero), so canonical
-entries are equal exactly when their values are; a degree capacity, when
-given, is checked on the operands' untrimmed length and on the result's.
+sequence to and from its value at s = 2**k: the one codec of GCDHEU, of
+the kernel ``conv`` and of the Penrose checker, which shares ``packed``
+and ``pmul`` with it.  Every entry ``conv`` returns is canonical, as in
+``Poly.coeffs`` (trimmed, () for zero), so canonical entries are equal
+exactly when their values are; a degree capacity, when given, is checked
+on the operands' untrimmed length and on the result's.
 """
 
 from __future__ import annotations
@@ -345,17 +346,17 @@ def _magnitude(seq):
     return max(map(abs, seq), default=0)
 
 
-def _packed(seq, k):
+def packed(seq, k):
     """Each entry's sequence as its value at s = 2**k; an empty one is 0."""
     if _is_grid(seq):
         return [[pack(e, k) if e else 0 for e in row] for row in seq]
     return pack(seq, k)
 
 
-def _pmul(x, y):
+def pmul(x, y):
     # product of packed values: ints, an int scaling a matrix, or matrices
     if isinstance(x, int):
-        return x * y if isinstance(y, int) else _pmul(y, x)
+        return x * y if isinstance(y, int) else pmul(y, x)
     if isinstance(y, int):
         return tuple(tuple(v * y for v in row) for row in x)
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*y)) for row in x)
@@ -427,7 +428,7 @@ def conv(*terms, cap=None, label=None):
     def unpack(v):
         return tuple(digits(v, k)) if v else ()
 
-    prods = [_pmul(_packed(a, k), _pmul(c, _packed(b, k))) for c, a, b in live]
+    prods = [pmul(packed(a, k), pmul(c, packed(b, k))) for c, a, b in live]
     out = unpack(sum(prods)) if shape is None else tuple(
         tuple(unpack(sum(v)) for v in zip(*rows)) for rows in zip(*prods))
     if cap is not None:

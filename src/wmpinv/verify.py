@@ -7,23 +7,21 @@ symmetric ``RfMatrix``), both returning an ``RfMatrix``.  The CLI's
 ``--path`` choices and ``cross_path_check`` read it.
 
 Everything here is exact; there are no tolerances.  The Penrose checker
-clears A, X and the weights to integer matrix polynomials over scalar
-denominators, so each identity holds exactly when an integer
-matrix-polynomial sum, evaluated by the integer-sequence kernel
-``scalars.conv`` with no gcd, is zero.  The kernel's entries are
-canonical, so a zero entry is () and the symmetry identities compare
-tuples, subtracting only an unequal pair.  The rational path and the
-cross-path equality stay the independent oracle.
+clears denominators and decides each identity on integers packed by
+``scalars.pack``, unpacking only a failing residual with
+``scalars.digits``; the rational path and the cross-path equality stay
+the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .greville import bordering_inverse, weighted_pinv
 from .matrices import WeightedProblem
 from .poly_greville import cleared, invert, solve
-from .scalars import Poly, RatFun, conv, transpose
+from .scalars import Poly, RatFun, digits, pack, packed, pmul, transpose
 
 PATHS = {
     "rational": (weighted_pinv, bordering_inverse),
@@ -48,23 +46,13 @@ class PenroseReport:
         return self.eq1_holds and self.eq2_holds and self.eq3m_holds and self.eq4n_holds
 
 
-def _asymmetry(grid):
-    """S^T - S for a square matrix polynomial S of canonical entries, which
-    are equal exactly when their values are: only unequal pairs are
-    subtracted."""
-    return [
-        [() if t == s else (Poly(t) - Poly(s)).coeffs for t, s in zip(trow, row)]
-        for trow, row in zip(transpose(grid), grid)
-    ]
-
-
-def _first_nonzero(res):
-    """(row, col, coefficients) of the first nonzero entry of a matrix
-    polynomial, in row-major order and 1-based; None for the zero matrix."""
-    for r, row in enumerate(res):
-        for c, seq in enumerate(row):
-            if seq:
-                return r + 1, c + 1, seq
+def _first_difference(lhs, rhs):
+    """(row, col, lhs - rhs) at the first unequal entry of two integer
+    matrices, in row-major order and 1-based; None when they are equal."""
+    for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
+        for c, (u, v) in enumerate(zip(lrow, rrow)):
+            if u != v:
+                return r + 1, c + 1, u - v
     return None
 
 
@@ -74,7 +62,12 @@ def penrose_check(a, m_weight, n_weight, x):
     With A = P/L, X = Xn/d, M = Mn/Lm and N = Nn/Ln the residuals are,
     over the denominators L^2 d, d^2 L, Lm L d and Ln L d:
     (1) P Xn P - L d P, (2) Xn P Xn - L d Xn, (3M) S^T - S with
-    S = Mn P Xn, and (4N) T^T - T with T = Nn Xn P.
+    S = Mn P Xn, and (4N) T^T - T with T = Nn Xn P.  Each is decided on
+    values at s = 2**k, a ring homomorphism that is injective on sequences
+    of coefficients below 2**(k-1) in magnitude.  With |.| the l1 norm (the
+    sum of all coefficient magnitudes, so |AB| <= |A| |B|), every residual
+    coefficient is at most B = max((|P||Xn| + |L||d|) max(|P|, |Xn|),
+    2 |P||Xn| max(|Mn|, |Nn|)), and k = B.bit_length() + 2.
     """
     if x.rows != a.cols or x.cols != a.rows:
         raise ValueError(
@@ -86,24 +79,28 @@ def penrose_check(a, m_weight, n_weight, x):
     (p, l_den), (xn, d), (mn, lm), (nn, ln) = (
         (mat.coeffs, den) for mat, den in map(cleared, (a, x, m_weight, n_weight))
     )
-    ld = conv((1, l_den, d))
-    px = conv((1, p, xn))
-    xp = conv((1, xn, p))
-    residuals = (
-        ("(1)", conv((1, px, p), (-1, ld, p)), l_den),
-        ("(2)", conv((1, xp, xn), (-1, ld, xn)), d),
-        ("(3M)", _asymmetry(conv((1, mn, px))), lm),
-        ("(4N)", _asymmetry(conv((1, nn, xp))), ln),
+    p1, x1, m1, n1 = (sum(map(abs, chain(*chain(*g)))) for g in (p, xn, mn, nn))
+    ld1 = sum(map(abs, l_den)) * sum(map(abs, d))
+    k = max((p1 * x1 + ld1) * max(p1, x1), 2 * p1 * x1 * max(m1, n1)).bit_length() + 2
+    p, xn, mn, nn = (packed(grid, k) for grid in (p, xn, mn, nn))
+    ld = pack(l_den, k) * pack(d, k)
+    px, xp = pmul(p, xn), pmul(xn, p)
+    s, t = pmul(mn, px), pmul(nn, xp)
+    sides = (
+        ("(1)", pmul(px, p), pmul(ld, p), l_den),
+        ("(2)", pmul(xp, xn), pmul(ld, xn), d),
+        ("(3M)", transpose(s), s, lm),
+        ("(4N)", transpose(t), t, ln),
     )
-    flags = []
+    hits = [_first_difference(lhs, rhs) for _, lhs, rhs, _ in sides]
     first_failure = None
-    for tag, res, factor in residuals:
-        hit = _first_nonzero(res)
-        flags.append(hit is None)
-        if hit is not None and first_failure is None:
-            r, c, seq = hit
-            first_failure = (tag, r, c, RatFun(Poly(seq), Poly(factor) * Poly(ld)))
-    return PenroseReport(*flags, first_failure=first_failure)
+    for (tag, _, _, factor), hit in zip(sides, hits):
+        if hit:
+            r, c, v = hit
+            den = Poly(factor) * Poly(l_den) * Poly(d)
+            first_failure = (tag, r, c, RatFun(Poly(digits(v, k)), den))
+            break
+    return PenroseReport(*(hit is None for hit in hits), first_failure=first_failure)
 
 
 def cross_path_check(a, m_weight, n_weight):

@@ -69,6 +69,12 @@ def test_the_two_paths_do_not_import_each_other():
         assert not imported & (PATH_MODULES - {own}), own
 
 
+def test_the_penrose_checker_does_not_import_the_kernel():
+    # it decides the identities on packed integers, not through ``conv``
+    imported = {name for _, name in relative_imports(SRC / "verify.py")}
+    assert "conv" not in imported
+
+
 def test_the_cli_imports_no_path_module():
     # the choice of path is written once, in verify.PATHS
     imported = {module for module, _ in relative_imports(SRC / "cli.py")}

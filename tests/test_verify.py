@@ -10,7 +10,8 @@ from helpers import eval_consistency_check, load, rand_problem_matrix, rand_weig
 from wmpinv.greville import weighted_pinv
 from wmpinv.matrices import RfMatrix, WeightedProblem, constant_matrix
 from wmpinv.matrixio import parse_entry
-from wmpinv.scalars import RatFun
+from wmpinv.poly_greville import cleared
+from wmpinv.scalars import Poly, RatFun
 from wmpinv.verify import PenroseReport, cross_path_check, penrose_check
 
 
@@ -227,6 +228,40 @@ class TestPenroseReference:
                 assert not (rep.eq3m_holds and rep.eq4n_holds), (r, c)
                 assert _unequal_pair(product(candidate)), (r, c, tag)
                 self.assert_same(a, m, n, candidate)
+
+    def test_candidate_satisfying_one_but_not_two(self):
+        # X + (I - XA) W (I - AX) still satisfies (1), as A (I - XA) = 0,
+        # but not (2), for W = s^20 in one entry
+        a, m, n = (load(f"wmp_rank2_{k}.mat") for k in ("a", "m", "n"))
+        x = weighted_pinv(WeightedProblem(a, m, n))
+        eye = RfMatrix.identity(3)
+        w = _perturbed(RfMatrix.zeros(3, 3), 0, 1, e("s^20"))
+        candidate = x + (eye - x * a) * w * (eye - a * x)
+        rep = penrose_check(a, m, n, candidate)
+        assert rep.eq1_holds and not rep.eq2_holds
+        assert rep.first_failure[0] == "(2)"
+        self.assert_same(a, m, n, candidate)
+
+    def test_residual_coefficients_beyond_every_operand_coefficient(self):
+        # X + 2^64 s^3 in one entry: over its denominator L^2 d the first
+        # failing residual has a coefficient larger than any of P, Xn, Mn,
+        # Nn and L d, so the packing width must bound the residuals
+        a, m, n = (load(f"wmp_rank2_{k}.mat") for k in ("a", "m", "n"))
+        x = weighted_pinv(WeightedProblem(a, m, n))
+        x = _perturbed(x, 1, 0, RatFun(Poly([0, 0, 0, 2**64])))
+        (p, l_den), (xn, d), (mn, _), (nn, _) = map(cleared, (a, x, m, n))
+        ld = Poly(l_den) * Poly(d)
+        operands = [
+            v for g in (p, xn, mn, nn) for row in g.coeffs for f in row for v in f
+        ]
+        rep = penrose_check(a, m, n, x)
+        tag, _, _, residual = rep.first_failure
+        assert tag == "(1)"
+        residual = residual * RatFun(Poly(l_den) * ld)
+        assert residual.den == Poly([1])
+        largest = max(map(abs, operands + list(ld.coeffs)))
+        assert max(map(abs, residual.num.coeffs)) > largest
+        self.assert_same(a, m, n, x)
 
 
 class TestCrossPathCheck:
