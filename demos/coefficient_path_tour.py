@@ -44,7 +44,7 @@ for state in partition_stages(WeightedProblem(a, w, w)):
 frac = coeff_pinv(a, w, w)
 print()
 print("common denominator:", Poly(frac.den))
-print("entry (1,1) numerator:", frac.num.entry_poly(0, 0))
+print("entry (1,1) numerator:", Poly(frac.num[0, 0]))
 print()
 print("as a matrix of canonical rational functions:")
 print(format_matrix(frac.to_rf_matrix()))

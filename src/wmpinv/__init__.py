@@ -9,7 +9,8 @@ are exact, neither imports the other, and each yields its stages from
 ``partition_stages(problem)``, ``problem`` a ``matrices.WeightedProblem``
 over the path's matrix type.  ``scalars`` holds the scalar arithmetic and
 the integer-sequence kernel; ``verify`` checks the four weighted Penrose
-identities and the agreement of the paths.
+identities and the agreement of the paths.  The package exports each job
+under one name; helpers such as ``scalars.poly_gcd`` stay in their modules.
 """
 
 from .errors import (
@@ -20,10 +21,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .greville import bordering_inverse, partition_stages, weighted_pinv
-from .matrices import RfMatrix, WeightedProblem, constant_matrix
-from .matrixio import format_entry, format_matrix, parse_entry, parse_matrix_file
+from .matrices import RfMatrix, WeightedProblem
+from .matrixio import format_matrix, parse_entry, parse_matrix_file
 from .poly_greville import MatrixPolyFraction, PolyMatrix
-from .scalars import Poly, RatFun, poly_gcd
+from .scalars import Poly, RatFun
 from .verify import PenroseReport, cross_path_check, penrose_check
 
 __all__ = [
@@ -40,15 +41,12 @@ __all__ = [
     "SingularMatrixError",
     "WeightedProblem",
     "bordering_inverse",
-    "constant_matrix",
     "cross_path_check",
-    "format_entry",
     "format_matrix",
     "parse_entry",
     "parse_matrix_file",
     "partition_stages",
     "penrose_check",
-    "poly_gcd",
     "weighted_pinv",
 ]
 

@@ -14,9 +14,9 @@ import sys
 from fractions import Fraction
 
 from .errors import CapacityError, MatrixParseError, PoleError, StageError
-from .matrices import WeightedProblem, constant_matrix
+from .matrices import RfMatrix, WeightedProblem
 from .matrixio import MAX_SIZE, digit_count, format_matrix, parse_matrix_file, power_fits
-from .verify import PATHS, penrose_check
+from .verify import PATHS, first_difference, penrose_check
 
 
 def _load(path):
@@ -58,11 +58,10 @@ def _cmd_compute(args):
     names = PATHS if args.path == "both" else (args.path,)
     x, *others = (PATHS[name][0](problem) for name in names)
     for other in others:
-        for r in range(x.rows):
-            for c in range(x.cols):
-                if other[r, c] != x[r, c]:
-                    _diag(f"computation paths disagree at entry ({r + 1}, {c + 1})")
-                    return 1
+        hit = first_difference(other.grid, x.grid)
+        if hit:
+            _diag(f"computation paths disagree at entry ({hit[0]}, {hit[1]})")
+            return 1
 
     if args.verify:
         report = penrose_check(a, problem.m_weight, problem.n_weight, x)
@@ -118,7 +117,7 @@ def _cmd_eval(args):
         )
         return 2
     values = mat.eval_at(point)
-    _emit(format_matrix(constant_matrix(values)), args.out)
+    _emit(format_matrix(RfMatrix.from_rows(values)), args.out)
     return 0
 
 

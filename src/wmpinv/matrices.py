@@ -83,6 +83,10 @@ class Grid:
         return hash((self.rows, self.cols, self.grid))
 
     @property
+    def is_zero(self):
+        return not any(map(any, self.grid))
+
+    @property
     def is_square(self):
         return self.rows == self.cols
 
@@ -241,10 +245,6 @@ class RfMatrix(Grid):
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.grid)
         return f"RfMatrix({self.rows}x{self.cols}: {body})"
-
-    @property
-    def is_zero(self):
-        return all(x.is_zero for row in self.grid for x in row)
 
     def _map(self, f, *others):
         # f applied entrywise to self and the conforming ``others``
@@ -411,8 +411,3 @@ def _ff_eliminate(work, cols):
         pivots.append(col)
         prev = pivot
     return pivots, prev
-
-
-def constant_matrix(values):
-    """RfMatrix with constant entries from a grid of ints/Fractions."""
-    return RfMatrix.from_rows([[RatFun.const(v) for v in row] for row in values])

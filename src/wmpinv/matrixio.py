@@ -265,11 +265,6 @@ def parse_entry(text):
     return RatFun._want(value)
 
 
-def format_entry(f):
-    """Canonical expression string for one entry (see scalars.format_ratfun)."""
-    return format_ratfun(f)
-
-
 def parse_matrix_file(text):
     """Parse a matrix file (see module docstring) into an RfMatrix."""
     lines = []
@@ -333,7 +328,7 @@ def format_matrix(a):
     lines = [f"matrix {a.rows} {a.cols}"]
     for r in range(a.rows):
         try:
-            lines.append("; ".join(format_entry(x) for x in a.row(r)))
+            lines.append("; ".join(format_ratfun(x) for x in a.row(r)))
         except ValueError:  # str() of an int past the digit limit
             limit = sys.get_int_max_str_digits()
             for c, f in enumerate(a.row(r), start=1):

@@ -113,28 +113,9 @@ class PolyMatrix(Grid):
         coeffs = tuple(tuple(f.num.coeffs for f in row) for row in a.grid)
         return cls._of(a.rows, a.cols, coeffs)
 
-    @classmethod
-    def from_entries(cls, grid):
-        """From a grid of polynomials (or exact scalars)."""
-        def coeffs(x):
-            p = Poly._want(x)
-            if p is None:
-                raise TypeError(f"polynomial entry expected, got {type(x).__name__}")
-            return p.coeffs
-
-        grid = [[coeffs(x) for x in row] for row in grid]
-        return cls(len(grid), len(grid[0]) if grid else 0, grid)
-
     @property
     def degree(self):
         return seq_len(self.grid) - 1
-
-    @property
-    def is_zero(self):
-        return not any(map(any, self.grid))
-
-    def entry_poly(self, r, c):
-        return Poly._raw(self.grid[r][c])
 
     def to_rf_matrix(self, den=1):
         """Entrywise rational functions, each entry over ``den``."""
@@ -371,37 +352,30 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     nprev, border, corner = part
     projT, borderT = transpose(proj), transpose(border.coeffs)
     coupled = any(map(any, coupling_num))  # every term over ndd, and l^T phi
+    ndd, ndd_deg = state.ninv.den, state.ndd_deg
     den_cap, core_cap = 2 * state.p_prev, 2 * state.q_hat + state.n_deg
-    v_cap = state.q_prev + state.q_hat + state.n_deg
-    if coupled:
-        ndd = state.ninv.den
-        den_cap += state.ndd_deg
-        core_cap += max(state.n_deg + state.nbar_deg, state.ndd_deg)
-        v_cap += state.ndd_deg
-    checks = (
-        {"cap": den_cap, "label": "Schur factor denominator"},
-        {"cap": core_cap, "label": "Schur factor numerator"},
-        {"cap": v_cap, "label": "bottom row numerator (dependent)"},
-    )
-    # each chain is checked on its last product: with phi, the one by ndd
-    first = ({},) * 3 if coupled else checks
-    yy = conv((1, y, y), **first[0])
+    yy = conv((1, y, y), cap=den_cap, label="Schur factor denominator")
     # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l
     dn = conv((1, projT, nprev.coeffs))
     core = conv((1, ((corner,),), yy), (1, dn, proj),
-                (-2, conv((1, projT, border.coeffs)), y), **first[1])
+                (-2, conv((1, projT, border.coeffs)), y),
+                cap=core_cap, label="Schur factor numerator")
     if coupled:
-        yy = conv((1, yy, ndd), **checks[0])
-        core = conv((1, core, ndd), (-1, conv((1, borderT, coupling_num)), y), **checks[1])
+        yy = conv((1, yy, ndd), cap=den_cap + ndd_deg, label="Schur factor denominator")
+        core = conv((1, core, ndd), (-1, conv((1, borderT, coupling_num)), y),
+                    cap=core_cap + max(state.n_deg + state.nbar_deg, ndd_deg),
+                    label="Schur factor numerator")
     row_den = core[0][0]
     if not row_den:
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
     lhs = conv((1, dn, (1,)), (-1, y, borderT))
-    v = conv((1, lhs, state.x.num.coeffs), **first[2])
+    v_cap = state.q_prev + state.q_hat + state.n_deg
+    v = conv((1, lhs, state.x.num.coeffs), cap=v_cap,
+             label="bottom row numerator (dependent)")
     if coupled:
-        v = conv((1, ndd, v), **checks[2])
+        v = conv((1, ndd, v), cap=v_cap + ndd_deg, label="bottom row numerator (dependent)")
     return (*_reduced_row(v, row_den), yy)
 
 

@@ -472,8 +472,9 @@ def poly_gcd(p, q):
     with a positive leading coefficient.  gcd(p, 0) is the normalization of
     p; both arguments zero is an error.
 
-    This is ``gcd_cofactors(p, q)[0]``, kept as a public function and for
-    ``clear_denominators`` and the bench tracer, which counts its calls.
+    This is ``gcd_cofactors(p, q)[0]``, kept for
+    ``RfMatrix.clear_denominators`` and the bench tracer, which counts its
+    calls.
     """
     return gcd_cofactors(p, q)[0]
 

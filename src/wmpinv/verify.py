@@ -4,7 +4,8 @@ of the computation paths.
 ``PATHS`` is the one table of computation paths, in order: each name maps
 to (weighted pseudoinverse of a rational ``WeightedProblem``, inverse of a
 symmetric ``RfMatrix``), both returning an ``RfMatrix``.  The CLI's
-``--path`` choices and ``cross_path_check`` read it.
+``--path`` choices and ``cross_path_check`` read it, and the CLI names the
+first entry where two paths differ with ``first_difference``.
 
 Everything here is exact; there are no tolerances.  The Penrose checker
 clears denominators and decides each identity on integers packed by
@@ -46,9 +47,9 @@ class PenroseReport:
         return self.eq1_holds and self.eq2_holds and self.eq3m_holds and self.eq4n_holds
 
 
-def _first_difference(lhs, rhs):
-    """(row, col, lhs - rhs) at the first unequal entry of two integer
-    matrices, in row-major order and 1-based; None when they are equal."""
+def first_difference(lhs, rhs):
+    """(row, col, lhs - rhs) at the first unequal entry of two grids of the
+    same shape, in row-major order and 1-based; None when they are equal."""
     for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
         for c, (u, v) in enumerate(zip(lrow, rrow)):
             if u != v:
@@ -92,7 +93,7 @@ def penrose_check(a, m_weight, n_weight, x):
         ("(3M)", transpose(s), s, lm),
         ("(4N)", transpose(t), t, ln),
     )
-    hits = [_first_difference(lhs, rhs) for _, lhs, rhs, _ in sides]
+    hits = [first_difference(lhs, rhs) for _, lhs, rhs, _ in sides]
     first_failure = None
     for (tag, _, _, factor), hit in zip(sides, hits):
         if hit:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from wmpinv import RatFun, RfMatrix, WeightedProblem, constant_matrix, scalars
+from wmpinv import RatFun, RfMatrix, WeightedProblem, scalars
 from wmpinv.errors import PoleError, StageError
 from wmpinv.greville import weighted_pinv
 from wmpinv.matrixio import parse_matrix_file
@@ -204,10 +204,10 @@ def eval_consistency_check(a, m_weight, n_weight, x, sample_points):
     for s0 in sample_points:
         s0 = Fraction(s0)
         try:
-            a0 = constant_matrix(a.eval_at(s0))
-            m0 = constant_matrix(m_weight.eval_at(s0))
-            n0 = constant_matrix(n_weight.eval_at(s0))
-            x0 = constant_matrix(x.eval_at(s0))
+            a0 = RfMatrix.from_rows(a.eval_at(s0))
+            m0 = RfMatrix.from_rows(m_weight.eval_at(s0))
+            n0 = RfMatrix.from_rows(n_weight.eval_at(s0))
+            x0 = RfMatrix.from_rows(x.eval_at(s0))
         except PoleError as exc:
             points.append(EvalPoint(s0, "skip", f"pole: {exc}"))
             continue

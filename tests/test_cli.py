@@ -99,7 +99,22 @@ class TestCompute:
         assert code == 0
         assert parse_matrix_file(capsys.readouterr().out) == load("wmp_poly3_x.mat")
 
-    def test_both_paths_disagreement_exits_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "a_text, corrupt, entry",
+        [
+            (None, [(1, 1)], (1, 1)),
+            # 2x3 input, so X is 3x2: a transposed position would be wrong
+            # or out of range
+            ("matrix 2 3\ns; 1; 0\n0; s; 1\n", [(2, 1)], (2, 1)),
+            ("matrix 2 3\ns; 1; 0\n0; s; 1\n", [(3, 2)], (3, 2)),
+            # the first unequal entry in row-major order is named
+            ("matrix 2 3\ns; 1; 0\n0; s; 1\n", [(3, 1), (1, 2)], (1, 2)),
+        ],
+        ids=["square", "below-diagonal", "last-entry", "row-major-first"],
+    )
+    def test_both_paths_disagreement_exits_one(
+        self, a_text, corrupt, entry, tmp_path, capsys, monkeypatch
+    ):
         # force a corrupted coefficient-path result; the cross-check must
         # catch it, name the entry, and exit 1
         from wmpinv.scalars import RatFun
@@ -109,15 +124,20 @@ class TestCompute:
         def corrupted(problem):
             m = pinv(problem)
             rows = [list(m.row(r)) for r in range(m.rows)]
-            rows[0][0] = rows[0][0] + RatFun(1)
+            for r, c in corrupt:
+                rows[r - 1][c - 1] = rows[r - 1][c - 1] + RatFun(1)
             return RfMatrix.from_rows(rows)
 
+        a = fixture("wmp_poly3_a.mat")
+        if a_text:
+            a = tmp_path / "a.mat"
+            a.write_text(a_text)
         monkeypatch.setitem(PATHS, "poly", (corrupted, inverse))
-        code = run_command(
-            ["compute", "--a", fixture("wmp_poly3_a.mat"), "--path", "both"]
-        )
+        code = run_command(["compute", "--a", str(a), "--path", "both"])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "disagree at entry (1, 1)" in capsys.readouterr().err
+        assert captured.err == "computation paths disagree at entry (%d, %d)\n" % entry
+        assert captured.out == ""
 
     def test_rational_input_on_every_path(self, capsys):
         # the coefficient path takes the rational matrix as P/L

@@ -22,7 +22,7 @@ from wmpinv.greville import (
     partition_stages,
     weighted_pinv,
 )
-from wmpinv.matrices import RfMatrix, WeightedProblem, constant_matrix
+from wmpinv.matrices import RfMatrix, WeightedProblem
 from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import PolyMatrix
 from wmpinv.poly_greville import bordering_inverse as poly_bordering_inverse
@@ -57,7 +57,7 @@ class TestColumnPinvInit:
 
     def test_degenerate_weight(self):
         col = RfMatrix.from_rows([[e("1")], [e("0")]])
-        m = constant_matrix([[0, 1], [1, 0]])  # col^T M col == 0
+        m = RfMatrix.from_rows([[0, 1], [1, 0]])  # col^T M col == 0
         with pytest.raises(DegenerateWeightError):
             column_pinv_init(col, m)
 
@@ -91,7 +91,7 @@ class TestStageFormulas:
 
     def test_schur_factor_with_diagonal_weight(self):
         # same input, column weight diag(1, 4): factor = 4 + 1 = 5
-        n = constant_matrix([[1, 0], [0, 4]])
+        n = RfMatrix.from_rows([[1, 0], [0, 4]])
         problem = WeightedProblem(ones_1x2(), n_weight=n)
         states = list(partition_stages(problem))
         assert states[1].stage.schur == RatFun(5)
@@ -203,7 +203,7 @@ class TestWeightedPinv:
         # one validation serves both paths: same ValueError, same message
         a = RfMatrix.identity(2)
         bad = RfMatrix.from_rows([[e("1"), e("s")], [e("0"), e("1")]])
-        wide = constant_matrix([[1, 0, 0], [0, 1, 0]])
+        wide = RfMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
         cases = (
             (bad, None, "row weight must be symmetric"),
             (None, bad, "column weight must be symmetric"),
@@ -245,7 +245,7 @@ class TestWeightedPinv:
 
     def test_singular_column_weight_reports_stage(self):
         a = ones_1x2()
-        n = constant_matrix([[0, 0], [0, 1]])
+        n = RfMatrix.from_rows([[0, 0], [0, 1]])
         with pytest.raises(SingularMatrixError) as err:
             weighted_pinv(WeightedProblem(a, n_weight=n))
         assert err.value.stage == 1
@@ -254,7 +254,7 @@ class TestWeightedPinv:
         # row weight diag(1, 0) kills the residual's quadratic form at
         # stage 2 while leaving stage 1 fine
         a = RfMatrix.identity(2)
-        m = constant_matrix([[1, 0], [0, 0]])
+        m = RfMatrix.from_rows([[1, 0], [0, 0]])
         with pytest.raises(DegenerateWeightError) as err:
             weighted_pinv(WeightedProblem(a, m_weight=m))
         assert err.value.stage == 2
@@ -262,7 +262,7 @@ class TestWeightedPinv:
     def test_degenerate_schur_factor_reports_stage(self):
         # equal columns with the all-ones column weight: corner + d^T N d
         # - 2 d^T l collapses to 1 + 1 - 2 = 0
-        n = constant_matrix([[1, 1], [1, 1]])
+        n = RfMatrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(DegenerateWeightError) as err:
             weighted_pinv(WeightedProblem(ones_1x2(), n_weight=n))
         assert err.value.stage == 2
@@ -324,7 +324,7 @@ def _blocks(inv):
 
 class TestBordering:
     def test_2x2_adjugate_values(self):
-        n = constant_matrix([[2, 1], [1, 2]])
+        n = RfMatrix.from_rows([[2, 1], [1, 2]])
         part = n.principal_partition(2)
         prev_inv = RfMatrix.from_rows([[e("1/2")]])
         core, border, corner = _blocks(bordering_step(prev_inv, part))
@@ -349,7 +349,7 @@ class TestBordering:
     def test_singular_block_names_its_order(self):
         # called directly, outside any recursion, the step still names the
         # order of the singular block it would have built
-        part = constant_matrix([[1, 1], [1, 1]]).principal_partition(2)
+        part = RfMatrix.from_rows([[1, 1], [1, 1]]).principal_partition(2)
         with pytest.raises(SingularMatrixError) as err:
             bordering_step(RfMatrix.identity(1), part)
         assert err.value.stage == 2
@@ -382,7 +382,7 @@ class TestBordering:
             assert inv == bordering_inverse(n) == n.ff_inverse(), f"order {k}"
 
     def test_singular_leading_block_stage_index(self):
-        n = constant_matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        n = RfMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
         messages = []
         for invert in (
             bordering_inverse,

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import eval_consistency_check, load, rand_problem_matrix, rand_weight
 from wmpinv.greville import weighted_pinv
-from wmpinv.matrices import RfMatrix, WeightedProblem, constant_matrix
+from wmpinv.matrices import RfMatrix, WeightedProblem
 from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import cleared
 from wmpinv.scalars import Poly, RatFun
@@ -292,7 +292,7 @@ class TestEvalConsistency:
         assert all(p.status == "pass" for p in rep.points)
 
     def test_constant_matrix_trivially_agrees(self):
-        a = constant_matrix([[1, 2], [2, 4]])
+        a = RfMatrix.from_rows([[1, 2], [2, 4]])
         eye = RfMatrix.identity(2)
         x = weighted_pinv(WeightedProblem(a))
         rep = eval_consistency_check(a, eye, eye, x, [0, 5, Fraction(-3, 7)])
