@@ -119,10 +119,10 @@ def bottom_row(x, col, resid, lhs, schur, m_weight, i):
 
 def extend_pinv(x, proj, coupling, row):
     """Stack x - (proj + coupling)*row, one grouped rank-one update
-    (``RfMatrix.minus_outer``), on the new bottom row; a zero coupling
-    column is passed as None and not added."""
+    (``RfMatrix.minus_outer``), on the new bottom row, by ``_of``; a zero
+    coupling column is passed as None and not added."""
     upper = x.minus_outer(proj if coupling is None else proj + coupling, row)
-    return RfMatrix.block([[upper], [row]])
+    return RfMatrix._of(upper.rows + 1, upper.cols, upper.grid + row.grid)
 
 
 def bordering_step(prev_inv, part):
@@ -131,7 +131,8 @@ def bordering_step(prev_inv, part):
     Given the inverse of the previous block and the partition pieces,
     returns the inverse of the enlarged block; a singular one raises with
     its order as the stage.  t = prev_inv*l serves the Schur scalar, the
-    border -t/schur and the core prev_inv - border*t^T (``minus_outer``).
+    border -t/schur and the core prev_inv - border*t^T (``minus_outer``);
+    [[core, border], [border^T, 1/schur]] is joined row by row by ``_of``.
     The base case is a zero border l, where t = 0: the Schur scalar is the
     corner, the border zero and the core prev_inv, and none is formed.
     """
@@ -148,8 +149,9 @@ def bordering_step(prev_inv, part):
     if t is not None:
         inv_border = t.scale(-inv_corner)
         core = prev_inv.minus_outer(inv_border, t.transpose())
-    corner_m = RfMatrix(1, 1, [inv_corner])
-    return RfMatrix.block([[core, inv_border], [inv_border.transpose(), corner_m]])
+    last = inv_border.transpose().grid[0] + (inv_corner,)
+    grid = tuple(r + b for r, b in zip(core.grid, inv_border.grid)) + (last,)
+    return RfMatrix._of(core.rows + 1, core.cols + 1, grid)
 
 
 def _order_one_inverse(mat):
@@ -157,7 +159,7 @@ def _order_one_inverse(mat):
     raises at stage 1."""
     if mat[0, 0].is_zero:
         raise SingularMatrixError("leading 1x1 block is symbolically singular", stage=1)
-    return RfMatrix(1, 1, [mat[0, 0].reciprocal()])
+    return RfMatrix._of(1, 1, ((mat[0, 0].reciprocal(),),))
 
 
 def bordering_inverse(mat):

@@ -46,8 +46,9 @@ def _expect(cls, obj):
 class Grid:
     """Immutable rows x cols matrix held as a tuple of row tuples, with the
     structural operations of the recursion; a subclass names its entry
-    constants ``ZERO`` and ``ONE``.  ``_of`` is the trusted constructor of
-    a grid of canonical entries."""
+    constants ``ZERO`` and ``ONE``.  The trusted ``_of`` builds all that
+    is computed, shared ``identity`` and ``zeros`` included, from canonical
+    entries; each subclass has one validating constructor for input."""
 
     __slots__ = ("rows", "cols", "grid")
 
@@ -62,6 +63,10 @@ class Grid:
         z = cls.ZERO
         grid = tuple((z,) * r + (cls.ONE,) + (z,) * (n - 1 - r) for r in range(n))
         return cls._of(n, n, grid)
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls._of(rows, cols, ((cls.ZERO,) * cols,) * rows)
 
     expect = classmethod(_expect)
 
@@ -204,43 +209,20 @@ def _dot(row, col, memo):
 
 
 class RfMatrix(Grid):
-    """Immutable dense matrix with canonical RatFun entries."""
+    """Immutable dense matrix with canonical RatFun entries; input enters
+    through ``from_rows``, which checks each entry, results through ``_of``."""
 
     __slots__ = ()
     ZERO, ONE = ZERO, ONE
 
-    def __init__(self, rows, cols, entries):
-        entries = tuple(_want_entry(x) for x in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        self.rows, self.cols = rows, cols
-        self.grid = tuple(entries[r * cols:(r + 1) * cols] for r in range(rows))
-
     @classmethod
     def from_rows(cls, rows):
+        # a shape with no rows but k columns is zeros(0, k)
         rows = [list(r) for r in rows]
-        m = len(rows)
-        n = len(rows[0]) if m else 0
+        n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        return cls(m, n, [x for r in rows for x in r])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls._of(rows, cols, ((ZERO,) * cols,) * rows)
-
-    @classmethod
-    def block(cls, grid):
-        """Assemble from a grid of conforming blocks."""
-        out_rows = []
-        for blocks in grid:
-            height = blocks[0].rows
-            if any(b.rows != height for b in blocks):
-                raise ValueError("block heights differ within a block row")
-            out_rows += (sum((b.row(r) for b in blocks), ()) for r in range(height))
-        return cls.from_rows(out_rows)
+        return cls._of(len(rows), n, tuple(tuple(map(_want_entry, r)) for r in rows))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.grid)
@@ -381,9 +363,7 @@ class RfMatrix(Grid):
                 f"matrix is symbolically singular (column {k + 1})"
             )
         scale = RatFun(L, det)
-        return RfMatrix(
-            n, n, [scale * RatFun(work[r][n + c]) for r in range(n) for c in range(n)]
-        )
+        return RfMatrix.from_rows([scale * RatFun(p) for p in row[n:]] for row in work)
 
 
 def _ff_eliminate(work, cols):

@@ -85,16 +85,15 @@ class PolyMatrix(Grid):
     ``coeffs[r][c]`` (the ``Grid`` grid) is the coefficient tuple of entry
     (r, c), lowest degree first and without trailing zeros, as
     ``Poly.coeffs``; the zero matrix is a grid of empty tuples, so it keeps
-    its shape.  Coefficients are ints; the constructors reject a
-    non-integral one (an integral Fraction is taken as its int).
+    its shape.  Coefficients are ints; the validating constructor
+    ``PolyMatrix(rows, cols, coeffs)`` rejects a non-integral one (an
+    integral Fraction is taken as its int), and results come from ``_of``.
     """
 
     __slots__ = ()
     ZERO, ONE = (), (1,)
 
-    def __init__(self, rows, cols, coeffs=None):
-        if coeffs is None:
-            coeffs = (((),) * cols,) * rows
+    def __init__(self, rows, cols, coeffs):
         self.rows, self.cols, self.grid = rows, cols, _int_grid(coeffs, rows, cols)
 
     coeffs = property(lambda self: self.grid, doc="The grid of coefficient tuples.")
@@ -119,8 +118,8 @@ class PolyMatrix(Grid):
 
     def to_rf_matrix(self, den=1):
         """Entrywise rational functions, each entry over ``den``."""
-        entries = [RatFun(Poly._raw(e), den) for row in self.grid for e in row]
-        return RfMatrix(self.rows, self.cols, entries)
+        grid = tuple(tuple(RatFun(Poly._raw(e), den) for e in row) for row in self.grid)
+        return RfMatrix._of(self.rows, self.cols, grid)
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree})"
@@ -275,7 +274,7 @@ def init_fraction(col, m_weight):
     driver reduces it.  A zero weighted squared length raises at stage 1.
     """
     if col.is_zero:
-        return PolyMatrix(1, col.rows), (1,)
+        return PolyMatrix.zeros(1, col.rows), (1,)
     labels = ("single-column numerator", "single-column denominator")
     cap = col.degree + m_weight.degree
     z, y = _weighted_row(col.coeffs, col, m_weight, cap, labels, "column", 1)

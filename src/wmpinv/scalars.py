@@ -58,10 +58,10 @@ def trim(coeffs):
 
 
 def coerce_coeff(c):
-    """c as an int: an int, or a Fraction with denominator 1.  Any other
-    Fraction is a ValueError, any other type a TypeError."""
+    """c as a plain int: an int (a bool too), or a Fraction with denominator
+    1.  Any other Fraction is a ValueError, any other type a TypeError."""
     if isinstance(c, int):
-        return c
+        return int(c)
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return c.numerator

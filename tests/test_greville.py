@@ -229,7 +229,7 @@ class TestWeightedPinv:
         with pytest.raises(ValueError, match=message):
             weighted_pinv(WeightedProblem(RfMatrix.zeros(rows, cols)))
         with pytest.raises(ValueError, match=message):
-            poly_weighted_pinv(PolyMatrix(rows, cols))
+            poly_weighted_pinv(PolyMatrix.zeros(rows, cols))
 
     def test_weight_of_the_other_matrix_type_rejected(self):
         rf = RfMatrix.identity(2)

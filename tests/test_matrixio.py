@@ -18,6 +18,7 @@ from wmpinv.matrixio import (
     parse_entry,
     parse_matrix_file,
 )
+from wmpinv.poly_greville import PolyMatrix
 from wmpinv.scalars import Poly, RatFun
 
 
@@ -280,6 +281,16 @@ class TestFormatMatrix:
     def test_composite_denominator_parenthesized(self):
         m = parse_matrix_file("matrix 1 1\n1/(2*s)")
         assert format_matrix(m) == "matrix 1 1\n1/(2*s)\n"
+
+    def test_bool_coefficients_are_written_as_ints(self):
+        # bool is an int subclass: the validating constructors store 0 or 1
+        assert str(Poly([True, 2])) == "1+2*s"
+        assert type(Poly([True]).coeffs[0]) is int
+        assert str(RatFun(True)) == "1"
+        m = PolyMatrix(1, 1, [[(True,)]]).to_rf_matrix()
+        text = format_matrix(m)
+        assert text == "matrix 1 1\n1\n"
+        assert parse_matrix_file(text) == m
 
     def test_fixture_roundtrip(self):
         x = load("wmp_rational_x.mat")

@@ -108,9 +108,9 @@ class TestPolyMatrix:
 
     def test_degree_of_matrices_without_entries(self):
         # a matrix with no entries is zero, of degree -1, whichever side is empty
-        assert PolyMatrix(2, 0).degree == -1
-        assert PolyMatrix(0, 2).degree == -1
-        assert PolyMatrix(2, 2).degree == -1
+        assert PolyMatrix.zeros(2, 0).degree == -1
+        assert PolyMatrix.zeros(0, 2).degree == -1
+        assert PolyMatrix.zeros(2, 2).degree == -1
 
     def test_roundtrip_through_rf_matrix(self):
         rng = random.Random(41)
@@ -129,7 +129,7 @@ class TestPolyMatrix:
         with pytest.raises(IndexError):
             PolyMatrix.identity(2).leading_block(5)
         with pytest.raises(ValueError, match="non-square"):
-            PolyMatrix(2, 3).leading_block(1)
+            PolyMatrix.zeros(2, 3).leading_block(1)
 
     def test_principal_partition(self):
         n = PolyMatrix.from_rf_matrix(load("wmp_rank2_n.mat"))
@@ -142,7 +142,7 @@ class TestPolyMatrix:
 
 class TestInitFraction:
     def test_zero_column(self):
-        z, y = init_fraction(PolyMatrix(3, 1), PolyMatrix.identity(3))
+        z, y = init_fraction(PolyMatrix.zeros(3, 1), PolyMatrix.identity(3))
         assert z.is_zero
         assert y == (1,)
 
@@ -450,11 +450,11 @@ class TestFractionSimplify:
             assert simplified.to_rf_matrix().eval_at(x) == expected
 
     def test_zero_numerator(self):
-        out_num, out_den = fraction_simplify(PolyMatrix(1, 2), (3, 3))
+        out_num, out_den = fraction_simplify(PolyMatrix.zeros(1, 2), (3, 3))
         assert out_num.is_zero and out_den == (1,)
 
     def test_empty_numerator_keeps_its_shape(self):
-        out_num, out_den = fraction_simplify(PolyMatrix(2, 0), (3, 3))
+        out_num, out_den = fraction_simplify(PolyMatrix.zeros(2, 0), (3, 3))
         assert (out_num.rows, out_num.cols, out_num.coeffs, out_den) == (2, 0, ((), ()), (1,))
 
     def test_zero_denominator(self):

@@ -35,13 +35,14 @@ WEIGHTS = DEFINITE + (rand_singular_weight, rand_indefinite_weight)
 
 
 @st.composite
-def problems(draw, weights=WEIGHTS):
+def problems(draw, weights=WEIGHTS, bound=3):
     """A tall, wide or square matrix of order at most 3 with entries of
-    degree at most 2, at times with a zero and a duplicated column, under
-    weights drawn from ``weights``: by default identity, positive
-    definite, singular positive semidefinite or indefinite ones."""
+    degree at most 2 and coefficients in -bound..bound, at times with a
+    zero and a duplicated column, under weights drawn from ``weights``: by
+    default identity, positive definite, singular positive semidefinite or
+    indefinite ones."""
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    entry = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+    entry = st.lists(st.integers(-bound, bound), max_size=3).map(Poly)
     columns = [draw(st.lists(entry, min_size=rows, max_size=rows)) for _ in range(cols)]
     if cols >= 2 and draw(st.booleans()):
         columns[draw(st.integers(0, cols - 1))] = [Poly()] * rows
@@ -59,9 +60,16 @@ def problems(draw, weights=WEIGHTS):
     return WeightedProblem(a, weight(rows), weight(cols))
 
 
-@hypothesis.settings(max_examples=100, deadline=None, database=None)
-@hypothesis.given(problems())
-def test_paths_agree_on_every_branch_and_result(problem):
+def assert_canonical(mat):
+    # every entry is a RatFun in the form RatFun(num, den) gives it; matrix
+    # == coerces a Poly or an int entry, so it would not see a raw one
+    for f in (f for row in mat.grid for f in row):
+        assert type(f) is RatFun
+        g = RatFun(f.num, f.den)
+        assert (f.num.coeffs, f.den.coeffs) == (g.num.coeffs, g.den.coeffs)
+
+
+def assert_paths_agree(problem):
     # a singular or indefinite weight can stop both paths: then with the
     # same error type, stage and message, after the same stages
     a, m, n = problem.a, problem.m_weight, problem.n_weight
@@ -77,13 +85,30 @@ def test_paths_agree_on_every_branch_and_result(problem):
             resid_is_zero = not any(e for row in s_pol.stage.resid for e in row)
             assert s_rat.stage.resid.is_zero == resid_is_zero
             assert (s_rat.stage.schur is None) == (s_pol.stage.schur_den is None)
+    for s_rat in rat:
+        assert_canonical(s_rat.x)
+        if s_rat.ninv is not None:
+            assert_canonical(s_rat.ninv)
     if rat_err is not None:
         return
     assert [s.i for s in rat] == list(range(1, a.cols + 1))
     x = rat[-1].x
+    assert_canonical(pol[-1].x.to_rf_matrix())
     assert penrose_check(a, m, n, x).all_hold
     assert cross_path_check(a, m, n)
     assert x.rank() == a.rank()
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
+@hypothesis.given(problems())
+def test_paths_agree_on_every_branch_and_result(problem):
+    assert_paths_agree(problem)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None)
+@hypothesis.given(problems(bound=2**64))
+def test_paths_agree_at_large_coefficients(problem):
+    assert_paths_agree(problem)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, database=None)
@@ -138,8 +163,8 @@ def outer_updates(draw):
             return a * b
         return a * b + RatFun(draw(num), den([f for f in fu + fv if draw(st.booleans())]))
 
-    x = [cell(a, b) for a in u for b in v]
-    return RfMatrix(rows, cols, x), RfMatrix(rows, 1, u), RfMatrix(1, cols, v)
+    x = [[cell(a, b) for b in v] for a in u]
+    return RfMatrix.from_rows(x), RfMatrix.from_rows([f] for f in u), RfMatrix.from_rows([v])
 
 
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
