@@ -22,19 +22,21 @@ operands' untrimmed length and on the length of its result, every entry
 of which is canonical (trimmed, () for zero), so an index slip in any
 convolution raises CapacityError, also under ``python -O``.  Every stage
 leaves its numerator/denominator pair reduced (common polynomial factor
-and integer content divided out), which is what keeps the capacities
-from growing multiplicatively.  It reduces the new bottom row over its own
-denominator first, then the corrected previous block over the coupling
-denominator alone; stacked, the two are already the canonical pair, so no
-gcd is taken over the whole family (``step_extend``).
+and integer content divided out) by ``fraction_simplify``, the one
+reduction, which is what keeps the capacities from growing
+multiplicatively.  It reduces the new bottom row over its own denominator
+first, then the corrected previous block over the coupling denominator
+alone; stacked, the two are already the canonical pair, so no gcd is
+taken over the whole family (``step_extend``).
 
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
 earlier in the same stage as arguments and return new sequences, and the
-driver builds one new frozen state (i, rank, x, ninv, stage) per stage,
-stage being None at stage 1.  The column-weight inverse starts from its
-order-1 block, as in ``bordering_inverse``, and grows by one
-``poly_bordering_step`` per stage of the same loop.
+driver builds one new frozen state per stage: i, rank, the
+``MatrixPolyFraction`` records x and ninv, the input degrees q, m_deg and
+n_deg, and stage, which is None at stage 1.  The column-weight inverse
+starts from its order-1 block, as in ``bordering_inverse``, and grows by
+one ``poly_bordering_step`` per stage of the same loop.
 """
 
 from __future__ import annotations
@@ -125,47 +127,30 @@ class PolyMatrix(Grid):
         return f"PolyMatrix({self.rows}x{self.cols}, degree {self.degree})"
 
 
-def fraction_simplify(num, den):
-    """Reduce a matrix-polynomial numerator over a scalar denominator.
-
-    The gcd of the denominator and every numerator entry is divided out,
-    then the joint integer content, leaving a positive leading denominator
-    coefficient.  The value is unchanged;
-    applying it twice changes nothing.  Returns (PolyMatrix, tuple).
-    """
-    entries = [Poly._raw(e) for row in num.coeffs for e in row]
-    reduced, den = joint_reduce(entries, Poly(den))
-    it = iter(reduced)
-    grid = tuple(tuple(next(it).coeffs for _ in row) for row in num.coeffs)
-    return PolyMatrix._of(num.rows, num.cols, grid), den.coeffs
-
-
+@dataclass(frozen=True)
 class MatrixPolyFraction:
-    """A rational matrix as one matrix-polynomial numerator over one scalar
-    polynomial denominator, in reduced canonical form."""
+    """A rational matrix as one matrix-polynomial numerator ``num`` over one
+    scalar polynomial denominator ``den`` (a coefficient tuple): a record,
+    reduced only when ``fraction_simplify`` or ``step_extend`` built it."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num, self.den = fraction_simplify(num, den)
-
-    @classmethod
-    def _of(cls, num, den):
-        # trusted: (num, den) already in reduced canonical form
-        frac = object.__new__(cls)
-        frac.num, frac.den = num, den
-        return frac
+    num: PolyMatrix
+    den: tuple
 
     def to_rf_matrix(self):
         return self.num.to_rf_matrix(Poly(self.den))
 
-    def __eq__(self, other):
-        if not isinstance(other, MatrixPolyFraction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
 
-    def __repr__(self):
-        return f"MatrixPolyFraction({self.num!r} / {list(self.den)!r})"
+def fraction_simplify(num, den):
+    """The one reduction of a matrix-polynomial numerator over a scalar
+    denominator, returned as a ``MatrixPolyFraction``.  The gcd of the
+    denominator and every numerator entry is divided out, then the joint
+    integer content, leaving a positive leading denominator coefficient.
+    The value is unchanged; applying it twice changes nothing."""
+    entries = [Poly._raw(e) for row in num.coeffs for e in row]
+    reduced, den = joint_reduce(entries, Poly(den))
+    it = iter(reduced)
+    grid = tuple(tuple(next(it).coeffs for _ in row) for row in num.coeffs)
+    return MatrixPolyFraction(PolyMatrix._of(num.rows, num.cols, grid), den.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +248,8 @@ def _weighted_row(s, col, m_weight, cap, labels, what, stage):
 
 def _reduced_row(v, w):
     """The 1 x m row v over the scalar w, reduced by ``fraction_simplify``."""
-    row, w = fraction_simplify(PolyMatrix._of(1, len(v[0]), v), w)
-    return row.coeffs, w
+    row = fraction_simplify(PolyMatrix._of(1, len(v[0]), v), w)
+    return row.num.coeffs, row.den
 
 
 def init_fraction(col, m_weight):
@@ -415,15 +400,15 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     cap = max(state.q_prev + ndd_deg + b_den, shift_deg + row_deg)
     upper = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num),
                  cap=cap, label="extended numerator (upper block)")
-    upper, c1 = fraction_simplify(PolyMatrix._of(state.i, cols, upper), coupling_den)
-    c_deg = len(c1) - 1
+    upper = fraction_simplify(PolyMatrix._of(state.i, cols, upper), coupling_den)
+    c1, c_deg = upper.den, len(upper.den) - 1
 
     lower = conv((1, c1, row_num),
                  cap=c_deg + row_deg, label="extended numerator (bottom row)")
     den = conv((1, c1, row_den), cap=c_deg + b_den, label="extended denominator")
 
-    num = PolyMatrix._of(state.i + 1, cols, upper.coeffs + lower)
-    return MatrixPolyFraction._of(num, den)
+    num = PolyMatrix._of(state.i + 1, cols, upper.num.coeffs + lower)
+    return MatrixPolyFraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +452,7 @@ def poly_bordering_step(inv, border, corner, n_deg):
                 cap=max(g_deg + nbar_deg, ff_deg), label="block numerator (core)")
     den = conv((1, ndd, g), cap=ndd_deg + g_deg, label="block denominator")
     stacked = tuple(map(add, core, side)) + (transpose(side)[0] + (last,),)
-    return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
+    return fraction_simplify(PolyMatrix._of(i, i, stacked), den)
 
 
 def _order_one_inverse(mat):
@@ -476,7 +461,7 @@ def _order_one_inverse(mat):
     corner = mat.coeffs[0][0]
     if not corner:
         raise SingularMatrixError("leading 1x1 block is symbolically singular", stage=1)
-    return MatrixPolyFraction(PolyMatrix.identity(1), corner)
+    return fraction_simplify(PolyMatrix.identity(1), corner)
 
 
 def bordering_inverse(mat):
@@ -506,7 +491,7 @@ def partition_stages(problem):
     q, m_deg, n_deg = a.degree, m_weight.degree, n_weight.degree
 
     col = a.column(1)
-    x = MatrixPolyFraction(*init_fraction(col, m_weight))
+    x = fraction_simplify(*init_fraction(col, m_weight))
     ninv = _order_one_inverse(n_weight) if a.cols > 1 else None
     state = PolyPartitionState(1, int(not col.is_zero), x, ninv, q, m_deg, n_deg)
     yield state
@@ -561,7 +546,7 @@ def _times(den, frac):
     """den * frac, for a scalar coefficient sequence den."""
     num = frac.num
     scaled = conv((1, den, num.coeffs))
-    return MatrixPolyFraction(PolyMatrix._of(num.rows, num.cols, scaled), frac.den)
+    return fraction_simplify(PolyMatrix._of(num.rows, num.cols, scaled), frac.den)
 
 
 def solve(problem):

@@ -688,7 +688,7 @@ class RatFun:
         return hash(self.num)
 
     def __repr__(self):
-        return f"RatFun({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
+        return f"RatFun({self.num!r}, {self.den!r})"
 
     def __str__(self):
         return format_ratfun(self)

@@ -17,7 +17,7 @@ from helpers import (
 )
 from wmpinv import RatFun, RfMatrix, WeightedProblem
 from wmpinv.greville import partition_stages as rational_stages
-from wmpinv.poly_greville import PolyMatrix
+from wmpinv.poly_greville import PolyMatrix, fraction_simplify
 from wmpinv.poly_greville import partition_stages as poly_stages
 from wmpinv.scalars import Poly
 from wmpinv.verify import cross_path_check, penrose_check
@@ -89,6 +89,11 @@ def assert_paths_agree(problem):
         assert_canonical(s_rat.x)
         if s_rat.ninv is not None:
             assert_canonical(s_rat.ninv)
+    # every coefficient-path pair is the one fraction_simplify makes of it
+    for s_pol in pol:
+        for frac in (s_pol.x, s_pol.ninv):
+            if frac is not None:
+                assert frac == fraction_simplify(frac.num, frac.den), f"stage {s_pol.i}"
     if rat_err is not None:
         return
     assert [s.i for s in rat] == list(range(1, a.cols + 1))

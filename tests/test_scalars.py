@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 import pytest
 
-from helpers import count_calls, rand_ratfun
+from helpers import count_calls, rand_poly, rand_ratfun
 from wmpinv import scalars
 from wmpinv.errors import PoleError
 from wmpinv.scalars import (
@@ -531,6 +531,33 @@ class TestRatFunCanonical:
             while den.is_zero:
                 den = Poly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))])
             assert_canonical(RatFun(num, den), num, den)
+
+
+class TestRepr:
+    """``repr`` of a ``Poly`` or a ``RatFun`` evaluates back to an equal
+    value with the same coefficients."""
+
+    @staticmethod
+    def assert_round_trips(x):
+        back = eval(repr(x), {"RatFun": RatFun, "Poly": Poly})
+        assert type(back) is type(x) and back == x, repr(x)
+        assert repr(back) == repr(x)
+
+    def test_ratfun(self):
+        rng = random.Random(71)
+        values = [
+            RatFun(0), RatFun(1), RatFun(-4), RatFun.const(Fraction(-3, 7)),
+            RatFun(Poly([1, 1]), Poly([-3, 2])),
+        ]
+        for f in values + [rand_ratfun(rng) for _ in range(100)]:
+            self.assert_round_trips(f)
+        assert repr(values[-1]) == "RatFun(Poly([1, 1]), Poly([-3, 2]))"
+
+    def test_poly(self):
+        rng = random.Random(73)
+        values = [Poly(), Poly([1]), Poly([-2, 0, 5])]
+        for p in values + [rand_poly(rng, 4, -9, 9) for _ in range(100)]:
+            self.assert_round_trips(p)
 
 
 class TestRatFunArithmetic:
