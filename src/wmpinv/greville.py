@@ -16,6 +16,11 @@ never touch, ``stage`` being None at stage 1.  The column-weight inverse
 starts from its order-1 block, as in ``bordering_inverse``, and grows by
 one ``bordering_step`` per stage of the same loop.
 
+Identity weights, which ``WeightedProblem`` records once, are never
+multiplied by: with M = I the row weight is passed as None and the
+weighted row is v^T, not v^T M; with N = I every border l is zero and the
+dependent branch's row is proj^T, not proj^T Nprev - l^T.
+
 All quantities are exact rational functions; "zero" always means
 identically zero.
 """
@@ -59,8 +64,9 @@ def _weighted_form_row(v, col, m_weight, what, stage):
     """v^T M / (v^T M v) for a nonzero column v, whose weighted squared
     length must be a nonzero rational function.  v^T M v is formed as
     (v^T M)*col: ``col`` is v itself, or the stage's new column, whose
-    residual v is M-orthogonal to the earlier columns (Greville 1960)."""
-    form = v.transpose() * m_weight
+    residual v is M-orthogonal to the earlier columns (Greville 1960).
+    An ``m_weight`` of None stands for M = I, where v^T M is v^T."""
+    form = v.transpose() if m_weight is None else v.transpose() * m_weight
     sq = (form * col)[0, 0]
     if sq.is_zero:
         raise DegenerateWeightError(
@@ -74,7 +80,8 @@ def column_pinv_init(col, m_weight):
     """Weighted pseudoinverse of a single column (1 x rows).
 
     The zero column has pseudoinverse zero; otherwise the weighted squared
-    length col^T M col must be a nonzero rational function.
+    length col^T M col must be a nonzero rational function.  An
+    ``m_weight`` of None stands for M = I.
     """
     if col.is_zero:
         return col.transpose()
@@ -111,7 +118,8 @@ def weighted_schur_factor(lhs, proj, part, coupling, i):
 def bottom_row(x, col, resid, lhs, schur, m_weight, i):
     """New bottom row of the pseudoinverse for stage i (1 x rows), ``col``
     being the stage's new column; on the dependent branch it is
-    (lhs*x)/schur with the row lhs of ``weighted_schur_factor``."""
+    (lhs*x)/schur with the row lhs of ``weighted_schur_factor``.  An
+    ``m_weight`` of None stands for M = I."""
     if not resid.is_zero:
         return _weighted_form_row(resid, col, m_weight, "residual", i)
     return (lhs * x).scale(schur.reciprocal())
@@ -185,13 +193,16 @@ def partition_stages(problem):
     and is formed only where the rank falls short and the border l is
     nonzero (t = 0 when l = 0).  N^-1 still grows at every stage i < n,
     by one ``bordering_step`` after that stage's extend, so a singular
-    weight block raises at its own stage.  Errors carry the failing stage
-    index.
+    weight block raises at its own stage.  An identity weight is not
+    multiplied by: M = I is passed on as None, and with N = I, whose
+    borders are zero, the dependent branch's row is lhs = proj^T.  Errors
+    carry the failing stage index.
     """
     problem = WeightedProblem.expect(problem)
     a, n_w = RfMatrix.expect(problem.a), problem.n_weight
+    m_w = None if problem.m_is_identity else problem.m_weight
     col = a.column(1)
-    x = column_pinv_init(col, problem.m_weight)
+    x = column_pinv_init(col, m_w)
     ninv = _order_one_inverse(n_w) if a.cols > 1 else None
     state = PartitionState(1, int(not col.is_zero), x, ninv)
     yield state
@@ -205,9 +216,11 @@ def partition_stages(problem):
             t = state.ninv * part[1]
             coupling = t - state.x * (prefix * t)
         if resid.is_zero:
-            lhs = proj.transpose() * part[0] - part[1].transpose()
+            lhs = proj.transpose()
+            if not problem.n_is_identity:
+                lhs = lhs * part[0] - part[1].transpose()
             schur = weighted_schur_factor(lhs, proj, part, coupling, i)
-        row = bottom_row(state.x, col, resid, lhs, schur, problem.m_weight, i)
+        row = bottom_row(state.x, col, resid, lhs, schur, m_w, i)
         x = extend_pinv(state.x, proj, coupling, row)
         ninv = bordering_step(state.ninv, part) if i < a.cols else None
         rank = state.rank + (not resid.is_zero)

@@ -28,7 +28,7 @@ on the integer polynomial matrix, every division exact by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import neg
 
@@ -141,11 +141,18 @@ class Grid:
 class WeightedProblem:
     """A matrix with its two symmetric weights; identity weights of the
     matrix's own type by default.  ``a`` is an RfMatrix (rational path) or
-    a PolyMatrix (coefficient path), and the weights are of the same type."""
+    a PolyMatrix (coefficient path), and the weights are of the same type.
+
+    ``m_is_identity`` and ``n_is_identity`` record once whether each weight
+    equals the identity, an omitted weight or an explicit one alike; they
+    are derived, not constructor parameters, and take no part in equality.
+    Each path reads them to skip its products by I."""
 
     a: Grid
     m_weight: Grid = None
     n_weight: Grid = None
+    m_is_identity: bool = field(init=False, repr=False, compare=False)
+    n_is_identity: bool = field(init=False, repr=False, compare=False)
 
     expect = classmethod(_expect)
 
@@ -159,24 +166,27 @@ class WeightedProblem:
                              f"{self.a.rows}x{self.a.cols}")
         kind = type(self.a)
         weights = ("row", "m_weight", self.a.rows), ("column", "n_weight", self.a.cols)
-        for name, field, order in weights:
-            w = getattr(self, field)
+        for name, attr, order in weights:
+            w = getattr(self, attr)
             if w is None:
-                object.__setattr__(self, field, kind.identity(order))
+                object.__setattr__(self, attr, kind.identity(order))
             elif type(w) is not kind:
                 raise TypeError(
                     f"{name} weight is a {type(w).__name__}, but the matrix is a "
                     f"{kind.__name__}"
                 )
-        for name, field, order in weights:
-            w = getattr(self, field)
+        for name, attr, order in weights:
+            w = getattr(self, attr)
             if w.rows != order or not w.is_square:
                 raise ValueError(
                     f"{name} weight must be square of order = {name} count"
                 )
-        for name, field, _ in weights:
-            if not getattr(self, field).is_symmetric:
+        for name, attr, _ in weights:
+            if not getattr(self, attr).is_symmetric:
                 raise ValueError(f"{name} weight must be symmetric")
+        for _, attr, order in weights:
+            is_identity = getattr(self, attr) == kind.identity(order)
+            object.__setattr__(self, f"{attr[0]}_is_identity", is_identity)
 
 
 def _want_entry(x):

@@ -36,7 +36,15 @@ driver builds one new frozen state per stage: i, rank, the
 ``MatrixPolyFraction`` records x and ninv, the input degrees q, m_deg and
 n_deg, and stage, which is None at stage 1.  The column-weight inverse
 starts from its order-1 block, as in ``bordering_inverse``, and grows by
-one ``poly_bordering_step`` per stage of the same loop.
+one ``poly_bordering_step`` per stage of the same loop; a step with a zero
+border, as every step of an identity or diagonal weight, takes one scalar
+reduction of its corner over the previous denominator in place of a
+``fraction_simplify`` over the whole enlarged block.
+
+Identity weights, which ``WeightedProblem`` records once, are never
+convolved with: with M = I the row weight is passed as None and the
+weighted row is s^T, not s^T M; with N = I the dependent branch takes
+proj^T in place of proj^T Nprev.
 """
 
 from __future__ import annotations
@@ -226,7 +234,8 @@ class PolyPartitionState:
 def _weighted_row(s, col, m_weight, cap, labels, what, stage):
     """The row v = s^T M and the scalar w = v*col for a nonzero column s,
     ``col`` being s itself or the stage's new column, to which the residual
-    s is M-orthogonal (Greville 1960); a zero w raises at ``stage``.
+    s is M-orthogonal (Greville 1960); a zero w raises at ``stage``.  An
+    ``m_weight`` of None stands for M = I, where v is s^T, not formed.
 
     v is checked against the row capacity ``cap`` and w against cap + deg col,
     under the two ``labels``.  No capacity grows: at stage 1 cap is
@@ -235,8 +244,15 @@ def _weighted_row(s, col, m_weight, cap, labels, what, stage):
     q_hat + 2q + m_deg.  Nor can w's check fail once v's has passed: v then
     has length at most cap + 1, and v*col has the untrimmed length
     len v + len col - 1 <= cap + deg col + 1.
+
+    With M = I, v = s^T is not checked, and needs no check: s was checked
+    already, under a capacity no larger than cap (the input column's degree
+    at stage 1, ``residual``'s q_hat + q after that).  w is still formed
+    and checked under its label.
     """
-    v = conv((1, transpose(s), m_weight.coeffs), cap=cap, label=labels[0])
+    v = transpose(s)
+    if m_weight is not None:
+        v = conv((1, v, m_weight.coeffs), cap=cap, label=labels[0])
     w = conv((1, v, col.coeffs), cap=cap + col.degree, label=labels[1])[0][0]
     if not w:
         raise DegenerateWeightError(
@@ -257,11 +273,12 @@ def init_fraction(col, m_weight):
 
     The zero column yields (zero, 1).  The pair is returned unreduced; the
     driver reduces it.  A zero weighted squared length raises at stage 1.
+    An ``m_weight`` of None stands for M = I.
     """
     if col.is_zero:
         return PolyMatrix.zeros(1, col.rows), (1,)
     labels = ("single-column numerator", "single-column denominator")
-    cap = col.degree + m_weight.degree
+    cap = col.degree + (0 if m_weight is None else m_weight.degree)
     z, y = _weighted_row(col.coeffs, col, m_weight, cap, labels, "column", 1)
     return PolyMatrix._of(1, col.rows, z), y
 
@@ -311,10 +328,12 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
 
     Independent branch: r = resid/y is M-orthogonal to the old columns, so
     r^T M r = a_i^T M r for the new column a_i = ``col`` (Greville 1960) and
-    the row r^T M / (r^T M r) is resid^T M over (resid^T M)*a_i, free of y.
+    the row r^T M / (r^T M r) is resid^T M over (resid^T M)*a_i, free of y;
+    an ``m_weight`` of None stands for M = I.
     Dependent branch: ``proj`` and the previous numerator ``num`` are over
     the previous denominator y, the coupling column phi over y*ndd, and
-    ``part`` = (Nprev, l, c) holds the pieces of the order-i weight block.
+    ``part`` = (Nprev, l, c) holds the pieces of the order-i weight block,
+    Nprev None when N = I, so that proj^T Nprev is proj^T.
     The Schur factor is (ndd*(c*y^2 + proj^T Nprev proj - 2*y*proj^T l) -
     y*l^T phi) over y^2*ndd, and in the row ((proj^T Nprev - y*l^T)/y)
     (num/y) / Schur factor the y^2 cancels: it is
@@ -340,7 +359,7 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     den_cap, core_cap = 2 * state.p_prev, 2 * state.q_hat + state.n_deg
     yy = conv((1, y, y), cap=den_cap, label="Schur factor denominator")
     # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l
-    dn = conv((1, projT, nprev.coeffs))
+    dn = projT if nprev is None else conv((1, projT, nprev.coeffs))
     core = conv((1, ((corner,),), yy), (1, dn, proj),
                 (-2, conv((1, projT, border.coeffs)), y),
                 cap=core_cap, label="Schur factor numerator")
@@ -421,17 +440,26 @@ def poly_bordering_step(inv, border, corner, n_deg):
 
     With inv = nbar/ndd, the border column l, f = nbar*l and the Schur
     numerator g = corner*ndd - l^T*f, the enlarged inverse is
-    [[g*nbar + f*f^T, -ndd*f], [-ndd*f^T, ndd^2]] over ndd*g.  The base
-    case is a zero border, where ndd cancels: g = corner, no f*f^T term, a
-    zero border column and the corner entry ndd.  A nonzero border
-    replaces these four pieces.
+    [[g*nbar + f*f^T, -ndd*f], [-ndd*f^T, ndd^2]] over ndd*g, reduced by
+    ``fraction_simplify``.
+
+    A zero border, as at every step of an identity or diagonal weight,
+    makes ndd cancel: g = corner, and the inverse is [[g*nbar, 0], [0, ndd]]
+    over ndd*g.  Since nbar/ndd is canonical, the only common factor of that
+    family is D = gcd(ndd, g), integer content included: an irreducible p^a
+    (p an integer prime or a polynomial) that divides ndd and every
+    g*nbar_ij but not g would put p in ndd and in every nbar_ij, against
+    canonicity.  So the scalar pair is reduced once, g/D and ndd/D by
+    ``joint_reduce``, and the result [[(g/D)*nbar, 0], [0, ndd/D]] over
+    (ndd/D)*g, negated when g's leading coefficient is negative, is
+    canonical as it stands; g/D = 1 leaves nbar as it is.
     """
     i = inv.num.rows + 1
     nbar, ndd = inv.num.coeffs, inv.den
     nbar_deg, ndd_deg = inv.num.degree, len(ndd) - 1
 
-    g, ff, ff_deg, side, last = corner, (), 0, (((),),) * (i - 1), ndd
-    if any(map(any, border.coeffs)):
+    g, bordered = corner, any(map(any, border.coeffs))
+    if bordered:
         f = conv((1, nbar, border.coeffs), cap=nbar_deg + n_deg, label="border numerator")
         p_seq = conv((1, corner, ndd), cap=n_deg + ndd_deg, label="corner scalar product")
         q_seq = conv((1, transpose(border.coeffs), f),
@@ -439,7 +467,6 @@ def poly_bordering_step(inv, border, corner, n_deg):
         g = conv((1, p_seq, (1,)), (-1, q_seq, (1,)), label="corner denominator",
                  cap=max(n_deg + ndd_deg, 2 * n_deg + nbar_deg))
         f_deg = seq_len(f) - 1
-        ff, ff_deg = ((1, f, transpose(f)),), 2 * f_deg
         side = conv((-1, ndd, f), cap=ndd_deg + f_deg, label="block numerator (border)")
         last = conv((1, ndd, ndd), cap=2 * ndd_deg, label="block numerator (corner)")
     if not g:
@@ -448,8 +475,20 @@ def poly_bordering_step(inv, border, corner, n_deg):
         )
     g_deg = len(g) - 1
 
-    core = conv((1, g, nbar), *ff,
-                cap=max(g_deg + nbar_deg, ff_deg), label="block numerator (core)")
+    if not bordered:
+        (gq,), nq = joint_reduce([Poly._raw(g)], Poly._raw(ndd))
+        if g[-1] < 0:
+            gq, nq = -gq, -nq
+        core = nbar
+        if gq != ONE_POLY:
+            core = conv((1, gq.coeffs, nbar),
+                        cap=g_deg + nbar_deg, label="block numerator (core)")
+        den = conv((1, nq.coeffs, g), cap=ndd_deg + g_deg, label="block denominator")
+        stacked = tuple(row + ((),) for row in core) + (((),) * (i - 1) + (nq.coeffs,),)
+        return MatrixPolyFraction(PolyMatrix._of(i, i, stacked), den)
+
+    core = conv((1, g, nbar), (1, f, transpose(f)),
+                cap=max(g_deg + nbar_deg, 2 * f_deg), label="block numerator (core)")
     den = conv((1, ndd, g), cap=ndd_deg + g_deg, label="block denominator")
     stacked = tuple(map(add, core, side)) + (transpose(side)[0] + (last,),)
     return fraction_simplify(PolyMatrix._of(i, i, stacked), den)
@@ -484,27 +523,32 @@ def bordering_inverse(mat):
 
 def partition_stages(problem):
     """Yield the coefficient-path state after every stage i = 1..n of a
-    ``WeightedProblem`` over PolyMatrix."""
+    ``WeightedProblem`` over PolyMatrix.  An identity weight is not
+    convolved with: M = I is passed on as None, and so is the previous
+    block of N = I."""
     problem = WeightedProblem.expect(problem)
     a, m_weight, n_weight = problem.a, problem.m_weight, problem.n_weight
     PolyMatrix.expect(a)
     q, m_deg, n_deg = a.degree, m_weight.degree, n_weight.degree
+    m_row = None if problem.m_is_identity else m_weight
 
     col = a.column(1)
-    x = fraction_simplify(*init_fraction(col, m_weight))
+    x = fraction_simplify(*init_fraction(col, m_row))
     ninv = _order_one_inverse(n_weight) if a.cols > 1 else None
     state = PolyPartitionState(1, int(not col.is_zero), x, ninv, q, m_deg, n_deg)
     yield state
 
     for i in range(2, a.cols + 1):
         part = n_weight.principal_partition(i)
+        if problem.n_is_identity:
+            part = (None, *part[1:])
         col = a.column(i)
         prefix = a.leading_columns(i - 1)
         proj = step_projection(state, col)
         resid = step_residual(state, col, prefix, proj)
         coupling_num, coupling_den = step_coupling(state, prefix, part[1])
         row_num, row_den, schur_den = step_bottom_row(
-            state, col, proj, resid, coupling_num, m_weight, part
+            state, col, proj, resid, coupling_num, m_row, part
         )
         x = step_extend(state, proj, coupling_num, coupling_den, row_num, row_den)
         ninv = (

@@ -70,6 +70,11 @@ def rand_matrix(rng, rows, cols, max_deg=2, lo=-3, hi=3):
     )
 
 
+def doubled_identity(k):
+    """2*I of order k: not the identity, and the same pseudoinverse."""
+    return RfMatrix.identity(k).scale(RatFun(2))
+
+
 def rand_weight(rng, k, max_deg=1):
     """Symmetric weight B^T B + I; positive definite at every real point."""
     b = rand_matrix(rng, k, k, max_deg, -2, 2)

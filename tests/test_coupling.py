@@ -10,12 +10,13 @@ saves, and pin the errors that the weight inverse still raises.
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from helpers import (
     count_calls,
+    doubled_identity,
     load,
     rand_problem_matrix,
     rand_rational_problem,
@@ -196,12 +197,13 @@ class TestZeroBorderCounts:
 
     def test_rational_products(self, monkeypatch):
         # 36 products when the coupling column was formed after every
-        # rank shortfall, 26 when the zero border still formed N^-1*l
+        # rank shortfall, 26 when the zero border still formed N^-1*l, 20
+        # when the identity weights were multiplied by
         calls = count_calls(monkeypatch, RfMatrix, "__mul__")
         states = list(greville.partition_stages(self.problem()))
         monkeypatch.undo()
         assert [st.rank for st in states] == [1, 1, 2, 3, 4]
-        assert len(calls) == 20
+        assert len(calls) == 15
         assert states[-1].x == load("wmp_hessenberg_x_true.mat")
 
     def test_no_convolution_in_the_coupling_step(self, monkeypatch):
@@ -220,9 +222,77 @@ class TestZeroBorderCounts:
         monkeypatch.undo()
         # 4 convolutions in each of the last three steps when the formula ran
         assert inside == [0, 0, 0, 0]
-        assert len(convs) == 40
+        # 40 when the identity weights were convolved with and each zero
+        # border step formed its core as 1*nbar
+        assert len(convs) == 32
         assert last.x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
 
+
+
+class TestIdentityWeights:
+    """``WeightedProblem`` records once, by value, whether each weight is
+    the identity; omitted and explicit identity weights then skip every
+    product by I on both paths, while 2*I, which gives the same
+    pseudoinverse, is multiplied by."""
+
+    @staticmethod
+    def problems(a):
+        rows, cols = a.rows, a.cols
+        return (
+            WeightedProblem(a),
+            WeightedProblem(a, RfMatrix.identity(rows), RfMatrix.identity(cols)),
+            WeightedProblem(a, doubled_identity(rows), doubled_identity(cols)),
+        )
+
+    def test_derived_flags(self):
+        a = load("wmp_rank2_a.mat")
+        omitted, explicit, doubled = self.problems(a)
+        flags = [(p.m_is_identity, p.n_is_identity) for p in (omitted, explicit, doubled)]
+        assert flags == [(True, True), (True, True), (False, False)]
+        mixed = WeightedProblem(a, n_weight=load("wmp_rank2_n.mat"))
+        assert (mixed.m_is_identity, mixed.n_is_identity) == (True, False)
+        assert over_poly(explicit).m_is_identity and not over_poly(doubled).n_is_identity
+        # derived: not constructor parameters, and no part of equality or repr
+        for f in fields(WeightedProblem):
+            assert (f.init, f.compare) == ((False, False) if f.name.endswith("_is_identity")
+                                           else (True, True))
+        with pytest.raises(TypeError):
+            WeightedProblem(a, m_is_identity=False)
+        assert omitted == explicit and "is_identity" not in repr(omitted)
+
+    @pytest.mark.parametrize("name", ["wmp_hessenberg_a.mat", "wmp_rank2_a.mat"])
+    def test_omitted_explicit_and_doubled_identity_give_equal_states(self, name):
+        # both fixtures have a dependent column, so both branches run
+        omitted, explicit, doubled = self.problems(load(name))
+        for stages, over in (
+            (greville.partition_stages, lambda p: p),
+            (poly_greville.partition_stages, over_poly),
+        ):
+            base, same, scaled = (list(stages(over(p))) for p in (omitted, explicit, doubled))
+            assert same == base
+            # 2*I scales N^-1 and the Schur factor, not the pseudoinverse
+            key = [(st.i, st.rank, st.x) for st in base]
+            assert [(st.i, st.rank, st.x) for st in scaled] == key
+            assert len({st.rank for st in base}) < len(base)
+
+    def test_only_identity_weights_take_the_shortcut(self, monkeypatch):
+        # on Hessenberg, 2*I costs one product by M at stage 1 and at each
+        # of the three independent stages, and one by the previous block of
+        # N on the dependent stage 2; each zero-border step of N = 2*I
+        # reduces 2 over 2, so its core is nbar as for N = I
+        problems = self.problems(load("wmp_hessenberg_a.mat"))
+        counts = []
+        for cls, name, stages, over in (
+            (RfMatrix, "__mul__", greville.partition_stages, lambda p: p),
+            (poly_greville, "conv", poly_greville.partition_stages, over_poly),
+        ):
+            for problem in problems:
+                problem = over(problem)
+                calls = count_calls(monkeypatch, cls, name)
+                list(stages(problem))
+                monkeypatch.undo()
+                counts.append(len(calls))
+        assert counts == [15, 15, 20, 32, 32, 37]
 
 
 def test_zero_coupling_column_is_over_the_previous_denominator():

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     count_calls,
+    doubled_identity,
     grid_result,
     load,
     longer_digits,
@@ -505,15 +506,28 @@ class TestCapacityChecks:
         # one extra zero digit on every entry of every grid result of the
         # kernel: the check reads a grid's untrimmed length as that of its
         # longest entry, so the first grid it checks, the stage-1 numerator
-        # z = a_1^T M, overflows (column 1 of degree 1, identity weight:
-        # capacity 1)
+        # z = a_1^T M, overflows (column 1 of degree 1, constant weight 2*I,
+        # which is convolved with: capacity 1)
+        a = PolyMatrix.from_rf_matrix(load("wmp_poly3_a.mat"))
         monkeypatch.setattr(poly_greville, "conv", longer_digits(poly_greville.conv, grid_result))
         with pytest.raises(CapacityError) as info:
-            weighted_pinv(PolyMatrix.from_rf_matrix(load("wmp_poly3_a.mat")))
+            weighted_pinv(a, PolyMatrix.from_rf_matrix(doubled_identity(a.rows)))
         assert info.value.label == "single-column numerator"
         assert str(info.value) == (
             "single-column numerator: coefficient sequence of length 3 "
             "exceeds its degree capacity 1"
+        )
+
+    def test_padded_grid_result_with_identity_weights(self, monkeypatch):
+        # with M = I the stage-1 numerator is a_1^T, not convolved, so the
+        # first grid checked is z*a_1 (degree 1 + 1: capacity 2)
+        monkeypatch.setattr(poly_greville, "conv", longer_digits(poly_greville.conv, grid_result))
+        with pytest.raises(CapacityError) as info:
+            weighted_pinv(PolyMatrix.from_rf_matrix(load("wmp_poly3_a.mat")))
+        assert info.value.label == "single-column denominator"
+        assert str(info.value) == (
+            "single-column denominator: coefficient sequence of length 4 "
+            "exceeds its degree capacity 2"
         )
 
     def test_every_check_runs_under_its_own_label(self, monkeypatch):
@@ -612,6 +626,75 @@ class TestPolyBordering:
         assert err.value.stage == 2
 
 
+def zero_border_reference(inv, corner):
+    """The unreduced stacked pair [[g*nbar, 0], [0, ndd]] over ndd*g of a
+    zero-border step, reduced by ``fraction_simplify``; products by
+    schoolbook ``Poly`` multiplication."""
+    k, g, ndd = inv.num.rows, Poly(corner), Poly(inv.den)
+    grid = [[(g * Poly(x)).coeffs for x in row] + [()] for row in inv.num.coeffs]
+    grid.append([()] * k + [ndd.coeffs])
+    return fraction_simplify(PolyMatrix(k + 1, k + 1, grid), (ndd * g).coeffs)
+
+
+def rand_poly(rng, max_deg=2, bound=4):
+    """A nonzero integer polynomial of degree at most ``max_deg``."""
+    while True:
+        p = Poly([rng.randint(-bound, bound) for _ in range(rng.randint(1, max_deg + 1))])
+        if p:
+            return p
+
+
+class TestZeroBorderStep:
+    def test_matches_the_reduced_stacked_pair(self):
+        # 2400 seeded canonical nbar/ndd of orders 1 to 3, ndd given an
+        # integer content of 1, 2, 3 or 6 before reduction, and a nonzero
+        # corner g; every fourth g has a negative leading coefficient,
+        # shares a factor of ndd's integer content, or is a multiple of ndd
+        rng = random.Random(4242)
+        tally = Counter()
+        for trial in range(2400):
+            k = rng.randint(1, 3)
+            nbar = PolyMatrix(k, k, [[rand_poly(rng).coeffs for _ in range(k)] for _ in range(k)])
+            ndd = rand_poly(rng) * rng.choice((1, 2, 3, 6))
+            if ndd.coeffs[-1] < 0:
+                ndd = -ndd
+            inv = fraction_simplify(nbar, ndd.coeffs)
+            content = scalars._int_content(inv.den)
+            kind = trial % 4
+            g = rand_poly(rng)
+            if kind == 1:
+                g = g if g.coeffs[-1] < 0 else -g
+            elif kind == 2:
+                g = g * rng.choice([d for d in (2, 3, 6) if content % d == 0] or [1])
+            elif kind == 3:
+                g = g * Poly(inv.den)
+            tally["negative"] += g.coeffs[-1] < 0
+            tally["content"] += scalars._int_content(g.coeffs + (content,)) > 1
+            tally["multiple"] += kind == 3
+            out = poly_greville.poly_bordering_step(
+                inv, PolyMatrix.zeros(k, 1), g.coeffs, g.degree
+            )
+            assert out == zero_border_reference(inv, g.coeffs), trial
+        assert tally["negative"] > 1000
+        assert tally["content"] > 300 and tally["multiple"] == 600
+
+    def test_identity_block_takes_no_core_product(self, monkeypatch):
+        # g/D = 1: the core is nbar itself, and only ndd*g is convolved
+        inv = fraction_simplify(PolyMatrix.identity(2), (2, 1))
+        convs = count_calls(monkeypatch, poly_greville, "conv")
+        out = poly_greville.poly_bordering_step(inv, PolyMatrix.zeros(2, 1), (2, 1), 1)
+        monkeypatch.undo()
+        assert len(convs) == 1
+        assert out == zero_border_reference(inv, (2, 1))
+        assert out.num == PolyMatrix.identity(3) and out.den == (2, 1)
+
+    def test_zero_corner_raises_at_its_order(self):
+        inv = fraction_simplify(PolyMatrix.identity(2), (3,))
+        with pytest.raises(SingularMatrixError) as err:
+            poly_greville.poly_bordering_step(inv, PolyMatrix.zeros(2, 1), (), 0)
+        assert err.value.stage == 3
+
+
 def _outcome(compute, problem):
     try:
         return compute(problem)
@@ -636,6 +719,16 @@ class TestRationalInput:
             else:
                 errors += 1
         assert results > 200 and errors > 20
+
+    def test_solve_returns_the_reduced_pair(self):
+        # L*P^+ is reduced once more after the product by L
+        fixtures = (
+            (load("wmp_rational_a.mat"), None, None),
+            tuple(load(f"wmp_rank2_{name}.mat") for name in "amn"),
+        )
+        for a, m, n in fixtures:
+            x = solve(WeightedProblem(a, m, n))
+            assert x == fraction_simplify(x.num, x.den)
 
     def test_invert_agrees_with_both_inverse_oracles(self):
         rng = random.Random(8081)

@@ -12,7 +12,7 @@ from wmpinv.matrices import RfMatrix, WeightedProblem
 from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import cleared
 from wmpinv.scalars import Poly, RatFun
-from wmpinv.verify import PenroseReport, cross_path_check, penrose_check
+from wmpinv.verify import PATHS, PenroseReport, cross_path_check, penrose_check
 
 
 def e(text):
@@ -280,6 +280,14 @@ class TestCrossPathCheck:
     def test_rational_fixture(self):
         m, n = load("wmp_rank2_m.mat"), load("wmp_rank2_n.mat")
         assert cross_path_check(load("wmp_rational_a.mat"), m, n)
+
+    def test_a_wrong_path_is_caught(self, monkeypatch):
+        # the coefficient path patched to twice the true inverse
+        pinv, inverse = PATHS["poly"]
+        monkeypatch.setitem(PATHS, "poly", (lambda p: pinv(p).scale(RatFun(2)), inverse))
+        a = load("wmp_rational_a.mat")
+        assert not cross_path_check(a, None, None)
+        assert not cross_path_check(a, load("wmp_rank2_m.mat"), load("wmp_rank2_n.mat"))
 
 
 class TestEvalConsistency:
