@@ -101,11 +101,14 @@ def weighted_schur_factor(lhs, proj, part, coupling, i):
     Combines the corner c and border l of the order-i weight block
     ``part`` with the projection coordinates, the row lhs = proj^T Nprev -
     l^T and the weight-coupling column (None when it is zero):
-    c + lhs*proj - proj^T l - l^T coupling.  It must be a nonzero rational
-    function for the recursion to continue.
+    c + lhs*proj - proj^T l - l^T coupling, where a zero border l adds no
+    proj^T l term.  It must be a nonzero rational function for the
+    recursion to continue.
     """
     _, border, corner = part
-    value = corner + (lhs * proj)[0, 0] - (proj.transpose() * border)[0, 0]
+    value = corner + (lhs * proj)[0, 0]
+    if not border.is_zero:
+        value -= (proj.transpose() * border)[0, 0]
     if coupling is not None:
         value -= (border.transpose() * coupling)[0, 0]
     if value.is_zero:

@@ -13,27 +13,40 @@ validates them once for both paths.
 
 An ``RfMatrix`` product reduces each entry once per pair of operand
 denominators: the entry's products a*b are grouped by (a.den, b.den),
-each group's numerator products are added as polynomials over a.den*b.den
-and reduced once, and then the groups are added as rational functions.
-Each matrix operation (``*``, ``+``, ``-``, ``scale``) runs each gcd of
-two nonconstant polynomials once: its entries share one memo dict
+each group's numerator products are added over a.den*b.den and reduced
+once, and then the groups are added as rational functions.  Each matrix
+operation (``*``, ``+``, ``-``, ``scale``) runs each gcd of two
+nonconstant polynomials once: its entries share one memo dict
 (``RatFun.plus``, ``RatFun.times``) that dies with the operation.
+
+The two kernels of the rational path, a product's grouped sums and the
+rank-one update ``minus_outer``, form numerators by Kronecker
+substitution in the codec of ``scalars`` (``pack``, ``digits``): one k
+per operation from an l1-norm bound on every numerator coefficient, each
+operand numerator packed once (``_Packs``), and each entry's numerator
+formed as one integer and unpacked once.  Their gcd and division work is
+that of ``RatFun``, so every entry is the same canonical value.
 
 ``rank`` and ``ff_inverse`` are the independent oracles: denominators are
 cleared to a single scalar polynomial, and the one elimination,
-``_ff_eliminate``, runs fraction-free (Bareiss) Gauss-Jordan elimination
-on the integer polynomial matrix, every division exact by construction.
-``rank`` counts its pivots; ``ff_inverse`` runs it on [P | I].
+``_ff_eliminate``, runs fraction-free (Bareiss) elimination on the
+integer polynomial matrix, every division exact by construction.
+``rank`` counts the pivots of its forward pass; ``ff_inverse`` runs it on
+[P | I] and extends each step to the rows above, which is Gauss-Jordan
+elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import neg
 
 from .errors import PoleError, SingularMatrixError
-from .scalars import ONE, ZERO, RatFun, ONE_POLY, ZERO_POLY, gcd_cofactors, poly_gcd
+from .scalars import (
+    ONE, ZERO, RatFun, ONE_POLY, ZERO_POLY, Poly, digits, gcd_cofactors, pack, poly_gcd,
+)
 
 
 def _expect(cls, obj):
@@ -196,24 +209,53 @@ def _want_entry(x):
     return f
 
 
-def _dot(row, col, memo):
-    """Sum of the products a*b of canonical entries, grouped by the pair
-    (a.den, b.den) of operand denominators.  A group of several products
-    adds its numerator products as polynomials over a.den*b.den and is
-    reduced once; a lone product is cross-cancelled.  Then the groups are
-    added.  ``memo`` keeps the product's gcds (``RatFun.plus``)."""
+def _l1(p):
+    # the l1 norm of p's coefficients, so that |p*q|_1 <= |p|_1 * |q|_1
+    return sum(map(abs, p.coeffs))
+
+
+class _Packs(dict):
+    """Each coefficient tuple's value at s = 2**k (``scalars.pack``), packed
+    once while the dict lives, which is one matrix operation."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, coeffs):
+        v = self[coeffs] = pack(coeffs, self.k)
+        return v
+
+    def poly(self, v):
+        """The polynomial whose value at s = 2**k is v, by ``digits``; its
+        coefficients must be below 2**(k-1) in magnitude."""
+        return Poly._raw(tuple(digits(v, self.k)))
+
+
+def _groups(row, col):
+    """The products a*b of a row and a column of canonical entries, in
+    lists grouped by the pair (a.den, b.den) of operand denominators."""
     groups = {}
     for a, b in zip(row, col):
         if a and b:
             groups.setdefault((a.den.coeffs, b.den.coeffs), []).append((a, b))
+    return list(groups.values())
+
+
+def _dot(groups, packs, memo):
+    """Sum of the grouped products of ``_groups``.  A group of several
+    products adds its numerator products as one packed integer over
+    a.den*b.den, unpacks it and is reduced once; a lone product is
+    cross-cancelled.  Then the groups are added.  ``memo`` keeps the
+    product's gcds (``RatFun.plus``)."""
     acc = ZERO
-    for pairs in groups.values():
+    for pairs in groups:
         a, b = pairs[0]
         if len(pairs) == 1:
             term = a.times(b, memo)
         else:
-            num = sum((x.num * y.num for x, y in pairs), ZERO_POLY)
-            term = RatFun(num, a.den * b.den)
+            num = sum(packs[x.num.coeffs] * packs[y.num.coeffs] for x, y in pairs)
+            term = RatFun(packs.poly(num), a.den * b.den)
         acc = acc.plus(term, memo)
     return acc
 
@@ -272,33 +314,59 @@ class RfMatrix(Grid):
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         cols = tuple(zip(*other.grid)) or ((),) * other.cols
-        memo = {}
-        grid = tuple(tuple(_dot(row, col, memo) for col in cols) for row in self.grid)
+        # every coefficient of a group's numerator is at most the sum of
+        # |x.num|_1 * |y.num|_1 over its products
+        groups = [[_groups(row, col) for col in cols] for row in self.grid]
+        bound = max((sum(_l1(x.num) * _l1(y.num) for x, y in pairs)
+                     for entry in chain.from_iterable(groups) for pairs in entry
+                     if len(pairs) > 1), default=0)
+        packs, memo = _Packs(bound.bit_length() + 1), {}
+        grid = tuple(tuple(_dot(entry, packs, memo) for entry in row) for row in groups)
         return RfMatrix._of(self.rows, other.cols, grid)
 
     def minus_outer(self, u, v):
         """self - u*v for a column u and a row v, without forming u*v: entry
         x - a*b is (x.num*abq - a.num*b.num*xq)/(x.den*abq), xq and abq being
         the cofactors of gcd(x.den, a.den*b.den), found once per triple of
-        denominators, whose entries share one ``RatFun.over`` hint."""
+        denominators, whose entries share one ``RatFun.over`` hint.
+
+        Every numerator is formed as one integer, its value at s = 2**k, and
+        unpacked once.  Each coefficient of x.num*abq - a.num*b.num*xq is at
+        most |x.num|_1*|abq|_1 + |a.num|_1*|b.num|_1*|xq|_1 in the l1 norm of
+        coefficients, and k is one more than the bit length of the largest
+        such bound, so 2**(k-1) exceeds every coefficient and the balanced
+        digits are the coefficients.  Each x.num, a.num and b.num, and each
+        triple's xq and abq, is packed once per call."""
         u, v = RfMatrix.expect(u), RfMatrix.expect(v)
         if (u.rows, u.cols, v.rows, v.cols) != (self.rows, 1, 1, self.cols):
             raise ValueError(f"cannot subtract the product of {u.rows}x{u.cols} and "
                              f"{v.rows}x{v.cols} from {self.rows}x{self.cols}")
-        hints = {}
+        col, row = [a for (a,) in u.grid], v.grid[0]
+        cells, triples, bound = [], {}, 0
+        for xs, a in zip(self.grid, col):
+            cells.append([])
+            for x, b in zip(xs, row):
+                t = None
+                if a and b:
+                    key = x.den.coeffs, a.den.coeffs, b.den.coeffs
+                    if key not in triples:
+                        _, xq, abq = gcd_cofactors(x.den, a.den * b.den)
+                        triples[key] = x.den * abq, xq, abq, []
+                    _, xq, abq, _ = t = triples[key]
+                    bound = max(bound, _l1(x.num) * _l1(abq)
+                                + _l1(a.num) * _l1(b.num) * _l1(xq))
+                cells[-1].append((x, a, b, t))
+        packs = _Packs(bound.bit_length() + 1)
 
-        def entry(x, a, b):
-            if not (a and b):
+        def entry(x, a, b, t):
+            if t is None:
                 return x
-            key = x.den.coeffs, a.den.coeffs, b.den.coeffs
-            if key not in hints:
-                _, xq, abq = gcd_cofactors(x.den, a.den * b.den)
-                hints[key] = x.den * abq, xq, abq, []
-            den, xq, abq, hint = hints[key]
-            return RatFun.over(x.num * abq - a.num * b.num * xq, den, hint)
+            den, xq, abq, hint = t
+            num = (packs[x.num.coeffs] * packs[abq.coeffs]
+                   - packs[a.num.coeffs] * packs[b.num.coeffs] * packs[xq.coeffs])
+            return RatFun.over(packs.poly(num), den, hint)
 
-        grid = tuple(tuple(entry(x, a, b) for x, b in zip(xs, v.grid[0]))
-                     for xs, (a,) in zip(self.grid, u.grid))
+        grid = tuple(tuple(entry(*cell) for cell in line) for line in cells)
         return RfMatrix._of(self.rows, self.cols, grid)
 
     def scale(self, f):
@@ -348,16 +416,18 @@ class RfMatrix(Grid):
 
     def rank(self):
         """Rank over the rational-function field: the number of pivots of
-        the fraction-free elimination (``_ff_eliminate``) of P, where
-        self = P/L (``clear_denominators``)."""
+        the forward fraction-free elimination (``_ff_eliminate``) of P,
+        where self = P/L (``clear_denominators``)."""
         work, _ = self.clear_denominators()
-        return len(_ff_eliminate(work, self.cols)[0])
+        return sum(1 for _ in _ff_eliminate(work, self.cols))
 
     def ff_inverse(self):
-        """Exact inverse by fraction-free elimination of [P | I], where
-        self = P/L (``clear_denominators``): the last pivot is det P, and
-        the right half is det P times the inverse of P.  A singular matrix
-        raises, naming the first column without a pivot."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination of
+        [P | I], where self = P/L (``clear_denominators``): each step of
+        ``_ff_eliminate`` is run on the rows above its pivot as well.  The
+        last pivot is det P, and the right half is det P times the inverse
+        of P.  A singular matrix raises, naming the first column without a
+        pivot."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -366,38 +436,48 @@ class RfMatrix(Grid):
             grid[r] + [ONE_POLY if c == r else ZERO_POLY for c in range(n)]
             for r in range(n)
         ]
-        pivots, det = _ff_eliminate(work, n)
+        pivots = []
+        for k, col, prev in _ff_eliminate(work, n):
+            _ff_step(work[:k], work[k], col, prev)
+            pivots.append(col)
         if len(pivots) < n:
             k = next(k for k, c in enumerate(pivots + [n]) if c != k)
             raise SingularMatrixError(
                 f"matrix is symbolically singular (column {k + 1})"
             )
-        scale = RatFun(L, det)
+        scale = RatFun(L, work[n - 1][n - 1])
         return RfMatrix.from_rows([scale * RatFun(p) for p in row[n:]] for row in work)
 
 
 def _ff_eliminate(work, cols):
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968), in place, on the rows ``work`` of integer polynomials, pivoting
-    in the first ``cols`` columns only.  Each column's pivot is the first
-    nonzero entry at or below the next pivot row, so intermediate values
-    are deterministic; a column with none is skipped.  Every entry stays a
-    minor of the input, so each division by the previous pivot is an
-    ``exact_div``.  Returns the pivot columns and the last pivot (1 when
-    there is none)."""
-    pivots, prev = [], ONE_POLY
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), in place,
+    on the rows ``work`` of integer polynomials, pivoting in the first
+    ``cols`` columns only.  Each column's pivot is the first nonzero entry
+    at or below the next pivot row, so intermediate values are
+    deterministic; a column with none is skipped.  For each pivot it runs
+    ``_ff_step`` on the rows below, then yields (k, col, prev): the pivot's
+    row and column and the previous pivot (1 for the first).  A caller that
+    runs the same step on the rows above before resuming gets Gauss-Jordan
+    elimination with the same pivots, since no pivot search reads those
+    rows.  Every entry stays a minor of the input, so each division by the
+    previous pivot is an ``exact_div``."""
+    k, prev = 0, ONE_POLY
     for col in range(cols):
-        k = len(pivots)
         found = next((r for r in range(k, len(work)) if work[r][col]), None)
         if found is None:
             continue
         work[k], work[found] = work[found], work[k]
-        top, pivot = work[k], work[k][col]
-        for r, row in enumerate(work):
-            if r != k:
-                lead = row[col]
-                for c in range(col, len(top)):
-                    row[c] = (pivot * row[c] - lead * top[c]).exact_div(prev)
-        pivots.append(col)
-        prev = pivot
-    return pivots, prev
+        _ff_step(work[k + 1:], work[k], col, prev)
+        yield k, col, prev
+        prev = work[k][col]
+        k += 1
+
+
+def _ff_step(rows, top, col, prev):
+    """One Bareiss step on ``rows`` by the pivot row ``top``, whose pivot is
+    in column ``col``: each row becomes (pivot*row - row[col]*top)/prev."""
+    pivot = top[col]
+    for row in rows:
+        lead = row[col]
+        for c in range(col, len(top)):
+            row[c] = (pivot * row[c] - lead * top[c]).exact_div(prev)

@@ -339,7 +339,8 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     (num/y) / Schur factor the y^2 cancels: it is
     ndd*(proj^T Nprev - y*l^T)*num over the Schur numerator.  A zero phi
     leaves ndd in every term, so it is not formed: the Schur factor is
-    core/y^2 and the row (proj^T Nprev - y*l^T)*num over core.
+    core/y^2 and the row (proj^T Nprev - y*l^T)*num over core.  A zero
+    border l adds no term in l: neither proj^T l nor y*l^T is formed.
     """
     i = state.i + 1
     if any(map(any, resid)):  # a nonzero entry: the independent branch
@@ -355,14 +356,16 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
     nprev, border, corner = part
     projT, borderT = transpose(proj), transpose(border.coeffs)
     coupled = any(map(any, coupling_num))  # every term over ndd, and l^T phi
+    bordered = not border.is_zero  # the terms in l
     ndd, ndd_deg = state.ninv.den, state.ndd_deg
     den_cap, core_cap = 2 * state.p_prev, 2 * state.q_hat + state.n_deg
     yy = conv((1, y, y), cap=den_cap, label="Schur factor denominator")
     # 1x1 sequences: core = c*y^2 + proj^T Nprev proj - 2*y*proj^T l
     dn = projT if nprev is None else conv((1, projT, nprev.coeffs))
-    core = conv((1, ((corner,),), yy), (1, dn, proj),
-                (-2, conv((1, projT, border.coeffs)), y),
-                cap=core_cap, label="Schur factor numerator")
+    terms = [(1, ((corner,),), yy), (1, dn, proj)]
+    if bordered:
+        terms.append((-2, conv((1, projT, border.coeffs)), y))
+    core = conv(*terms, cap=core_cap, label="Schur factor numerator")
     if coupled:
         yy = conv((1, yy, ndd), cap=den_cap + ndd_deg, label="Schur factor denominator")
         core = conv((1, core, ndd), (-1, conv((1, borderT, coupling_num)), y),
@@ -373,7 +376,7 @@ def step_bottom_row(state, col, proj, resid, coupling_num, m_weight, part):
         raise DegenerateWeightError(
             "weighted Schur factor is identically zero", stage=i
         )
-    lhs = conv((1, dn, (1,)), (-1, y, borderT))
+    lhs = conv((1, dn, (1,)), (-1, y, borderT)) if bordered else dn
     v_cap = state.q_prev + state.q_hat + state.n_deg
     v = conv((1, lhs, state.x.num.coeffs), cap=v_cap,
              label="bottom row numerator (dependent)")

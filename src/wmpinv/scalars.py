@@ -32,9 +32,12 @@ lowest degree first as in ``Poly.coeffs``; a matrix polynomial is a grid
 represent zero, so a zero matrix is a grid of empty entries and keeps its
 shape; when two sequences of different lengths are combined the shorter
 is implicitly padded with zeros.  ``pack`` and ``digits`` convert a
-sequence to and from its value at s = 2**k: the one codec of GCDHEU, of
-the kernel ``conv`` and of the Penrose checker, which shares ``packed``
-and ``pmul`` with it.  Every entry ``conv`` returns is canonical, as in
+sequence to and from its value at s = 2**k, splitting in halves above
+``_LEAF`` terms or digits: the one codec of GCDHEU, of the kernel
+``conv``, of the Penrose checker, which shares ``packed`` and ``pmul``
+with it, and of the rational path's matrix kernels (``matrices``), which
+pack their operands themselves and never call ``conv``; scalar ``Poly``
+products stay schoolbook.  Every entry ``conv`` returns is canonical, as in
 ``Poly.coeffs`` (trimmed, () for zero), so canonical entries are equal
 exactly when their values are; a degree capacity, when given, is checked
 on the operands' untrimmed length and on the result's.
@@ -295,8 +298,19 @@ def _quotient(a, d):
     return None if rem else quo
 
 
+# above this many terms or digits, ``pack`` and ``digits`` split in halves
+_LEAF = 32
+
+
 def pack(seq, k):
-    """The integer sequence's value at s = 2**k (shift-Horner)."""
+    """The integer sequence's value at s = 2**k: shift-Horner on at most
+    ``_LEAF`` terms, else the low half's value plus the high half's shifted
+    by k bits a term, so n terms cost O(k*n*log n) bit operations, not
+    shift-Horner's O(k*n**2)."""
+    n = len(seq)
+    if n > _LEAF:
+        h = n // 2
+        return pack(seq[:h], k) + (pack(seq[h:], k) << (h * k))
     v = 0
     for c in reversed(seq):
         v = (v << k) + c
@@ -306,7 +320,20 @@ def pack(seq, k):
 def digits(v, k):
     """Balanced base-2**k digits of v (k >= 2), each in (-2**(k-1), 2**(k-1)],
     lowest first up to the top nonzero one: the inverse of ``pack`` on
-    sequences in that range, up to trailing zeros."""
+    sequences in that range, up to trailing zeros.
+
+    Above ``_LEAF`` digits v splits as lo + hi*2**(h*k), 0 <= lo < 2**(h*k)
+    for h half its digits.  Balanced digits are a complete residue system
+    mod 2**(h*k), so lo's digits are v's h lowest, but for a top digit 1 at
+    position h, which is carried into hi; v's digits are lo's h, padded with
+    zeros, then those of hi plus the carry, which are not all zero because
+    |v| >= 2**(2*h*k - 1) exceeds every value of h digits."""
+    n = v.bit_length() // k
+    if n > _LEAF:
+        h = n // 2
+        low = digits(v & ((1 << (h * k)) - 1), k)
+        carry = low.pop() if len(low) > h else 0
+        return low + [0] * (h - len(low)) + digits((v >> (h * k)) + carry, k)
     mask, half = (1 << k) - 1, 1 << (k - 1)
     out = []
     while v:

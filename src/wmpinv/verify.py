@@ -10,8 +10,10 @@ first entry where two paths differ with ``first_difference``.
 Everything here is exact; there are no tolerances.  The Penrose checker
 clears denominators and decides each identity on integers packed by
 ``scalars.pack``, unpacking only a failing residual with
-``scalars.digits``; the rational path and the cross-path equality stay
-the independent oracle.
+``scalars.digits``.  Both computation paths use the same codec, but they
+share no formula, so the cross-path equality still compares two
+independent algorithms; the codec itself is checked in the tests against
+shift-Horner and against entrywise ``RatFun`` arithmetic.
 """
 
 from __future__ import annotations

@@ -198,12 +198,13 @@ class TestZeroBorderCounts:
     def test_rational_products(self, monkeypatch):
         # 36 products when the coupling column was formed after every
         # rank shortfall, 26 when the zero border still formed N^-1*l, 20
-        # when the identity weights were multiplied by
+        # when the identity weights were multiplied by, 15 when the
+        # dependent stage 2 formed proj^T*l
         calls = count_calls(monkeypatch, RfMatrix, "__mul__")
         states = list(greville.partition_stages(self.problem()))
         monkeypatch.undo()
         assert [st.rank for st in states] == [1, 1, 2, 3, 4]
-        assert len(calls) == 15
+        assert len(calls) == 14
         assert states[-1].x == load("wmp_hessenberg_x_true.mat")
 
     def test_no_convolution_in_the_coupling_step(self, monkeypatch):
@@ -223,8 +224,9 @@ class TestZeroBorderCounts:
         # 4 convolutions in each of the last three steps when the formula ran
         assert inside == [0, 0, 0, 0]
         # 40 when the identity weights were convolved with and each zero
-        # border step formed its core as 1*nbar
-        assert len(convs) == 32
+        # border step formed its core as 1*nbar, 32 when the dependent
+        # stage 2 formed proj^T*l and lhs = dn - y*l^T
+        assert len(convs) == 30
         assert last.x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
 
 
@@ -279,7 +281,8 @@ class TestIdentityWeights:
         # on Hessenberg, 2*I costs one product by M at stage 1 and at each
         # of the three independent stages, and one by the previous block of
         # N on the dependent stage 2; each zero-border step of N = 2*I
-        # reduces 2 over 2, so its core is nbar as for N = I
+        # reduces 2 over 2, so its core is nbar as for N = I; no zero
+        # border forms a term in l
         problems = self.problems(load("wmp_hessenberg_a.mat"))
         counts = []
         for cls, name, stages, over in (
@@ -292,7 +295,7 @@ class TestIdentityWeights:
                 list(stages(problem))
                 monkeypatch.undo()
                 counts.append(len(calls))
-        assert counts == [15, 15, 20, 32, 32, 37]
+        assert counts == [14, 14, 19, 30, 30, 35]
 
 
 def test_zero_coupling_column_is_over_the_previous_denominator():

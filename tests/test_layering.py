@@ -75,6 +75,14 @@ def test_the_penrose_checker_does_not_import_the_kernel():
     assert "conv" not in imported
 
 
+def test_the_rational_path_does_not_import_the_kernel():
+    # it shares the codec, pack and digits, with the coefficient path, but
+    # forms its packed numerators itself, not through ``conv``
+    for own in ("matrices", "greville"):
+        imported = {name for _, name in relative_imports(SRC / f"{own}.py")}
+        assert "conv" not in imported, own
+
+
 def test_the_cli_imports_no_path_module():
     # the choice of path is written once, in verify.PATHS
     imported = {module for module, _ in relative_imports(SRC / "cli.py")}

@@ -236,6 +236,60 @@ class TestMinusOuter:
             RfMatrix.zeros(1, 1).minus_outer([[1]], RfMatrix.zeros(1, 1))
 
 
+def big_entry(rng, dens):
+    """Zero, a signed constant or a polynomial with coefficients up to
+    +-2^64, over one of ``dens``."""
+    kind = rng.random()
+    if kind < 0.2:
+        return RatFun(0)
+    terms = 1 if kind < 0.4 else rng.randint(2, 5)
+    num = Poly([rng.choice((-1, 1)) * rng.randint(0, 2**64) for _ in range(terms)])
+    return RatFun(num or 1) / rng.choice(dens)
+
+
+class TestPackedKernels:
+    """``minus_outer`` and the grouped sums of ``__mul__`` form each entry's
+    numerator as one packed integer and unpack it once; at coefficients up
+    to +-2^64, with zero, constant and negative entries, they give what
+    entrywise RatFun arithmetic gives."""
+
+    @staticmethod
+    def big_matrix(rng, rows, cols):
+        dens = rng.choice([DENS, DENS[:2], DENS[2:4]])
+        return matrix([[big_entry(rng, dens) for _ in range(cols)] for _ in range(rows)], cols)
+
+    def test_minus_outer_is_the_entrywise_difference(self):
+        rng = random.Random(64)
+        for _ in range(120):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            x, u, v = (self.big_matrix(rng, *shape) for shape in ((rows, cols), (rows, 1), (1, cols)))
+            expected = matrix(
+                [[x[r, c] - u[r, 0] * v[0, c] for c in range(cols)] for r in range(rows)], cols
+            )
+            assert x.minus_outer(u, v) == expected
+
+    def test_product_is_the_left_fold(self):
+        rng = random.Random(65)
+        for _ in range(80):
+            m, k, n = rng.randint(1, 3), rng.randint(1, 5), rng.randint(1, 3)
+            a, b = self.big_matrix(rng, m, k), self.big_matrix(rng, k, n)
+            assert a * b == fold_product(a, b)
+
+    def test_extreme_signed_coefficients(self):
+        # every numerator coefficient is a product of two or three factors
+        # of magnitude 2^64, so it is far above every operand coefficient
+        big = 2**64
+        x = RfMatrix.from_rows([[RatFun(Poly([big, -big])), RatFun(-big)]])
+        u = RfMatrix.from_rows([[RatFun(Poly([-big, big]), 3)]])
+        v = RfMatrix.from_rows([[RatFun(Poly([big, big])), RatFun(big, Poly([0, 1]))]])
+        expected = matrix([[x[0, c] - u[0, 0] * v[0, c] for c in range(2)]], 2)
+        assert x.minus_outer(u, v) == expected
+        assert expected[0, 0] == RatFun(Poly([3 * big + big**2, -3 * big, -big**2]), 3)
+        a = RfMatrix.from_rows([[RatFun(Poly([big, -big])), RatFun(Poly([-big, -big]))]])
+        b = RfMatrix.from_rows([[RatFun(Poly([-big, big]))], [RatFun(Poly([big, -big]))]])
+        assert a * b == fold_product(a, b) == matrix([[RatFun(Poly([-2 * big**2, 2 * big**2]))]], 1)
+
+
 class TestTranspose:
     def test_row_to_column(self):
         a = RfMatrix.from_rows([[e("1"), e("s")]])

@@ -263,6 +263,26 @@ class TestPenroseReference:
         assert max(map(abs, residual.num.coeffs)) > largest
         self.assert_same(a, m, n, x)
 
+    @pytest.mark.parametrize("tag", ["(3M)", "(4N)"])
+    def test_weight_coefficients_set_the_packing_width(self, tag):
+        # A = [1; 1] and X = [s, 1 - s] satisfy (1) and (2), as XA = 1.
+        # Under M = diag(W, 1), W = 2^100, entry (1, 2) of S^T - S, S = MAX,
+        # is s - W*(1 - s): its coefficients are bounded only through the
+        # weight term 2|P||Xn|max(|Mn|, |Nn|) of the packing width, as P, Xn
+        # and L d have coefficients of at most 1.  (4N) is the transpose.
+        w = 2**100
+        a, x = RfMatrix.from_rows([[1], [1]]), RfMatrix.from_rows([[e("s"), e("1-s")]])
+        big, one = RfMatrix.from_rows([[w, 0], [0, 1]]), RfMatrix.identity(1)
+        if tag == "(3M)":
+            args, residual = (a, big, one, x), Poly([-w, w + 1])
+        else:
+            args, residual = (a.transpose(), one, big, x.transpose()), Poly([1, -w - 1])
+        rep = penrose_check(*args)
+        assert rep == PenroseReport(
+            True, True, tag == "(4N)", tag == "(3M)", (tag, 1, 2, RatFun(residual))
+        )
+        self.assert_same(*args)
+
 
 class TestCrossPathCheck:
     def test_identity_triple(self):
