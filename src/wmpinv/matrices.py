@@ -23,9 +23,13 @@ The two kernels of the rational path, a product's grouped sums and the
 rank-one update ``minus_outer``, form numerators by Kronecker
 substitution in the codec of ``scalars`` (``pack``, ``digits``): one k
 per operation from an l1-norm bound on every numerator coefficient, each
-operand numerator packed once (``_Packs``), and each entry's numerator
-formed as one integer and unpacked once.  Their gcd and division work is
-that of ``RatFun``, so every entry is the same canonical value.
+operand numerator packed once (``scalars.Packs``), and each entry's
+numerator formed as one integer and unpacked at most once.  Their gcd
+and division work is that of ``RatFun``, so every entry is the same
+canonical value; ``minus_outer`` hands each numerator to ``RatFun.over``
+still packed, so that its hint's trial division runs on packed values
+and only the quotient is unpacked (``scalars.packed_quotient``, with
+``_long_divmod`` as the one fallback).
 
 ``rank`` and ``ff_inverse`` are the independent oracles: denominators are
 cleared to a single scalar polynomial, and the one elimination,
@@ -45,7 +49,7 @@ from operator import neg
 
 from .errors import PoleError, SingularMatrixError
 from .scalars import (
-    ONE, ZERO, RatFun, ONE_POLY, ZERO_POLY, Poly, digits, gcd_cofactors, pack, poly_gcd,
+    ONE, ZERO, RatFun, ONE_POLY, ZERO_POLY, Packs, gcd_cofactors, poly_gcd,
 )
 
 
@@ -214,24 +218,6 @@ def _l1(p):
     return sum(map(abs, p.coeffs))
 
 
-class _Packs(dict):
-    """Each coefficient tuple's value at s = 2**k (``scalars.pack``), packed
-    once while the dict lives, which is one matrix operation."""
-
-    def __init__(self, k):
-        super().__init__()
-        self.k = k
-
-    def __missing__(self, coeffs):
-        v = self[coeffs] = pack(coeffs, self.k)
-        return v
-
-    def poly(self, v):
-        """The polynomial whose value at s = 2**k is v, by ``digits``; its
-        coefficients must be below 2**(k-1) in magnitude."""
-        return Poly._raw(tuple(digits(v, self.k)))
-
-
 def _groups(row, col):
     """The products a*b of a row and a column of canonical entries, in
     lists grouped by the pair (a.den, b.den) of operand denominators."""
@@ -320,7 +306,7 @@ class RfMatrix(Grid):
         bound = max((sum(_l1(x.num) * _l1(y.num) for x, y in pairs)
                      for entry in chain.from_iterable(groups) for pairs in entry
                      if len(pairs) > 1), default=0)
-        packs, memo = _Packs(bound.bit_length() + 1), {}
+        packs, memo = Packs(bound.bit_length() + 1), {}
         grid = tuple(tuple(_dot(entry, packs, memo) for entry in row) for row in groups)
         return RfMatrix._of(self.rows, other.cols, grid)
 
@@ -331,12 +317,15 @@ class RfMatrix(Grid):
         denominators, whose entries share one ``RatFun.over`` hint.
 
         Every numerator is formed as one integer, its value at s = 2**k, and
-        unpacked once.  Each coefficient of x.num*abq - a.num*b.num*xq is at
+        unpacked at most once.  Each coefficient of x.num*abq - a.num*b.num*xq is at
         most |x.num|_1*|abq|_1 + |a.num|_1*|b.num|_1*|xq|_1 in the l1 norm of
         coefficients, and k is one more than the bit length of the largest
         such bound, so 2**(k-1) exceeds every coefficient and the balanced
         digits are the coefficients.  Each x.num, a.num and b.num, and each
-        triple's xq and abq, is packed once per call."""
+        triple's xq and abq, is packed once per call.  The numerator goes
+        to ``RatFun.over`` packed, with the call's ``Packs``: the triple's
+        hint g is tried on packs[g.coeffs] at the same k, and the numerator
+        is unpacked only where that finds no quotient."""
         u, v = RfMatrix.expect(u), RfMatrix.expect(v)
         if (u.rows, u.cols, v.rows, v.cols) != (self.rows, 1, 1, self.cols):
             raise ValueError(f"cannot subtract the product of {u.rows}x{u.cols} and "
@@ -356,7 +345,7 @@ class RfMatrix(Grid):
                     bound = max(bound, _l1(x.num) * _l1(abq)
                                 + _l1(a.num) * _l1(b.num) * _l1(xq))
                 cells[-1].append((x, a, b, t))
-        packs = _Packs(bound.bit_length() + 1)
+        packs = Packs(bound.bit_length() + 1)
 
         def entry(x, a, b, t):
             if t is None:
@@ -364,7 +353,7 @@ class RfMatrix(Grid):
             den, xq, abq, hint = t
             num = (packs[x.num.coeffs] * packs[abq.coeffs]
                    - packs[a.num.coeffs] * packs[b.num.coeffs] * packs[xq.coeffs])
-            return RatFun.over(packs.poly(num), den, hint)
+            return RatFun.over(num, den, hint, packs)
 
         grid = tuple(tuple(entry(*cell) for cell in line) for line in cells)
         return RfMatrix._of(self.rows, self.cols, grid)

@@ -27,7 +27,11 @@ reduction, which is what keeps the capacities from growing
 multiplicatively.  It reduces the new bottom row over its own denominator
 first, then the corrected previous block over the coupling denominator
 alone; stacked, the two are already the canonical pair, so no gcd is
-taken over the whole family (``step_extend``).
+taken over the whole family (``step_extend``).  That block leaves the
+kernel packed (``conv(..., unpack=False)``), so its reduction divides on
+packed values and unpacks one entry for its first gcd step and otherwise
+only quotients; ``scalars._long_divmod`` stays the one long division and
+the only fallback.
 
 Each stage is a pure function of the previous stage: the step formulas
 take the previous frozen ``PolyPartitionState`` and the sequences built
@@ -55,7 +59,7 @@ from operator import add
 from .errors import DegenerateWeightError, SingularMatrixError
 from .matrices import Grid, RfMatrix, WeightedProblem
 from .scalars import (
-    ONE_POLY, Poly, RatFun, coerce_coeff, conv, joint_reduce, seq_len,
+    ONE_POLY, Packs, Poly, RatFun, coerce_coeff, conv, joint_reduce, seq_len,
     transpose, trim,
 )
 
@@ -148,14 +152,19 @@ class MatrixPolyFraction:
         return self.num.to_rf_matrix(Poly(self.den))
 
 
-def fraction_simplify(num, den):
+def fraction_simplify(num, den, packs=None):
     """The one reduction of a matrix-polynomial numerator over a scalar
     denominator, returned as a ``MatrixPolyFraction``.  The gcd of the
     denominator and every numerator entry is divided out, then the joint
     integer content, leaving a positive leading denominator coefficient.
-    The value is unchanged; applying it twice changes nothing."""
-    entries = [Poly._raw(e) for row in num.coeffs for e in row]
-    reduced, den = joint_reduce(entries, Poly(den))
+    The value is unchanged; applying it twice changes nothing.  With
+    ``packs`` (a ``Packs``), num's entries are their values at
+    s = 2**packs.k, as ``conv(..., unpack=False)`` returns them, and
+    ``joint_reduce`` divides on those values."""
+    entries = [e for row in num.coeffs for e in row]
+    if packs is None:
+        entries = [Poly._raw(e) for e in entries]
+    reduced, den = joint_reduce(entries, Poly(den), packs)
     it = iter(reduced)
     grid = tuple(tuple(next(it).coeffs for _ in row) for row in num.coeffs)
     return MatrixPolyFraction(PolyMatrix._of(num.rows, num.cols, grid), den.coeffs)
@@ -394,7 +403,9 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     and shift = proj.  A nonzero one, phi over y*ndd, sets scale = ndd*w
     and shift = ndd*proj + phi.  U is reduced over c alone to U1/c1, so
     the upper block is U1 over c1*w, and the result is [U1; c1*v] over
-    c1*w with no further reduction.
+    c1*w with no further reduction.  U leaves the kernel as packed values,
+    its capacity checked exactly on them, and ``fraction_simplify``
+    divides on those values, unpacking only what it needs.
 
     That pair is already canonical.  Both (U1, c1) and (v, w) are reduced,
     so an irreducible p of Z[s] (an integer prime included) that divides
@@ -420,9 +431,10 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     cols = state.x.num.cols
 
     cap = max(state.q_prev + ndd_deg + b_den, shift_deg + row_deg)
-    upper = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num),
-                 cap=cap, label="extended numerator (upper block)")
-    upper = fraction_simplify(PolyMatrix._of(state.i, cols, upper), coupling_den)
+    upper, k = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num),
+                    cap=cap, label="extended numerator (upper block)", unpack=False)
+    upper = PolyMatrix._of(state.i, cols, upper)
+    upper = fraction_simplify(upper, coupling_den, Packs(k))
     c1, c_deg = upper.den, len(upper.den) - 1
 
     lower = conv((1, c1, row_num),

@@ -38,6 +38,21 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
+def packed_divisions(monkeypatch):
+    """A list that gains, per ``scalars.packed_quotient`` call from now on,
+    whether it found the quotient: True, or its False or None."""
+    results = []
+    real = scalars.packed_quotient
+
+    def spy(*args):
+        q = real(*args)
+        results.append(q if q is None or q is False else True)
+        return q
+
+    monkeypatch.setattr(scalars, "packed_quotient", spy)
+    return results
+
+
 def grid_result(terms, check):
     """Whether a kernel call on ``terms`` gives a grid: some operand is one."""
     return any(scalars._is_grid(x) for _, a, b in terms for x in (a, b))
@@ -47,16 +62,24 @@ def longer_digits(conv, pick):
     """``conv`` with one extra zero digit on every entry it unpacks in a
     call for which ``pick(terms, check)`` holds, ``check`` being the call's
     keyword arguments, so that such a result of full untrimmed length n
-    comes out of length n + 1, where a capacity check on it must see it."""
+    comes out of length n + 1, where a capacity check on it must see it.
+    A call that returns packed values (``unpack=False``) unpacks nothing;
+    there the values that its capacity check reads get one low zero digit
+    instead (times 2**k), so each comes out one digit longer."""
     def wrapped(*terms, **check):
         if not pick(terms, check):
             return conv(*terms, **check)
-        real = scalars.digits
-        scalars.digits = lambda v, k: real(v, k) + [0]
+        if check.get("unpack", True):
+            name, real = "digits", scalars.digits
+            scalars.digits = lambda v, k: real(v, k) + [0]
+        else:
+            name, real = "_check_packed_capacity", scalars._check_packed_capacity
+            scalars._check_packed_capacity = lambda vals, k, *rest: real(
+                [v << k for v in vals], k, *rest)
         try:
             return conv(*terms, **check)
         finally:
-            scalars.digits = real
+            setattr(scalars, name, real)
     return wrapped
 
 

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     count_calls,
     load,
+    packed_divisions,
     rand_problem_matrix,
     rand_rational_problem,
     rand_weight,
@@ -154,13 +155,18 @@ class TestWeightedPinv:
         # 308 divisions here, grouping by the product's denominator without
         # reusing gcds 132, and forming each residual's squared length as
         # r^T M r rather than (r^T M)*a_i 88, and forming each stage's
-        # rank-one updates as a matrix product and a difference 82.
+        # rank-one updates as a matrix product and a difference 82, and
+        # long-dividing each rank-one update's numerator by its hint 80.
+        # Those hint divisions now run on packed values, and all 4 find
+        # their quotient, so none falls back to long division.
         a = load("wmp_hessenberg_a.mat")
         calls = count_calls(monkeypatch, Poly, "__divmod__")
+        packed = packed_divisions(monkeypatch)
         x = weighted_pinv(WeightedProblem(a))
         monkeypatch.undo()
         assert x == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 80
+        assert len(calls) <= 76
+        assert packed == [True] * 4
 
     def test_hessenberg_gcd_count(self, monkeypatch):
         # 294 gcds before one matrix operation reused its gcds, 178 before

@@ -13,7 +13,7 @@ from wmpinv.errors import PoleError, SingularMatrixError
 from wmpinv.matrices import RfMatrix
 from wmpinv.matrixio import parse_entry
 from wmpinv.poly_greville import PolyMatrix
-from wmpinv.scalars import Poly, RatFun
+from wmpinv.scalars import Packs, Poly, RatFun, pack
 
 
 def e(text):
@@ -192,14 +192,20 @@ class TestMinusOuter:
         assert x.minus_outer(u, v) == x - u * v == expected
 
     def test_over_keeps_the_first_nonconstant_gcd_as_its_hint(self):
+        # each numerator is given packed at k = 5, as ``minus_outer`` gives it
+        packs = Packs(5)
+
+        def over(coeffs, den, hint):
+            return RatFun.over(pack(coeffs, 5), den, hint, packs)
+
         den, hint = Poly([2, 3, 1]), []
-        assert RatFun.over(Poly([2]), den, hint) == RatFun(2, den)
+        assert over([2], den, hint) == RatFun(2, den)
         assert hint == []
-        assert RatFun.over(Poly([3, 3]), den, hint) == e("3/(s+2)")
+        assert over([3, 3], den, hint) == e("3/(s+2)")
         assert hint == [Poly([1, 1]), Poly([2, 1])]
-        assert RatFun.over(Poly([2, 1]), den, hint) == e("1/(s+1)")
-        assert RatFun.over(Poly([-4, -6, -2]), den, hint) == RatFun(-2)
-        assert RatFun.over(Poly(), den, hint) == RatFun(0)
+        assert over([2, 1], den, hint) == e("1/(s+1)")
+        assert over([-4, -6, -2], den, hint) == RatFun(-2)
+        assert over([], den, hint) == RatFun(0)
         assert hint == [Poly([1, 1]), Poly([2, 1])]
 
     def test_zero_factors_leave_the_entry(self):

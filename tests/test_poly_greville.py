@@ -15,6 +15,7 @@ from helpers import (
     grid_result,
     load,
     longer_digits,
+    packed_divisions,
     rand_den,
     rand_indefinite_weight,
     rand_matrix,
@@ -396,13 +397,18 @@ class TestExtend:
         # steps otherwise; a count does not depend on the host.  A gcd
         # step on every entry took 78 divisions here, and a gcd over the
         # whole family followed by dividing every entry again took 122.
-        # Reducing the stacked pair of the unreduced row took 48.
+        # Reducing the stacked pair of the unreduced row took 48, and
+        # long-dividing the upper block's entries 43.  Those trial divisions
+        # now run on packed values, and all 13 find their quotient, so none
+        # falls back to long division.
         a = PolyMatrix.from_rf_matrix(load("wmp_hessenberg_a.mat"))
         calls = count_calls(monkeypatch, Poly, "__divmod__")
+        packed = packed_divisions(monkeypatch)
         x = weighted_pinv(a)
         monkeypatch.undo()
         assert x.to_rf_matrix() == load("wmp_hessenberg_x_true.mat")
-        assert len(calls) <= 43
+        assert len(calls) <= 30
+        assert packed == [True] * 13
 
     def test_hessenberg_gcd_count(self, monkeypatch):
         # a gcd step runs only where the running gcd does not divide the

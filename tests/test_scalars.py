@@ -487,6 +487,117 @@ class TestHeuristicGcd:
         check()
 
 
+def packed_pair(a, g, k):
+    """packed_quotient on the coefficient lists a and g at k."""
+    return scalars.packed_quotient(pack(a, k), k, tuple(g), pack(g, k))
+
+
+class TestPackedQuotient:
+    """packed_quotient: a quotient, False or None, never a wrong quotient,
+    against long division on the unpacked coefficients."""
+
+    @staticmethod
+    def long_quotient(a, g):
+        # the oracle: the quotient's coefficients, or None without one in Z[s]
+        quo = scalars._quotient(Poly(a), Poly(g))
+        return None if quo is None else quo.coeffs
+
+    def test_agrees_with_long_division_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        signed = st.lists(st.integers(-(2**30), 2**30), min_size=1, max_size=7)
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(signed, signed, signed, st.booleans(), st.integers(0, 6))
+        def check(q, g, r, exact, spare):
+            q, g = Poly(q + [1]), Poly(g + [-1])
+            a = q * g if exact else q * g + Poly(r)
+            if a.is_zero:
+                return
+            k = max(map(abs, a.coeffs)).bit_length() + 1 + spare
+            got = packed_pair(a.coeffs, g.coeffs, k)
+            want = self.long_quotient(a.coeffs, g.coeffs)
+            if got is False:
+                assert want is None
+            elif got is not None:
+                assert got == want
+            bounded = max(map(abs, q.coeffs)) * sum(map(abs, g.coeffs)) < 1 << (k - 1)
+            if exact and bounded:  # the bound holds: the packed values decide
+                assert got == q.coeffs
+            gv = pack(g.coeffs, k)
+            if gv and pack(a.coeffs, k) % gv:
+                assert got is False  # a remainder proves that there is no quotient
+
+        check()
+
+    def test_signed_and_non_monic_pairs(self):
+        # exact pairs and off-by-one perturbations of them, at the k of
+        # ``conv``; each is decided unless an exact quotient breaks the bound
+        rng = random.Random(43)
+        for _ in range(300):
+            q, g = rand_nonconstant(rng, 3, 8), rand_nonconstant(rng, 2, 8)
+            for a in (q * g, q * g + Poly([1]), q * g - Poly([0, 1])):
+                a = a.coeffs
+                k = max(map(abs, a)).bit_length() + 2
+                got, want = packed_pair(a, g.coeffs, k), self.long_quotient(a, g.coeffs)
+                bounded = max(map(abs, q.coeffs)) * sum(map(abs, g.coeffs)) < 1 << (k - 1)
+                assert got == (want or False) if want is None or bounded else got is None
+
+    def test_an_exact_quotient_that_breaks_the_bound_is_left_open(self):
+        # (s+1)*7 at k = 4: the quotient 7 is exact, but 7*|s+1|_1 = 14 is
+        # not below 2**3, so the packed values do not decide
+        assert packed_pair([7, 7], [1, 1], 4) is None
+
+    def test_a_wrong_integer_quotient_is_caught_by_the_bound(self):
+        # a = 7 - 7s + 3s^2 and g = s + 1 at k = 4: a(16) = 663 = 17*39, yet
+        # a(-1) = 17, so g does not divide a.  The digits of 39 are 7 + 2s,
+        # below 2**3; only the factor |g|_1 = 2 shows that 7 + 2s is no
+        # quotient ((7 + 2s)(s + 1) = 7 + 9s + 2s^2)
+        a, g = [7, -7, 3], [1, 1]
+        assert pack(a, 4) % pack(g, 4) == 0 and digits(pack(a, 4) // 17, 4) == [7, 2]
+        assert self.long_quotient(a, g) is None
+        assert packed_pair(a, g, 4) is None
+
+    def test_a_divisor_that_vanishes_at_the_point_is_left_open(self):
+        # g = s - 2**k has g(2**k) = 0: no division by zero
+        for k in (2, 4, 9):
+            g = [-(1 << k), 1]
+            assert pack(g, k) == 0
+            assert packed_pair([1, -1, 1], g, k) is None
+            assert packed_pair([], g, k) is None
+
+    def test_a_non_integral_quotient_by_a_non_primitive_divisor(self):
+        # (s+1)/(2s+2) = 1/2 and (3 + 3s)/(2 + 2s) = 3/2: long division raises,
+        # and the packed values prove that no quotient exists in Z[s]
+        for a in ([1, 1], [3, 3], [-5, -5]):
+            with pytest.raises(ArithmeticError):
+                scalars._long_divmod(a, [2, 2])
+            assert packed_pair(a, [2, 2], 6) is False
+        assert packed_pair([4, 4], [2, 2], 6) == (2,)
+
+    def test_beyond_the_cost_rule_nothing_is_divided(self, monkeypatch):
+        # a k above the rule's limit returns at once, without a big-int
+        # division; k = 1 has no balanced digits
+        big = scalars._PACKED_DIVISION_BITS + 1
+        assert packed_pair([1, 2, 1], [1, 1], big) is None
+        assert packed_pair([1, 2, 1], [1, 1], scalars._PACKED_DIVISION_BITS) == (1, 1)
+        assert scalars.packed_quotient(3, 1, (1, 1), 3) is None
+
+    def test_a_proven_non_divisor_takes_no_long_division(self, monkeypatch):
+        # s + 3 over (s+1)(s+2), with the hint s + 1, and the same pair in a
+        # reduction: the packed division proves that s + 1 does not divide
+        # s + 3, so no Poly division of that pair runs
+        g, num = Poly([1, 1]), Poly([3, 1])
+        den = g * Poly([2, 1])
+        calls = count_calls(monkeypatch, Poly, "__divmod__")
+        packs = scalars.Packs(8)
+        assert RatFun.over(pack(num.coeffs, 8), den, [g, Poly([2, 1])], packs) == RatFun(num, den)
+        nums = [pack(c, 8) for c in ((1, 1), (3, 1))]
+        assert joint_reduce(nums, den, scalars.Packs(8)) == ([g, num], den)
+        monkeypatch.undo()
+        assert not [pair for pair in calls if pair[1] == g and pair[0] == num]
+
+
 class TestRatFunCanonical:
     def test_equal_values_hash_equal(self):
         pairs = (
@@ -715,7 +826,13 @@ class TestJointReduce:
         )
 
     def check(self, nums, den):
-        assert joint_reduce(nums, den) == self.two_pass(nums, den), (nums, den)
+        # the same family given packed (``conv(..., unpack=False)``) gives
+        # the same result
+        want = self.two_pass(nums, den)
+        assert joint_reduce(nums, den) == want, (nums, den)
+        k = max((abs(c).bit_length() for p in nums for c in p.coeffs), default=0) + 2
+        packed = [pack(p.coeffs, k) for p in nums]
+        assert joint_reduce(packed, den, scalars.Packs(k)) == want, (nums, den)
 
     def test_matches_two_pass_reference(self):
         # products of random subsets of a few factors, so that the running
