@@ -19,8 +19,9 @@ polynomial L of ``RfMatrix.clear_denominators``.
 The degree of every computed sequence is bounded a priori by the degrees
 of its inputs; the kernel ``scalars.conv`` checks each capacity on the
 operands' untrimmed length and on the length of its result, every entry
-of which is canonical (trimmed, () for zero), so an index slip in any
-convolution raises CapacityError, also under ``python -O``.  Every stage
+of which is canonical (trimmed, () for zero), or ``step_extend`` on that
+of the packed result it reduces, so an index slip in any convolution
+raises CapacityError, also under ``python -O``.  Every stage
 leaves its numerator/denominator pair reduced (common polynomial factor
 and integer content divided out) by ``fraction_simplify``, the one
 reduction, which is what keeps the capacities from growing
@@ -59,8 +60,8 @@ from operator import add
 from .errors import DegenerateWeightError, SingularMatrixError
 from .matrices import Grid, RfMatrix, WeightedProblem
 from .scalars import (
-    ONE_POLY, Packs, Poly, RatFun, coerce_coeff, conv, joint_reduce, seq_len,
-    transpose, trim,
+    ONE_POLY, Packs, Poly, RatFun, check_capacity, coerce_coeff, conv, joint_reduce,
+    seq_len, transpose, trim,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,13 +70,15 @@ from .scalars import (
 
 def _int_grid(grid, rows, cols):
     """grid as a rows x cols grid of trimmed int tuples; an entry that is
-    not a coefficient list or tuple, or a non-integral coefficient, is
-    rejected, naming its 1-based entry."""
+    not a coefficient list or tuple, or a non-integral or inexact
+    coefficient, is rejected, naming its 1-based entry."""
     def coerce(r, c, x):
         try:
             return coerce_coeff(x)
         except ValueError:
             raise ValueError(f"entry ({r + 1}, {c + 1}) is not integral: {x}") from None
+        except TypeError as exc:
+            raise TypeError(f"entry ({r + 1}, {c + 1}): {exc}") from None
 
     def entry(r, c, seq):
         if not isinstance(seq, (tuple, list)):
@@ -404,8 +407,11 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     and shift = ndd*proj + phi.  U is reduced over c alone to U1/c1, so
     the upper block is U1 over c1*w, and the result is [U1; c1*v] over
     c1*w with no further reduction.  U leaves the kernel as packed values,
-    its capacity checked exactly on them, and ``fraction_simplify``
-    divides on those values, unpacking only what it needs.
+    and ``fraction_simplify`` divides on them, unpacking only what it
+    needs.  Its capacity is checked on what that returns: the reduction
+    divides the whole family by one polynomial times an integer, so
+    U = U1*(c/c1) entrywise, and U's longest entry has length
+    len U1 + deg c - deg c1, or 0 when U1 is zero.
 
     That pair is already canonical.  Both (U1, c1) and (v, w) are reduced,
     so an irreducible p of Z[s] (an integer prime included) that divides
@@ -431,11 +437,14 @@ def step_extend(state, proj, coupling_num, coupling_den, row_num, row_den):
     cols = state.x.num.cols
 
     cap = max(state.q_prev + ndd_deg + b_den, shift_deg + row_deg)
+    label = "extended numerator (upper block)"
     upper, k = conv((1, scale, state.x.num.coeffs), (-1, shift, row_num),
-                    cap=cap, label="extended numerator (upper block)", unpack=False)
+                    cap=cap, label=label, unpack=False)
     upper = PolyMatrix._of(state.i, cols, upper)
     upper = fraction_simplify(upper, coupling_den, Packs(k))
     c1, c_deg = upper.den, len(upper.den) - 1
+    n = seq_len(upper.num.coeffs)
+    check_capacity(n and n + len(coupling_den) - len(c1), cap, label)
 
     lower = conv((1, c1, row_num),
                  cap=c_deg + row_deg, label="extended numerator (bottom row)")

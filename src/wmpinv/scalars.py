@@ -46,8 +46,8 @@ pack their operands once per operation in a ``Packs`` and never call
 ``conv``; scalar ``Poly`` products stay schoolbook.  Every entry ``conv``
 returns is canonical, as in ``Poly.coeffs`` (trimmed, () for zero), so
 canonical entries are equal exactly when their values are; a degree
-capacity, when given, is checked on the operands' untrimmed length and on
-the result's.
+capacity, when given, is checked (``check_capacity``) on the operands'
+untrimmed length and on the result's, a packed result's by its caller.
 """
 
 from __future__ import annotations
@@ -490,7 +490,7 @@ def _product_shape(a, b):
     return (sa[0], sb[1]) if sa and sb else sa or sb
 
 
-def _check_capacity(n, cap, label):
+def check_capacity(n, cap, label):
     # a sequence of untrimmed length n has degree at most cap (None: any)
     if cap is not None and n > max(cap + 1, 0):
         raise CapacityError(
@@ -498,24 +498,6 @@ def _check_capacity(n, cap, label):
             f"its degree capacity {cap}",
             label,
         )
-
-
-def _check_packed_capacity(vals, k, cap, label):
-    """``_check_capacity`` on the digit counts of the packed values ``vals``
-    (a flat iterable), read without unpacking.  An integer has at most n
-    balanced base-2**k digits exactly when it lies in [hi - 2**(n*k) + 1,
-    hi], hi = 2**(k-1)*(2**(n*k) - 1)/(2**k - 1): the 2**(n*k) values of n
-    such digits are distinct and lie in that interval of as many integers.
-    Only when some value is outside it, for n = cap + 1, are the values
-    unpacked, to name the longest length."""
-    if cap is None:
-        return
-    n = max(cap + 1, 0)
-    hi = ((1 << (n * k)) - 1) // ((1 << k) - 1) << (k - 1)
-    lo = hi - (1 << (n * k)) + 1
-    vals = list(vals)
-    if not all(lo <= v <= hi for v in vals):
-        _check_capacity(max(len(digits(v, k)) for v in vals), cap, label)
 
 
 def conv(*terms, cap=None, label=None, unpack=True):
@@ -545,9 +527,9 @@ def conv(*terms, cap=None, label=None, unpack=True):
     With ``unpack=False`` nothing is unpacked: the result is (values, k),
     each entry's value at s = 2**k in place of its sequence, every
     coefficient below 2**(k-2) in magnitude, for a reduction that divides
-    on packed values (``joint_reduce`` with a ``Packs(k)``).  The capacity
-    of the result is then checked on those values, exactly
-    (``_check_packed_capacity``).
+    on packed values (``joint_reduce`` with a ``Packs(k)``).  Only the
+    operand-length check runs then; the caller checks the result's length
+    on what its reduction returns (``check_capacity``).
     """
     shapes = {_product_shape(a, b) for _, a, b in terms}
     if len(shapes) > 1:
@@ -562,7 +544,7 @@ def conv(*terms, cap=None, label=None, unpack=True):
             bound += abs(c) * _magnitude(a) * _magnitude(b) * min(len_a, len_b) * inner
             n = max(n, len_a + len_b - 1)
             live.append((c, a, b))
-    _check_capacity(n, cap, label)
+    check_capacity(n, cap, label)
     k = bound.bit_length() + 2
     if not live:
         zero = () if unpack else 0
@@ -572,8 +554,6 @@ def conv(*terms, cap=None, label=None, unpack=True):
     vals = sum(prods) if shape is None else tuple(
         tuple(map(sum, zip(*rows))) for rows in zip(*prods))
     if not unpack:
-        _check_packed_capacity([vals] if shape is None else chain.from_iterable(vals),
-                               k, cap, label)
         return vals, k
 
     def entry(v):
@@ -581,7 +561,7 @@ def conv(*terms, cap=None, label=None, unpack=True):
 
     out = entry(vals) if shape is None else tuple(tuple(map(entry, row)) for row in vals)
     if cap is not None:
-        _check_capacity(seq_len(out), cap, label)
+        check_capacity(seq_len(out), cap, label)
     return out
 
 

@@ -63,23 +63,21 @@ def longer_digits(conv, pick):
     call for which ``pick(terms, check)`` holds, ``check`` being the call's
     keyword arguments, so that such a result of full untrimmed length n
     comes out of length n + 1, where a capacity check on it must see it.
-    A call that returns packed values (``unpack=False``) unpacks nothing;
-    there the values that its capacity check reads get one low zero digit
-    instead (times 2**k), so each comes out one digit longer."""
+    A call that returns a grid of packed values (``unpack=False``)
+    unpacks nothing; there each value gets one low zero digit instead
+    (times 2**k), so that the entry it packs is s times its own."""
     def wrapped(*terms, **check):
         if not pick(terms, check):
             return conv(*terms, **check)
-        if check.get("unpack", True):
-            name, real = "digits", scalars.digits
-            scalars.digits = lambda v, k: real(v, k) + [0]
-        else:
-            name, real = "_check_packed_capacity", scalars._check_packed_capacity
-            scalars._check_packed_capacity = lambda vals, k, *rest: real(
-                [v << k for v in vals], k, *rest)
+        if not check.get("unpack", True):
+            vals, k = conv(*terms, **check)
+            return tuple(tuple(v << k for v in row) for row in vals), k
+        real = scalars.digits
+        scalars.digits = lambda v, k: real(v, k) + [0]
         try:
             return conv(*terms, **check)
         finally:
-            setattr(scalars, name, real)
+            scalars.digits = real
     return wrapped
 
 

@@ -1,4 +1,5 @@
-"""Mutation check of the proven bounds: each mutant must fail tier-1.
+"""Mutation check of the proven bounds and canonical rules: each mutant
+must fail tier-1.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -59,10 +60,16 @@ MUTANTS = (
         "    k = bound.bit_length()\n    if not live:",
     ),
     Mutant(
-        "the packed capacity check one digit wide",
-        "scalars.py",
-        "    n = max(cap + 1, 0)\n    hi =",
-        "    n = max(cap + 2, 0)\n    hi =",
+        "step_extend's upper-block check without its degree drop",
+        "poly_greville.py",
+        "check_capacity(n and n + len(coupling_den) - len(c1), cap, label)",
+        "check_capacity(n, cap, label)",
+    ),
+    Mutant(
+        "step_extend's upper-block check with its degree drop one too large",
+        "poly_greville.py",
+        "check_capacity(n and n + len(coupling_den) - len(c1), cap, label)",
+        "check_capacity(n and n + len(coupling_den) - len(c1) + 1, cap, label)",
     ),
     Mutant(
         "minus_outer's k from the largest coefficient alone",
@@ -96,10 +103,22 @@ MUTANTS = (
         "k = (min(max(map(abs, ac)), max(map(abs, bc))) + 1).bit_length()",
     ),
     Mutant(
-        "_check_capacity off by one",
+        "check_capacity off by one",
         "scalars.py",
         "if cap is not None and n > max(cap + 1, 0):",
         "if cap is not None and n > max(cap + 2, 0):",
+    ),
+    Mutant(
+        "_normalize without its sign flip",
+        "scalars.py",
+        "    if den.coeffs[-1] < 0:\n        content = -content\n",
+        "",
+    ),
+    Mutant(
+        "_normalize without its numerators' content",
+        "scalars.py",
+        "        content = _int_content((content, *p.coeffs))\n",
+        "        pass\n",
     ),
     Mutant(
         "RatFun.over taking its hint as the whole gcd",
@@ -124,6 +143,12 @@ MUTANTS = (
         "matrixio.py",
         "MAX_SIZE = 2000\n",
         "MAX_SIZE = 2001\n",
+    ),
+    Mutant(
+        "MAX_NESTING one above its documented value",
+        "matrixio.py",
+        "MAX_NESTING = 100\n",
+        "MAX_NESTING = 101\n",
     ),
 )
 

@@ -90,6 +90,13 @@ class TestPolyMatrix:
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             PolyMatrix.from_rf_matrix(parse_matrix_file("matrix 1 2\n1; s/2"))
 
+    def test_inexact_coefficient_rejected_with_position(self):
+        inexact = r"^entry \(1, 1\): exact coefficient expected, got float$"
+        with pytest.raises(TypeError, match=inexact):
+            PolyMatrix(1, 1, [[(1, 0.5)]])
+        with pytest.raises(TypeError, match=r"^entry \(2, 1\): .* got str$"):
+            PolyMatrix(2, 1, [[(1,)], [(0, "1")]])
+
     def test_non_sequence_entry_rejected_with_position(self):
         not_a_sequence = r"entry \(1, 1\) is not a coefficient sequence: 5$"
         with pytest.raises(TypeError, match=not_a_sequence):
@@ -534,6 +541,42 @@ class TestCapacityChecks:
         assert str(info.value) == (
             "single-column denominator: coefficient sequence of length 4 "
             "exceeds its degree capacity 2"
+        )
+
+    @pytest.mark.parametrize(
+        "name, weights, length, cap", [("poly3", "", 13, 11), ("rank2", "mn", 7, 5)]
+    )
+    def test_upper_block_error_reports_its_packed_values(
+        self, monkeypatch, name, weights, length, cap
+    ):
+        # the upper block leaves the kernel packed and is checked on its
+        # reduction; one low zero digit on its values (times 2**k) makes
+        # the first stage's block overflow, and the error must report that
+        # call's cap and the digit count of its longest injected value
+        label = "extended numerator (upper block)"
+        def picked(terms, check):
+            return check.get("label") == label
+
+        faulty = longer_digits(poly_greville.conv, picked)
+        calls = []
+
+        def spy(*terms, **check):
+            out = faulty(*terms, **check)
+            if picked(terms, check):
+                calls.append((out, check["cap"]))
+            return out
+
+        monkeypatch.setattr(poly_greville, "conv", spy)
+        mats = [PolyMatrix.from_rf_matrix(load(f"wmp_{name}_{x}.mat")) for x in "a" + weights]
+        with pytest.raises(CapacityError) as info:
+            weighted_pinv(*mats)
+        [((vals, k), call_cap)] = calls
+        assert call_cap == cap
+        assert max(len(scalars.digits(v, k)) for row in vals for v in row) == length
+        assert info.value.label == label
+        assert str(info.value) == (
+            f"{label}: coefficient sequence of length {length} "
+            f"exceeds its degree capacity {cap}"
         )
 
     def test_every_check_runs_under_its_own_label(self, monkeypatch):

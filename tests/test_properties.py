@@ -94,6 +94,12 @@ def assert_paths_agree(problem):
         for frac in (s_pol.x, s_pol.ninv):
             if frac is not None:
                 assert frac == fraction_simplify(frac.num, frac.den), f"stage {s_pol.i}"
+    # stage i's X is the weighted inverse of the first i columns under M and
+    # N's order-i leading block, on both paths, so a wrong stage fails here
+    for s_rat, s_pol in zip(rat, pol):
+        a_i, n_i = a.leading_columns(s_rat.i), n.leading_block(s_rat.i)
+        for path, x_i in (("rational", s_rat.x), ("coefficient", s_pol.x.to_rf_matrix())):
+            assert penrose_check(a_i, m, n_i, x_i).all_hold, f"{path} stage {s_rat.i}"
     if rat_err is not None:
         return
     assert [s.i for s in rat] == list(range(1, a.cols + 1))
