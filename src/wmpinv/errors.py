@@ -42,9 +42,10 @@ class DegenerateWeightError(StageError):
 class CapacityError(ArithmeticError):
     """A coefficient sequence of the coefficient path outgrew the a priori
     degree capacity of its formula (checked by the kernel ``scalars.conv``
-    on the untrimmed length read from its operands and on the length of
-    its canonical result), or a result coefficient is too long to write as
-    a decimal string.
+    and on ``poly_greville.step_extend``'s reduced upper block), or
+    ``matrixio.format_matrix`` cannot write an entry that the parser reads
+    back (a coefficient past the integer-string digit limit, or text that
+    the parser refuses).
 
     ``label`` names the stage quantity or the entry that failed the check.
     """

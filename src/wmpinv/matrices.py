@@ -198,12 +198,11 @@ class WeightedProblem:
                 raise ValueError(
                     f"{name} weight must be square of order = {name} count"
                 )
-        for name, attr, _ in weights:
-            if not getattr(self, attr).is_symmetric:
+        for name, attr, order in weights:
+            w = getattr(self, attr)
+            if not w.is_symmetric:
                 raise ValueError(f"{name} weight must be symmetric")
-        for _, attr, order in weights:
-            is_identity = getattr(self, attr) == kind.identity(order)
-            object.__setattr__(self, f"{attr[0]}_is_identity", is_identity)
+            object.__setattr__(self, f"{attr[0]}_is_identity", w == kind.identity(order))
 
 
 def _want_entry(x):

@@ -30,11 +30,10 @@ File format: optional full-line comments starting with '#', a header line
 ``matrix <rows> <cols>`` (the dimensions in ASCII digits, as integer
 literals are), then one line per row with entries separated by ';' (the
 separator is ';' and not whitespace so expressions may contain spaces).
-``format_matrix`` emits canonical entries.  Parsing its output
-reproduces the matrix exactly only while each entry is inside the parse
-bounds: a canonical entry past MAX_SIZE (a term s^e with 2e > MAX_SIZE,
-or p/q whose sizes sum past it) is written but cannot be read back, and
-a coefficient past the digit limit is not written (CapacityError).
+``format_matrix`` emits canonical entries, and parsing its output
+reproduces the matrix exactly: an entry that the parser would refuse (a
+term s^e with 2e > MAX_SIZE, p/q whose sizes sum past it, a coefficient
+past the digit limit) is not written (CapacityError).
 """
 
 from __future__ import annotations
@@ -319,29 +318,43 @@ def parse_matrix_file(text):
 
 
 def format_matrix(a):
-    """Emit the file format with canonical entries; they re-parse to the
-    same matrix only inside the parse bounds (see the module docstring).
+    """Emit the file format with canonical entries, each of which
+    ``parse_matrix_file`` reads back to the same value: for an entry that
+    it would refuse, CapacityError names the entry and the reason.
 
-    A coefficient longer than the interpreter's integer-string digit limit
-    cannot be written (nor read back): CapacityError names its entry.
+    ``parse_entry`` decides on the entry's text unless the entry's size is
+    at most MAX_SIZE // 2.  Then every literal is a coefficient of at most
+    1000 bits (302 digits; a digit limit is 0 or at least 640) or an
+    exponent, every power s^e has 2e <= MAX_SIZE, and the operands of every
+    product and quotient have at most the entry's size.  A row without a
+    run of three digits has coefficients and degrees below 100: sizes <= 106.
     """
     lines = [f"matrix {a.rows} {a.cols}"]
-    for r in range(a.rows):
+    for r, row in enumerate(a.grid, start=1):
         try:
-            lines.append("; ".join(format_ratfun(x) for x in a.row(r)))
+            line = "; ".join(map(format_ratfun, row))
         except ValueError:  # str() of an int past the digit limit
-            limit = sys.get_int_max_str_digits()
-            for c, f in enumerate(a.row(r), start=1):
-                digits = digit_count(max(map(abs, f.num.coeffs + f.den.coeffs)))
-                if digits > limit:
-                    raise CapacityError(
-                        f"cannot write entry ({r + 1}, {c}): a coefficient has "
-                        f"{digits} digits, more than the integer-string limit "
-                        f"of {limit}",
-                        label=f"entry ({r + 1}, {c})",
-                    ) from None
-            raise
+            line = None
+        if line is None or re.search("[0-9]{3}", line):
+            for c, f in enumerate(row, start=1):
+                if _size(f) > MAX_SIZE // 2 and (reason := _unreadable(f)):
+                    entry = f"entry ({r}, {c})"
+                    raise CapacityError(f"cannot write {entry}: {reason}", label=entry)
+        lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _unreadable(f):
+    """Why ``parse_entry`` refuses f's canonical text, or None."""
+    try:
+        parse_entry(format_ratfun(f))
+    except MatrixParseError as exc:
+        return f"it would not read back: {exc}"
+    except ValueError:  # str() of an int past the digit limit
+        digits = digit_count(max(map(abs, f.num.coeffs + f.den.coeffs)))
+        return (f"a coefficient has {digits} digits, more than the "
+                f"integer-string limit of {sys.get_int_max_str_digits()}")
+    return None
 
 
 def digit_count(n):

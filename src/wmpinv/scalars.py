@@ -247,7 +247,7 @@ class Poly:
         self``; a polynomial with content 1 is its own primitive part.  The
         zero polynomial splits into (0, zero).
         """
-        g = _int_content(self.coeffs)
+        g = _int_gcd(*self.coeffs)
         if g in (0, 1):
             return g, self
         return g, Poly._raw(tuple(c // g for c in self.coeffs))
@@ -256,15 +256,6 @@ class Poly:
 ZERO_POLY = Poly._raw(())
 ONE_POLY = Poly._raw((1,))
 S_POLY = Poly._raw((0, 1))
-
-
-def _int_content(ints):
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, c)
-        if g == 1:
-            return 1
-    return g
 
 
 def _long_divmod(a, b):
@@ -287,7 +278,7 @@ def _long_divmod(a, b):
 
 
 def _primitive_ints(ints):
-    g = _int_content(ints)
+    g = _int_gcd(*ints)
     if g in (0, 1):
         return list(ints)
     return [c // g for c in ints]
@@ -684,11 +675,11 @@ def _normalize(nums, den):
     by their joint integer content, signed so that the leading denominator
     coefficient is positive (no polynomial gcd).  Returns the inputs
     themselves when that divisor is 1."""
-    content = _int_content(den.coeffs)
+    content = _int_gcd(*den.coeffs)
     for p in nums:
         if content == 1:
             break
-        content = _int_content((content, *p.coeffs))
+        content = _int_gcd(content, *p.coeffs)
     if den.coeffs[-1] < 0:
         content = -content
     if content == 1:
@@ -769,15 +760,20 @@ class RatFun:
         (self.num,), self.den = joint_reduce([Poly._want(num)], Poly._want(den))
 
     @classmethod
+    def _of(cls, num, den):
+        # trusted: (num, den) already canonical
+        f = object.__new__(cls)
+        f.num, f.den = num, den
+        return f
+
+    @classmethod
     def _reduced(cls, num, den):
         # trusted: num, den already polynomial-coprime; only integer
         # normalization is needed
         if num.is_zero:
             return ZERO
         (num,), den = _normalize([num], den)
-        f = object.__new__(cls)
-        f.num, f.den = num, den
-        return f
+        return cls._of(num, den)
 
     @classmethod
     def over(cls, num, den, hint, packs):
@@ -804,10 +800,7 @@ class RatFun:
         if isinstance(c, float):
             raise TypeError("exact value expected, got float")
         c = Fraction(c)
-        f = object.__new__(cls)
-        f.num = Poly.const(c.numerator)
-        f.den = Poly.const(c.denominator) if c else ONE_POLY
-        return f
+        return cls._of(Poly.const(c.numerator), Poly.const(c.denominator))
 
     @property
     def is_zero(self):
@@ -883,9 +876,7 @@ class RatFun:
     __radd__ = __add__
 
     def __neg__(self):
-        f = object.__new__(RatFun)
-        f.num, f.den = -self.num, self.den
-        return f
+        return RatFun._of(-self.num, self.den)
 
     def __sub__(self, other):
         g = RatFun._want(other)
@@ -921,12 +912,9 @@ class RatFun:
     def reciprocal(self):
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of the zero rational function")
-        f = object.__new__(RatFun)
         if self.num.coeffs[-1] < 0:
-            f.num, f.den = -self.den, -self.num
-        else:
-            f.num, f.den = self.den, self.num
-        return f
+            return RatFun._of(-self.den, -self.num)
+        return RatFun._of(self.den, self.num)
 
     def __truediv__(self, other):
         g = RatFun._want(other)
@@ -957,10 +945,8 @@ class RatFun:
         return self.num(x) / d
 
 
-ZERO = object.__new__(RatFun)
-ZERO.num, ZERO.den = ZERO_POLY, ONE_POLY
-ONE = object.__new__(RatFun)
-ONE.num, ONE.den = ONE_POLY, ONE_POLY
+ZERO = RatFun._of(ZERO_POLY, ONE_POLY)
+ONE = RatFun._of(ONE_POLY, ONE_POLY)
 
 
 def format_poly(p):

@@ -117,7 +117,7 @@ MUTANTS = (
     Mutant(
         "_normalize without its numerators' content",
         "scalars.py",
-        "        content = _int_content((content, *p.coeffs))\n",
+        "        content = _int_gcd(content, *p.coeffs)\n",
         "        pass\n",
     ),
     Mutant(
@@ -143,6 +143,18 @@ MUTANTS = (
         "matrixio.py",
         "MAX_SIZE = 2000\n",
         "MAX_SIZE = 2001\n",
+    ),
+    Mutant(
+        "format_matrix's size certificate one unit wider",
+        "matrixio.py",
+        "if _size(f) > MAX_SIZE // 2 and",
+        "if _size(f) > MAX_SIZE // 2 + 1 and",
+    ),
+    Mutant(
+        "format_matrix's row pre-test one digit longer",
+        "matrixio.py",
+        're.search("[0-9]{3}", line)',
+        're.search("[0-9]{4}", line)',
     ),
     Mutant(
         "MAX_NESTING one above its documented value",

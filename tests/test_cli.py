@@ -206,6 +206,20 @@ class TestCompute:
             )
             assert found and int(found[1]) > limit, captured.err
 
+    def test_result_the_reader_refuses_exits_three(self, tmp_path, capsys):
+        # the inverse holds -s^2000, whose power is past the size bound
+        a, out = tmp_path / "a.mat", tmp_path / "x.mat"
+        a.write_text("matrix 2 2\n1/s^1000; 1\n0; 1/s^1000\n")
+        code = run_command(
+            ["compute", "--a", str(a), "--path", "both", "--verify", "--out", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "algebra error: cannot write entry (1, 2): it would not read back: "
+            "power exceeds the size bound 2000 at offset 7\n"
+        )
+        assert not out.exists()
+
 
 class TestVerify:
     def test_good_inverse(self, capsys):
@@ -351,6 +365,18 @@ class TestInvert:
         assert inv1 == inv2
         assert load("wmp_rank2_n.mat") * inv1 == RfMatrix.identity(3)
 
+    def test_inverse_the_reader_refuses_exits_three(self, tmp_path, capsys):
+        n = tmp_path / "n.mat"
+        n.write_text("matrix 1 1\n1/s^1000/s\n")
+        for path in PATHS:
+            assert run_command(["invert", "--n", str(n), "--path", path]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "algebra error: cannot write entry (1, 1): it would not read back: "
+                "power exceeds the size bound 2000 at offset 6\n"
+            )
+
     def test_singular_input(self, tmp_path, capsys):
         bad = tmp_path / "n.mat"
         bad.write_text("matrix 2 2\n1; 1\n1; 1\n")
@@ -440,13 +466,25 @@ class TestEval:
         )
 
     def test_point_at_the_bound_evaluates(self, tmp_path, capsys):
-        # 3/2 has size 2, and 2 * 1000 is the bound itself
+        # 3/2 has size 2, and 2 * 1000 is the bound itself; the value is 0
         a = tmp_path / "a.mat"
-        a.write_text("matrix 1 1\n(1+s)^1000\n")
+        a.write_text("matrix 1 1\n(2*s-3)*s^999\n")
         assert run_command(["eval", "--in", str(a), "--at", "3/2"]) == 0
-        assert capsys.readouterr().out == f"matrix 1 1\n{5**1000}/{2**1000}\n"
+        assert capsys.readouterr().out == "matrix 1 1\n0\n"
         assert run_command(["eval", "--in", str(a), "--at", "4/3"]) == 2
         assert capsys.readouterr().err.startswith("evaluation point too large")
+
+    def test_value_the_reader_refuses_exits_three(self, tmp_path, capsys):
+        # 5^1000/2^1000 passes the point bound, but its operand sizes sum
+        # past the size bound, so parsing it back would fail
+        a, out = tmp_path / "a.mat", tmp_path / "v.mat"
+        a.write_text("matrix 1 1\n(1+s)^1000\n")
+        assert run_command(["eval", "--in", str(a), "--at", "3/2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "algebra error: cannot write entry (1, 1): it would not read back: "
+            f"quotient exceeds the size bound 2000 at offset {len(str(5**1000))}\n"
+        )
+        assert not out.exists()
 
 
 class TestArgumentErrors:

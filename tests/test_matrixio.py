@@ -1,6 +1,7 @@
 """Entry grammar, matrix file format, and the parse/format round trip."""
 
 import random
+from collections import Counter
 import re
 import sys
 
@@ -321,6 +322,86 @@ class TestFormatMatrix:
             f"more than the integer-string limit of {LIMIT}"
         )
         assert err.value.label == "entry (2, 2)"
+
+
+    def test_entries_past_the_reader_bound_are_refused(self):
+        # at the bound each entry reads back; one past it, the writer
+        # refuses it with the reader's own message, and names its entry
+        s = Poly([0, 1])
+        readable = (
+            RatFun(s**1000),
+            RatFun(1, s**1000),
+            RatFun(s**999, 1 + s**999),
+            RatFun(7 * s**997, 1 + s**999),
+        )
+        for f in readable:
+            m = RfMatrix.from_rows([[f, RatFun(1)]])
+            assert parse_matrix_file(format_matrix(m)) == m
+        refused = (
+            (RatFun(-(s**2000)), "power exceeds the size bound 2000 at offset 7"),
+            (RatFun(s**1001), "power exceeds the size bound 2000 at offset 6"),
+            (RatFun(s**1000, 1 + s**1000), "quotient exceeds the size bound 2000 at offset 6"),
+            # no digit run is longer than three
+            (RatFun(7 * s**999, 1 + s**999), "quotient exceeds the size bound 2000 at offset 7"),
+        )
+        for f, message in refused:
+            m = RfMatrix.from_rows([[RatFun(1), RatFun(2)], [RatFun(3), f]])
+            with pytest.raises(CapacityError) as err:
+                format_matrix(m)
+            assert str(err.value) == (
+                f"cannot write entry (2, 2): it would not read back: {message}"
+            )
+            assert err.value.label == "entry (2, 2)"
+
+    def test_entries_near_the_reader_bound_read_back_or_are_refused(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        s = Poly([0, 1])
+
+        @st.composite
+        def signed(draw, bits):
+            c = (1 << (bits - 1)) | draw(st.integers(0, (1 << (bits - 1)) - 1))
+            return draw(st.sampled_from((c, -c)))
+
+        @st.composite
+        def entries(draw):
+            # s^e and c*s^e around the power bound (e = 1000) and the product
+            # bound, and c1*s^e1/(c2+s^e2) whose operand sizes sum near 2000
+            kind = draw(st.sampled_from(("power", "product", "quotient")))
+            if kind == "power":
+                return RatFun(s ** draw(st.integers(990, 1010)))
+            if kind == "product":
+                c = draw(signed(draw(st.integers(2, 1100))))
+                return RatFun(c * s ** draw(st.integers(0, 1010)))
+            total = draw(st.integers(1980, 2020))
+            e1, e2 = draw(st.integers(0, 1005)), draw(st.integers(1, 1005))
+            b1 = draw(st.integers(1, max(1, total - e1 - e2 - 1)))
+            c1, c2 = draw(signed(b1)), draw(signed(max(1, total - e1 - e2 - b1)))
+            return RatFun(c1 * s**e1, s**e2 + c2)
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(entries(), st.integers(1, 2), st.integers(1, 2))
+        def check(f, r, c):
+            m = RfMatrix.from_rows(
+                [[f if (i, j) == (r, c) else RatFun(i + j) for j in (1, 2)] for i in (1, 2)]
+            )
+            try:
+                text = format_matrix(m)
+            except CapacityError as exc:
+                outcomes["refused"] += 1
+                with pytest.raises(MatrixParseError) as err:
+                    parse_entry(str(f))
+                assert str(exc) == (
+                    f"cannot write entry ({r}, {c}): it would not read back: {err.value}"
+                )
+                assert exc.label == f"entry ({r}, {c})"
+            else:
+                outcomes["read back"] += 1
+                assert parse_matrix_file(text) == m
+
+        outcomes = Counter()
+        check()
+        assert outcomes["read back"] > 5 and outcomes["refused"] > 5, outcomes
 
 
 class TestDigitCount:
